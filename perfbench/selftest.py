@@ -11,7 +11,9 @@ gradients bit-identical.
 from __future__ import annotations
 
 import json
+import tempfile
 import unittest
+from pathlib import Path
 
 import run  # first: it caps BLAS threads before numpy loads
 
@@ -52,6 +54,32 @@ class WorkloadTest(unittest.TestCase):
         for name in WORKLOADS:
             with self.subTest(workload=name):
                 self.check(name, True, run.PER_LAYER)
+
+
+class MapCheckTest(unittest.TestCase):
+    """localize-audit fails a wrong map or inference that is off."""
+
+    def test_problems_flags_bad_outputs(self):
+        vf = run.load_volformer()
+        with tempfile.TemporaryDirectory() as tmp:
+            wl = WORKLOADS["localize-audit"](vf, 3, Path(tmp), tiny=True)
+            try:
+                wl.setup()
+                volume = vf.data.read_volume(wl.rows[0][0])
+                probs = vf.model.forward_volume(wl.model, volume).data
+                good = vf.localize.grad_cam(wl.model, volume, target_class=0,
+                                            layer="stem")
+                self.assertEqual(wl.problems(volume, probs, good, 0), [])
+                flat = vf.localize.ActivationMap(np.zeros_like(good.volume), "stem", 0,
+                                                 degenerate=True)
+                self.assertEqual(len(wl.problems(volume, probs, flat, 0)),
+                                 0 if good.degenerate else 1)
+                uniform = vf.localize.ActivationMap(np.ones_like(good.volume), "stem", 0)
+                self.assertEqual(len(wl.problems(volume, probs, uniform, 0)), 1)
+                self.assertEqual(len(wl.problems(volume, probs[::-1], good, 0)), 1)
+                self.assertEqual(len(wl.problems(volume, 2 * probs, good, 0)), 1)
+            finally:
+                wl.close()
 
 
 class WrapperIdentityTest(unittest.TestCase):

@@ -110,6 +110,39 @@ class Patches:
         return bool(self._saved)
 
 
+class StepProbe:
+    """The one definition of a train step that the benchmark uses: from a
+    training-mode ``BrainFormer.forward_logits`` to the return of the
+    ``Adam.step`` that follows it. Listeners get ``step_begin()`` and
+    ``step_end()``."""
+
+    def __init__(self, patches: Patches, vf):
+        self.listeners: list = []
+        self._open = False
+
+        def make_forward(forward):
+            def probed_forward(model, volumes, training, *args, **kwargs):
+                if training and not self._open:
+                    self._open = True
+                    for listener in self.listeners:
+                        listener.step_begin()
+                return forward(model, volumes, training, *args, **kwargs)
+            return probed_forward
+
+        def make_step(step):
+            def probed_step(*args, **kwargs):
+                out = step(*args, **kwargs)
+                if self._open:
+                    self._open = False
+                    for listener in self.listeners:
+                        listener.step_end()
+                return out
+            return probed_step
+
+        patches.patch(vf.model.BrainFormer, "forward_logits", make_forward)
+        patches.patch(vf.train.Adam, "step", make_step)
+
+
 class _Frame:
     """Layer-row context: the row new primitives are charged to."""
 
@@ -125,8 +158,10 @@ class _Frame:
 class Tracer:
     """Patches volformer's module attributes and records spans."""
 
-    def __init__(self, vf):
+    def __init__(self, vf, probe: StepProbe | None = None):
         self.vf = vf  # namespace with the volformer modules as attributes
+        self.probe = probe  # marks train steps; made on install if None
+        self._own_probe = probe is None
         self.spans: list[tuple] = []
         self.request_kind: dict[int, str] = {}
         self.request_units: dict[int, int] = {}
@@ -161,19 +196,31 @@ class Tracer:
     def current_request_kind(self):
         return self.request_kind.get(self._request) if self._request else None
 
+    def step_begin(self) -> None:
+        if self.current_request_kind() in (None, "step"):
+            self.begin_request("step")
+
+    def step_end(self) -> None:
+        if self.current_request_kind() == "step":
+            self.end_request()
+
     # -- span bookkeeping --------------------------------------------------
 
-    def _open(self) -> tuple[int, int, float]:
+    def _open(self) -> tuple[int, tuple, float]:
         self._next_id += 1
         sid = self._next_id
         parent = self._stack[-1] if self._stack else 0
         self._stack.append(sid)
-        return sid, parent, self.clock()
+        return sid, (parent, self._request), self.clock()
 
-    def _close(self, sid, parent, kind, name, start, row) -> None:
+    def _close(self, sid, opened, kind, name, start, row) -> None:
+        """Record a span. It belongs to the request open when it ends, or, if
+        none is (the span ended a step), to the one open when it began."""
         end = self.clock()
         self._stack.pop()
-        self.spans.append((sid, kind, name, start, end, parent, self._request, row))
+        parent, request = opened
+        self.spans.append((sid, kind, name, start, end, parent,
+                           self._request or request, row))
 
     # -- installation ------------------------------------------------------
 
@@ -182,6 +229,9 @@ class Tracer:
             raise RuntimeError("tracer is already installed")
         vf = self.vf
         patch = self._patches.patch
+        if self._own_probe:
+            self.probe = StepProbe(self._patches, vf)
+        self.probe.listeners.append(self)
         for name in GROUP_OF:
             patch(vf.tensor, name, lambda fn, n=name: self._wrap_primitive(fn, n))
         patch(vf.tensor, "backward", self._wrap_backward)
@@ -193,7 +243,7 @@ class Tracer:
         patch(vf.model.BrainFormer, "forward_probs", self._wrap_forward_probs)
         for module, path, _ in FUNCTIONS:
             if path == "BrainFormer.forward_logits":
-                continue  # patched above, with step-request detection
+                continue  # patched above, with the classifier row
             owner = getattr(vf, module)
             *holder, attr = path.split(".")
             for part in holder:
@@ -202,6 +252,7 @@ class Tracer:
 
     def uninstall(self) -> None:
         self.end_request()
+        self.probe.listeners.remove(self)
         self._patches.restore()
 
     # -- wrappers ----------------------------------------------------------
@@ -218,11 +269,11 @@ class Tracer:
             if pushed:
                 frames.append(_Frame(row_override))
             row = frames[-1].row if frames else None
-            sid, parent, start = tracer._open()
+            sid, opened, start = tracer._open()
             try:
                 out = fn(*args, **kwargs)
             finally:
-                tracer._close(sid, parent, "p", span_name, start, row)
+                tracer._close(sid, opened, "p", span_name, start, row)
                 if pushed:
                     frames.pop()
             if is_conv and tracer._request:
@@ -243,11 +294,11 @@ class Tracer:
         span_name = "tensor." + name + ".bwd"
 
         def traced_closure(g):
-            sid, parent, start = tracer._open()
+            sid, opened, start = tracer._open()
             try:
                 closure(g)
             finally:
-                tracer._close(sid, parent, "b", span_name, start, row)
+                tracer._close(sid, opened, "b", span_name, start, row)
 
         traced_closure._traced = True
         return traced_closure
@@ -256,11 +307,11 @@ class Tracer:
         tracer = self
 
         def wrapper(*args, **kwargs):
-            sid, parent, start = tracer._open()
+            sid, opened, start = tracer._open()
             try:
                 return fn(*args, **kwargs)
             finally:
-                tracer._close(sid, parent, "B", "tensor.backward", start, None)
+                tracer._close(sid, opened, "B", "tensor.backward", start, None)
 
         return wrapper
 
@@ -277,11 +328,11 @@ class Tracer:
             if stage is not None:
                 enc.stage = stage
             frames.append(_Frame(row))
-            sid, parent, start = tracer._open()
+            sid, opened, start = tracer._open()
             try:
                 return fn(obj, *args, **kwargs)
             finally:
-                tracer._close(sid, parent, "l", "layers." + row, start, row)
+                tracer._close(sid, opened, "l", "layers." + row, start, row)
                 frames.pop()
                 enc.row = row
 
@@ -293,11 +344,11 @@ class Tracer:
         def wrapper(enc, *args, **kwargs):
             rows, attn_rows = _encoder_rows(enc)
             tracer._frames.append(_Frame(None, rows, attn_rows))
-            sid, parent, start = tracer._open()
+            sid, opened, start = tracer._open()
             try:
                 return fn(enc, *args, **kwargs)
             finally:
-                tracer._close(sid, parent, "f", "model.VolumeEncoder.forward", start, None)
+                tracer._close(sid, opened, "f", "model.VolumeEncoder.forward", start, None)
                 tracer._frames.pop()
 
         return wrapper
@@ -311,11 +362,11 @@ class Tracer:
             if row is None:
                 return fn(*args, **kwargs)
             tracer._frames.append(_Frame(row))
-            sid, parent, start = tracer._open()
+            sid, opened, start = tracer._open()
             try:
                 return fn(*args, **kwargs)
             finally:
-                tracer._close(sid, parent, "l", "layers." + row, start, row)
+                tracer._close(sid, opened, "l", "layers." + row, start, row)
                 tracer._frames.pop()
 
         return wrapper
@@ -324,14 +375,12 @@ class Tracer:
         tracer = self
 
         def wrapper(model, volumes, training, *args, **kwargs):
-            if training and tracer.current_request_kind() in (None, "step"):
-                tracer.begin_request("step")
             tracer._frames.append(_Frame("classifier"))
-            sid, parent, start = tracer._open()
+            sid, opened, start = tracer._open()
             try:
                 return fn(model, volumes, training, *args, **kwargs)
             finally:
-                tracer._close(sid, parent, "f", "model.BrainFormer.forward_logits",
+                tracer._close(sid, opened, "f", "model.BrainFormer.forward_logits",
                               start, None)
                 tracer._frames.pop()
 
@@ -354,26 +403,31 @@ class Tracer:
 
     def _wrap_function(self, fn, name):
         tracer = self
-        ends_step = name == "train.Adam.step"
+        is_cli = name == "cli.main"
 
         def wrapper(*args, **kwargs):
-            sid, parent, start = tracer._open()
+            span_name = name
+            if is_cli:  # one span name per subcommand: "cli.main gen"
+                argv = args[0] if args else kwargs.get("argv")
+                span_name = f"{name} {argv[0] if argv else ''}"
+            sid, opened, start = tracer._open()
             try:
                 return fn(*args, **kwargs)
             finally:
-                tracer._close(sid, parent, "f", name, start, None)
-                if ends_step and tracer.current_request_kind() == "step":
-                    tracer.end_request()
+                tracer._close(sid, opened, "f", span_name, start, None)
 
         return wrapper
 
     # -- aggregation -------------------------------------------------------
 
-    def summary(self, primary: str, rows: list[str]) -> dict:
+    def summary(self, primary: str, rows: list[str], cli_command: str) -> dict:
         """Per-layer metrics: ``<module>.<name>.<quantity>`` -> value.
 
         Tensor and layer figures are per request of kind ``primary`` (a train
-        step or a map); function figures are per call over the whole run.
+        step or a map). Function figures are per call: over the calls inside
+        such requests if there are any, else over every call, so that the mix
+        of call kinds does not depend on how many requests ran. ``cli.main``
+        counts only calls of the subcommand ``cli_command``.
         """
         by_id = {s[0]: s for s in self.spans}
         child_s = defaultdict(float)
@@ -404,9 +458,10 @@ class Tracer:
             if kind == "B" and req in wanted:
                 total["tensor.backward.self_ms"] += dur - child_s[sid]
             if kind == "f":
-                counts[name] += 1
-                total[name] += dur
-                total[name + "#self"] += dur - child_s[sid]
+                for key in (name, name + "@primary") if req in wanted else (name,):
+                    counts[key] += 1
+                    total[key] += dur
+                    total[key + "#self"] += dur - child_s[sid]
         out = {}
         for group in TENSOR_GROUPS:
             for q in ("fwd_ms", "bwd_ms"):
@@ -423,10 +478,13 @@ class Tracer:
                 out[f"layers.{row}.{q}"] = 1e3 * total[f"layers.{row}.{q}"] / n_req
         for module, path, metric in FUNCTIONS:
             name = f"{module}.{path}"
+            if name == "cli.main":
+                name += " " + cli_command
+            if counts[name + "@primary"]:
+                name += "@primary"
             calls = counts[name]
             key = name + ("#self" if metric.endswith("self_ms") else "")
             out[metric] = 1e3 * total[key] / calls if calls else None
-        out["data.read_volume.calls"] = counts["data.read_volume"]
         out["requests"] = len(wanted)
         return out
 
