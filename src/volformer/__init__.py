@@ -1,40 +1,14 @@
-"""Volumetric classification with global attention and built-in localization."""
+"""Volumetric classification with global attention and built-in localization.
 
-import os as _os
+Importing the package loads no numeric library, so the thread cap below and
+the one ``volformer.cli.main`` applies reach BLAS (``config.cap_threads``)."""
 
-# Cap BLAS/OpenMP threads before numpy is first imported so the setting takes
-# effect. Best effort: if numpy was already imported by the host process the
-# environment variables are left alone and the cap is a no-op.
-_threads = _os.environ.get("VOLFORMER_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
-from .errors import (  # noqa: E402
-    CheckpointError,
-    ConfigError,
-    DataError,
-    ParseError,
-    PlanError,
-    ShapeError,
-    StateError,
-)
-from .tensor import Tensor, backward, count_ops, no_grad  # noqa: E402
+from .config import cap_threads as _cap_threads
+from .errors import ConfigError as _ConfigError
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Tensor",
-    "backward",
-    "count_ops",
-    "no_grad",
-    "ShapeError",
-    "StateError",
-    "ConfigError",
-    "DataError",
-    "PlanError",
-    "ParseError",
-    "CheckpointError",
-    "__version__",
-]
+try:
+    _cap_threads()
+except _ConfigError:
+    pass  # volformer.cli.main reports it with exit code 2

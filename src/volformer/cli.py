@@ -22,12 +22,14 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from contextlib import ExitStack
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
+from .config import cap_threads, from_config_dict, to_config_dict
 from .errors import (CheckpointError, ConfigError, DataError, ParseError,
                      PlanError, ShapeError, StateError)
 
@@ -74,22 +76,11 @@ class SplitSpec:
                 f"split mode must be 'kfold' or 'site_holdout', got {self.mode!r}")
 
     def to_dict(self) -> dict:
-        return {"mode": self.mode, "k": self.k,
-                "train_sites": list(self.train_sites),
-                "test_sites": list(self.test_sites)}
+        return to_config_dict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SplitSpec":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"split config must be an object, got {type(doc).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown split config keys: {sorted(unknown)}")
-        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
-        spec = cls(**kwargs)
-        spec.validate()
-        return spec
+        return from_config_dict(cls, doc, "split config")
 
 
 @dataclass
@@ -179,13 +170,6 @@ def _write_resolved(out_dir: Path, doc: dict, force: bool) -> Path:
     return path
 
 
-def _build_model(model_cfg, seed: int):
-    from .model import BrainFormer, FusionModel
-    if model_cfg.use_smri or model_cfg.use_fc or model_cfg.use_pheno:
-        return FusionModel(model_cfg, seed=seed)
-    return BrainFormer(model_cfg, seed=seed)
-
-
 def _load_records(args, cfg: RunConfig):
     from .data import generate_synthetic, load_manifest
     if getattr(args, "data", None):
@@ -232,40 +216,22 @@ def cmd_gen(args) -> int:
 # cv
 
 
-def _fold_worker(payload) -> tuple[int, list, dict]:
-    """Train and evaluate one fold; write its artifacts; return its report.
+def _fold_model(model_cfg, seed: int, fold: int):
+    from .model import BrainFormer
+    return BrainFormer(model_cfg, seed=seed + fold)
 
-    Module-level so process pools can import it. The payload carries
-    everything the fold needs; nothing is read from globals.
-    """
+
+def _write_fold(out_dir: Path, seed: int, result) -> None:
+    """Per-fold artifacts: the loss curve and the trained checkpoint."""
     from .model import save_model
-    from .train import evaluate, train_fold
-    fold, train_recs, test_recs, model_cfg, train_cfg, out_dir, seed = payload
-    model = _build_model(model_cfg, seed=seed)
-    history = train_fold(model, train_recs, train_cfg)
-    report = evaluate(model, test_recs)
-    out_dir = Path(out_dir)
-    history.write_csv(out_dir / f"fold{fold}_history.csv")
-    save_model(model, out_dir / f"fold{fold}.ckpt",
-               extra_meta={"fold": fold, "seed": seed})
-    return fold, history, report
-
-
-def _split_by_sites(records, split: SplitSpec):
-    sites = sorted({r.site_id for r in records})
-    missing = [s for s in (*split.train_sites, *split.test_sites) if s not in sites]
-    if missing:
-        raise PlanError(f"sites {missing} not present in the data; found {sites}")
-    train = [r for r in records if r.site_id in split.train_sites]
-    test = [r for r in records if r.site_id in split.test_sites]
-    if not train or not test:
-        raise PlanError("site holdout produced an empty train or test side")
-    return train, test
+    result.history.write_csv(out_dir / f"fold{result.fold}_history.csv")
+    save_model(result.model, out_dir / f"fold{result.fold}.ckpt",
+               extra_meta={"fold": result.fold, "seed": seed + result.fold})
 
 
 def cmd_cv(args) -> int:
-    from .data import plan_folds
-    from .train import aggregate_reports
+    from .data import plan_site_holdout
+    from .train import cross_validate
     cfg = load_run_config(args.config)
     if args.seed is not None:
         cfg.train = replace(cfg.train, seed=args.seed)
@@ -277,40 +243,30 @@ def cmd_cv(args) -> int:
 
     records = _load_records(args, cfg)
     _check_extents(records, cfg.model)
-
+    plan = None
     if cfg.split.mode == "site_holdout":
-        train_recs, test_recs = _split_by_sites(records, cfg.split)
-        splits = [(train_recs, test_recs)]
-    else:
-        plan = plan_folds(records, k=cfg.split.k, seed=cfg.train.seed)
-        splits = [plan.split(records, f) for f in range(plan.fold_count)]
-        for train_recs, test_recs in splits:
-            overlap = ({r.subject_id for r in train_recs}
-                       & {r.subject_id for r in test_recs})
-            if overlap:
-                raise PlanError(
-                    f"subjects leak between train and test: {sorted(overlap)}")
+        plan = plan_site_holdout(records, cfg.split.train_sites, cfg.split.test_sites)
+        records = [r for r in records if r.subject_id in plan.assignments]
 
-    payloads = [(fold, tr, te, cfg.model, cfg.train, str(out), cfg.train.seed + fold)
-                for fold, (tr, te) in enumerate(splits)]
+    seed = cfg.train.seed
     try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_fold_worker, payloads))
-        else:
-            results = [_fold_worker(p) for p in payloads]
+        with ExitStack() as stack:
+            map_fn = map
+            if args.jobs > 1:
+                map_fn = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
+            aggregate, _ = cross_validate(
+                records, partial(_fold_model, cfg.model, seed), cfg.train,
+                k=cfg.split.k, plan=plan, map_fn=map_fn,
+                on_fold=partial(_write_fold, out, seed))
     except (ConfigError, PlanError, DataError, ParseError):
         raise
     except Exception as err:
         print(f"error: training aborted: {err}", file=sys.stderr)
         return EXIT_TRAIN
 
-    results.sort(key=lambda r: r[0])
-    reports = [report for _, _, report in results]
-    aggregate = aggregate_reports(reports)
     aggregate.write_json(out / "metrics.json")
     aggregate.write_fold_csv(out / "folds.csv")
-    print(f"folds: {len(reports)}")
+    print(f"folds: {len(aggregate.folds)}")
     print(f"volume accuracy:  {aggregate.volume_accuracy:.4f} "
           f"± {aggregate.volume_accuracy_std:.4f}")
     print(f"subject accuracy: {aggregate.subject_accuracy:.4f} "
@@ -390,7 +346,7 @@ def _audit(args, model) -> int:
 
 def cmd_localize(args) -> int:
     from .data import read_volume
-    from .localize import export_map, grad_cam
+    from .localize import export_map, grad_cam, resolve_layer
     from .model import load_model
 
     audit_mode = args.manifest is not None or args.spec is not None
@@ -403,26 +359,17 @@ def cmd_localize(args) -> int:
         raise ConfigError("pass --volume and --class, or --manifest and --spec")
 
     model, _meta = load_model(args.ckpt)
-    if model.kind != "brainformer":
+    if model.cfg.use_smri or model.cfg.use_fc or model.cfg.use_pheno:
         raise ConfigError(
-            "localize works on volume-only checkpoints; this checkpoint is a "
-            f"{model.kind!r} model with extra input branches")
+            "localize works on volume-only checkpoints; this checkpoint's "
+            "model has extra input branches")
     try:
         if audit_mode:
             return _audit(args, model)
 
         volume = read_volume(args.volume)
         out = Path(args.out)
-        names = model.trace_layer_names()
-        if args.layer is not None and args.layer not in names:
-            raise ConfigError(
-                f"unknown trace layer {args.layer!r}; choose from {names}")
-        if not 0 <= args.target_class < model.cfg.class_count:
-            raise ConfigError(
-                f"target class {args.target_class} outside "
-                f"0..{model.cfg.class_count - 1}")
-        conv_names = [n for n in names if n.endswith(".conv")]
-        layer = args.layer or (conv_names[-1] if conv_names else names[-1])
+        layer = resolve_layer(model, args.target_class, args.layer)
         resolved = {"command": "localize", "mode": "single",
                     "ckpt": str(args.ckpt), "volume": str(args.volume),
                     "target_class": args.target_class, "layer": layer}
@@ -532,24 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_cap(args) -> None:
-    cap = os.environ.get("VOLFORMER_THREADS")
-    if getattr(args, "deterministic", False):
-        cap = "1"
-    if not cap:
-        return
-    try:
-        if int(cap) < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(
-            f"VOLFORMER_THREADS must be a positive integer, got {cap!r}") from None
-    os.environ["VOLFORMER_THREADS"] = cap
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = cap
-
-
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
@@ -558,7 +487,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _apply_thread_cap(args)
+        cap_threads("1" if getattr(args, "deterministic", False) else None)
         return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

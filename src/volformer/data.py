@@ -13,12 +13,12 @@ from __future__ import annotations
 import csv
 import struct
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
+from .config import from_config_dict, to_config_dict
 from .errors import ConfigError, DataError, ParseError, PlanError
 
 VOLUME_MAGIC = b"VFV1"
@@ -76,9 +76,6 @@ class FoldPlan:
     fold_count: int
     assignments: dict[str, int]
     seed: int
-
-    def fold_of(self, subject_id: str) -> int:
-        return self.assignments[subject_id]
 
     def split(self, records: list[SubjectRecord], fold: int
               ) -> tuple[list[SubjectRecord], list[SubjectRecord]]:
@@ -162,53 +159,72 @@ class SyntheticSpec:
             raise ConfigError("pheno_dim must be >= 1 when with_pheno is set")
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = [list(x) if isinstance(x, tuple) else x for x in v]
-            out[f.name] = v
-        return out
+        return to_config_dict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SyntheticSpec":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"synthetic spec must be an object, got {type(doc).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown synthetic spec keys: {sorted(unknown)}")
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in doc:
-                continue
-            v = doc[f.name]
-            if isinstance(v, list):
-                v = tuple(tuple(x) if isinstance(x, list) else x for x in v)
-            kwargs[f.name] = v
-        try:
-            spec = cls(**kwargs)
-        except TypeError as err:
-            raise ConfigError(str(err)) from None
-        spec.validate()
-        return spec
+        return from_config_dict(cls, doc, "synthetic spec")
 
 
 # ---------------------------------------------------------------------------
-# volume file format
+# binary containers and the volume file format
+
+
+def write_container(path, magic: bytes, header: bytes, records) -> None:
+    """Write ``magic``, ``header``, then per ``(prefix, payload)`` record the
+    prefix, the payload and the payload's u32 CRC32."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(header)
+        for prefix, payload in records:
+            fh.write(prefix)
+            fh.write(payload)
+            fh.write(struct.pack("<I", zlib.crc32(payload)))
+
+
+class ContainerReader:
+    """Bounds-checked little-endian reader over one container file's bytes.
+
+    Checks the magic on construction. Every fault raises ``error(message,
+    byte_offset)``, so each format keeps its own exception type.
+    """
+
+    def __init__(self, blob: bytes, magic: bytes, error, label: str):
+        self.blob, self.offset, self.error, self.label = blob, 0, error, label
+        got = self.take(len(magic), "magic")
+        if got != magic:
+            raise error(f"bad {label} magic {got!r}", 0)
+
+    def take(self, n: int, what: str) -> bytes:
+        if self.offset + n > len(self.blob):
+            raise self.error(f"{self.label} truncated while reading {what}", self.offset)
+        self.offset += n
+        return self.blob[self.offset - n:self.offset]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def payload(self, n: int, what: str) -> bytes:
+        """``n`` payload bytes followed by their u32 CRC32, which must match."""
+        data = self.take(n, what)
+        stored, = self.unpack("I", f"{what} checksum")
+        if zlib.crc32(data) != stored:
+            raise self.error(f"{what} checksum mismatch", self.offset - 4)
+        return data
+
+    def finish(self) -> None:
+        if self.offset != len(self.blob):
+            raise self.error(f"{len(self.blob) - self.offset} trailing bytes after "
+                             f"the {self.label} payload", self.offset)
 
 
 def write_volume(path, array: np.ndarray) -> None:
     arr = np.ascontiguousarray(np.asarray(array, dtype=np.float32))
     if arr.ndim < 1 or arr.ndim > MAX_RANK:
         raise DataError(f"volume rank {arr.ndim} outside 1..{MAX_RANK}")
-    payload = arr.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(VOLUME_MAGIC)
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+    header = struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
+    write_container(path, VOLUME_MAGIC, header, [(b"", arr.tobytes())])
 
 
 def read_volume(path) -> np.ndarray:
@@ -217,33 +233,15 @@ def read_volume(path) -> np.ndarray:
             blob = fh.read()
     except OSError as err:
         raise DataError(f"cannot read volume file {path}: {err}") from None
-    offset = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal offset
-        if offset + n > len(blob):
-            raise ParseError(f"volume file truncated while reading {what}", offset)
-        piece = blob[offset:offset + n]
-        offset += n
-        return piece
-
-    magic = take(4, "magic")
-    if magic != VOLUME_MAGIC:
-        raise ParseError(f"bad volume magic {magic!r}", 0)
-    rank, = struct.unpack("<I", take(4, "rank"))
+    reader = ContainerReader(blob, VOLUME_MAGIC, ParseError, "volume file")
+    rank, = reader.unpack("I", "rank")
     if not 1 <= rank <= MAX_RANK:
         raise ParseError(f"volume rank {rank} outside 1..{MAX_RANK}", 4)
-    shape = struct.unpack(f"<{rank}I", take(4 * rank, "extents"))
+    shape = reader.unpack(f"{rank}I", "extents")
     if any(e < 1 for e in shape):
         raise ParseError(f"non-positive extent in {shape}", 8)
-    count = int(np.prod(shape, dtype=np.int64))
-    payload = take(4 * count, "payload")
-    crc_offset = offset
-    stored_crc, = struct.unpack("<I", take(4, "checksum"))
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != stored_crc:
-        raise ParseError("payload checksum mismatch", crc_offset)
-    if offset != len(blob):
-        raise ParseError(f"{len(blob) - offset} trailing bytes", offset)
+    payload = reader.payload(4 * int(np.prod(shape, dtype=np.int64)), "payload")
+    reader.finish()
     return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
 
 
@@ -319,12 +317,17 @@ def compute_fc(series: np.ndarray, parcellation: np.ndarray, p: int
         if not mask.any():
             raise DataError(f"ROI id {roi} has no voxels in the parcellation")
         roi_series[:, roi - 1] = flat[:, mask].mean(axis=1)
-    centered = roi_series - roi_series.mean(axis=0, keepdims=True)
+    return _pearson(roi_series)
+
+
+def _pearson(series: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Correlation between the columns of a (T, p) float64 series; rows and
+    columns of zero-variance columns are zeroed and their 1-based ids listed."""
+    centered = series - series.mean(axis=0, keepdims=True)
     std = np.sqrt((centered ** 2).mean(axis=0))
     flagged = [i + 1 for i in np.nonzero(std == 0)[0]]
-    safe = np.where(std == 0, 1.0, std)
-    normed = centered / safe
-    fc = (normed.T @ normed) / t
+    normed = centered / np.where(std == 0, 1.0, std)
+    fc = (normed.T @ normed) / series.shape[0]
     alive = (std > 0).astype(np.float64)
     fc *= np.outer(alive, alive)
     np.fill_diagonal(fc, alive)
@@ -361,6 +364,21 @@ def plan_folds(records: list[SubjectRecord], k: int = 5, seed: int = 0) -> FoldP
     return FoldPlan(fold_count=k, assignments=assignments, seed=seed)
 
 
+def plan_site_holdout(records: list[SubjectRecord], train_sites, test_sites) -> FoldPlan:
+    """One-fold plan: ``test_sites`` subjects are tested (fold 0), those of
+    ``train_sites`` only trained on (fold -1). Subjects of other sites are not
+    in the plan; drop them before splitting."""
+    sites = sorted({r.site_id for r in records})
+    missing = [s for s in (*train_sites, *test_sites) if s not in sites]
+    if missing:
+        raise PlanError(f"sites {missing} not present in the data; found {sites}")
+    assignments = {r.subject_id: 0 if r.site_id in test_sites else -1
+                   for r in records if r.site_id in (*train_sites, *test_sites)}
+    if not {0, -1} <= set(assignments.values()):
+        raise PlanError("site holdout produced an empty train or test side")
+    return FoldPlan(fold_count=1, assignments=assignments, seed=0)  # nothing drawn
+
+
 # ---------------------------------------------------------------------------
 # synthetic generation
 
@@ -386,6 +404,7 @@ def _blob(spec: SyntheticSpec, label: int) -> np.ndarray:
 
 
 def _smooth_noise(rng: np.random.Generator, spec: SyntheticSpec) -> np.ndarray:
+    from scipy.ndimage import gaussian_filter  # only synthesis needs scipy
     noise = rng.normal(0.0, spec.noise_sigma, size=spec.volume_extent)
     if spec.smoothness > 0 and spec.noise_sigma > 0:
         noise = gaussian_filter(noise, sigma=spec.smoothness)
@@ -425,13 +444,8 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SubjectRecord]:
                                                raw.astype(np.float32))
                 if spec.with_fc:
                     fc_rng = np.random.default_rng((spec.seed, label, idx, 3))
-                    latent = fc_rng.normal(size=(24, spec.fc_parcels))
-                    centered = latent - latent.mean(axis=0, keepdims=True)
-                    std = np.sqrt((centered ** 2).mean(axis=0))
-                    normed = centered / np.where(std == 0, 1.0, std)
-                    fc = np.clip((normed.T @ normed) / 24.0, -1.0, 1.0)
-                    np.fill_diagonal(fc, 1.0)
-                    record.fc_vector = fc.astype(np.float32).reshape(-1)
+                    fc, _ = _pearson(fc_rng.normal(size=(24, spec.fc_parcels)))
+                    record.fc_vector = fc.reshape(-1)
                 if spec.with_pheno:
                     ph_rng = np.random.default_rng((spec.seed, label, idx, 4))
                     values = ph_rng.normal(size=spec.pheno_dim)
@@ -475,26 +489,18 @@ def write_dataset(records: list[SubjectRecord], out_dir) -> Path:
             return cells
 
         for rec in records:
-            first = True
-            for i, sample in enumerate(rec.fmri_volumes):
-                name = f"{rec.subject_id}_fmri{i:02d}.vfv"
-                write_volume(vol_dir / name, sample.volume)
-                writer.writerow([rec.subject_id, rec.site_id, rec.label, "fmri",
-                                 f"volumes/{name}"] + pheno_cells(rec, first))
-                first = False
+            files = [(f"fmri{i:02d}", "fmri", sample.volume)
+                     for i, sample in enumerate(rec.fmri_volumes)]
             if rec.smri is not None:
-                name = f"{rec.subject_id}_smri.vfv"
-                write_volume(vol_dir / name, rec.smri.volume)
-                writer.writerow([rec.subject_id, rec.site_id, rec.label, "smri",
-                                 f"volumes/{name}"] + pheno_cells(rec, first))
-                first = False
+                files.append(("smri", "smri", rec.smri.volume))
             if rec.fc_vector is not None:
-                name = f"{rec.subject_id}_fc.vfv"
                 p = int(round(len(rec.fc_vector) ** 0.5))
-                write_volume(vol_dir / name, rec.fc_vector.reshape(p, p))
-                writer.writerow([rec.subject_id, rec.site_id, rec.label, "fc",
-                                 f"volumes/{name}"] + pheno_cells(rec, first))
-                first = False
+                files.append(("fc", "fc", rec.fc_vector.reshape(p, p)))
+            for row, (suffix, modality, array) in enumerate(files):
+                name = f"{rec.subject_id}_{suffix}.vfv"
+                write_volume(vol_dir / name, array)
+                writer.writerow([rec.subject_id, rec.site_id, rec.label, modality,
+                                 f"volumes/{name}"] + pheno_cells(rec, row == 0))
     return manifest
 
 

@@ -25,8 +25,8 @@ class PlanError(ValueError):
     """A fold plan cannot be constructed from the given records."""
 
 
-class ParseError(ValueError):
-    """A binary file failed to parse. Carries the byte offset of the fault."""
+class _OffsetError(ValueError):
+    """Carries the byte offset of a fault in a binary file, if there is one."""
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:
@@ -35,5 +35,9 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class CheckpointError(ValueError):
+class ParseError(_OffsetError):
+    """A volume file failed to parse."""
+
+
+class CheckpointError(_OffsetError):
     """A checkpoint file is missing, corrupt, or inconsistent with its model."""

@@ -114,10 +114,6 @@ class BatchNormLayer:
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
 
-    def state_arrays(self):
-        return [("running_mean", lambda: self.stats.mean),
-                ("running_var", lambda: self.stats.var)]
-
 
 class ResidualConvBlock:
     """Two same-padded 3x3x3 conv+BN stages with a residual shortcut.
@@ -166,6 +162,20 @@ class ResidualConvBlock:
         return layers
 
 
+def _token_batch(block, x) -> tuple[Tensor, bool]:
+    """Check an (N, C) or (B, N, C) input against the token and channel
+    counts ``block`` was built for; return it as (B, N, C), and whether it
+    came unbatched."""
+    x = T._as_tensor(x)
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"expected (N, C) or (B, N, C), got {x.shape}")
+    if x.shape[-1] != block.channels or x.shape[-2] != block.tokens:
+        raise ShapeError(
+            f"attention block built for {block.tokens} tokens x {block.channels} "
+            f"channels, got input shape {x.shape}")
+    return (T.reshape(x, (1,) + x.shape), True) if x.ndim == 2 else (x, False)
+
+
 class SGABlock:
     """Shallow global attention: token mixing then channel mixing, both residual.
 
@@ -196,32 +206,16 @@ class SGABlock:
         self.w_channel_out = Tensor(
             np.zeros((channels, hidden_c), dtype=dtype), requires_grad=True)
 
-    def _check(self, x: Tensor) -> None:
-        if x.shape[-1] != self.channels or x.shape[-2] != self.tokens:
-            raise ShapeError(
-                f"attention block built for {self.tokens} tokens x {self.channels} "
-                f"channels, got input shape {x.shape}"
-            )
-
     def forward(self, x: Tensor) -> Tensor:
-        x = T._as_tensor(x)
-        if x.ndim not in (2, 3):
-            raise ShapeError(f"expected (N, C) or (B, N, C), got {x.shape}")
-        self._check(x)
-        n, c = self.tokens, self.channels
-        if x.ndim == 2:
-            hidden = T.relu(T.matmul(self.w_spatial_in, x))
-            mixed = T.add(x, T.matmul(self.w_spatial_out, hidden))
-            hidden_c = T.relu(T.matmul(mixed, T.transpose(self.w_channel_in)))
-            return T.add(mixed, T.matmul(hidden_c, T.transpose(self.w_channel_out)))
-        b = x.shape[0]
+        x, unbatched = _token_batch(self, x)
+        b, n, c = x.shape
         cols = T.reshape(T.transpose(x, (1, 0, 2)), (n, b * c))
         hidden = T.relu(T.matmul(self.w_spatial_in, cols))
         mixed = T.add(cols, T.matmul(self.w_spatial_out, hidden))
         rows = T.reshape(T.transpose(T.reshape(mixed, (n, b, c)), (1, 0, 2)), (b * n, c))
         hidden_c = T.relu(T.matmul(rows, T.transpose(self.w_channel_in)))
         out = T.add(rows, T.matmul(hidden_c, T.transpose(self.w_channel_out)))
-        return T.reshape(out, (b, n, c))
+        return T.reshape(out, (n, c) if unbatched else (b, n, c))
 
     def params(self):
         return [
@@ -232,17 +226,14 @@ class SGABlock:
         ]
 
 
-def sga_forward(x: Tensor, block: SGABlock) -> Tensor:
-    return block.forward(x)
-
-
 class DGABlock:
     """Deep global attention: multi-head self-attention plus feed-forward.
 
     Adds a learned positional embedding, then two residual stages:
-    z1 = z0 + MSA(z0) and z2 = z1 + FF(z1). Each head projects tokens to
-    [q, k, v] with one (C x 3*head_dim) matrix; attention is
-    softmax(q k^T / sqrt(head_dim)) applied to v. Head outputs are
+    z1 = z0 + MSA(z0) and z2 = z1 + FF(z1). One (C x 3C) matrix ``qkv``
+    projects tokens for all heads: head i owns columns [3*hd*i, 3*hd*(i+1)),
+    laid out as its q, k and v (hd = head_dim); attention is
+    softmax(q k^T / sqrt(hd)) applied to v. Head outputs are
     concatenated and projected back to C by a zero-initialized matrix, so
     z1 == z0 exactly at init. No layer normalization anywhere.
     """
@@ -260,11 +251,10 @@ class DGABlock:
         self.pos_embed = Tensor(
             rng.normal(0.0, pos_std, size=(tokens, channels)).astype(dtype),
             requires_grad=True)
-        self.qkv_weights = [
-            Tensor(kaiming_uniform((channels, 3 * self.head_dim), channels, rng, dtype),
-                   requires_grad=True)
-            for _ in range(heads)
-        ]
+        # One draw per head, in head order, so init matches per-head matrices.
+        self.qkv = Tensor(np.concatenate(
+            [kaiming_uniform((channels, 3 * self.head_dim), channels, rng, dtype)
+             for _ in range(heads)], axis=1), requires_grad=True)
         self.out_proj = Tensor(np.zeros((heads * self.head_dim, channels), dtype=dtype),
                                requires_grad=True)
         hidden = ff_expand * channels
@@ -275,30 +265,24 @@ class DGABlock:
                                requires_grad=True)
         self.ff_b_out = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
 
-    def _check(self, x: Tensor) -> None:
-        if x.shape[-1] != self.channels or x.shape[-2] != self.tokens:
-            raise ShapeError(
-                f"attention block built for {self.tokens} tokens x {self.channels} "
-                f"channels, got input shape {x.shape}"
-            )
-
     def msa(self, z: Tensor, return_masks: bool = False):
-        """Multi-head self-attention over tokens (no residual, no pos embed)."""
-        z = T._as_tensor(z)
-        self._check(z)
-        scale = 1.0 / math.sqrt(self.head_dim)
-        swap = (0, 2, 1) if z.ndim == 3 else (1, 0)
-        head_outs = []
-        masks = []
-        for w in self.qkv_weights:
-            qkv = T.matmul(z, w)
-            q = T.narrow(qkv, -1, 0, self.head_dim)
-            k = T.narrow(qkv, -1, self.head_dim, self.head_dim)
-            v = T.narrow(qkv, -1, 2 * self.head_dim, self.head_dim)
-            mask = T.softmax(T.mul(T.matmul(q, T.transpose(k, swap)), scale), axis=-1)
-            masks.append(mask)
-            head_outs.append(T.matmul(mask, v))
-        out = T.matmul(T.concat(head_outs, axis=-1), self.out_proj)
+        """Multi-head self-attention over tokens (no residual, no pos embed).
+
+        With ``return_masks`` also returns the attention masks as one
+        (..., heads, N, N) tensor.
+        """
+        z, unbatched = _token_batch(self, z)
+        b, n, c = z.shape
+        h, hd = self.heads, self.head_dim
+        qkv = T.transpose(T.reshape(T.matmul(z, self.qkv), (b, n, h, 3 * hd)), (0, 2, 1, 3))
+        q, k, v = (T.narrow(qkv, 3, i * hd, hd) for i in range(3))
+        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
+        masks = T.softmax(scores, axis=-1)
+        heads_out = T.reshape(T.transpose(T.matmul(masks, v), (0, 2, 1, 3)), (b, n, c))
+        out = T.matmul(heads_out, self.out_proj)
+        if unbatched:
+            out = T.reshape(out, (n, c))
+            masks = T.reshape(masks, (h, n, n))
         return (out, masks) if return_masks else out
 
     def feed_forward(self, z: Tensor) -> Tensor:
@@ -307,29 +291,22 @@ class DGABlock:
         return T.add(T.matmul(hidden, self.ff_w_out), self.ff_b_out)
 
     def forward(self, x: Tensor) -> Tensor:
-        x = T._as_tensor(x)
-        if x.ndim not in (2, 3):
-            raise ShapeError(f"expected (N, C) or (B, N, C), got {x.shape}")
-        self._check(x)
+        x, unbatched = _token_batch(self, x)
         z0 = T.add(x, self.pos_embed)
         z1 = T.add(z0, self.msa(z0))
-        return T.add(z1, self.feed_forward(z1))
+        out = T.add(z1, self.feed_forward(z1))
+        return T.reshape(out, out.shape[1:]) if unbatched else out
 
     def params(self):
-        out = [("pos_embed", self.pos_embed)]
-        out += [(f"qkv_head{i}", w) for i, w in enumerate(self.qkv_weights)]
-        out += [
+        return [
+            ("pos_embed", self.pos_embed),
+            ("qkv", self.qkv),
             ("out_proj", self.out_proj),
             ("ff_w_in", self.ff_w_in),
             ("ff_b_in", self.ff_b_in),
             ("ff_w_out", self.ff_w_out),
             ("ff_b_out", self.ff_b_out),
         ]
-        return out
-
-
-def dga_forward(x: Tensor, block: DGABlock) -> Tensor:
-    return block.forward(x)
 
 
 class MLP:

@@ -87,9 +87,9 @@ def trilinear_resize(src: np.ndarray, target: tuple[int, int, int]) -> np.ndarra
 # map construction
 
 
-def grad_cam(model, volume, target_class: int, layer: str | None = None
-             ) -> ActivationMap:
-    """Class-evidence map for one volume from a trained model in eval mode."""
+def resolve_layer(model, target_class: int, layer: str | None = None) -> str:
+    """Check a map request against ``model``; return the layer to map, by
+    default the deepest conv output."""
     names = model.trace_layer_names()
     if layer is None:
         conv_names = [n for n in names if n.endswith(".conv")]
@@ -99,6 +99,13 @@ def grad_cam(model, volume, target_class: int, layer: str | None = None
     if not 0 <= target_class < model.cfg.class_count:
         raise ConfigError(f"target class {target_class} outside "
                           f"0..{model.cfg.class_count - 1}")
+    return layer
+
+
+def grad_cam(model, volume, target_class: int, layer: str | None = None
+             ) -> ActivationMap:
+    """Class-evidence map for one volume from a trained model in eval mode."""
+    layer = resolve_layer(model, target_class, layer)
     arr = np.asarray(volume.data if isinstance(volume, Tensor) else volume)
     if arr.ndim != 3:
         raise DataError(f"expected a (D, H, W) volume, got shape {arr.shape}")
@@ -112,16 +119,8 @@ def grad_cam(model, volume, target_class: int, layer: str | None = None
     T.zero_grads([p for _, p in model.params()])
     channel_weights = grads.mean(axis=(1, 2, 3))
     combined = np.einsum("c,cdhw->dhw", channel_weights, features)
-    cam = np.maximum(combined, 0.0)
-    cam = trilinear_resize(cam, arr.shape)
-    peak = float(cam.max())
-    degenerate = peak <= 0.0
-    if not degenerate:
-        cam = cam / peak
-    amap = ActivationMap(np.clip(cam, 0.0, 1.0).astype(np.float32), layer,
-                         target_class, degenerate=degenerate)
-    amap.validate()
-    return amap
+    cam = trilinear_resize(np.maximum(combined, 0.0), arr.shape)
+    return _peak_normalized(cam, layer, target_class)
 
 
 def average_maps(maps: list[ActivationMap]) -> ActivationMap:
@@ -136,14 +135,19 @@ def average_maps(maps: list[ActivationMap]) -> ActivationMap:
         if m.layer != first.layer or m.target_class != first.target_class:
             raise DataError("cannot average maps from different layers/classes")
     stacked = np.stack([m.volume for m in maps]).mean(axis=0)
-    peak = float(stacked.max())
+    return _peak_normalized(stacked, first.layer, first.target_class)
+
+
+def _peak_normalized(values: np.ndarray, layer: str, target_class: int) -> ActivationMap:
+    """Scale non-negative ``values`` to peak 1; all zeros give a degenerate map."""
+    peak = float(values.max())
     degenerate = peak <= 0.0
     if not degenerate:
-        stacked = stacked / peak
-    out = ActivationMap(np.clip(stacked, 0.0, 1.0).astype(np.float32),
-                        first.layer, first.target_class, degenerate=degenerate)
-    out.validate()
-    return out
+        values = values / peak
+    amap = ActivationMap(np.clip(values, 0.0, 1.0).astype(np.float32), layer,
+                         target_class, degenerate=degenerate)
+    amap.validate()
+    return amap
 
 
 def top_fraction_mask(volume: np.ndarray, fraction: float) -> np.ndarray:

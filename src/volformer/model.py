@@ -1,14 +1,15 @@
-"""Model assembly, multimodal fusion, cost estimation, and checkpoints.
+"""Model assembly, multimodal branches, cost estimation, and checkpoints.
 
 The volumetric network is: per-volume data normalization, a 7x7x7 stride-2
 stem conv + BN + ReLU, four stages of residual conv blocks each optionally
 followed by a global attention block (shallow token/channel mixing or
 multi-head self-attention), global average pooling, and a linear classifier
-ending in softmax.
+ending in softmax. Optional sMRI, connectivity and phenotype branches add
+features before the linear classifier.
 
 Checkpoints are a little-endian container: magic ``VFCK``, u32 format
-version, u32 metadata length + UTF-8 JSON metadata (model kind and config
-echo), u32 tensor count, then per tensor: u16 name length + name, u8 dtype
+version (2), u32 metadata length + UTF-8 JSON metadata (config echo), u32
+tensor count, then per tensor: u16 name length + name, u8 dtype
 code (0 = float32, 1 = float64), u8 rank, u32 extents, raw row-major payload,
 u32 CRC32 of the payload.
 """
@@ -18,13 +19,14 @@ from __future__ import annotations
 import json
 import struct
 import warnings
-import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tensor as T
-from .errors import CheckpointError, ConfigError, DataError, ShapeError, StateError
+from .config import from_config_dict, to_config_dict
+from .data import ContainerReader, write_container
+from .errors import CheckpointError, ConfigError, DataError, ShapeError
 from .layers import (
     MLP,
     BatchNormLayer,
@@ -37,9 +39,9 @@ from .layers import (
 from .tensor import Tensor, kaiming_uniform
 
 CHECKPOINT_MAGIC = b"VFCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}
+_CODE_DTYPES = {code: dtype for dtype, code in _DTYPE_CODES.items()}
 
 ATTENTION_KINDS = ("S", "D", "none")
 
@@ -73,7 +75,6 @@ class ModelConfig:
     use_fc: bool = False
     use_pheno: bool = False
     fc_input_dim: int = 40000
-    fc_upper_triangle: bool = False
     pheno_input_dim: int = 4
     mlp_hidden: tuple[int, int] = (512, 256)
     mlp_out: int = 128
@@ -118,9 +119,6 @@ class ModelConfig:
             chain.append(e)
         return chain
 
-    def fc_feature_dim(self) -> int:
-        return self.fc_input_dim
-
     def validate(self) -> None:
         n = len(self.stage_channels)
         for name, tup in (("stage_blocks", self.stage_blocks),
@@ -159,41 +157,13 @@ class ModelConfig:
             self.resolved_stem_channels()
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+        return to_config_dict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"model config must be an object, got {type(doc).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in doc:
-                continue
-            v = doc[f.name]
-            if isinstance(v, list):
-                v = tuple(v)
-            kwargs[f.name] = v
-        preset = kwargs.pop("scale_preset", "full")
-        if preset == "desk":
-            base = cls.desk()
-        elif preset == "full":
-            base = cls()
-        else:
-            raise ConfigError(f"unknown scale_preset {preset!r}")
-        try:
-            cfg = replace(base, **kwargs)
-        except TypeError as err:
-            raise ConfigError(str(err)) from None
-        cfg.validate()
-        return cfg
+        """Fields missing from ``doc`` take the values of its ``scale_preset``."""
+        desk = isinstance(doc, dict) and doc.get("scale_preset") == "desk"
+        return from_config_dict(cls, doc, "model config", cls.desk() if desk else None)
 
 
 def parse_attention_plan(text: str) -> tuple[str, ...]:
@@ -317,9 +287,14 @@ class VolumeEncoder:
 
 
 class BrainFormer:
-    """Single-volume classifier: encoder plus linear head ending in softmax."""
+    """Classifier over an fMRI volume trunk plus optional input branches.
 
-    kind = "brainformer"
+    Branch order is fixed: fMRI volumes, then (if ``use_smri``, ``use_fc``
+    or ``use_pheno`` is set) sMRI volumes, the flattened functional-
+    connectivity vector, and the phenotype vector. The concatenated feature
+    width is pooled channels per volume branch plus ``mlp_out`` per vector
+    branch; a bias-free linear head maps it to class logits.
+    """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
         self.cfg = cfg
@@ -327,60 +302,12 @@ class BrainFormer:
         self.seed = seed
         rng = np.random.default_rng(seed)
         self.encoder = VolumeEncoder(cfg, rng, dtype)
-        feat = self.encoder.out_channels
-        self.classifier_weight = Tensor(
-            kaiming_uniform((cfg.class_count, feat), feat, rng, dtype),
-            requires_grad=True)
-
-    def forward_logits(self, volumes, training: bool, trace: dict | None = None,
-                       **_unused) -> Tensor:
-        feat = self.encoder.forward(volumes, training, trace)
-        return T.matmul(feat, T.transpose(self.classifier_weight))
-
-    def forward_probs(self, volumes, **extras) -> Tensor:
-        with T.no_grad():
-            return T.softmax(self.forward_logits(volumes, training=False, **extras), -1)
-
-    def forward_trace(self, volumes, training: bool = False, **extras):
-        trace: dict = {}
-        logits = self.forward_logits(volumes, training, trace=trace, **extras)
-        return logits, trace
-
-    def params(self):
-        out = [(f"encoder.{n}", t) for n, t in self.encoder.params()]
-        out.append(("classifier.weight", self.classifier_weight))
-        return out
-
-    def norm_layers(self):
-        return [(f"encoder.{n}", layer) for n, layer in self.encoder.norm_layers()]
-
-    def trace_layer_names(self) -> list[str]:
-        return self.encoder.layer_names()
-
-
-class FusionModel:
-    """Multimodal classifier over volume trunks and vector MLP branches.
-
-    Branch order is fixed: fMRI volumes, then (if enabled) sMRI volumes, the
-    flattened functional-connectivity vector, and the phenotype vector. The
-    concatenated feature width is pooled-channels per volume branch plus
-    ``mlp_out`` per vector branch.
-    """
-
-    kind = "fusion"
-
-    def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
-        self.cfg = cfg
-        self.dtype = dtype
-        self.seed = seed
-        rng = np.random.default_rng(seed)
-        self.encoder_fmri = VolumeEncoder(cfg, rng, dtype)
         self.encoder_smri = VolumeEncoder(cfg, rng, dtype) if cfg.use_smri else None
-        self.mlp_fc = (MLP(cfg.fc_feature_dim(), cfg.mlp_hidden, cfg.mlp_out, rng, dtype)
+        self.mlp_fc = (MLP(cfg.fc_input_dim, cfg.mlp_hidden, cfg.mlp_out, rng, dtype)
                        if cfg.use_fc else None)
         self.mlp_pheno = (MLP(cfg.pheno_input_dim, cfg.mlp_hidden, cfg.mlp_out, rng, dtype)
                           if cfg.use_pheno else None)
-        feat = self.encoder_fmri.out_channels
+        feat = self.encoder.out_channels
         if cfg.use_smri:
             feat += self.encoder_smri.out_channels
         feat += cfg.mlp_out * (int(cfg.use_fc) + int(cfg.use_pheno))
@@ -389,11 +316,10 @@ class FusionModel:
             kaiming_uniform((cfg.class_count, feat), feat, rng, dtype),
             requires_grad=True)
 
-    def forward_logits(self, volumes, training: bool, smri=None, fc=None, pheno=None,
-                       trace: dict | None = None) -> Tensor:
-        if volumes is None:
-            raise DataError("fusion forward requires fMRI volumes")
-        parts = [self.encoder_fmri.forward(volumes, training, trace)]
+    def forward_logits(self, volumes, training: bool, trace: dict | None = None,
+                       smri=None, fc=None, pheno=None) -> Tensor:
+        """Class logits; inputs of a disabled branch are ignored."""
+        parts = [self.encoder.forward(volumes, training, trace)]
         if self.encoder_smri is not None:
             if smri is None:
                 raise DataError("smri branch is enabled but the batch has no smri volumes")
@@ -401,13 +327,13 @@ class FusionModel:
         if self.mlp_fc is not None:
             if fc is None:
                 raise DataError("fc branch is enabled but the batch has no fc vectors")
-            parts.append(self.mlp_fc.forward(self._vec(fc, self.cfg.fc_feature_dim(), "fc")))
+            parts.append(self.mlp_fc.forward(self._vec(fc, self.cfg.fc_input_dim, "fc")))
         if self.mlp_pheno is not None:
             if pheno is None:
                 raise DataError("pheno branch is enabled but the batch has no phenotype vectors")
             parts.append(self.mlp_pheno.forward(
                 self._vec(pheno, self.cfg.pheno_input_dim, "pheno")))
-        feats = T.concat(parts, axis=-1)
+        feats = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
         return T.matmul(feats, T.transpose(self.classifier_weight))
 
     def _vec(self, value, dim: int, branch: str) -> Tensor:
@@ -428,34 +354,20 @@ class FusionModel:
         return logits, trace
 
     def params(self):
-        out = [(f"encoder_fmri.{n}", t) for n, t in self.encoder_fmri.params()]
-        if self.encoder_smri is not None:
-            out += [(f"encoder_smri.{n}", t) for n, t in self.encoder_smri.params()]
-        if self.mlp_fc is not None:
-            out += [(f"mlp_fc.{n}", t) for n, t in self.mlp_fc.params()]
-        if self.mlp_pheno is not None:
-            out += [(f"mlp_pheno.{n}", t) for n, t in self.mlp_pheno.params()]
+        branches = (("encoder", self.encoder), ("encoder_smri", self.encoder_smri),
+                    ("mlp_fc", self.mlp_fc), ("mlp_pheno", self.mlp_pheno))
+        out = [(f"{b}.{n}", t) for b, branch in branches if branch is not None
+               for n, t in branch.params()]
         out.append(("classifier.weight", self.classifier_weight))
         return out
 
     def norm_layers(self):
-        out = [(f"encoder_fmri.{n}", layer)
-               for n, layer in self.encoder_fmri.norm_layers()]
-        if self.encoder_smri is not None:
-            out += [(f"encoder_smri.{n}", layer)
-                    for n, layer in self.encoder_smri.norm_layers()]
-        return out
+        encoders = (("encoder", self.encoder), ("encoder_smri", self.encoder_smri))
+        return [(f"{b}.{n}", layer) for b, enc in encoders if enc is not None
+                for n, layer in enc.norm_layers()]
 
     def trace_layer_names(self) -> list[str]:
-        return self.encoder_fmri.layer_names()
-
-
-def build_brainformer(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> BrainFormer:
-    return BrainFormer(cfg, seed, dtype)
-
-
-def build_fusion(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> FusionModel:
-    return FusionModel(cfg, seed, dtype)
+        return self.encoder.layer_names()
 
 
 def forward_volume(model, volume) -> Tensor:
@@ -577,26 +489,22 @@ def _state_entries(model) -> list[tuple[str, np.ndarray]]:
     return out
 
 
+def _tensor_record(name: str, arr: np.ndarray) -> tuple[bytes, bytes]:
+    arr = np.ascontiguousarray(arr)
+    if arr.dtype not in _DTYPE_CODES:
+        raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
+    name_bytes = name.encode("utf-8")
+    prefix = struct.pack(f"<H{len(name_bytes)}sBB{arr.ndim}I", len(name_bytes), name_bytes,
+                         _DTYPE_CODES[arr.dtype], arr.ndim, *arr.shape)
+    return prefix, arr.tobytes()
+
+
 def save_checkpoint(path, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays:
-            arr = np.ascontiguousarray(arr)
-            if arr.dtype not in _DTYPE_CODES:
-                raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
-            name_bytes = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name_bytes)))
-            fh.write(name_bytes)
-            fh.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            payload = arr.tobytes()
-            fh.write(payload)
-            fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+    header = struct.pack(f"<II{len(meta_bytes)}sI", CHECKPOINT_VERSION, len(meta_bytes),
+                         meta_bytes, len(arrays))
+    write_container(path, CHECKPOINT_MAGIC, header,
+                    (_tensor_record(name, arr) for name, arr in arrays))
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -605,54 +513,37 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             blob = fh.read()
     except OSError as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from None
-
-    offset = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal offset
-        if offset + n > len(blob):
-            raise CheckpointError(
-                f"checkpoint truncated while reading {what} at byte {offset}")
-        piece = blob[offset:offset + n]
-        offset += n
-        return piece
-
-    magic = take(4, "magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad checkpoint magic {magic!r} (byte offset 0)")
-    version, = struct.unpack("<I", take(4, "version"))
+    reader = ContainerReader(blob, CHECKPOINT_MAGIC, CheckpointError, "checkpoint")
+    version, = reader.unpack("I", "version")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    meta_len, = struct.unpack("<I", take(4, "metadata length"))
+        raise CheckpointError(
+            f"unsupported checkpoint version {version}; this build reads version "
+            f"{CHECKPOINT_VERSION} only, so retrain the model to get a current checkpoint")
+    meta_len, = reader.unpack("I", "metadata length")
     try:
-        meta = json.loads(take(meta_len, "metadata").decode("utf-8"))
+        meta = json.loads(reader.take(meta_len, "metadata").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"corrupt checkpoint metadata: {err}") from None
-    count, = struct.unpack("<I", take(4, "tensor count"))
+    count, = reader.unpack("I", "tensor count")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name_len, = struct.unpack("<H", take(2, "tensor name length"))
-        name = take(name_len, "tensor name").decode("utf-8")
-        code, ndim = struct.unpack("<BB", take(2, "tensor header"))
+        name_len, = reader.unpack("H", "tensor name length")
+        name = reader.take(name_len, "tensor name").decode("utf-8")
+        code, ndim = reader.unpack("BB", "tensor header")
         if code not in _CODE_DTYPES:
             raise CheckpointError(f"tensor {name!r}: unknown dtype code {code}")
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "tensor shape"))
+        shape = reader.unpack(f"{ndim}I", "tensor shape")
         dtype = _CODE_DTYPES[code]
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        payload = take(nbytes, f"tensor {name!r} payload")
-        stored_crc, = struct.unpack("<I", take(4, "tensor checksum"))
-        if (zlib.crc32(payload) & 0xFFFFFFFF) != stored_crc:
-            raise CheckpointError(f"tensor {name!r} failed its checksum")
+        payload = reader.payload(nbytes, f"tensor {name!r} payload")
         arrays[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-    if offset != len(blob):
-        raise CheckpointError(
-            f"{len(blob) - offset} trailing bytes after checkpoint payload")
+    reader.finish()
     return meta, arrays
 
 
 def save_model(model, path, extra_meta: dict | None = None) -> None:
     meta = {
-        "kind": model.kind,
+        "kind": "brainformer",
         "config": model.cfg.to_dict(),
         "format": "volformer-checkpoint",
     }
@@ -664,15 +555,9 @@ def save_model(model, path, extra_meta: dict | None = None) -> None:
 def load_model(path):
     """Rebuild a model from a checkpoint; forward passes are bit-identical."""
     meta, arrays = load_checkpoint(path)
-    if "kind" not in meta or "config" not in meta:
-        raise CheckpointError("checkpoint metadata is missing kind/config")
-    cfg = ModelConfig.from_dict(meta["config"])
-    if meta["kind"] == BrainFormer.kind:
-        model = BrainFormer(cfg, seed=0)
-    elif meta["kind"] == FusionModel.kind:
-        model = FusionModel(cfg, seed=0)
-    else:
-        raise CheckpointError(f"unknown model kind {meta['kind']!r}")
+    if "config" not in meta:
+        raise CheckpointError("checkpoint metadata is missing the model config")
+    model = BrainFormer(ModelConfig.from_dict(meta["config"]), seed=0)
     load_state(model, arrays)
     return model, meta
 

@@ -38,10 +38,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class OpCounter:
     """Running tally of scalar operations executed by primitive kernels.
 
@@ -115,12 +111,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -273,12 +263,15 @@ def div(a, b) -> Tensor:
     out = Tensor(a.data / b.data, requires_grad=_tracked(a, b))
     _tally(out.data.size)
     if out.requires_grad:
+        # Closures hold the output array, not ``out``: a cycle out -> closure ->
+        # out keeps each finished graph alive until the cyclic GC runs.
+        y = out.data
 
         def backward_fn(g):
             if a.requires_grad:
                 a._accum(_unbroadcast(g / b.data, a.data.shape))
             if b.requires_grad:
-                b._accum(_unbroadcast(-g * out.data / b.data, b.data.shape))
+                b._accum(_unbroadcast(-g * y / b.data, b.data.shape))
 
         out._parents = (a, b)
         out._backward = backward_fn
@@ -320,9 +313,10 @@ def exp(a) -> Tensor:
     out = Tensor(np.exp(a.data), requires_grad=_tracked(a))
     _tally(out.data.size)
     if out.requires_grad:
+        y = out.data  # not ``out``: see div
 
         def backward_fn(g):
-            a._accum(g * out.data)
+            a._accum(g * y)
 
         out._parents = (a,)
         out._backward = backward_fn
@@ -353,9 +347,10 @@ def sqrt(a) -> Tensor:
         # degenerate (constant-input) case, so a finite surrogate yields the
         # clean zero gradient instead of 0 * inf = NaN.
         guard = np.finfo(out.data.dtype).tiny
+        y = out.data  # not ``out``: see div
 
         def backward_fn(g):
-            a._accum(g * 0.5 / np.maximum(out.data, guard))
+            a._accum(g * 0.5 / np.maximum(y, guard))
 
         out._parents = (a,)
         out._backward = backward_fn

@@ -12,11 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tensor as T
+from .config import from_config_dict, to_config_dict
 from .data import FoldPlan, SubjectRecord, plan_folds
 from .errors import ConfigError, DataError, PlanError
 from .layers import cross_entropy_logits
@@ -59,18 +60,11 @@ class TrainConfig:
             raise ConfigError(f"eps must be positive, got {self.eps}")
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return to_config_dict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"train config must be an object, got {type(doc).__name__}")
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        cfg = cls(**doc)
-        cfg.validate()
-        return cfg
+        return from_config_dict(cls, doc, "train config")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -133,7 +127,7 @@ class Adam:
             if p.grad is None:
                 raise ConfigError(f"parameter {name} has no gradient")
             grads.append(p.grad)
-        cfg = TrainConfig(**{**self.cfg.to_dict(), "lr": lr})
+        cfg = replace(self.cfg, lr=lr)
         try:
             adam_step([p.data for p in self.tensors], grads, self.state,
                       self.t + 1, cfg)
@@ -310,6 +304,16 @@ class MetricReport:
                                  f.volume_count, f.subject_count])
 
 
+def _precision_recall(confusion: np.ndarray) -> dict:
+    """Per-class precision (column-wise) and recall (row-wise); 0 for an
+    empty row or column."""
+    hits = np.diag(confusion).astype(np.float64)
+    col = confusion.sum(axis=0)
+    row = confusion.sum(axis=1)
+    return {"precision": [h / n if n else 0.0 for h, n in zip(hits, col)],
+            "recall": [h / n if n else 0.0 for h, n in zip(hits, row)]}
+
+
 def evaluate(model, test_records: list[SubjectRecord]) -> MetricReport:
     """Volume-level metrics plus subject-level mean-probability voting."""
     class_count = model.cfg.class_count
@@ -342,16 +346,10 @@ def evaluate(model, test_records: list[SubjectRecord]) -> MetricReport:
         subj_total += 1
     volume_total = int(confusion.sum())
     volume_acc = float(np.trace(confusion)) / volume_total if volume_total else 0.0
-    row = confusion.sum(axis=1)
-    col = confusion.sum(axis=0)
-    recall = [float(confusion[c, c]) / row[c] if row[c] else 0.0
-              for c in range(class_count)]
-    precision = [float(confusion[c, c]) / col[c] if col[c] else 0.0
-                 for c in range(class_count)]
     return MetricReport(
         volume_accuracy=volume_acc,
         subject_accuracy=subj_correct / subj_total if subj_total else 0.0,
-        precision=precision, recall=recall, confusion=confusion,
+        **_precision_recall(confusion), confusion=confusion,
         volume_count=volume_total, subject_count=subj_total,
         excluded_subjects=excluded, tie_count=ties)
 
@@ -368,29 +366,46 @@ class FoldResult:
     report: MetricReport
 
 
+def _run_fold(task) -> FoldResult:
+    """Build, train, evaluate and hook one fold; module-level for process pools."""
+    fold, train_recs, test_recs, model_factory, cfg, on_fold = task
+    model = model_factory(fold)
+    history = train_fold(model, train_recs, cfg)
+    report = evaluate(model, test_recs)
+    result = FoldResult(fold, model, history, report)
+    if on_fold is not None:
+        on_fold(result)
+        result.model = None  # the hook had it; a process pool need not send it back
+    log.info("fold %d: volume acc %.4f, subject acc %.4f", fold,
+             report.volume_accuracy, report.subject_accuracy)
+    return result
+
+
 def cross_validate(records: list[SubjectRecord], model_factory, cfg: TrainConfig,
-                   k: int = 5, plan: FoldPlan | None = None
-                   ) -> tuple[MetricReport, list[FoldResult]]:
+                   k: int = 5, plan: FoldPlan | None = None, map_fn=map,
+                   on_fold=None) -> tuple[MetricReport, list[FoldResult]]:
     """Train one fresh model per fold; aggregate with population-std spread.
 
     ``model_factory(fold_index)`` must return a newly initialized model.
+    Every fold is planned and checked for subject leaks before any trains.
+    Folds run through ``map_fn``: the builtin ``map`` trains them in turn,
+    a process pool's ``map`` in parallel, which needs a picklable factory
+    and hook. ``on_fold(result)`` runs in the process that trained the fold,
+    right after its evaluation; the results it saw come back without their
+    model.
     """
     cfg.validate()
     if plan is None:
         plan = plan_folds(records, k=k, seed=cfg.seed)
-    results: list[FoldResult] = []
+    tasks = []
     for fold in range(plan.fold_count):
         train_recs, test_recs = plan.split(records, fold)
         overlap = ({r.subject_id for r in train_recs}
                    & {r.subject_id for r in test_recs})
         if overlap:
             raise PlanError(f"subjects leak between train and test: {sorted(overlap)}")
-        model = model_factory(fold)
-        history = train_fold(model, train_recs, cfg)
-        report = evaluate(model, test_recs)
-        results.append(FoldResult(fold, model, history, report))
-        log.info("fold %d: volume acc %.4f, subject acc %.4f", fold,
-                 report.volume_accuracy, report.subject_accuracy)
+        tasks.append((fold, train_recs, test_recs, model_factory, cfg, on_fold))
+    results = list(map_fn(_run_fold, tasks))
     return aggregate_reports([r.report for r in results]), results
 
 
@@ -401,15 +416,10 @@ def aggregate_reports(fold_reports: list[MetricReport]) -> MetricReport:
     vol = np.array([r.volume_accuracy for r in fold_reports])
     sub = np.array([r.subject_accuracy for r in fold_reports])
     confusion = np.sum([r.confusion for r in fold_reports], axis=0)
-    row = confusion.sum(axis=1)
-    col = confusion.sum(axis=0)
-    n = confusion.shape[0]
     return MetricReport(
         volume_accuracy=float(vol.mean()),
         subject_accuracy=float(sub.mean()),
-        precision=[float(confusion[c, c]) / col[c] if col[c] else 0.0 for c in range(n)],
-        recall=[float(confusion[c, c]) / row[c] if row[c] else 0.0 for c in range(n)],
-        confusion=confusion,
+        **_precision_recall(confusion), confusion=confusion,
         volume_count=int(sum(r.volume_count for r in fold_reports)),
         subject_count=int(sum(r.subject_count for r in fold_reports)),
         excluded_subjects=[s for r in fold_reports for s in r.excluded_subjects],

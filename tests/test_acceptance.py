@@ -22,7 +22,7 @@ from volformer.data import (SyntheticSpec, compute_fc, generate_synthetic,
 from volformer.layers import (DGABlock, SGABlock, cross_entropy_logits,
                               data_norm)
 from volformer.localize import grad_cam, top_fraction_mask
-from volformer.model import (BrainFormer, FusionModel, ModelConfig,
+from volformer.model import (BrainFormer, ModelConfig,
                              estimate_cost, forward_volume,
                              parse_attention_plan)
 from volformer.tensor import Tensor
@@ -223,9 +223,9 @@ def test_04_attention_masks_and_zero_init_identities():
               extreme,
               rng.normal(size=(2, 10, 8)).astype(np.float32)):
         _, masks = block.msa(Tensor(z), return_masks=True)
-        for mask in masks:
-            sums = mask.data.sum(axis=-1)
-            worst = max(worst, float(np.abs(sums - 1.0).max()))
+        assert masks.shape == z.shape[:-2] + (4, 10, 10)
+        sums = masks.data.sum(axis=-1)
+        worst = max(worst, float(np.abs(sums - 1.0).max()))
     assert worst < tol, f"mask row sums deviate by {worst:.3g}"
 
     # zero-initialized output projections make both blocks start as identities
@@ -393,7 +393,7 @@ def test_08_kernels_match_naive_oracles():
         x = rng.normal(size=(n, c)).astype(np.float32)
         got = block.forward(Tensor(x)).data
         want = dga_loops(x, block.pos_embed.data,
-                         [wq.data for wq in block.qkv_weights], block.out_proj.data,
+                         np.split(block.qkv.data, heads, axis=1), block.out_proj.data,
                          block.ff_w_in.data, block.ff_b_in.data,
                          block.ff_w_out.data, block.ff_b_out.data)
         worst["dga"] = max(worst["dga"], rel_error(got, want))
@@ -491,7 +491,7 @@ def test_10_fusion_not_worse_than_fmri_only():
         fusion_cfg = ModelConfig.desk(
             use_smri=True, use_fc=True, use_pheno=True,
             fc_input_dim=spec.fc_parcels ** 2, pheno_input_dim=spec.pheno_dim)
-        fusion_model = FusionModel(fusion_cfg, seed=fold)
+        fusion_model = BrainFormer(fusion_cfg, seed=fold)
         train_fold(fusion_model, train_recs, cfg)
         fusion_accs.append(evaluate(fusion_model, test_recs).volume_accuracy)
 

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from volformer.cli import RunConfig, SplitSpec, main
 from volformer.data import read_volume, write_volume
 from volformer.errors import ConfigError
-from volformer.model import FusionModel, ModelConfig, save_model
+from volformer.model import BrainFormer, ModelConfig, save_model
 from volformer.train import TrainConfig
 
 SPEC = {
@@ -230,6 +232,32 @@ def test_cv_site_holdout_single_split(workdir, tmp_path):
     assert (out / "fold0.ckpt").exists()
 
 
+def test_cv_site_holdout_excludes_unlisted_site(tmp_path, monkeypatch):
+    import volformer.train
+
+    trained_sites = []
+    train_fold = volformer.train.train_fold
+
+    def spy(model, records, cfg):
+        trained_sites.extend(r.site_id for r in records)
+        return train_fold(model, records, cfg)
+
+    monkeypatch.setattr("volformer.train.train_fold", spy)
+    cfg = {"model": MODEL, "train": TRAIN,
+           "synthetic": dict(SPEC, site_count=3),
+           "split": {"mode": "site_holdout", "train_sites": ["site00"],
+                     "test_sites": ["site02"]}}
+    cfg_path = tmp_path / "sh3.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "sh3"
+    assert main(["cv", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert set(trained_sites) == {"site00"}
+    metrics = json.loads((out / "metrics.json").read_text())
+    per_site = SPEC["subjects_per_class_per_site"] * 2
+    assert metrics["subject_count"] == per_site
+    assert metrics["volume_count"] == per_site * SPEC["volumes_per_subject"]
+
+
 def test_cv_unknown_site_exit_3(workdir, tmp_path, capsys):
     cfg = {"model": MODEL, "train": TRAIN, "synthetic": SPEC,
            "split": {"mode": "site_holdout", "train_sites": ["site00"],
@@ -280,10 +308,10 @@ def test_cv_no_data_source_exit_2(workdir, tmp_path, capsys):
 
 
 def test_cv_training_abort_exit_4(workdir, tmp_path, monkeypatch, capsys):
-    def boom(payload):
+    def boom(model, records, cfg):
         raise RuntimeError("simulated kernel failure")
 
-    monkeypatch.setattr("volformer.cli._fold_worker", boom)
+    monkeypatch.setattr("volformer.train.train_fold", boom)
     rc = main(["cv", "--config", str(workdir / "cfg.json"),
                "--data", str(workdir / "data" / "manifest.csv"),
                "--out", str(tmp_path / "o")])
@@ -358,6 +386,19 @@ def test_localize_missing_ckpt_exit_5(workdir, tmp_path):
     assert rc == 5
 
 
+def test_localize_v1_checkpoint_exit_5(workdir, tmp_path, capsys):
+    blob = bytearray((workdir / "run" / "fold0.ckpt").read_bytes())
+    blob[4:8] = (1).to_bytes(4, "little")
+    ckpt = tmp_path / "v1.ckpt"
+    ckpt.write_bytes(bytes(blob))
+    rc = main(["localize", "--ckpt", str(ckpt),
+               "--volume", str(_first_volume(workdir)), "--class", "0",
+               "--out", str(tmp_path / "o")])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert "version 1" in err and "retrain" in err
+
+
 def test_localize_unknown_layer_exit_2(workdir, tmp_path, capsys):
     rc = main(["localize", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
                "--volume", str(_first_volume(workdir)), "--class", "0",
@@ -407,7 +448,7 @@ def test_localize_fusion_checkpoint_exit_2(tmp_path, capsys):
                            attention_plan=("none",) * 4,
                            use_pheno=True, pheno_input_dim=4)
     ckpt = tmp_path / "fusion.ckpt"
-    save_model(FusionModel(cfg, seed=0), ckpt)
+    save_model(BrainFormer(cfg, seed=0), ckpt)
     vol = tmp_path / "v.vfv"
     write_volume(vol, np.zeros((8, 8, 8), dtype=np.float32))
     rc = main(["localize", "--ckpt", str(ckpt), "--volume", str(vol),
@@ -466,6 +507,16 @@ def test_unknown_subcommand_exit_2(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "gen" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """The thread cap only reaches BLAS if numpy loads after cli.main runs."""
+    code = "import sys, volformer.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_thread_env_validation(monkeypatch, capsys):

@@ -207,7 +207,7 @@ def test_dga_matches_loop_oracle():
     x = rng.normal(size=(7, 6))
     got = block.forward(t64(x, requires_grad=False)).data
     want = dga_loops(
-        x, block.pos_embed.data, [w.data for w in block.qkv_weights],
+        x, block.pos_embed.data, np.split(block.qkv.data, block.heads, axis=1),
         block.out_proj.data, block.ff_w_in.data, block.ff_b_in.data,
         block.ff_w_out.data, block.ff_b_out.data)
     assert rel_error(got, want) < 1e-9
@@ -240,10 +240,9 @@ def test_dga_mask_rows_sum_to_one_even_for_extreme_inputs():
     for scale in (1.0, 1e4):
         x = Tensor((rng.normal(size=(6, 4)) * scale).astype(np.float32))
         _, masks = block.msa(x, return_masks=True)
-        for mask in masks:
-            s = mask.data.sum(axis=-1)
-            assert np.all(np.isfinite(mask.data))
-            assert np.abs(s - 1.0).max() < 1e-6
+        s = masks.data.sum(axis=-1)
+        assert np.all(np.isfinite(masks.data))
+        assert np.abs(s - 1.0).max() < 1e-6
 
 
 def test_dga_head_divisibility_error():

@@ -9,7 +9,7 @@ from volformer.data import SyntheticSpec, generate_synthetic
 from volformer.errors import ConfigError, DataError, StateError
 from volformer.localize import (ActivationMap, average_maps, export_map, grad_cam,
                                 load_map, top_fraction_mask, trilinear_resize)
-from volformer.model import ModelConfig, build_brainformer
+from volformer.model import BrainFormer, ModelConfig
 from volformer.tensor import Tensor
 from volformer.train import TrainConfig, train_fold
 
@@ -28,7 +28,7 @@ def _tiny_model(seed=0, **overrides):
                            stage_blocks=(1, 1, 1, 1),
                            attention_plan=("none", "none", "none", "none"),
                            **overrides)
-    return build_brainformer(cfg, seed=seed)
+    return BrainFormer(cfg, seed=seed)
 
 
 def _ready_model(seed=0, **overrides):

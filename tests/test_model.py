@@ -66,7 +66,7 @@ def test_parse_attention_plan():
 
 def test_desk_forward_shapes_match_extent_chain():
     rng = np.random.default_rng(50)
-    model = M.build_brainformer(ModelConfig.desk(), seed=1)
+    model = M.BrainFormer(ModelConfig.desk(), seed=1)
     _, trace = model.forward_trace(desk_batch(rng), training=True)
     chain = model.cfg.stage_extents()
     assert trace["stem"].shape == (2, 8) + chain[0]
@@ -76,7 +76,7 @@ def test_desk_forward_shapes_match_extent_chain():
 
 def test_forward_volume_is_distribution_and_deterministic():
     rng = np.random.default_rng(51)
-    model = M.build_brainformer(ModelConfig.desk(), seed=2)
+    model = M.BrainFormer(ModelConfig.desk(), seed=2)
     model.forward_logits(desk_batch(rng, 4), training=True)  # seed BN stats
     v = rng.normal(size=(16, 18, 16)).astype(np.float32)
     p1 = M.forward_volume(model, v).data
@@ -88,7 +88,7 @@ def test_forward_volume_is_distribution_and_deterministic():
 
 
 def test_forward_volume_wrong_extent_instructs_to_pad():
-    model = M.build_brainformer(ModelConfig.desk(), seed=0)
+    model = M.BrainFormer(ModelConfig.desk(), seed=0)
     with pytest.raises(ShapeError) as exc:
         M.forward_volume(model, np.zeros((8, 8, 8), dtype=np.float32))
     assert "pad" in str(exc.value)
@@ -104,7 +104,7 @@ def test_attention_token_budget_warning():
     cfg = ModelConfig.desk(attention_plan=("D", "S", "D", "D"),
                            dga_token_budget=100)
     with pytest.warns(RuntimeWarning):
-        M.build_brainformer(cfg, seed=0)
+        M.BrainFormer(cfg, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_cost_report_positive_and_matches_built_parameters():
         assert report.flops > 0
         assert report.peak_activation_bytes > 0
         assert report.parameter_count > 0
-        model = M.build_brainformer(cfg, seed=0)
+        model = M.BrainFormer(cfg, seed=0)
         assert report.parameter_count == param_count(model) == sum(
             p for _, _, _, p in report.per_layer)
 
@@ -156,8 +156,8 @@ def test_cost_conv_flops_scale_with_voxels():
 def test_fusion_fmri_only_equals_plain_model():
     rng = np.random.default_rng(52)
     cfg = ModelConfig.desk()
-    fusion = M.build_fusion(cfg, seed=7)
-    plain = M.build_brainformer(cfg, seed=7)
+    fusion = M.BrainFormer(cfg, seed=7)
+    plain = M.BrainFormer(cfg, seed=7)
     x = desk_batch(rng, 3)
     a = fusion.forward_logits(x, training=True).data
     b = plain.forward_logits(x, training=True).data
@@ -166,7 +166,7 @@ def test_fusion_fmri_only_equals_plain_model():
 
 def test_fusion_feature_width_arithmetic():
     cfg = ModelConfig.desk(use_smri=True, use_fc=True, use_pheno=True)
-    fusion = M.build_fusion(cfg, seed=0)
+    fusion = M.BrainFormer(cfg, seed=0)
     assert fusion.feature_dim == 64 * 2 + cfg.mlp_out * 2
     assert fusion.classifier_weight.shape == (2, fusion.feature_dim)
 
@@ -174,7 +174,7 @@ def test_fusion_feature_width_arithmetic():
 def test_fusion_missing_branch_data_names_branch():
     rng = np.random.default_rng(53)
     cfg = ModelConfig.desk(use_pheno=True)
-    fusion = M.build_fusion(cfg, seed=0)
+    fusion = M.BrainFormer(cfg, seed=0)
     with pytest.raises(DataError) as exc:
         fusion.forward_logits(desk_batch(rng), training=True)
     assert "pheno" in str(exc.value)
@@ -183,11 +183,11 @@ def test_fusion_missing_branch_data_names_branch():
 def test_fusion_masked_branch_equals_reduced_model():
     rng = np.random.default_rng(54)
     cfg = ModelConfig.desk(use_pheno=True)
-    fusion = M.build_fusion(cfg, seed=3)
-    reduced = M.build_brainformer(ModelConfig.desk(), seed=99)
-    for (_, src), (_, dst) in zip(fusion.encoder_fmri.params(), reduced.encoder.params()):
+    fusion = M.BrainFormer(cfg, seed=3)
+    reduced = M.BrainFormer(ModelConfig.desk(), seed=99)
+    for (_, src), (_, dst) in zip(fusion.encoder.params(), reduced.encoder.params()):
         dst.data = src.data.copy()
-    vol_feat = fusion.encoder_fmri.out_channels
+    vol_feat = fusion.encoder.out_channels
     reduced.classifier_weight.data = fusion.classifier_weight.data[:, :vol_feat].copy()
     # Freeze the pheno branch at zero and mask its classifier columns.
     for _, t in fusion.mlp_pheno.params():
@@ -206,7 +206,7 @@ def test_fusion_masked_branch_equals_reduced_model():
 
 def trained_desk_model(seed=11):
     rng = np.random.default_rng(seed)
-    model = M.build_brainformer(ModelConfig.desk(), seed=seed)
+    model = M.BrainFormer(ModelConfig.desk(), seed=seed)
     model.forward_logits(desk_batch(rng, 4), training=True)  # populate BN stats
     return model, rng
 
@@ -223,6 +223,37 @@ def test_checkpoint_round_trip_bit_identical_forward(tmp_path):
         a = model.forward_logits(x, training=False).data
         b = loaded.forward_logits(x, training=False).data
     assert np.array_equal(a, b)
+
+
+def test_branched_checkpoint_round_trip_bit_identical(tmp_path):
+    rng = np.random.default_rng(12)
+    cfg = ModelConfig.desk(use_smri=True, use_fc=True, use_pheno=True)
+    model = M.BrainFormer(cfg, seed=5)
+    extras = {"smri": desk_batch(rng, 3),
+              "fc": rng.uniform(-1, 1, size=(3, cfg.fc_input_dim)).astype(np.float32),
+              "pheno": rng.normal(size=(3, cfg.pheno_input_dim)).astype(np.float32)}
+    model.forward_logits(desk_batch(rng, 3), training=True, **extras)  # seed BN stats
+    path = tmp_path / "branched.vfck"
+    M.save_model(model, path)
+    loaded, _ = M.load_model(path)
+    assert [n for n, _ in loaded.params()] == [n for n, _ in model.params()]
+    assert [n for n, _ in loaded.norm_layers()] == [n for n, _ in model.norm_layers()]
+    x = desk_batch(rng, 3)
+    with T.no_grad():
+        a = model.forward_logits(x, training=False, **extras).data
+        b = loaded.forward_logits(x, training=False, **extras).data
+    assert np.array_equal(a, b)
+
+
+def test_checkpoint_version_1_is_rejected(tmp_path):
+    model, _ = trained_desk_model()
+    path = tmp_path / "model.vfck"
+    M.save_model(model, path)
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="version 1"):
+        M.load_model(path)
 
 
 def test_checkpoint_detects_corruption(tmp_path):
@@ -257,6 +288,6 @@ def test_checkpoint_rejects_mismatched_model(tmp_path):
     path = tmp_path / "model.vfck"
     M.save_model(model, path)
     meta, arrays = M.load_checkpoint(path)
-    other = M.build_brainformer(ModelConfig.desk(stage_channels=(4, 8, 16, 32)), seed=0)
+    other = M.BrainFormer(ModelConfig.desk(stage_channels=(4, 8, 16, 32)), seed=0)
     with pytest.raises(CheckpointError):
         M.load_state(other, arrays)

@@ -7,7 +7,7 @@ import pytest
 
 from volformer.data import SubjectRecord, SyntheticSpec, VolumeSample, generate_synthetic
 from volformer.errors import ConfigError, DataError
-from volformer.model import ModelConfig, build_brainformer
+from volformer.model import BrainFormer, ModelConfig
 from volformer.tensor import Tensor
 from volformer.train import (Adam, MetricReport, TrainConfig, adam_init, adam_step,
                              cross_validate, evaluate, lr_at, train_fold)
@@ -29,7 +29,7 @@ def _tiny_model(seed=0, **overrides):
                            stage_blocks=(1, 1, 1, 1),
                            attention_plan=("none", "none", "none", "none"),
                            **overrides)
-    return build_brainformer(cfg, seed=seed)
+    return BrainFormer(cfg, seed=seed)
 
 
 class _Stub:
