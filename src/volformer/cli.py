@@ -284,7 +284,6 @@ def _audit(args, model) -> int:
 
     from .data import SyntheticSpec, load_manifest
     from .localize import grad_cam, top_fraction_mask
-    from .model import forward_volume
 
     spec = SyntheticSpec.from_dict(_read_json(args.spec))
     records = load_manifest(args.manifest)
@@ -300,11 +299,10 @@ def _audit(args, model) -> int:
     for rec in records:
         center = spec.blob_centers[rec.label]
         for i, vol in enumerate(rec.fmri_volumes):
-            probs = forward_volume(model, vol.volume).data
-            predicted = int(np.argmax(probs))
-            is_correct = predicted == rec.label
             amap = grad_cam(model, vol.volume, target_class=rec.label,
                             layer=args.layer)
+            predicted = int(np.argmax(amap.probs))
+            is_correct = predicted == rec.label
             hit = (not amap.degenerate
                    and bool(top_fraction_mask(amap.volume, args.fraction)[center]))
             if amap.degenerate:

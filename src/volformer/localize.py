@@ -33,6 +33,7 @@ class ActivationMap:
     target_class: int
     interpolation: str = INTERPOLATION
     degenerate: bool = False
+    probs: np.ndarray | None = None  # set by grad_cam; not in the sidecar
 
     def validate(self) -> None:
         v = self.volume
@@ -104,13 +105,18 @@ def resolve_layer(model, target_class: int, layer: str | None = None) -> str:
 
 def grad_cam(model, volume, target_class: int, layer: str | None = None
              ) -> ActivationMap:
-    """Class-evidence map for one volume from a trained model in eval mode."""
+    """Class-evidence map for one volume from a trained model in eval mode.
+
+    The map's ``probs`` are the class probabilities from the same eval-mode
+    forward pass, equal to ``model.forward_volume`` for the volume.
+    """
     layer = resolve_layer(model, target_class, layer)
     arr = np.asarray(volume.data if isinstance(volume, Tensor) else volume)
     if arr.ndim != 3:
         raise DataError(f"expected a (D, H, W) volume, got shape {arr.shape}")
     x = Tensor(arr[None, None].astype(model.params()[0][1].data.dtype))
     logits, trace = model.forward_trace(x, training=False)
+    probs = T.softmax(Tensor(logits.data), -1).data[0]
     score = T.tensor_sum(T.narrow(logits, 1, target_class, 1))
     T.backward(score)
     act = trace[layer]
@@ -120,7 +126,9 @@ def grad_cam(model, volume, target_class: int, layer: str | None = None
     channel_weights = grads.mean(axis=(1, 2, 3))
     combined = np.einsum("c,cdhw->dhw", channel_weights, features)
     cam = trilinear_resize(np.maximum(combined, 0.0), arr.shape)
-    return _peak_normalized(cam, layer, target_class)
+    amap = _peak_normalized(cam, layer, target_class)
+    amap.probs = probs
+    return amap
 
 
 def average_maps(maps: list[ActivationMap]) -> ActivationMap:

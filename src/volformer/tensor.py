@@ -1,10 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-The graph is define-by-run: every operation links its output tensor back to
-its inputs together with a closure that maps the output gradient to input
-gradient contributions. ``backward`` walks that implicit tape once in reverse
-topological order, so each node's closure fires exactly once and gradients
-accumulate additively across multiple uses of the same tensor.
+The graph is define-by-run: every primitive returns through ``_node``, which
+tallies its work for ``count_ops`` and links the output tensor back to its
+inputs with a closure mapping the output gradient to input gradient
+contributions. Closures capture the inputs and the arrays they read, never the
+output tensor, so reference counting alone frees a finished graph.
+``backward`` walks that implicit tape once in reverse topological order, so
+each node's closure fires exactly once and gradients accumulate additively
+across multiple uses of the same tensor.
 
 Arrays are float32 by default. float64 is supported end to end so
 finite-difference checks can run in double precision. Primitive kernels are
@@ -62,13 +65,6 @@ def count_ops():
         yield counter
     finally:
         _counters.remove(counter)
-
-
-def _tally(macs) -> None:
-    if _counters:
-        n = int(macs)
-        for counter in _counters:
-            counter.macs += n
 
 
 class Tensor:
@@ -186,8 +182,27 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _tracked(*tensors: Tensor) -> bool:
-    return _grad_enabled and any(t.requires_grad for t in tensors)
+def _node(data, parents, backward_fn, macs=0) -> Tensor:
+    """Wrap a primitive's result array as a tape node.
+
+    ``macs`` is added to every open ``count_ops`` counter, under ``no_grad``
+    too. The result joins the tape, with ``_parents`` and ``_backward`` set,
+    only while recording is on and some parent is tracked; otherwise it is a
+    constant with ``_backward is None`` and ``_parents == ()``.
+
+    ``backward_fn(g)`` adds the output gradient's contributions to the
+    tracked parents. It may capture the parents and the arrays it reads but
+    never the result tensor: a result -> closure -> result cycle keeps each
+    finished graph alive until the cyclic GC runs.
+    """
+    for counter in _counters:
+        counter.macs += int(macs)
+    out = Tensor(data)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = tuple(parents)
+        out._backward = backward_fn
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -209,152 +224,110 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out = Tensor(a.data + b.data, requires_grad=_tracked(a, b))
-    _tally(out.data.size)
-    if out.requires_grad:
+    y = a.data + b.data
 
-        def backward_fn(g):
-            if a.requires_grad:
-                a._accum(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(g, b.data.shape))
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accum(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(g, b.data.shape))
 
-        out._parents = (a, b)
-        out._backward = backward_fn
-    return out
+    return _node(y, (a, b), backward_fn, y.size)
 
 
 def sub(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out = Tensor(a.data - b.data, requires_grad=_tracked(a, b))
-    _tally(out.data.size)
-    if out.requires_grad:
+    y = a.data - b.data
 
-        def backward_fn(g):
-            if a.requires_grad:
-                a._accum(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(-g, b.data.shape))
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accum(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(-g, b.data.shape))
 
-        out._parents = (a, b)
-        out._backward = backward_fn
-    return out
+    return _node(y, (a, b), backward_fn, y.size)
 
 
 def mul(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out = Tensor(a.data * b.data, requires_grad=_tracked(a, b))
-    _tally(out.data.size)
-    if out.requires_grad:
+    y = a.data * b.data
 
-        def backward_fn(g):
-            if a.requires_grad:
-                a._accum(_unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(g * a.data, b.data.shape))
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accum(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(g * a.data, b.data.shape))
 
-        out._parents = (a, b)
-        out._backward = backward_fn
-    return out
+    return _node(y, (a, b), backward_fn, y.size)
 
 
 def div(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out = Tensor(a.data / b.data, requires_grad=_tracked(a, b))
-    _tally(out.data.size)
-    if out.requires_grad:
-        # Closures hold the output array, not ``out``: a cycle out -> closure ->
-        # out keeps each finished graph alive until the cyclic GC runs.
-        y = out.data
+    y = a.data / b.data
 
-        def backward_fn(g):
-            if a.requires_grad:
-                a._accum(_unbroadcast(g / b.data, a.data.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(-g * y / b.data, b.data.shape))
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accum(_unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(-g * y / b.data, b.data.shape))
 
-        out._parents = (a, b)
-        out._backward = backward_fn
-    return out
+    return _node(y, (a, b), backward_fn, y.size)
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(-a.data, requires_grad=_tracked(a))
-    _tally(out.data.size)
-    if out.requires_grad:
+    y = -a.data
 
-        def backward_fn(g):
-            a._accum(-g)
+    def backward_fn(g):
+        a._accum(-g)
 
-        out._parents = (a,)
-        out._backward = backward_fn
-    return out
+    return _node(y, (a,), backward_fn, y.size)
 
 
 def relu(a) -> Tensor:
     """max(0, x); the subgradient at exactly 0 is taken as 0."""
     a = _as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0), requires_grad=_tracked(a))
-    _tally(out.data.size)
-    if out.requires_grad:
-        mask = a.data > 0
+    y = np.maximum(a.data, 0)
 
-        def backward_fn(g):
-            a._accum(g * mask)
+    def backward_fn(g):
+        a._accum(g * (a.data > 0))
 
-        out._parents = (a,)
-        out._backward = backward_fn
-    return out
+    return _node(y, (a,), backward_fn, y.size)
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.exp(a.data), requires_grad=_tracked(a))
-    _tally(out.data.size)
-    if out.requires_grad:
-        y = out.data  # not ``out``: see div
+    y = np.exp(a.data)
 
-        def backward_fn(g):
-            a._accum(g * y)
+    def backward_fn(g):
+        a._accum(g * y)
 
-        out._parents = (a,)
-        out._backward = backward_fn
-    return out
+    return _node(y, (a,), backward_fn, y.size)
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.log(a.data), requires_grad=_tracked(a))
-    _tally(out.data.size)
-    if out.requires_grad:
+    y = np.log(a.data)
 
-        def backward_fn(g):
-            a._accum(g / a.data)
+    def backward_fn(g):
+        a._accum(g / a.data)
 
-        out._parents = (a,)
-        out._backward = backward_fn
-    return out
+    return _node(y, (a,), backward_fn, y.size)
 
 
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.sqrt(a.data), requires_grad=_tracked(a))
-    _tally(out.data.size)
-    if out.requires_grad:
-        # Guard the derivative at 0. The true derivative diverges there, but
-        # every caller multiplies it by a factor that is exactly 0 in the
-        # degenerate (constant-input) case, so a finite surrogate yields the
-        # clean zero gradient instead of 0 * inf = NaN.
-        guard = np.finfo(out.data.dtype).tiny
-        y = out.data  # not ``out``: see div
+    y = np.sqrt(a.data)
+    # Guard the derivative at 0. The true derivative diverges there, but
+    # every caller multiplies it by a factor that is exactly 0 in the
+    # degenerate (constant-input) case, so a finite surrogate yields the
+    # clean zero gradient instead of 0 * inf = NaN.
+    guard = np.finfo(y.dtype).tiny
 
-        def backward_fn(g):
-            a._accum(g * 0.5 / np.maximum(y, guard))
+    def backward_fn(g):
+        a._accum(g * 0.5 / np.maximum(y, guard))
 
-        out._parents = (a,)
-        out._backward = backward_fn
-    return out
+    return _node(y, (a,), backward_fn, y.size)
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +336,11 @@ def sqrt(a) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(a.data.reshape(shape), requires_grad=_tracked(a))
-    if out.requires_grad:
 
-        def backward_fn(g):
-            a._accum(g.reshape(a.data.shape))
+    def backward_fn(g):
+        a._accum(g.reshape(a.data.shape))
 
-        out._parents = (a,)
-        out._backward = backward_fn
-    return out
+    return _node(a.data.reshape(shape), (a,), backward_fn)
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -379,38 +348,25 @@ def transpose(a, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(a.data.ndim)))
     axes = tuple(axes)
-    out = Tensor(np.transpose(a.data, axes), requires_grad=_tracked(a))
-    if out.requires_grad:
-        inverse = tuple(np.argsort(axes))
 
-        def backward_fn(g):
-            a._accum(np.transpose(g, inverse))
+    def backward_fn(g):
+        a._accum(np.transpose(g, tuple(np.argsort(axes))))
 
-        out._parents = (a,)
-        out._backward = backward_fn
-    return out
+    return _node(np.transpose(a.data, axes), (a,), backward_fn)
 
 
 def concat(parts, axis: int = 0) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat requires at least one tensor")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis),
-                 requires_grad=_tracked(*parts))
-    if out.requires_grad:
-        sizes = [p.data.shape[axis] for p in parts]
-        offsets = np.cumsum([0] + sizes)
 
-        def backward_fn(g):
-            for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                if part.requires_grad:
-                    idx = [slice(None)] * g.ndim
-                    idx[axis] = slice(int(lo), int(hi))
-                    part._accum(g[tuple(idx)])
+    def backward_fn(g):
+        bounds = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+        for part, piece in zip(parts, np.split(g, bounds, axis=axis)):
+            if part.requires_grad:
+                part._accum(piece)
 
-        out._parents = tuple(parts)
-        out._backward = backward_fn
-    return out
+    return _node(np.concatenate([p.data for p in parts], axis=axis), parts, backward_fn)
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -424,17 +380,13 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
-    out = Tensor(a.data[idx].copy(), requires_grad=_tracked(a))
-    if out.requires_grad:
 
-        def backward_fn(g):
-            full = np.zeros_like(a.data)
-            full[idx] = g
-            a._accum(full)
+    def backward_fn(g):
+        full = np.zeros_like(a.data)
+        full[idx] = g
+        a._accum(full)
 
-        out._parents = (a,)
-        out._backward = backward_fn
-    return out
+    return _node(a.data[idx].copy(), (a,), backward_fn)
 
 
 def select_index(a, index) -> Tensor:
@@ -456,17 +408,13 @@ def select_index(a, index) -> Tensor:
             f"select_index: index out of range for {a.data.shape[1]} columns"
         )
     rows = np.arange(a.data.shape[0])
-    out = Tensor(a.data[rows, idx].copy(), requires_grad=_tracked(a))
-    if out.requires_grad:
 
-        def backward_fn(g):
-            full = np.zeros_like(a.data)
-            np.add.at(full, (rows, idx), g)
-            a._accum(full)
+    def backward_fn(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, (rows, idx), g)
+        a._accum(full)
 
-        out._parents = (a,)
-        out._backward = backward_fn
-    return out
+    return _node(a.data[rows, idx].copy(), (a,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -484,19 +432,13 @@ def _norm_axes(axis, ndim: int):
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     axes = _norm_axes(axis, a.data.ndim)
-    out = Tensor(a.data.sum(axis=axes, keepdims=keepdims), requires_grad=_tracked(a))
-    _tally(a.data.size)
-    if out.requires_grad:
-        kept = tuple(1 if i in axes else n for i, n in enumerate(a.data.shape))
 
-        def backward_fn(g):
-            if not keepdims:
-                g = g.reshape(kept)
-            a._accum(np.broadcast_to(g, a.data.shape))
+    def backward_fn(g):
+        if not keepdims:
+            g = g.reshape([1 if i in axes else n for i, n in enumerate(a.data.shape)])
+        a._accum(np.broadcast_to(g, a.data.shape))
 
-        out._parents = (a,)
-        out._backward = backward_fn
-    return out
+    return _node(a.data.sum(axis=axes, keepdims=keepdims), (a,), backward_fn, a.data.size)
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -553,32 +495,28 @@ def matmul(a, b) -> Tensor:
             f"matmul: shapes {ad.shape} and {bd.shape} do not broadcast: {err}"
         ) from None
     batch = int(np.prod(out_data.shape[:-2], dtype=np.int64))
-    _tally(batch * lhs.shape[-2] * lhs.shape[-1] * rhs.shape[-1])
+    macs = batch * lhs.shape[-2] * lhs.shape[-1] * rhs.shape[-1]
     if b_vec:
         out_data = out_data[..., 0]
     if a_vec:
         out_data = out_data[..., 0, :] if not b_vec else out_data[..., 0]
-    out = Tensor(out_data, requires_grad=_tracked(a, b))
-    if out.requires_grad:
 
-        def backward_fn(g):
-            gm = g
-            if a_vec and b_vec:
-                gm = gm.reshape(1, 1)
-            elif a_vec:
-                gm = gm[..., None, :]
-            elif b_vec:
-                gm = gm[..., :, None]
-            if a.requires_grad:
-                ga = np.matmul(gm, np.swapaxes(rhs, -1, -2))
-                a._accum(_unbroadcast(ga, lhs.shape).reshape(ad.shape))
-            if b.requires_grad:
-                gb = np.matmul(np.swapaxes(lhs, -1, -2), gm)
-                b._accum(_unbroadcast(gb, rhs.shape).reshape(bd.shape))
+    def backward_fn(g):
+        gm = g
+        if a_vec and b_vec:
+            gm = gm.reshape(1, 1)
+        elif a_vec:
+            gm = gm[..., None, :]
+        elif b_vec:
+            gm = gm[..., :, None]
+        if a.requires_grad:
+            ga = np.matmul(gm, np.swapaxes(rhs, -1, -2))
+            a._accum(_unbroadcast(ga, lhs.shape).reshape(ad.shape))
+        if b.requires_grad:
+            gb = np.matmul(np.swapaxes(lhs, -1, -2), gm)
+            b._accum(_unbroadcast(gb, rhs.shape).reshape(bd.shape))
 
-        out._parents = (a, b)
-        out._backward = backward_fn
-    return out
+    return _node(out_data, (a, b), backward_fn, macs)
 
 
 def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
@@ -588,10 +526,16 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     stride shared by all three axes, and summation over input channels. With
     ``pad = (k - 1) // 2`` (odd k) each output extent is ceil(in / stride).
 
-    The kernel is laid out (C_out, C_in, kd, kh, kw). Internally the padded
-    input is unfolded into a patch matrix so the contraction runs as one
-    matmul; the backward pass folds the patch-space gradient back with one
-    strided slice-add per kernel offset.
+    The kernel is laid out (C_out, C_in, kd, kh, kw). The padded input is
+    unfolded into a (B, K, V) patch matrix, K = C_in*kd*kh*kw patch entries
+    by V output voxels, so each direction is one GEMM:
+
+    - forward: the (C_out, K) kernel matrix times each batch's patches;
+    - kernel gradient: the (B, C_out, V) output gradient contracted with the
+      saved patches over batch and voxels (``tensordot``, one BLAS call);
+    - input gradient: the transposed kernel matrix times the output
+      gradient gives patch-space gradients, which are folded back onto the
+      padded input with one strided slice-add per kernel offset.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if kernel.data.ndim != 5:
@@ -625,36 +569,31 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     col = col.reshape(B, C * kd * kh * kw, vox)
     w2 = kernel.data.reshape(Co, C * kd * kh * kw)
     out_data = np.matmul(w2, col).reshape(B, Co, Do, Ho, Wo)
-    _tally(B * Co * C * kd * kh * kw * vox)
-    if squeeze:
-        out_data = out_data[0]
-    out = Tensor(out_data, requires_grad=_tracked(x, kernel))
-    if out.requires_grad:
-        saved_col = col if kernel.requires_grad else None
+    saved_col = col if kernel.requires_grad else None
+    padded = xp.shape
 
-        def backward_fn(g):
-            g5 = g[None] if squeeze else g
-            g2 = g5.reshape(B, Co, vox)
-            if kernel.requires_grad:
-                gw = np.einsum("bov,bkv->ok", g2, saved_col)
-                kernel._accum(gw.reshape(kernel.data.shape))
-            if x.requires_grad:
-                gcol = np.matmul(w2.T, g2)
-                gcol = gcol.reshape(B, C, kd, kh, kw, Do, Ho, Wo)
-                gxp = np.zeros_like(xp)
-                for a in range(kd):
-                    for b in range(kh):
-                        for c in range(kw):
-                            gxp[:, :,
-                                a:a + (Do - 1) * stride + 1:stride,
-                                b:b + (Ho - 1) * stride + 1:stride,
-                                c:c + (Wo - 1) * stride + 1:stride] += gcol[:, :, a, b, c]
-                gx = gxp[:, :, pad:pad + D, pad:pad + H, pad:pad + W]
-                x._accum(gx[0] if squeeze else gx)
+    def backward_fn(g):
+        g5 = g[None] if squeeze else g
+        g2 = g5.reshape(B, Co, vox)
+        if kernel.requires_grad:
+            gw = np.tensordot(g2, saved_col, axes=([0, 2], [0, 2]))
+            kernel._accum(gw.reshape(kernel.data.shape))
+        if x.requires_grad:
+            gcol = np.matmul(w2.T, g2)
+            gcol = gcol.reshape(B, C, kd, kh, kw, Do, Ho, Wo)
+            gxp = np.zeros(padded, dtype=x.data.dtype)
+            for a in range(kd):
+                for b in range(kh):
+                    for c in range(kw):
+                        gxp[:, :,
+                            a:a + (Do - 1) * stride + 1:stride,
+                            b:b + (Ho - 1) * stride + 1:stride,
+                            c:c + (Wo - 1) * stride + 1:stride] += gcol[:, :, a, b, c]
+            gx = gxp[:, :, pad:pad + D, pad:pad + H, pad:pad + W]
+            x._accum(gx[0] if squeeze else gx)
 
-        out._parents = (x, kernel)
-        out._backward = backward_fn
-    return out
+    return _node(out_data[0] if squeeze else out_data, (x, kernel), backward_fn,
+                 B * Co * C * kd * kh * kw * vox)
 
 
 # ---------------------------------------------------------------------------

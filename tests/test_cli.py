@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from volformer.cli import RunConfig, SplitSpec, main
-from volformer.data import read_volume, write_volume
+from volformer.data import load_manifest, read_volume, write_volume
 from volformer.errors import ConfigError
-from volformer.model import BrainFormer, ModelConfig, save_model
+from volformer.model import BrainFormer, ModelConfig, forward_volume, load_model, save_model
 from volformer.train import TrainConfig
 
 SPEC = {
@@ -54,7 +54,6 @@ def workdir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def zero_head_ckpt(workdir):
     """A trained checkpoint whose classifier weights are zeroed out."""
-    from volformer.model import load_model
     model, _ = load_model(workdir / "run" / "fold0.ckpt")
     model.classifier_weight.data[:] = 0.0
     path = workdir / "zero_head.ckpt"
@@ -414,7 +413,16 @@ def test_localize_class_out_of_range_exit_2(workdir, tmp_path):
     assert rc == 2
 
 
-def test_localize_audit_mode(workdir, tmp_path, capsys):
+def test_localize_audit_mode(workdir, tmp_path, capsys, monkeypatch):
+    model, _ = load_model(workdir / "run" / "fold0.ckpt")
+    expected = [int(np.argmax(forward_volume(model, vol.volume).data))
+                for rec in load_manifest(workdir / "data" / "manifest.csv")
+                for vol in rec.fmri_volumes]
+
+    def second_pass(*args, **kwargs):
+        raise AssertionError("the audit must predict from its Grad-CAM pass")
+
+    monkeypatch.setattr("volformer.model.forward_volume", second_pass)
     out = tmp_path / "audit"
     rc = main(["localize", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
                "--manifest", str(workdir / "data" / "manifest.csv"),
@@ -423,6 +431,7 @@ def test_localize_audit_mode(workdir, tmp_path, capsys):
     rows = (out / "audit.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 18
     assert rows[0].startswith("subject_id,site_id,volume,label,predicted,correct,hit")
+    assert [int(row.split(",")[4]) for row in rows[1:]] == expected
     summary = json.loads((out / "audit_summary.json").read_text())
     assert summary["volumes"] == 18
     assert 0.0 <= summary["hit_rate_on_correct"] <= 1.0

@@ -1,5 +1,7 @@
 """Tensor core: primitives against finite differences and loop oracles."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from oracles import conv3d_loops, numeric_grad, rel_error
 from volformer.errors import ShapeError, StateError
 from volformer import tensor as T
+from volformer.layers import cross_entropy_logits
+from volformer.model import BrainFormer, ModelConfig
 from volformer.tensor import Tensor
 
 
@@ -159,11 +163,20 @@ def test_grad_batch_norm_training():
     )
 
 
-def test_grad_conv3d():
+@pytest.mark.parametrize("shape,k,stride,pad", [
+    pytest.param((2, 4, 5, 4), 1, 2, 0, id="k1-s2-p0"),  # projection shortcut
+    pytest.param((2, 5, 6, 4), 7, 2, 3, id="k7-s2-p3"),  # stem
+    # (D + 2p - k) % stride != 0 on D and W: the last padded face is never read
+    pytest.param((2, 4, 5, 4), 3, 2, 1, id="k3-s2-p1"),
+    pytest.param((2, 3, 4, 3), 1, 1, 1, id="k1-s1-p1"),  # pad > k - 1
+])
+def test_grad_conv3d(shape, k, stride, pad):
     rng = np.random.default_rng(12)
-    x = t64(rng.normal(size=(2, 4, 5, 4)))
-    w = t64(rng.normal(size=(3, 2, 3, 3, 3)))
-    check_grads(lambda: T.tensor_sum(T.conv3d(x, w, stride=2, pad=1)), [x, w], tol=1e-4)
+    x = t64(rng.normal(size=shape))
+    w = t64(rng.normal(size=(3, shape[0], k, k, k)))
+    m = Tensor(rng.normal(size=T.conv3d(x, w, stride, pad).shape))
+    check_grads(lambda: T.tensor_sum(T.mul(T.conv3d(x, w, stride=stride, pad=pad), m)),
+                [x, w], tol=1e-4)
 
 
 def test_grad_conv3d_batched():
@@ -259,11 +272,68 @@ def test_backward_without_tracked_inputs_is_state_error():
         T.tensor_sum(Tensor([1.0, 2.0])).backward()
 
 
-def test_no_grad_suppresses_recording():
-    x = t64([1.0])
-    with T.no_grad():
-        y = T.mul(x, 2.0)
-    assert not y.requires_grad and y._backward is None
+# name -> (call, input shapes, count_ops units); inputs are drawn in [0.5, 2)
+# so log, sqrt and div stay in their domains.
+PRIMITIVES = {
+    "add": (T.add, [(2, 3), (2, 3)], 6),
+    "sub": (T.sub, [(2, 3), (3,)], 6),
+    "mul": (T.mul, [(2, 3), (2, 1)], 6),
+    "div": (T.div, [(2, 3), (2, 3)], 6),
+    "neg": (T.neg, [(2, 3)], 6),
+    "relu": (T.relu, [(2, 3)], 6),
+    "exp": (T.exp, [(2, 3)], 6),
+    "log": (T.log, [(2, 3)], 6),
+    "sqrt": (T.sqrt, [(2, 3)], 6),
+    "reshape": (lambda a: T.reshape(a, (3, 2)), [(2, 3)], 0),
+    "transpose": (lambda a: T.transpose(a, (1, 0)), [(2, 3)], 0),
+    "concat": (lambda a, b: T.concat([a, b], axis=1), [(2, 3), (2, 2)], 0),
+    "narrow": (lambda a: T.narrow(a, 1, 1, 2), [(2, 3)], 0),
+    "select_index": (lambda a: T.select_index(a, [2, 0]), [(2, 3)], 0),
+    "tensor_sum": (lambda a: T.tensor_sum(a, 1), [(2, 3)], 6),
+    "matmul": (T.matmul, [(3, 4), (4, 5)], 3 * 4 * 5),
+    "conv3d": (lambda x, k: T.conv3d(x, k, 1, 1), [(2, 4, 4, 4), (3, 2, 3, 3, 3)],
+               3 * 2 * 27 * 64),
+}
+
+
+@pytest.mark.parametrize("name", list(PRIMITIVES))
+def test_no_grad_suppresses_recording(name):
+    call, shapes, units = PRIMITIVES[name]
+    rng = np.random.default_rng(15)
+    inputs = [t64(rng.uniform(0.5, 2.0, size=s)) for s in shapes]
+    with T.count_ops() as recorded:
+        y = call(*inputs)
+    assert y.requires_grad and y._backward is not None
+    assert len(y._parents) == len(inputs)
+    assert all(p is t for p, t in zip(y._parents, inputs))
+    with T.no_grad(), T.count_ops() as unrecorded:
+        z = call(*inputs)
+    assert not z.requires_grad and z._backward is None and z._parents == ()
+    assert recorded.macs == unrecorded.macs == units
+    np.testing.assert_array_equal(z.data, y.data)
+
+
+def test_finished_graph_is_freed_without_cyclic_gc():
+    model = BrainFormer(ModelConfig.desk(), seed=0)
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.normal(size=(2, 1) + model.cfg.input_extent).astype(np.float32))
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        loss = cross_entropy_logits(model.forward_logits(x, training=True),
+                                    np.array([0, 1]))
+        loss.backward()
+        del loss
+        gc.collect()
+        leaked = sum(isinstance(obj, Tensor) for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert leaked == 0, f"{leaked} tensors were only freed by the cyclic GC"
 
 
 def test_backward_visits_shared_subgraph_once():
