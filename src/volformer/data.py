@@ -242,7 +242,12 @@ def read_volume(path) -> np.ndarray:
         raise ParseError(f"non-positive extent in {shape}", 8)
     payload = reader.payload(4 * int(np.prod(shape, dtype=np.int64)), "payload")
     reader.finish()
-    return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+    arr = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+    if not np.isfinite(arr).all():
+        bad = np.argwhere(~np.isfinite(arr))
+        raise DataError(f"volume file {path} holds {len(bad)} non-finite values "
+                        f"(NaN or Inf), the first at index {tuple(bad[0].tolist())}")
+    return arr
 
 
 def load_volume(path, subject_id: str = "", site_id: str = "", label: int = 0,

@@ -17,6 +17,7 @@ itself thread-safe.
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 
@@ -110,8 +111,11 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # A copy, never ``g`` itself: g may be another node's gradient
+            # or a read-only broadcast view, and later uses add in place.
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         backward(self)
@@ -519,6 +523,59 @@ def matmul(a, b) -> Tensor:
     return _node(out_data, (a, b), backward_fn, macs)
 
 
+def _pad3(x: np.ndarray, margin: int) -> np.ndarray:
+    """Zero-pad the three trailing axes of a 5-d array by ``margin`` per face.
+
+    Same result as ``np.pad``, at a tenth of its per-call overhead, which a
+    batch-1 backward pass pays three times per conv.
+    """
+    if not margin:
+        return x
+    B, C, D, H, W = x.shape
+    out = np.zeros((B, C, D + 2 * margin, H + 2 * margin, W + 2 * margin), dtype=x.dtype)
+    out[:, :, margin:margin + D, margin:margin + H, margin:margin + W] = x
+    return out
+
+
+def _unfold(x: np.ndarray, kernel_shape, stride: int, pad: int) -> np.ndarray:
+    """Patch matrix of a (B, C, D, H, W) array for one window shape.
+
+    Returns a contiguous (K, B*V) array. Rows are the K = C*kd*kh*kw patch
+    entries in (C, kd, kh, kw) order, so a (C_out, C, kd, kh, kw) kernel
+    reshaped to (C_out, K) multiplies it directly. Columns are the windows,
+    placed every ``stride`` voxels on the input zero-padded by ``pad`` on
+    every spatial face, in (B, Do, Ho, Wo) order.
+    """
+    x = _pad3(x, pad)
+    B, C = x.shape[:2]
+    out = [(n - k) // stride + 1 for n, k in zip(x.shape[2:], kernel_shape)]
+    sb, sc, sd, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, (C, *kernel_shape, B, *out),
+        (sc, sd, sh, sw, sb, sd * stride, sh * stride, sw * stride), writeable=False)
+    return np.ascontiguousarray(windows).reshape(C * math.prod(kernel_shape), -1)
+
+
+def _residue_classes(n: int, k: int, stride: int, pad: int) -> list[tuple[int, ...]]:
+    """Split one input axis of a strided correlation by residue class.
+
+    Input index i sits at padded position i + pad = stride*m + r, which only
+    the taps r + stride*j reach, from outputs m - j. For each class with at
+    least one tap and one input index this returns (r, first input index,
+    lo, hi): the class's input-gradient is the correlation of the output
+    gradient window [lo, hi) with its taps reversed. lo < 0 or hi past the
+    output extent stand for zero outputs.
+    """
+    classes = []
+    for r in range(min(stride, k)):
+        first = (r - pad) % stride
+        if first < n:
+            m = (first + pad) // stride
+            lo = m - len(range(r, k, stride)) + 1
+            classes.append((r, first, lo, m + (n - 1 - first) // stride + 1))
+    return classes
+
+
 def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     """3-d cross-correlation over a (C,D,H,W) or (B,C,D,H,W) input.
 
@@ -526,16 +583,22 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     stride shared by all three axes, and summation over input channels. With
     ``pad = (k - 1) // 2`` (odd k) each output extent is ceil(in / stride).
 
-    The kernel is laid out (C_out, C_in, kd, kh, kw). The padded input is
-    unfolded into a (B, K, V) patch matrix, K = C_in*kd*kh*kw patch entries
-    by V output voxels, so each direction is one GEMM:
+    The kernel is laid out (C_out, C_in, kd, kh, kw). ``_unfold`` turns the
+    input into a (K, B*V) patch matrix, K = C_in*kd*kh*kw patch entries by
+    V output voxels per batch entry, and each direction is one 2-D GEMM:
 
-    - forward: the (C_out, K) kernel matrix times each batch's patches;
-    - kernel gradient: the (B, C_out, V) output gradient contracted with the
-      saved patches over batch and voxels (``tensordot``, one BLAS call);
-    - input gradient: the transposed kernel matrix times the output
-      gradient gives patch-space gradients, which are folded back onto the
-      padded input with one strided slice-add per kernel offset.
+    - forward: the (C_out, K) kernel matrix times the patch matrix;
+    - kernel gradient: the (C_out, B*V) output gradient times the transposed
+      patch matrix. The patches are not kept from the forward pass; backward
+      unfolds the input array again, which the graph holds anyway, so a
+      tracked conv retains no more than its output (activation
+      recomputation). The input must not change in place before backward;
+    - input gradient: a stride-1 correlation of the output gradient with
+      the flipped, channel-swapped kernel, through the same ``_unfold``. It
+      is split into stride**3 residue classes: input positions
+      ``stride*q + r`` (padded coordinates) see only the taps
+      ``r + stride*j``, so each class is one GEMM over its own taps and no
+      zero-dilated gradient is formed. Stride 1 is the one-class case.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if kernel.data.ndim != 5:
@@ -549,7 +612,8 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     if pad < 0:
         raise ShapeError(f"conv3d pad must be >= 0, got {pad}")
     B, C, D, H, W = xd.shape
-    Co, Ci, kd, kh, kw = kernel.data.shape
+    w = kernel.data
+    Co, Ci, kd, kh, kw = w.shape
     if Ci != C:
         raise ShapeError(
             f"conv3d: input has {C} channels but kernel expects {Ci} "
@@ -560,36 +624,33 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
             f"conv3d: kernel {(kd, kh, kw)} exceeds padded input "
             f"{(D + 2 * pad, H + 2 * pad, W + 2 * pad)}"
         )
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad), (pad, pad)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kd, kh, kw), axis=(2, 3, 4))
-    windows = windows[:, :, ::stride, ::stride, ::stride]
-    Do, Ho, Wo = windows.shape[2:5]
-    vox = Do * Ho * Wo
-    col = np.ascontiguousarray(windows.transpose(0, 1, 5, 6, 7, 2, 3, 4))
-    col = col.reshape(B, C * kd * kh * kw, vox)
-    w2 = kernel.data.reshape(Co, C * kd * kh * kw)
-    out_data = np.matmul(w2, col).reshape(B, Co, Do, Ho, Wo)
-    saved_col = col if kernel.requires_grad else None
-    padded = xp.shape
+    extents = (D, H, W)
+    ksize = (kd, kh, kw)
+    out_ext = tuple((n + 2 * pad - k) // stride + 1 for n, k in zip(extents, ksize))
+    vox = math.prod(out_ext)
+    out_data = np.matmul(w.reshape(Co, -1), _unfold(xd, ksize, stride, pad))
+    out_data = np.ascontiguousarray(out_data.reshape(Co, B, *out_ext).transpose(1, 0, 2, 3, 4))
 
     def backward_fn(g):
         g5 = g[None] if squeeze else g
-        g2 = g5.reshape(B, Co, vox)
         if kernel.requires_grad:
-            gw = np.tensordot(g2, saved_col, axes=([0, 2], [0, 2]))
-            kernel._accum(gw.reshape(kernel.data.shape))
+            col = _unfold(xd, ksize, stride, pad)
+            g2 = g5.transpose(1, 0, 2, 3, 4).reshape(Co, B * vox)
+            kernel._accum(np.matmul(g2, col.T).reshape(w.shape))
         if x.requires_grad:
-            gcol = np.matmul(w2.T, g2)
-            gcol = gcol.reshape(B, C, kd, kh, kw, Do, Ho, Wo)
-            gxp = np.zeros(padded, dtype=x.data.dtype)
-            for a in range(kd):
-                for b in range(kh):
-                    for c in range(kw):
-                        gxp[:, :,
-                            a:a + (Do - 1) * stride + 1:stride,
-                            b:b + (Ho - 1) * stride + 1:stride,
-                            c:c + (Wo - 1) * stride + 1:stride] += gcol[:, :, a, b, c]
-            gx = gxp[:, :, pad:pad + D, pad:pad + H, pad:pad + W]
+            classes = [_residue_classes(n, k, stride, pad) for n, k in zip(extents, ksize)]
+            margin = max([0] + [max(-lo, hi - n_out) for axis, n_out in zip(classes, out_ext)
+                                for _, _, lo, hi in axis])
+            g5 = _pad3(g5, margin)
+            gx = np.zeros(xd.shape, dtype=xd.dtype)
+            for (rd, fd, ld, hd), (rh, fh, lh, hh), (rw, fw, lw, hw) in itertools.product(*classes):
+                taps = w[:, :, rd::stride, rh::stride, rw::stride][:, :, ::-1, ::-1, ::-1]
+                window = g5[:, :, margin + ld:margin + hd, margin + lh:margin + hh,
+                            margin + lw:margin + hw]
+                part = np.matmul(taps.transpose(1, 0, 2, 3, 4).reshape(C, -1),
+                                 _unfold(window, taps.shape[2:], 1, 0))
+                target = gx[:, :, fd::stride, fh::stride, fw::stride]
+                target[...] = part.reshape(C, B, *target.shape[2:]).transpose(1, 0, 2, 3, 4)
             x._accum(gx[0] if squeeze else gx)
 
     return _node(out_data[0] if squeeze else out_data, (x, kernel), backward_fn,

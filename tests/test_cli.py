@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -282,6 +283,20 @@ def test_cv_missing_manifest_exit_3(workdir, tmp_path):
     rc = main(["cv", "--config", str(workdir / "cfg.json"),
                "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
     assert rc == 3
+
+
+def test_cv_manifest_with_nan_volume_exit_3(workdir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data", data)
+    poisoned = data / "volumes" / _first_volume(workdir).name
+    volume = read_volume(poisoned)
+    volume.flat[volume.size // 2] = np.nan
+    write_volume(poisoned, volume)
+    rc = main(["cv", "--config", str(workdir / "cfg.json"),
+               "--data", str(data / "manifest.csv"), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert poisoned.name in err and "non-finite" in err
 
 
 def test_cv_extent_mismatch_exit_2(workdir, tmp_path, capsys):

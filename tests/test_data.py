@@ -104,6 +104,18 @@ def test_volume_trailing_bytes_rejected(tmp_path):
     assert "trailing" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_volume_with_non_finite_voxel_is_data_error(tmp_path, bad):
+    arr = np.ones((3, 4, 5), dtype=np.float32)
+    arr[1, 2, 3] = bad
+    path = tmp_path / "bad.vfv"
+    write_volume(path, arr)
+    with pytest.raises(DataError) as err:
+        read_volume(path)
+    assert "non-finite" in str(err.value) and "(1, 2, 3)" in str(err.value)
+    assert str(path) in str(err.value)
+
+
 def test_load_volume_flags_constant_input(tmp_path):
     path = tmp_path / "flat.vfv"
     write_volume(path, np.full((4, 4, 4), 2.5, dtype=np.float32))

@@ -1,6 +1,8 @@
 """Tensor core: primitives against finite differences and loop oracles."""
 
 import gc
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +187,59 @@ def test_grad_conv3d_batched():
     w = t64(rng.normal(size=(2, 2, 3, 3, 3)))
     m = Tensor(rng.normal(size=(2, 2, 4, 4, 4)))
     check_grads(lambda: T.tensor_sum(T.mul(T.conv3d(x, w, 1, 1), m)), [x, w], tol=1e-4)
+
+
+def _conv3d_geometries(per_combo: int = 5):
+    """Random conv3d shapes: every (k, stride, pad) with k 1-4, stride 1-3 and
+    pad 0-3, ``per_combo`` times each, with B 1-2 and per-axis extents (and
+    kernel sizes on the other two axes) drawn at random."""
+    rng = np.random.default_rng(20)
+    for k, stride, pad in itertools.product(range(1, 5), range(1, 4), range(4)):
+        for _ in range(per_combo):
+            ks = (k,) + tuple(int(v) for v in rng.integers(1, 5, size=2))
+            ext = tuple(int(rng.integers(max(1, kk - 2 * pad), max(1, kk - 2 * pad) + 5))
+                        for kk in ks)
+            B, C, Co = (int(v) for v in rng.integers(1, 3, size=3))
+            yield (B, C) + ext, (Co, C) + ks, stride, pad
+
+
+def test_conv3d_adjoint_fuzz():
+    """<g, y> = <dx, x> = <dw, w> for the bilinear map y = conv3d(x, w), and
+    y matches the loop oracle, over 240 random float64 geometries."""
+    rng = np.random.default_rng(21)
+    geometries = list(_conv3d_geometries())
+    assert len(geometries) >= 200
+    assert any((n + 2 * pad - k) % stride
+               for xs, ws, stride, pad in geometries for n, k in zip(xs[2:], ws[2:]))
+    assert any(pad > min(ws[2:]) - 1 for _, ws, _, pad in geometries)
+    for xs, ws, stride, pad in geometries:
+        x, w = t64(rng.normal(size=xs)), t64(rng.normal(size=ws))
+        y = T.conv3d(x, w, stride, pad)
+        want = np.stack([conv3d_loops(xb, w.data, stride, pad) for xb in x.data])
+        assert y.shape == want.shape
+        assert rel_error(y.data, want) < 1e-12, (xs, ws, stride, pad)
+        g = rng.normal(size=y.shape)
+        T.tensor_sum(T.mul(y, Tensor(g))).backward()
+        pairing = np.vdot(g, y.data)
+        for grad, value in ((x.grad, x.data), (w.grad, w.data)):
+            scale = max(np.abs(g * y.data).sum(), np.abs(grad * value).sum())
+            assert abs(np.vdot(grad, value) - pairing) <= 1e-10 * scale, (xs, ws, stride, pad)
+
+
+def test_conv3d_retains_only_its_output():
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.normal(size=(2, 8, 8, 9, 8)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(8, 8, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = T.conv3d(x, w, 1, 1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad
+    # A patch matrix saved for backward would hold 27 copies of the input.
+    assert retained <= y.data.nbytes + 8192, retained
 
 
 # ---------------------------------------------------------------------------
