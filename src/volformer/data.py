@@ -227,6 +227,15 @@ def write_volume(path, array: np.ndarray) -> None:
     write_container(path, VOLUME_MAGIC, header, [(b"", arr.tobytes())])
 
 
+def _require_finite(arr: np.ndarray, source: str) -> np.ndarray:
+    """Return ``arr``; raise ``DataError`` naming ``source`` if it holds NaN or ±Inf."""
+    if not np.isfinite(arr).all():
+        bad = np.argwhere(~np.isfinite(arr))
+        raise DataError(f"{source} holds {len(bad)} non-finite values "
+                        f"(NaN or Inf), the first at index {tuple(bad[0].tolist())}")
+    return arr
+
+
 def read_volume(path) -> np.ndarray:
     try:
         with open(path, "rb") as fh:
@@ -243,11 +252,7 @@ def read_volume(path) -> np.ndarray:
     payload = reader.payload(4 * int(np.prod(shape, dtype=np.int64)), "payload")
     reader.finish()
     arr = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
-    if not np.isfinite(arr).all():
-        bad = np.argwhere(~np.isfinite(arr))
-        raise DataError(f"volume file {path} holds {len(bad)} non-finite values "
-                        f"(NaN or Inf), the first at index {tuple(bad[0].tolist())}")
-    return arr
+    return _require_finite(arr, f"volume file {path}")
 
 
 def load_volume(path, subject_id: str = "", site_id: str = "", label: int = 0,
@@ -417,7 +422,8 @@ def _smooth_noise(rng: np.random.Generator, spec: SyntheticSpec) -> np.ndarray:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[SubjectRecord]:
-    """Deterministic multi-site cohort with a planted class-specific blob."""
+    """Deterministic multi-site cohort with a planted class-specific blob; a
+    volume that overflows float32 (a huge ``blob_amplitude``) is a DataError."""
     spec.validate()
     affines = _site_affines(spec)
     records: list[SubjectRecord] = []
@@ -437,7 +443,8 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SubjectRecord]:
                     jitter = (vol_rng.normal(0.0, jitter_sigma, size=spec.volume_extent)
                               if jitter_sigma > 0 else 0.0)
                     raw = gain * (underlying + jitter) + offset
-                    arr = raw.astype(np.float32)
+                    arr = _require_finite(raw.astype(np.float32),
+                                         f"synthetic volume {vol} of subject {subject_id}")
                     volumes.append(VolumeSample(
                         subject_id, site_id, label, "fmri", arr,
                         degenerate=bool(arr.max() == arr.min())))
@@ -445,8 +452,9 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SubjectRecord]:
                 if spec.with_smri:
                     smri_rng = np.random.default_rng((spec.seed, label, idx, 2))
                     raw = gain * _smooth_noise(smri_rng, spec) + offset
-                    record.smri = VolumeSample(subject_id, site_id, label, "smri",
-                                               raw.astype(np.float32))
+                    arr = _require_finite(raw.astype(np.float32),
+                                         f"synthetic sMRI volume of subject {subject_id}")
+                    record.smri = VolumeSample(subject_id, site_id, label, "smri", arr)
                 if spec.with_fc:
                     fc_rng = np.random.default_rng((spec.seed, label, idx, 3))
                     fc, _ = _pearson(fc_rng.normal(size=(24, spec.fc_parcels)))

@@ -1,8 +1,10 @@
 """Network building blocks on top of the tensor core.
 
 Conventions:
-  * volumetric features are (B, C, D, H, W); token matrices are (N, C) or
-    (B, N, C) with tokens = flattened voxels and channels last;
+  * every input carries a leading batch axis: volumetric features are
+    (B, C, D, H, W) and token matrices (B, N, C), with tokens = flattened
+    voxels and channels last. One volume is a batch of one; the single-volume
+    entry points are ``model.forward_volume`` and ``localize.grad_cam``;
   * every block exposes ``params()`` as (name, Tensor) pairs in a stable
     order, which is also the checkpoint order;
   * blocks are pure functions of their parameters except batch-norm running
@@ -41,25 +43,12 @@ def _standardize(x: Tensor, axes: tuple[int, ...], epsilon: float) -> Tensor:
     return T.div(T.mul(centered, Tensor(alive)), denom)
 
 
-def data_norm(v: Tensor, epsilon: float = 1e-6) -> Tensor:
-    """Standardize one volume: (v - mean) / guarded std, over all voxels.
-
-    Invariant to any per-volume affine intensity transform a*v + b (a > 0).
-    A constant volume maps to all zeros (flag that sample as degenerate at
-    the data layer; this op has no metadata channel).
-    """
-    v = T._as_tensor(v)
-    if v.size < 2:
-        raise ShapeError(f"data_norm requires at least 2 voxels, got shape {v.shape}")
-    return _standardize(v, tuple(range(v.ndim)), epsilon)
-
-
 class DataNormLayer:
     """Per-volume intensity standardization applied sample by sample.
 
-    For a batched (B, C, D, H, W) input each sample is standardized over all
-    of its own voxels; for an unbatched volume the whole array is one sample.
-    Parameter free.
+    Each sample of a (B, C, D, H, W) input is standardized over all of its
+    own voxels, invariant to any per-sample affine intensity transform a*v + b
+    (a > 0). A constant sample maps to all zeros. Parameter free.
     """
 
     def __init__(self, epsilon: float = 1e-6):
@@ -67,9 +56,9 @@ class DataNormLayer:
 
     def forward(self, x: Tensor) -> Tensor:
         x = T._as_tensor(x)
-        if x.ndim < 4:
-            return data_norm(x, self.epsilon)
-        return _standardize(x, tuple(range(1, x.ndim)), self.epsilon)
+        if x.ndim != 5:
+            raise ShapeError(f"data norm expects (B, C, D, H, W), got {x.shape}")
+        return _standardize(x, (1, 2, 3, 4), self.epsilon)
 
     def params(self):
         return []
@@ -162,18 +151,13 @@ class ResidualConvBlock:
         return layers
 
 
-def _token_batch(block, x) -> tuple[Tensor, bool]:
-    """Check an (N, C) or (B, N, C) input against the token and channel
-    counts ``block`` was built for; return it as (B, N, C), and whether it
-    came unbatched."""
+def _token_batch(block, x) -> Tensor:
+    """Check a (B, N, C) input against the N and C ``block`` was built for."""
     x = T._as_tensor(x)
-    if x.ndim not in (2, 3):
-        raise ShapeError(f"expected (N, C) or (B, N, C), got {x.shape}")
-    if x.shape[-1] != block.channels or x.shape[-2] != block.tokens:
-        raise ShapeError(
-            f"attention block built for {block.tokens} tokens x {block.channels} "
-            f"channels, got input shape {x.shape}")
-    return (T.reshape(x, (1,) + x.shape), True) if x.ndim == 2 else (x, False)
+    if x.ndim != 3 or x.shape[1:] != (block.tokens, block.channels):
+        raise ShapeError(f"attention block expects (B, N, C) = (B, {block.tokens}, "
+                         f"{block.channels}), got {x.shape}")
+    return x
 
 
 class SGABlock:
@@ -207,7 +191,7 @@ class SGABlock:
             np.zeros((channels, hidden_c), dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        x, unbatched = _token_batch(self, x)
+        x = _token_batch(self, x)
         b, n, c = x.shape
         cols = T.reshape(T.transpose(x, (1, 0, 2)), (n, b * c))
         hidden = T.relu(T.matmul(self.w_spatial_in, cols))
@@ -215,7 +199,7 @@ class SGABlock:
         rows = T.reshape(T.transpose(T.reshape(mixed, (n, b, c)), (1, 0, 2)), (b * n, c))
         hidden_c = T.relu(T.matmul(rows, T.transpose(self.w_channel_in)))
         out = T.add(rows, T.matmul(hidden_c, T.transpose(self.w_channel_out)))
-        return T.reshape(out, (n, c) if unbatched else (b, n, c))
+        return T.reshape(out, (b, n, c))
 
     def params(self):
         return [
@@ -269,9 +253,9 @@ class DGABlock:
         """Multi-head self-attention over tokens (no residual, no pos embed).
 
         With ``return_masks`` also returns the attention masks as one
-        (..., heads, N, N) tensor.
+        (B, heads, N, N) tensor.
         """
-        z, unbatched = _token_batch(self, z)
+        z = _token_batch(self, z)
         b, n, c = z.shape
         h, hd = self.heads, self.head_dim
         qkv = T.transpose(T.reshape(T.matmul(z, self.qkv), (b, n, h, 3 * hd)), (0, 2, 1, 3))
@@ -280,9 +264,6 @@ class DGABlock:
         masks = T.softmax(scores, axis=-1)
         heads_out = T.reshape(T.transpose(T.matmul(masks, v), (0, 2, 1, 3)), (b, n, c))
         out = T.matmul(heads_out, self.out_proj)
-        if unbatched:
-            out = T.reshape(out, (n, c))
-            masks = T.reshape(masks, (h, n, n))
         return (out, masks) if return_masks else out
 
     def feed_forward(self, z: Tensor) -> Tensor:
@@ -291,11 +272,9 @@ class DGABlock:
         return T.add(T.matmul(hidden, self.ff_w_out), self.ff_b_out)
 
     def forward(self, x: Tensor) -> Tensor:
-        x, unbatched = _token_batch(self, x)
-        z0 = T.add(x, self.pos_embed)
+        z0 = T.add(_token_batch(self, x), self.pos_embed)
         z1 = T.add(z0, self.msa(z0))
-        out = T.add(z1, self.feed_forward(z1))
-        return T.reshape(out, out.shape[1:]) if unbatched else out
+        return T.add(z1, self.feed_forward(z1))
 
     def params(self):
         return [
@@ -337,24 +316,6 @@ class MLP:
             out.append((f"w{i}", w))
             out.append((f"b{i}", b))
         return out
-
-
-def classify(features: Tensor, weight: Tensor) -> Tensor:
-    """Class probabilities for a single feature vector: softmax(W @ f)."""
-    features = T._as_tensor(features)
-    if features.ndim != 1:
-        raise ShapeError(f"classify expects a feature vector, got {features.shape}")
-    return T.softmax(T.matmul(weight, features), axis=-1)
-
-
-def cross_entropy(p: Tensor, label: int) -> Tensor:
-    """Negative log probability of the true class: -log p[label]."""
-    p = T._as_tensor(p)
-    if p.ndim != 1:
-        raise ShapeError(f"cross_entropy expects a probability vector, got {p.shape}")
-    if not 0 <= label < p.shape[0]:
-        raise IndexError(f"label {label} out of range for {p.shape[0]} classes")
-    return T.neg(T.log(T.narrow(p, 0, label, 1)))
 
 
 def cross_entropy_logits(logits: Tensor, labels: np.ndarray,

@@ -375,10 +375,6 @@ def forward_volume(model, volume) -> Tensor:
     v = volume.data if isinstance(volume, Tensor) else np.asarray(volume)
     if v.ndim != 3:
         raise ShapeError(f"forward_volume expects a (D, H, W) volume, got {v.shape}")
-    if tuple(v.shape) != tuple(model.cfg.input_extent):
-        raise ShapeError(
-            f"volume extents {tuple(v.shape)} do not match model input "
-            f"{tuple(model.cfg.input_extent)}; pad the volume to the model extent first")
     probs = model.forward_probs(v[None, None].astype(model.dtype))
     return T.reshape(probs, (model.cfg.class_count,))
 

@@ -9,6 +9,11 @@ output tensor, so reference counting alone frees a finished graph.
 each node's closure fires exactly once and gradients accumulate additively
 across multiple uses of the same tensor.
 
+The API is functional (``T.add(a, b)``, ``T.backward(loss)``); ``Tensor`` has
+no operators. ``conv3d`` and ``avg_pool_global`` take (B, C, D, H, W) maps and
+``matmul`` rank >= 2 operands: one volume is a batch of one, as built by
+``model.forward_volume`` and ``localize.grad_cam``.
+
 Arrays are float32 by default. float64 is supported end to end so
 finite-difference checks can run in double precision. Primitive kernels are
 free to use threaded BLAS internally; a single forward/backward pass is not
@@ -117,58 +122,11 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return (
             f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, "
             f"requires_grad={self.requires_grad})"
         )
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tensor_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return mean(self, axis, keepdims)
 
 
 def _pair(a, b) -> tuple[Tensor, Tensor]:
@@ -448,31 +406,16 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     axes = _norm_axes(axis, a.data.ndim)
-    count = 1
-    for i in axes:
-        count *= a.data.shape[i]
+    count = math.prod(a.data.shape[i] for i in axes)
     return mul(tensor_sum(a, axes, keepdims), 1.0 / count)
 
 
-def mean_var(a, axis=None) -> tuple[Tensor, Tensor]:
-    """Mean and population variance (divide by N) over the given axes."""
-    a = _as_tensor(a)
-    mu = mean(a, axis, keepdims=True)
-    centered = sub(a, mu)
-    var = mean(mul(centered, centered), axis, keepdims=True)
-    axes = _norm_axes(axis, a.data.ndim)
-    kept = tuple(n for i, n in enumerate(a.data.shape) if i not in axes)
-    return reshape(mu, kept), reshape(var, kept)
-
-
 def avg_pool_global(a) -> Tensor:
-    """Mean over the trailing spatial axes of a (B,C,D,H,W) or (C,D,H,W) map."""
+    """Mean over the three spatial axes of a (B, C, D, H, W) map."""
     a = _as_tensor(a)
-    if a.data.ndim == 5:
-        return mean(a, (2, 3, 4))
-    if a.data.ndim == 4:
-        return mean(a, (1, 2, 3))
-    raise ShapeError(f"avg_pool_global expects a 4-d or 5-d tensor, got {a.data.shape}")
+    if a.data.ndim != 5:
+        raise ShapeError(f"avg_pool_global expects (B, C, D, H, W), got {a.data.shape}")
+    return mean(a, (2, 3, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -480,47 +423,31 @@ def avg_pool_global(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Product over the last two axes of rank >= 2 operands; leading axes broadcast."""
     a, b = _pair(a, b)
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0:
-        raise ShapeError("matmul does not accept scalars")
-    a_vec = ad.ndim == 1
-    b_vec = bd.ndim == 1
-    lhs = ad[None, :] if a_vec else ad
-    rhs = bd[:, None] if b_vec else bd
-    if lhs.shape[-1] != rhs.shape[-2]:
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise ShapeError(
+            f"matmul operands must have rank >= 2, got shapes {ad.shape} and {bd.shape}")
+    if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(
             f"matmul: inner extents disagree for shapes {ad.shape} and {bd.shape}"
         )
     try:
-        out_data = np.matmul(lhs, rhs)
+        out_data = np.matmul(ad, bd)
     except ValueError as err:
         raise ShapeError(
             f"matmul: shapes {ad.shape} and {bd.shape} do not broadcast: {err}"
         ) from None
     batch = int(np.prod(out_data.shape[:-2], dtype=np.int64))
-    macs = batch * lhs.shape[-2] * lhs.shape[-1] * rhs.shape[-1]
-    if b_vec:
-        out_data = out_data[..., 0]
-    if a_vec:
-        out_data = out_data[..., 0, :] if not b_vec else out_data[..., 0]
 
     def backward_fn(g):
-        gm = g
-        if a_vec and b_vec:
-            gm = gm.reshape(1, 1)
-        elif a_vec:
-            gm = gm[..., None, :]
-        elif b_vec:
-            gm = gm[..., :, None]
         if a.requires_grad:
-            ga = np.matmul(gm, np.swapaxes(rhs, -1, -2))
-            a._accum(_unbroadcast(ga, lhs.shape).reshape(ad.shape))
+            a._accum(_unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(lhs, -1, -2), gm)
-            b._accum(_unbroadcast(gb, rhs.shape).reshape(bd.shape))
+            b._accum(_unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape))
 
-    return _node(out_data, (a, b), backward_fn, macs)
+    return _node(out_data, (a, b), backward_fn, batch * ad.shape[-2] * ad.shape[-1] * bd.shape[-1])
 
 
 def _pad3(x: np.ndarray, margin: int) -> np.ndarray:
@@ -577,7 +504,7 @@ def _residue_classes(n: int, k: int, stride: int, pad: int) -> list[tuple[int, .
 
 
 def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
-    """3-d cross-correlation over a (C,D,H,W) or (B,C,D,H,W) input.
+    """3-d cross-correlation over a (B, C, D, H, W) input.
 
     Zero padding of ``pad`` voxels on every spatial face, a single integer
     stride shared by all three axes, and summation over input channels. With
@@ -601,16 +528,12 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
       zero-dilated gradient is formed. Stride 1 is the one-class case.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
-    if kernel.data.ndim != 5:
-        raise ShapeError(f"conv3d kernel must be 5-d, got shape {kernel.data.shape}")
-    squeeze = x.data.ndim == 4
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 5:
-        raise ShapeError(f"conv3d input must be 4-d or 5-d, got shape {x.data.shape}")
-    if stride < 1:
-        raise ShapeError(f"conv3d stride must be >= 1, got {stride}")
-    if pad < 0:
-        raise ShapeError(f"conv3d pad must be >= 0, got {pad}")
+    xd = x.data
+    if xd.ndim != 5 or kernel.data.ndim != 5:
+        raise ShapeError(f"conv3d expects a (B, C, D, H, W) input and a 5-d kernel, "
+                         f"got shapes {xd.shape} and {kernel.data.shape}")
+    if stride < 1 or pad < 0:
+        raise ShapeError(f"conv3d needs stride >= 1 and pad >= 0, got {stride} and {pad}")
     B, C, D, H, W = xd.shape
     w = kernel.data
     Co, Ci, kd, kh, kw = w.shape
@@ -632,29 +555,27 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     out_data = np.ascontiguousarray(out_data.reshape(Co, B, *out_ext).transpose(1, 0, 2, 3, 4))
 
     def backward_fn(g):
-        g5 = g[None] if squeeze else g
         if kernel.requires_grad:
             col = _unfold(xd, ksize, stride, pad)
-            g2 = g5.transpose(1, 0, 2, 3, 4).reshape(Co, B * vox)
+            g2 = g.transpose(1, 0, 2, 3, 4).reshape(Co, B * vox)
             kernel._accum(np.matmul(g2, col.T).reshape(w.shape))
         if x.requires_grad:
             classes = [_residue_classes(n, k, stride, pad) for n, k in zip(extents, ksize)]
             margin = max([0] + [max(-lo, hi - n_out) for axis, n_out in zip(classes, out_ext)
                                 for _, _, lo, hi in axis])
-            g5 = _pad3(g5, margin)
+            g = _pad3(g, margin)
             gx = np.zeros(xd.shape, dtype=xd.dtype)
             for (rd, fd, ld, hd), (rh, fh, lh, hh), (rw, fw, lw, hw) in itertools.product(*classes):
                 taps = w[:, :, rd::stride, rh::stride, rw::stride][:, :, ::-1, ::-1, ::-1]
-                window = g5[:, :, margin + ld:margin + hd, margin + lh:margin + hh,
-                            margin + lw:margin + hw]
+                window = g[:, :, margin + ld:margin + hd, margin + lh:margin + hh,
+                           margin + lw:margin + hw]
                 part = np.matmul(taps.transpose(1, 0, 2, 3, 4).reshape(C, -1),
                                  _unfold(window, taps.shape[2:], 1, 0))
                 target = gx[:, :, fd::stride, fh::stride, fw::stride]
                 target[...] = part.reshape(C, B, *target.shape[2:]).transpose(1, 0, 2, 3, 4)
-            x._accum(gx[0] if squeeze else gx)
+            x._accum(gx)
 
-    return _node(out_data[0] if squeeze else out_data, (x, kernel), backward_fn,
-                 B * Co * C * kd * kh * kw * vox)
+    return _node(out_data, (x, kernel), backward_fn, B * Co * C * kd * kh * kw * vox)
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +608,8 @@ class RunningStats:
     Starts uninitialized; the first training batch seeds the averages with
     its own statistics and later batches blend in with the configured
     momentum. Evaluation before any training batch is a state error.
+    ``update`` replaces ``mean`` and ``var`` rather than writing into them,
+    so a caller that keeps the old arrays can put them back.
     """
 
     __slots__ = ("mean", "var")

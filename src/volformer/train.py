@@ -211,7 +211,11 @@ class TrainHistory:
 
 def train_fold(model, train_records: list[SubjectRecord], cfg: TrainConfig
                ) -> TrainHistory:
-    """Train a model in place over pooled, per-epoch-shuffled volumes."""
+    """Train a model in place over pooled, per-epoch-shuffled volumes.
+
+    A batch with a non-finite gradient leaves parameters and batch-norm running
+    statistics as they were; an epoch of only such batches raises
+    ``FloatingPointError``."""
     cfg.validate()
     items = _items(train_records)
     if not items:
@@ -220,6 +224,7 @@ def train_fold(model, train_records: list[SubjectRecord], cfg: TrainConfig
     class_count = model.cfg.class_count
     weights = _class_weights(items, class_count) if cfg.class_weighting else None
     opt = Adam(model.params(), cfg)
+    stats = [layer.stats for _, layer in model.norm_layers()]
     rng = np.random.default_rng(cfg.seed if cfg.deterministic else None)
     history = TrainHistory()
     n = len(items)
@@ -233,19 +238,25 @@ def train_fold(model, train_records: list[SubjectRecord], cfg: TrainConfig
             batch = [items[i] for i in order[start:start + cfg.batch_size]]
             volumes, labels, extras = _stack(batch, dtype)
             T.zero_grads([p for _, p in model.params()])
+            saved = [(s.mean, s.var) for s in stats]
             logits = model.forward_logits(volumes, training=True, **extras)
             batch_w = weights[labels] if weights is not None else None
             loss = cross_entropy_logits(logits, labels, batch_w)
             T.backward(loss)
             if not opt.step(lr):
+                for s, (mean, var) in zip(stats, saved):
+                    s.mean, s.var = mean, var
                 history.skipped_batches += 1
                 log.warning("skipped batch at epoch %d: non-finite gradient", epoch)
                 continue
             loss_sum += float(loss.data) * len(batch)
             correct += int((np.argmax(logits.data, axis=-1) == labels).sum())
             counted += len(batch)
-        history.loss.append(loss_sum / max(counted, 1))
-        history.train_accuracy.append(correct / max(counted, 1))
+        if not counted:
+            raise FloatingPointError(f"all {len(range(0, n, cfg.batch_size))} batches of "
+                                     f"epoch {epoch} had a non-finite gradient")
+        history.loss.append(loss_sum / counted)
+        history.train_accuracy.append(correct / counted)
         history.lr.append(lr)
     return history
 

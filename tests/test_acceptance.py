@@ -19,8 +19,8 @@ from oracles import (conv3d_loops, dga_loops, numeric_grad, pearson_loops,
 from volformer.cli import main
 from volformer.data import (SyntheticSpec, compute_fc, generate_synthetic,
                             plan_folds)
-from volformer.layers import (DGABlock, SGABlock, cross_entropy_logits,
-                              data_norm)
+from volformer.layers import (DataNormLayer, DGABlock, SGABlock,
+                              cross_entropy_logits)
 from volformer.localize import grad_cam, top_fraction_mask
 from volformer.model import (BrainFormer, ModelConfig,
                              estimate_cost, forward_volume,
@@ -101,8 +101,10 @@ def test_01_gradients_match_finite_differences():
     idx = np.array([1, 3, 0])
     cases.append((lambda: T.tensor_sum(T.select_index(a, idx)), [a]))
 
-    def mv():
-        m, v = T.mean_var(a, axis=1)
+    def mv():  # mean and population variance, the chain batch_norm runs
+        m = T.mean(a, 1, keepdims=True)
+        centered = T.sub(a, m)
+        v = T.mean(T.mul(centered, centered), 1, keepdims=True)
         return T.add(T.tensor_sum(T.mul(m, 1.3)), T.tensor_sum(T.mul(v, 0.7)))
     cases.append((mv, [a]))
 
@@ -130,7 +132,7 @@ def test_01_gradients_match_finite_differences():
                                      np.random.default_rng(22)),
                   [bn_x, bn_g, bn_b]))
     dn_in = _t64(rng, 2, 1, 3, 3, 3)
-    cases.append((lambda: _scalarize(data_norm(dn_in),
+    cases.append((lambda: _scalarize(DataNormLayer().forward(dn_in),
                                      np.random.default_rng(23)), [dn_in]))
 
     for f, tensors in cases:
@@ -202,8 +204,9 @@ def test_03_data_norm_affine_invariance():
         v = rng.normal(size=(16, 18, 16)).astype(np.float32)
         a = rng.uniform(0.1, 10.0)
         b = rng.uniform(-5.0, 5.0)
-        base = data_norm(Tensor(v)).data
-        scaled = data_norm(Tensor((a * v + b).astype(np.float32))).data
+        base = DataNormLayer().forward(Tensor(v[None, None])).data[0, 0]
+        scaled = DataNormLayer().forward(
+            Tensor((a * v + b).astype(np.float32)[None, None])).data[0, 0]
         worst = max(worst, float(np.abs(scaled - base).max()))
     ok = worst < tol
     _verdict(3, "data-norm affine invariance", ok,
@@ -219,8 +222,8 @@ def test_04_attention_masks_and_zero_init_identities():
     extreme = rng.normal(size=(10, 8)).astype(np.float32)
     extreme[::2] += 1e4
     extreme[1::2] -= 1e4
-    for z in (rng.normal(size=(10, 8)).astype(np.float32),
-              extreme,
+    for z in (rng.normal(size=(10, 8)).astype(np.float32)[None],
+              extreme[None],
               rng.normal(size=(2, 10, 8)).astype(np.float32)):
         _, masks = block.msa(Tensor(z), return_masks=True)
         assert masks.shape == z.shape[:-2] + (4, 10, 10)
@@ -229,7 +232,7 @@ def test_04_attention_masks_and_zero_init_identities():
     assert worst < tol, f"mask row sums deviate by {worst:.3g}"
 
     # zero-initialized output projections make both blocks start as identities
-    z0 = Tensor(rng.normal(size=(10, 8)).astype(np.float32))
+    z0 = Tensor(rng.normal(size=(10, 8)).astype(np.float32)[None])
     msa_out = block.msa(z0)
     assert np.all(msa_out.data == 0.0)
     assert np.array_equal(T.add(z0, msa_out).data, z0.data)
@@ -238,7 +241,7 @@ def test_04_attention_masks_and_zero_init_identities():
     x = rng.normal(size=(6, 4)).astype(np.float32)
     hidden = np.maximum(sga.w_spatial_in.data @ x, 0.0)
     spatial_only = x + sga.w_spatial_out.data @ hidden
-    got = sga.forward(Tensor(x)).data
+    got = sga.forward(Tensor(x[None])).data[0]
     assert np.array_equal(got, spatial_only), "channel stage not identity at init"
 
     _verdict(4, "attention masks and zero-init identities", True,
@@ -261,7 +264,7 @@ def test_05_cost_ordering_and_measured_scaling():
     def sga_ops(n):
         block = SGABlock(tokens=n, channels=16, spatial_hidden=32,
                          rng=np.random.default_rng(1))
-        x = Tensor(rng.normal(size=(n, 16)).astype(np.float32))
+        x = Tensor(rng.normal(size=(n, 16)).astype(np.float32)[None])
         with T.count_ops() as ops:
             block.forward(x)
         return ops.macs
@@ -269,7 +272,7 @@ def test_05_cost_ordering_and_measured_scaling():
     def dga_ops(n):
         block = DGABlock(tokens=n, channels=8, heads=2,
                          rng=np.random.default_rng(1))
-        x = Tensor(rng.normal(size=(n, 8)).astype(np.float32))
+        x = Tensor(rng.normal(size=(n, 8)).astype(np.float32)[None])
         with T.count_ops() as ops:
             block.forward(x)
         return ops.macs
@@ -360,7 +363,7 @@ def test_08_kernels_match_naive_oracles():
         d, hh, w = (int(rng.integers(k, k + 4)) for _ in range(3))
         x = rng.normal(size=(ci, d, hh, w)).astype(np.float32)
         kern = rng.normal(size=(co, ci, k, k, k)).astype(np.float32)
-        got = T.conv3d(Tensor(x), Tensor(kern), stride=stride, pad=pad).data
+        got = T.conv3d(Tensor(x[None]), Tensor(kern), stride=stride, pad=pad).data[0]
         want = conv3d_loops(x, kern, stride=stride, pad=pad)
         worst["conv3d"] = max(worst["conv3d"], rel_error(got, want))
         if trial % 4 == 0:
@@ -378,7 +381,7 @@ def test_08_kernels_match_naive_oracles():
         block.w_channel_out.data = rng.normal(
             size=block.w_channel_out.shape).astype(np.float32)
         x = rng.normal(size=(n, c)).astype(np.float32)
-        got = block.forward(Tensor(x)).data
+        got = block.forward(Tensor(x[None])).data[0]
         want = sga_loops(x, block.w_spatial_in.data, block.w_spatial_out.data,
                          block.w_channel_in.data, block.w_channel_out.data)
         worst["sga"] = max(worst["sga"], rel_error(got, want))
@@ -391,7 +394,7 @@ def test_08_kernels_match_naive_oracles():
                          rng=np.random.default_rng(int(rng.integers(1e6))))
         block.out_proj.data = rng.normal(size=block.out_proj.shape).astype(np.float32)
         x = rng.normal(size=(n, c)).astype(np.float32)
-        got = block.forward(Tensor(x)).data
+        got = block.forward(Tensor(x[None])).data[0]
         want = dga_loops(x, block.pos_embed.data,
                          np.split(block.qkv.data, heads, axis=1), block.out_proj.data,
                          block.ff_w_in.data, block.ff_b_in.data,

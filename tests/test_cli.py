@@ -148,6 +148,16 @@ def test_gen_invalid_spec_exit_2(tmp_path, capsys):
     assert "blob center" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the float32 cast overflows
+def test_gen_non_finite_volumes_exit_3(tmp_path, capsys):
+    spec_path = tmp_path / "huge.json"
+    spec_path.write_text(json.dumps(dict(SPEC, blob_amplitude=1e39)))
+    rc = main(["gen", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.csv").exists()
+
+
 def test_gen_echoes_resolved_spec(workdir):
     doc = json.loads((workdir / "data" / "resolved_config.json").read_text())
     assert doc["command"] == "gen"
@@ -331,6 +341,26 @@ def test_cv_training_abort_exit_4(workdir, tmp_path, monkeypatch, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 4
     assert "training aborted" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN propagates by design
+def test_cv_all_skipped_epoch_exit_4(workdir, tmp_path, monkeypatch, capsys):
+    import volformer.data
+    generate = volformer.data.generate_synthetic
+
+    def all_nan(spec):
+        records = generate(spec)
+        for rec in records:
+            for sample in rec.fmri_volumes:
+                sample.volume[...] = np.nan
+        return records
+
+    monkeypatch.setattr(volformer.data, "generate_synthetic", all_nan)
+    rc = main(["cv", "--config", str(workdir / "cfg.json"), "--out", str(tmp_path / "o")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "training aborted" in err and "non-finite gradient" in err
+    assert not (tmp_path / "o" / "metrics.json").exists()
 
 
 def test_cv_invalid_json_exit_2(tmp_path, capsys):

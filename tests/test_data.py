@@ -11,14 +11,15 @@ from volformer.data import (FoldPlan, SubjectRecord, SyntheticSpec, VolumeSample
                             load_volume, pad_volume, plan_folds, read_volume,
                             write_dataset, write_volume)
 from volformer.errors import ConfigError, DataError, ParseError, PlanError
-from volformer.layers import data_norm
+from volformer.layers import DataNormLayer
 from volformer.tensor import Tensor
 
 from oracles import classify_by_blob_mean, pearson_loops
 
 
 def _norm(arr):
-    return data_norm(Tensor(np.asarray(arr, dtype=np.float32))).data
+    batch = np.asarray(arr, dtype=np.float32)[None, None]
+    return DataNormLayer().forward(Tensor(batch)).data[0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ def check_grads(f, tensors, tol=1e-5, h=1e-5):
     """Autodiff grads of scalar f(tensors) vs central differences."""
     out = f()
     T.zero_grads(tensors)
-    out.backward()
+    T.backward(out)
     numeric = numeric_grad(lambda: f().item(), tensors, h=h)
     for tt, want in zip(tensors, numeric):
         assert tt.grad is not None
@@ -38,9 +38,12 @@ def check_grads(f, tensors, tol=1e-5, h=1e-5):
 
 
 def test_mean_var_hand_values():
-    m, v = T.mean_var(Tensor([1.0, 2.0, 3.0]))
-    assert m.item() == pytest.approx(2.0, abs=1e-7)
-    assert v.item() == pytest.approx(2.0 / 3.0, abs=1e-7)
+    # Three samples of one channel: batch_norm records their mean and
+    # population variance as the first running statistics.
+    stats = T.RunningStats()
+    T.batch_norm(Tensor([[1.0], [2.0], [3.0]]), Tensor([1.0]), Tensor([0.0]), True, stats)
+    assert stats.mean.item() == pytest.approx(2.0, abs=1e-7)
+    assert stats.var.item() == pytest.approx(2.0 / 3.0, abs=1e-7)
 
 
 def test_matmul_values():
@@ -52,7 +55,7 @@ def test_matmul_values():
 def test_relu_subgradient_zero_at_zero():
     x = t64([-1.0, 0.0, 2.0])
     y = T.tensor_sum(T.relu(x))
-    y.backward()
+    T.backward(y)
     assert np.allclose(x.grad, [0.0, 0.0, 1.0])
 
 
@@ -102,7 +105,7 @@ def test_grad_matmul_batched_and_vector():
     b = t64(rng.normal(size=(2, 4, 3)))
     check_grads(lambda: T.tensor_sum(T.matmul(a, b)), [a, b])
     w = t64(rng.normal(size=(3, 4)))
-    v = t64(rng.normal(size=(4,)))
+    v = t64(rng.normal(size=(4, 1)))  # a vector enters as a column
     check_grads(lambda: T.tensor_sum(T.matmul(w, v)), [w, v])
 
 
@@ -122,7 +125,7 @@ def test_grad_concat_narrow_select():
     def f():
         cat = T.concat([a, b], axis=1)
         mid = T.narrow(cat, 1, 1, 4)
-        return T.tensor_sum(T.mul(T.select_index(cat, labels), 1.5)) + T.tensor_sum(mid)
+        return T.add(T.tensor_sum(T.mul(T.select_index(cat, labels), 1.5)), T.tensor_sum(mid))
 
     check_grads(f, [a, b])
 
@@ -139,8 +142,10 @@ def test_grad_mean_var():
     rng = np.random.default_rng(9)
     x = t64(rng.normal(size=(3, 5)))
 
-    def f():
-        m, v = T.mean_var(x, 1)
+    def f():  # the mean -> center -> variance chain of batch_norm
+        m = T.mean(x, 1, keepdims=True)
+        centered = T.sub(x, m)
+        v = T.mean(T.mul(centered, centered), 1, keepdims=True)
         return T.tensor_sum(T.add(T.mul(m, m), v))
 
     check_grads(f, [x])
@@ -166,16 +171,16 @@ def test_grad_batch_norm_training():
 
 
 @pytest.mark.parametrize("shape,k,stride,pad", [
-    pytest.param((2, 4, 5, 4), 1, 2, 0, id="k1-s2-p0"),  # projection shortcut
-    pytest.param((2, 5, 6, 4), 7, 2, 3, id="k7-s2-p3"),  # stem
+    pytest.param((1, 2, 4, 5, 4), 1, 2, 0, id="k1-s2-p0"),  # projection shortcut
+    pytest.param((1, 2, 5, 6, 4), 7, 2, 3, id="k7-s2-p3"),  # stem
     # (D + 2p - k) % stride != 0 on D and W: the last padded face is never read
-    pytest.param((2, 4, 5, 4), 3, 2, 1, id="k3-s2-p1"),
-    pytest.param((2, 3, 4, 3), 1, 1, 1, id="k1-s1-p1"),  # pad > k - 1
+    pytest.param((1, 2, 4, 5, 4), 3, 2, 1, id="k3-s2-p1"),
+    pytest.param((1, 2, 3, 4, 3), 1, 1, 1, id="k1-s1-p1"),  # pad > k - 1
 ])
 def test_grad_conv3d(shape, k, stride, pad):
     rng = np.random.default_rng(12)
     x = t64(rng.normal(size=shape))
-    w = t64(rng.normal(size=(3, shape[0], k, k, k)))
+    w = t64(rng.normal(size=(3, shape[1], k, k, k)))
     m = Tensor(rng.normal(size=T.conv3d(x, w, stride, pad).shape))
     check_grads(lambda: T.tensor_sum(T.mul(T.conv3d(x, w, stride=stride, pad=pad), m)),
                 [x, w], tol=1e-4)
@@ -219,7 +224,7 @@ def test_conv3d_adjoint_fuzz():
         assert y.shape == want.shape
         assert rel_error(y.data, want) < 1e-12, (xs, ws, stride, pad)
         g = rng.normal(size=y.shape)
-        T.tensor_sum(T.mul(y, Tensor(g))).backward()
+        T.backward(T.tensor_sum(T.mul(y, Tensor(g))))
         pairing = np.vdot(g, y.data)
         for grad, value in ((x.grad, x.data), (w.grad, w.data)):
             scale = max(np.abs(g * y.data).sum(), np.abs(grad * value).sum())
@@ -258,34 +263,34 @@ def test_conv3d_matches_loop_oracle(shape, kout, k, stride, pad):
     rng = np.random.default_rng(hash((shape, kout, k, stride, pad)) % 2**32)
     x = rng.normal(size=shape)
     w = rng.normal(size=(kout, shape[0], k, k, k))
-    got = T.conv3d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64), stride, pad)
+    got = T.conv3d(Tensor(x[None], dtype=np.float64), Tensor(w, dtype=np.float64), stride, pad)
     want = conv3d_loops(x, w, stride, pad)
-    assert got.data.shape == want.shape
-    assert rel_error(got.data, want) < 1e-6
+    assert got.data[0].shape == want.shape
+    assert rel_error(got.data[0], want) < 1e-6
 
 
 def test_conv3d_ceil_output_extents():
     # Same-padded stride-2 convs halve extents with ceiling rounding.
     for extent, want in [(9, 5), (5, 3), (2, 1), (16, 8), (18, 9)]:
-        x = Tensor(np.zeros((1, extent, 4, 4), dtype=np.float32))
+        x = Tensor(np.zeros((1, 1, extent, 4, 4), dtype=np.float32))
         w = Tensor(np.zeros((1, 1, 3, 3, 3), dtype=np.float32))
         out = T.conv3d(x, w, stride=2, pad=1)
-        assert out.shape[1] == want
-    x = Tensor(np.zeros((1, 64, 72, 64), dtype=np.float32))
+        assert out.shape[2] == want
+    x = Tensor(np.zeros((1, 1, 64, 72, 64), dtype=np.float32))
     w = Tensor(np.zeros((2, 1, 7, 7, 7), dtype=np.float32))
-    assert T.conv3d(x, w, stride=2, pad=3).shape == (2, 32, 36, 32)
+    assert T.conv3d(x, w, stride=2, pad=3).shape == (1, 2, 32, 36, 32)
 
 
 def test_conv3d_channel_mismatch_names_shapes():
-    x = Tensor(np.zeros((2, 4, 4, 4)))
+    x = Tensor(np.zeros((1, 2, 4, 4, 4)))
     w = Tensor(np.zeros((1, 3, 3, 3, 3)))
     with pytest.raises(ShapeError) as exc:
         T.conv3d(x, w, 1, 1)
-    assert "(2, 4, 4, 4)" in str(exc.value) and "(1, 3, 3, 3, 3)" in str(exc.value)
+    assert "(1, 2, 4, 4, 4)" in str(exc.value) and "(1, 3, 3, 3, 3)" in str(exc.value)
 
 
 def test_conv3d_kernel_exceeds_padded_input():
-    x = Tensor(np.zeros((1, 2, 2, 2)))
+    x = Tensor(np.zeros((1, 1, 2, 2, 2)))
     w = Tensor(np.zeros((1, 1, 7, 7, 7)))
     with pytest.raises(ShapeError):
         T.conv3d(x, w, 1, 1)
@@ -304,14 +309,14 @@ def test_matmul_shape_error_names_both_shapes():
 def test_gradients_accumulate_across_uses():
     x = t64([3.0])
     y = T.add(T.mul(x, x), x)  # d/dx (x^2 + x) = 2x + 1
-    T.tensor_sum(y).backward()
+    T.backward(T.tensor_sum(y))
     assert np.allclose(x.grad, [7.0])
 
 
 def test_untracked_tensor_never_receives_grad():
     x = t64([1.0, 2.0])
     c = Tensor(np.array([3.0, 4.0]), requires_grad=False)
-    T.tensor_sum(T.mul(x, c)).backward()
+    T.backward(T.tensor_sum(T.mul(x, c)))
     assert c.grad is None
     assert np.allclose(x.grad, [3.0, 4.0])
 
@@ -319,12 +324,12 @@ def test_untracked_tensor_never_receives_grad():
 def test_backward_rejects_non_scalar():
     x = t64([[1.0, 2.0]])
     with pytest.raises(ShapeError):
-        T.mul(x, 2.0).backward()
+        T.backward(T.mul(x, 2.0))
 
 
 def test_backward_without_tracked_inputs_is_state_error():
     with pytest.raises(StateError):
-        T.tensor_sum(Tensor([1.0, 2.0])).backward()
+        T.backward(T.tensor_sum(Tensor([1.0, 2.0])))
 
 
 # name -> (call, input shapes, count_ops units); inputs are drawn in [0.5, 2)
@@ -346,7 +351,7 @@ PRIMITIVES = {
     "select_index": (lambda a: T.select_index(a, [2, 0]), [(2, 3)], 0),
     "tensor_sum": (lambda a: T.tensor_sum(a, 1), [(2, 3)], 6),
     "matmul": (T.matmul, [(3, 4), (4, 5)], 3 * 4 * 5),
-    "conv3d": (lambda x, k: T.conv3d(x, k, 1, 1), [(2, 4, 4, 4), (3, 2, 3, 3, 3)],
+    "conv3d": (lambda x, k: T.conv3d(x, k, 1, 1), [(1, 2, 4, 4, 4), (3, 2, 3, 3, 3)],
                3 * 2 * 27 * 64),
 }
 
@@ -379,7 +384,7 @@ def test_finished_graph_is_freed_without_cyclic_gc():
     try:
         loss = cross_entropy_logits(model.forward_logits(x, training=True),
                                     np.array([0, 1]))
-        loss.backward()
+        T.backward(loss)
         del loss
         gc.collect()
         leaked = sum(isinstance(obj, Tensor) for obj in gc.garbage)
@@ -395,7 +400,7 @@ def test_backward_visits_shared_subgraph_once():
     x = t64([2.0])
     shared = T.mul(x, x)
     total = T.add(T.tensor_sum(shared), T.tensor_sum(T.mul(shared, 3.0)))
-    total.backward()
+    T.backward(total)
     # d/dx (x^2 + 3x^2) = 8x
     assert np.allclose(x.grad, [16.0])
 
@@ -409,11 +414,11 @@ def test_split_batch_gradients_match_full_batch():
         return T.tensor_sum(T.relu(T.matmul(Tensor(batch, dtype=np.float64), w)))
 
     T.zero_grads([w])
-    loss_for(x).backward()
+    T.backward(loss_for(x))
     full = w.grad.copy()
     T.zero_grads([w])
-    loss_for(x[:3]).backward()
-    loss_for(x[3:]).backward()
+    T.backward(loss_for(x[:3]))
+    T.backward(loss_for(x[3:]))
     assert rel_error(w.grad, full) < 1e-12
 
 
@@ -421,7 +426,7 @@ def test_dtype_follows_inputs():
     x32 = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     y = T.mul(T.add(x32, 1.0), 0.5)
     assert y.dtype == np.float32
-    T.tensor_sum(y).backward()
+    T.backward(T.tensor_sum(y))
     assert x32.grad.dtype == np.float32
     x64 = t64(np.ones((2, 2)))
     assert T.mul(x64, 2.0).dtype == np.float64
@@ -504,7 +509,7 @@ def test_cross_entropy_gradient_is_probs_minus_onehot():
     logits = t64(rng.normal(size=(3, 4)))
     labels = np.array([1, 3, 0])
     nll = T.neg(T.select_index(T.log_softmax(logits, -1), labels))
-    T.tensor_sum(nll).backward()
+    T.backward(T.tensor_sum(nll))
     p = T.softmax(Tensor(logits.data), -1).data
     onehot = np.zeros((3, 4))
     onehot[np.arange(3), labels] = 1.0

@@ -206,10 +206,57 @@ def test_train_fold_skips_nonfinite_batches():
     model = _tiny_model(seed=4)
     snapshot = [p.data.copy() for _, p in model.params()]
     cfg = TrainConfig(epochs=1, batch_size=16, lr=1e-3, lr_drop_epoch=1)
-    history = train_fold(model, records, cfg)
-    assert history.skipped_batches == 1  # the single batch held the bad volume
+    # The single batch held the bad volume, so the whole epoch is skipped.
+    with pytest.raises(FloatingPointError, match="all 1 batches of epoch 1"):
+        train_fold(model, records, cfg)
     for snap, (_, p) in zip(snapshot, model.params()):
         assert np.array_equal(snap, p.data)
+    assert all(not layer.stats.initialized() for _, layer in model.norm_layers())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN propagates by design
+def test_nan_volume_leaves_bn_running_stats_finite():
+    records = generate_synthetic(SyntheticSpec(subjects_per_class_per_site=3,
+                                               volumes_per_subject=2))
+    records[0].fmri_volumes[0].volume[3, 4, 5] = np.nan
+    model = BrainFormer(ModelConfig.desk(), seed=0)
+    history = train_fold(model, records, TrainConfig(epochs=2, batch_size=4, lr_drop_epoch=2))
+    assert history.skipped_batches == 2  # one batch per epoch holds the NaN voxel
+    assert len(model.norm_layers()) == 20
+    for _, layer in model.norm_layers():
+        assert np.all(np.isfinite(layer.stats.mean)) and np.all(np.isfinite(layer.stats.var))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf propagates by design
+def test_skipped_step_leaves_bn_running_stats_bitwise_unchanged(monkeypatch):
+    records = generate_synthetic(_tiny_spec())
+    records[1].fmri_volumes[0].volume[0, 0, 0] = np.inf
+    model = _tiny_model(seed=1)
+
+    def stats_bytes():
+        return [(s.mean.tobytes(), s.var.tobytes()) if s.initialized() else None
+                for s in (layer.stats for _, layer in model.norm_layers())]
+
+    before = []  # BN stats as each step's forward pass found them
+    forward = model.forward_logits
+
+    def spy_forward(*args, **kwargs):
+        before.append(stats_bytes())
+        return forward(*args, **kwargs)
+
+    accepted = []
+    step = Adam.step
+    monkeypatch.setattr(model, "forward_logits", spy_forward)
+    monkeypatch.setattr(Adam, "step", lambda opt, lr: accepted.append(step(opt, lr))
+                        or accepted[-1])
+    history = train_fold(model, records, TrainConfig(epochs=2, batch_size=4,
+                                                     lr_drop_epoch=2))
+    before.append(stats_bytes())
+    skipped = [i for i, ok in enumerate(accepted) if not ok]
+    assert history.skipped_batches == len(skipped) == 2
+    assert any(before[i][0] is not None for i in skipped)  # stats already seeded
+    for i in skipped:  # the stats after step i are those the next step starts from
+        assert before[i + 1] == before[i]
 
 
 def test_train_fold_rejects_empty():
