@@ -203,8 +203,8 @@ def cmd_gen(args) -> int:
         spec = replace(spec, seed=args.seed)
         spec.validate()
     out = Path(args.out)
-    _write_resolved(out, {"command": "gen", "synthetic": spec.to_dict()}, args.force)
     records = generate_synthetic(spec)
+    _write_resolved(out, {"command": "gen", "synthetic": spec.to_dict()}, args.force)
     manifest = write_dataset(records, out)
     n_vol = sum(len(r.fmri_volumes) for r in records)
     print(f"wrote {len(records)} subjects ({n_vol} fmri volumes) to {out}")

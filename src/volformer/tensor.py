@@ -7,7 +7,13 @@ contributions. Closures capture the inputs and the arrays they read, never the
 output tensor, so reference counting alone frees a finished graph.
 ``backward`` walks that implicit tape once in reverse topological order, so
 each node's closure fires exactly once and gradients accumulate additively
-across multiple uses of the same tensor.
+across multiple uses of the same tensor. The sweep consumes the graph: a
+node drops its closure and parents once its closure has run, so what the
+caller does not hold is freed as the sweep passes. Held tensors keep their
+``.grad``; a second sweep that reaches a consumed node is a ``StateError``.
+``batch_norm`` is one node that keeps ``x`` and per-channel vectors, with the
+closed-form backward of Ioffe & Szegedy (2015); its docstring gives the
+formulas and its ``count_ops`` units.
 
 The API is functional (``T.add(a, b)``, ``T.backward(loss)``); ``Tensor`` has
 no operators. ``conv3d`` and ``avg_pool_global`` take (B, C, D, H, W) maps and
@@ -630,6 +636,29 @@ class RunningStats:
             self.var = (1.0 - momentum) * self.var + momentum * batch_var
 
 
+def _moments(xd: np.ndarray, axes: tuple[int, ...]):
+    """Mean, centered copy and population variance of ``xd`` over ``axes``
+    (reduced axes kept); the caller may overwrite the centered copy."""
+    mu = xd.mean(axis=axes, keepdims=True)
+    c = xd - mu
+    return mu, c, np.square(c).mean(axis=axes, keepdims=True)
+
+
+def _standardize_grad(g, c, gc, s, ds, axes: tuple[int, ...]) -> np.ndarray:
+    """Input gradient of y = c·s(v), with c = x − mean(x) and v = mean(c²).
+
+    Over ``axes`` (N elements a group), dx = s·(g − mean g) + (2/N)·s′(v)·Σ(g·c)·c,
+    given ``gc`` = Σ(g·c) and ``ds`` = s′(v) with reduced axes kept; Σc = 0
+    removes the mean subtraction from the second term. Overwrites ``c``.
+    """
+    n = g.size // gc.size
+    gx = g - g.mean(axis=axes, keepdims=True)
+    gx *= s
+    c *= (2.0 / n) * ds * gc
+    gx += c
+    return gx
+
+
 def batch_norm(x, gamma, beta, training: bool, stats: RunningStats | None = None,
                eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
     """Per-channel standardization over batch and spatial axes, then affine.
@@ -637,46 +666,79 @@ def batch_norm(x, gamma, beta, training: bool, stats: RunningStats | None = None
     ``x`` is (B, C, ...) with channels on axis 1. Training mode normalizes
     with batch statistics (population variance) and updates ``stats``;
     evaluation mode requires previously accumulated ``stats``.
+
+    One tape node, y = (x − μ)·inv·γ + β with inv = 1/sqrt(var + eps). Its
+    closure keeps ``x``'s array and per-channel vectors and recomputes
+    x̂ = (x − μ)·inv. Training backward is the closed form
+    gx = inv·γ·(g − mean g − x̂·mean(g·x̂)); in evaluation mode μ and inv are
+    constants and gx = g·inv·γ; in both gγ = Σ g·x̂ and gβ = Σ g.
+    ``count_ops``: 6 units per element of ``x`` in training mode (mean,
+    center, square, variance sum, scale, shift), 3 in evaluation mode.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    if x.data.ndim < 2:
-        raise ShapeError(f"batch_norm input must have a channel axis, got {x.data.shape}")
-    C = x.data.shape[1]
+    xd = x.data
+    if xd.ndim < 2:
+        raise ShapeError(f"batch_norm input must have a channel axis, got {xd.shape}")
+    C = xd.shape[1]
     if gamma.data.shape != (C,) or beta.data.shape != (C,):
         raise ShapeError(
             f"batch_norm: gamma/beta shapes {gamma.data.shape}/{beta.data.shape} "
             f"do not match {C} channels"
         )
-    axes = (0,) + tuple(range(2, x.data.ndim))
-    bshape = (1, C) + (1,) * (x.data.ndim - 2)
+    axes = (0,) + tuple(range(2, xd.ndim))
+    bshape = (1, C) + (1,) * (xd.ndim - 2)
     if training:
-        if x.data.shape[0] < 1:
+        if xd.shape[0] < 1:
             raise ShapeError("batch_norm training mode requires a non-empty batch")
-        mu = mean(x, axes, keepdims=True)
-        centered = sub(x, mu)
-        var = mean(mul(centered, centered), axes, keepdims=True)
+        mu, y, var = _moments(xd, axes)
         if stats is not None:
-            stats.update(mu.data.reshape(C).astype(np.float64),
-                         var.data.reshape(C).astype(np.float64), momentum)
-        xhat = div(centered, sqrt(add(var, eps)))
+            stats.update(mu.reshape(C).astype(np.float64),
+                         var.reshape(C).astype(np.float64), momentum)
+        inv = 1.0 / np.sqrt(var + eps)
     else:
         if stats is None or not stats.initialized():
             raise StateError(
                 "batch_norm evaluation mode requires running statistics; "
                 "train at least one batch first"
             )
-        mu = Tensor(stats.mean.reshape(bshape).astype(x.data.dtype))
-        denom = Tensor(np.sqrt(stats.var + eps).reshape(bshape).astype(x.data.dtype))
-        xhat = div(sub(x, mu), denom)
-    return add(mul(xhat, reshape(gamma, bshape)), reshape(beta, bshape))
+        mu = stats.mean.reshape(bshape).astype(xd.dtype)
+        inv = (1.0 / np.sqrt(stats.var + eps)).reshape(bshape).astype(xd.dtype)
+        y = xd - mu
+    scale = inv * gamma.data.reshape(bshape)
+    y *= scale
+    y += beta.data.reshape(bshape)
+
+    def backward_fn(g):
+        c = xd - mu
+        gc = (g * c).sum(axis=axes, keepdims=True)
+        if gamma.requires_grad:
+            gamma._accum((gc * inv).reshape(C))
+        if beta.requires_grad:
+            beta._accum(g.sum(axis=axes).reshape(C))
+        if x.requires_grad:
+            if training:
+                x._accum(_standardize_grad(g, c, gc, scale, -0.5 * scale * inv * inv, axes))
+            else:
+                x._accum(g * scale)
+
+    return _node(y, (x, gamma, beta), backward_fn, (6 if training else 3) * xd.size)
 
 
 # ---------------------------------------------------------------------------
 # backward sweep
 
 
+def _swept(g):
+    """Closure left on a node that a ``backward`` sweep has passed."""
+    raise StateError("backward: this graph was already consumed by an earlier sweep")
+
+
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss through the recorded graph."""
+    """Reverse-mode sweep from a scalar loss through the recorded graph.
+
+    Consumes the graph (see the module docstring). A sweep that would reach
+    a consumed node raises ``StateError`` before any gradient is touched.
+    """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -691,15 +753,22 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._backward is _swept:
+            _swept(node.grad)
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    while topo:
+        node = topo.pop()
+        fn = node._backward
+        if fn is None:
+            continue
+        node._backward, node._parents = _swept, ()
+        if node.grad is not None:
+            fn(node.grad)
 
 
 def zero_grads(tensors) -> None:

@@ -171,3 +171,46 @@ def adam_trajectory(p0, grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
         out.append(p.copy())
     return out
+
+
+# ---------------------------------------------------------------------------
+# Composite normalization chains, built from tape primitives one step at a
+# time. ``tensor.batch_norm`` and ``layers._standardize`` are single nodes
+# with a closed-form backward; these chains are the reference the fused
+# outputs and gradients are checked against.
+
+
+def batch_norm_chain(x, gamma, beta, training: bool, stats=None, eps: float = 1e-5):
+    """Batch norm as mean -> center -> variance -> divide -> affine nodes.
+
+    Training mode uses the batch statistics; evaluation mode the running
+    ``stats`` (their ``mean`` and ``var``). ``stats`` is never updated.
+    """
+    from volformer import tensor as T
+    C = x.shape[1]
+    axes = (0,) + tuple(range(2, x.ndim))
+    bshape = (1, C) + (1,) * (x.ndim - 2)
+    if training:
+        mu = T.mean(x, axes, keepdims=True)
+        centered = T.sub(x, mu)
+        var = T.mean(T.mul(centered, centered), axes, keepdims=True)
+        xhat = T.div(centered, T.sqrt(T.add(var, eps)))
+    else:
+        mu = T.Tensor(stats.mean.reshape(bshape).astype(x.dtype))
+        denom = T.Tensor(np.sqrt(stats.var + eps).reshape(bshape).astype(x.dtype))
+        xhat = T.div(T.sub(x, mu), denom)
+    return T.add(T.mul(xhat, T.reshape(gamma, bshape)), T.reshape(beta, bshape))
+
+
+def standardize_chain(x, axes, epsilon: float):
+    """Per-sample standardization with the constant-sample guard, node by node."""
+    from volformer import tensor as T
+    mu = T.mean(x, axes, keepdims=True)
+    centered = T.sub(x, mu)
+    var = T.mean(T.mul(centered, centered), axes, keepdims=True)
+    std = T.sqrt(var)
+    alive = (x.data.max(axis=axes, keepdims=True)
+             > x.data.min(axis=axes, keepdims=True)).astype(x.dtype)
+    floor = float(np.finfo(x.dtype).tiny)
+    denom = T.add(T.mul(std, 1.0 + epsilon), T.Tensor((1.0 - alive) + floor))
+    return T.div(T.mul(centered, T.Tensor(alive)), denom)

@@ -158,6 +158,18 @@ def test_gen_non_finite_volumes_exit_3(tmp_path, capsys):
     assert not (tmp_path / "out" / "manifest.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the float32 cast overflows
+def test_failed_gen_does_not_block_its_corrected_rerun(tmp_path):
+    out = tmp_path / "out"
+    bad, good = tmp_path / "huge.json", tmp_path / "spec.json"
+    bad.write_text(json.dumps(dict(SPEC, blob_amplitude=1e39)))
+    good.write_text(json.dumps(SPEC))
+    assert main(["gen", "--spec", str(bad), "--out", str(out)]) == 3
+    assert not (out / "resolved_config.json").exists()
+    assert main(["gen", "--spec", str(good), "--out", str(out)]) == 0
+    assert (out / "manifest.csv").exists()
+
+
 def test_gen_echoes_resolved_spec(workdir):
     doc = json.loads((workdir / "data" / "resolved_config.json").read_text())
     assert doc["command"] == "gen"

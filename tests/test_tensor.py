@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import conv3d_loops, numeric_grad, rel_error
+from oracles import (batch_norm_chain, conv3d_loops, numeric_grad, rel_error,
+                     standardize_chain)
 from volformer.errors import ShapeError, StateError
 from volformer import tensor as T
-from volformer.layers import cross_entropy_logits
+from volformer.layers import _standardize, cross_entropy_logits
 from volformer.model import BrainFormer, ModelConfig
 from volformer.tensor import Tensor
 
@@ -168,6 +169,86 @@ def test_grad_batch_norm_training():
         lambda: T.tensor_sum(T.mul(T.batch_norm(x, gamma, beta, True), w)),
         [x, gamma, beta], tol=1e-4,
     )
+
+
+def test_grad_batch_norm_eval():
+    rng = np.random.default_rng(23)
+    x = t64(rng.normal(size=(2, 3, 2, 2, 2)))
+    gamma = t64(rng.uniform(0.5, 1.5, size=3))
+    beta = t64(rng.normal(size=3))
+    w = Tensor(rng.normal(size=(2, 3, 2, 2, 2)))
+    stats = T.RunningStats(rng.normal(size=3), rng.uniform(0.5, 2.0, size=3))
+    check_grads(
+        lambda: T.tensor_sum(T.mul(T.batch_norm(x, gamma, beta, False, stats), w)),
+        [x, gamma, beta], tol=1e-4,
+    )
+
+
+def _norm_cases():
+    """(B, C[, D, H, W]) shapes with B 1-3 and C 1-4, 2-d and 5-d."""
+    rng = np.random.default_rng(24)
+    for B, C, ndim in itertools.product((1, 2, 3), range(1, 5), (2, 5)):
+        yield (B, C) + tuple(int(n) for n in rng.integers(1, 4, size=ndim - 2))
+
+
+@pytest.mark.parametrize("mode", ["train", "eval", "standardize"])
+def test_fused_norms_match_composite_chains(mode):
+    """The single-node norms against the primitive chains in ``oracles``:
+    outputs and every input, gamma and beta gradient, float64, 1e-12.
+
+    Where few elements share a mean, the input gradient nearly or exactly
+    cancels (two elements standardize to +-1 whatever their values), so it
+    is compared relative to the terms it sums, |w| * |y scale|, as well as
+    to itself."""
+    rng = np.random.default_rng(25)
+    for shape in _norm_cases():
+        x = rng.normal(2.0, 3.0, size=shape)
+        if mode == "standardize" and shape[0] > 1:
+            x[0] = 0.7  # a constant sample maps to zeros with zero gradient
+        gamma, beta = rng.uniform(0.5, 1.5, size=shape[1]), rng.normal(size=shape[1])
+        stats = T.RunningStats(rng.normal(size=shape[1]), rng.uniform(0.5, 2.0, size=shape[1]))
+        w = rng.normal(size=shape)
+        axes = (0,) + tuple(range(2, len(shape)))
+        sample_std = x.std(axis=tuple(range(1, len(shape))))
+        y_scale = {"train": gamma.max() / np.sqrt(x.var(axis=axes).min() + 1e-5),
+                   "eval": gamma.max() / np.sqrt(stats.var.min() + 1e-5),
+                   "standardize": 1.0 / sample_std[sample_std > 0].min(initial=np.inf)}[mode]
+        results = []
+        for fused in (True, False):
+            ins = [t64(x.copy()), t64(gamma), t64(beta)]
+            if mode == "standardize":
+                norm = _standardize if fused else standardize_chain
+                y = norm(ins[0], tuple(range(1, len(shape))), 1e-6)
+                ins = ins[:1]
+            else:
+                norm = T.batch_norm if fused else batch_norm_chain
+                y = norm(*ins, mode == "train", stats)
+            T.backward(T.tensor_sum(T.mul(y, Tensor(w))))
+            results.append([y.data] + [t.grad for t in ins])
+        floors = [0.0, np.abs(w).max() * y_scale, 0.0, 0.0]
+        for got, want, floor in zip(*results, floors):
+            err = np.abs(got - want).max()
+            assert err <= 1e-12 * max(np.abs(want).max(), np.abs(got).max(), floor), \
+                (mode, shape, err)
+        if mode == "standardize" and shape[0] > 1:
+            assert not np.any(results[0][0][0]) and not np.any(results[0][1][0])
+
+
+def test_batch_norm_retains_at_most_twice_its_input():
+    rng = np.random.default_rng(26)
+    x = Tensor(rng.normal(size=(2, 8, 8, 9, 8)).astype(np.float32), requires_grad=True)
+    gamma = Tensor(np.ones(8, dtype=np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = T.batch_norm(x, gamma, beta, training=True)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad
+    # The output plus per-channel vectors; a saved x-hat would be a third copy.
+    assert retained <= 2 * x.data.nbytes + 8192, retained
 
 
 @pytest.mark.parametrize("shape,k,stride,pad", [
@@ -353,6 +434,12 @@ PRIMITIVES = {
     "matmul": (T.matmul, [(3, 4), (4, 5)], 3 * 4 * 5),
     "conv3d": (lambda x, k: T.conv3d(x, k, 1, 1), [(1, 2, 4, 4, 4), (3, 2, 3, 3, 3)],
                3 * 2 * 27 * 64),
+    # 6 units per element of x in training mode and 3 in evaluation mode
+    "batch_norm_train": (lambda x, g, b: T.batch_norm(x, g, b, True),
+                         [(2, 3, 2, 2, 2), (3,), (3,)], 6 * 48),
+    "batch_norm_eval": (lambda x, g, b: T.batch_norm(
+        x, g, b, False, T.RunningStats(np.full(3, 1.2), np.full(3, 0.8))),
+        [(2, 3, 2, 2, 2), (3,), (3,)], 3 * 48),
 }
 
 
@@ -394,6 +481,31 @@ def test_finished_graph_is_freed_without_cyclic_gc():
         if was_enabled:
             gc.enable()
     assert leaked == 0, f"{leaked} tensors were only freed by the cyclic GC"
+
+
+def test_second_backward_over_swept_graph_is_state_error():
+    x = t64([1.0, 2.0])
+    y = T.tensor_sum(T.mul(x, x))
+    T.backward(y)
+    assert y._backward is not None and y._parents == ()
+    with pytest.raises(StateError, match="already consumed"):
+        T.backward(y)
+    with pytest.raises(StateError, match="already consumed"):
+        T.backward(T.mul(y, 2.0))  # a new graph on top of the swept one
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_held_activations_keep_their_grad_after_the_sweep():
+    model = BrainFormer(ModelConfig.desk(), seed=0)
+    rng = np.random.default_rng(27)
+    x = Tensor(rng.normal(size=(2, 1) + model.cfg.input_extent).astype(np.float32))
+    logits, trace = model.forward_trace(x, training=True)
+    stem = trace["stem"]
+    T.backward(cross_entropy_logits(logits, np.array([0, 1])))
+    assert stem._parents == ()
+    assert stem.grad is not None and stem.grad.shape == stem.shape
+    assert np.all(np.isfinite(stem.grad)) and np.any(stem.grad != 0)
+    assert logits.grad is not None and logits.grad.shape == logits.shape
 
 
 def test_backward_visits_shared_subgraph_once():
