@@ -30,29 +30,17 @@ def _standardize(x: Tensor, axes: tuple[int, ...], epsilon: float) -> Tensor:
     invariant to affine intensity transforms a*x + b with a > 0. Samples that
     are exactly constant are masked to all zeros with clean zero gradients
     instead of dividing rounding noise by a vanishing deviation.
-
-    One tape node, y = (x − μ)·s(v) with s = alive / denom, differentiated by
-    ``T._standardize_grad``; it keeps ``x``'s array and per-sample vectors.
-    ``count_ops``: 7 units per element (mean, center, square, variance sum,
-    max, min, scale).
     """
-    xd = x.data
-    mu, y, var = T._moments(xd, axes)
-    std = np.sqrt(var)
-    alive = (xd.max(axis=axes, keepdims=True) > xd.min(axis=axes, keepdims=True)).astype(xd.dtype)
-    floor = np.finfo(xd.dtype).tiny
-    denom = std * (1.0 + epsilon) + (1.0 - alive) + floor
-    s = alive / denom
-    # s'(v); the floor keeps it finite at std = 0, where s is 0.
-    ds = -s * (1.0 + epsilon) / (2.0 * np.maximum(std, floor) * denom)
-    y *= s
-
-    def backward_fn(g):
-        c = xd - mu
-        gc = (g * c).sum(axis=axes, keepdims=True)
-        x._accum(T._standardize_grad(g, c, gc, s, ds, axes))
-
-    return T._node(y, (x,), backward_fn, 7 * xd.size)
+    mu = T.mean(x, axes, keepdims=True)
+    centered = T.sub(x, mu)
+    var = T.mean(T.mul(centered, centered), axes, keepdims=True)
+    std = T.sqrt(var)
+    vmax = x.data.max(axis=axes, keepdims=True)
+    vmin = x.data.min(axis=axes, keepdims=True)
+    alive = (vmax > vmin).astype(x.data.dtype)
+    floor = float(np.finfo(x.data.dtype).tiny)
+    denom = T.add(T.mul(std, 1.0 + epsilon), Tensor((1.0 - alive) + floor))
+    return T.div(T.mul(centered, Tensor(alive)), denom)
 
 
 class DataNormLayer:

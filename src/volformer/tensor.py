@@ -636,29 +636,6 @@ class RunningStats:
             self.var = (1.0 - momentum) * self.var + momentum * batch_var
 
 
-def _moments(xd: np.ndarray, axes: tuple[int, ...]):
-    """Mean, centered copy and population variance of ``xd`` over ``axes``
-    (reduced axes kept); the caller may overwrite the centered copy."""
-    mu = xd.mean(axis=axes, keepdims=True)
-    c = xd - mu
-    return mu, c, np.square(c).mean(axis=axes, keepdims=True)
-
-
-def _standardize_grad(g, c, gc, s, ds, axes: tuple[int, ...]) -> np.ndarray:
-    """Input gradient of y = c·s(v), with c = x − mean(x) and v = mean(c²).
-
-    Over ``axes`` (N elements a group), dx = s·(g − mean g) + (2/N)·s′(v)·Σ(g·c)·c,
-    given ``gc`` = Σ(g·c) and ``ds`` = s′(v) with reduced axes kept; Σc = 0
-    removes the mean subtraction from the second term. Overwrites ``c``.
-    """
-    n = g.size // gc.size
-    gx = g - g.mean(axis=axes, keepdims=True)
-    gx *= s
-    c *= (2.0 / n) * ds * gc
-    gx += c
-    return gx
-
-
 def batch_norm(x, gamma, beta, training: bool, stats: RunningStats | None = None,
                eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
     """Per-channel standardization over batch and spatial axes, then affine.
@@ -690,7 +667,9 @@ def batch_norm(x, gamma, beta, training: bool, stats: RunningStats | None = None
     if training:
         if xd.shape[0] < 1:
             raise ShapeError("batch_norm training mode requires a non-empty batch")
-        mu, y, var = _moments(xd, axes)
+        mu = xd.mean(axis=axes, keepdims=True)
+        y = xd - mu
+        var = np.square(y).mean(axis=axes, keepdims=True)
         if stats is not None:
             stats.update(mu.reshape(C).astype(np.float64),
                          var.reshape(C).astype(np.float64), momentum)
@@ -709,17 +688,23 @@ def batch_norm(x, gamma, beta, training: bool, stats: RunningStats | None = None
     y += beta.data.reshape(bshape)
 
     def backward_fn(g):
-        c = xd - mu
-        gc = (g * c).sum(axis=axes, keepdims=True)
+        xhat = xd - mu
+        xhat *= inv
+        gxhat = (g * xhat).sum(axis=axes, keepdims=True)
         if gamma.requires_grad:
-            gamma._accum((gc * inv).reshape(C))
+            gamma._accum(gxhat.reshape(C))
         if beta.requires_grad:
             beta._accum(g.sum(axis=axes).reshape(C))
-        if x.requires_grad:
-            if training:
-                x._accum(_standardize_grad(g, c, gc, scale, -0.5 * scale * inv * inv, axes))
-            else:
-                x._accum(g * scale)
+        if not x.requires_grad:
+            return
+        if not training:
+            x._accum(g * scale)
+            return
+        gx = g - g.mean(axis=axes, keepdims=True)
+        xhat *= gxhat * (C / xd.size)
+        gx -= xhat
+        gx *= scale
+        x._accum(gx)
 
     return _node(y, (x, gamma, beta), backward_fn, (6 if training else 3) * xd.size)
 
@@ -728,9 +713,12 @@ def batch_norm(x, gamma, beta, training: bool, stats: RunningStats | None = None
 # backward sweep
 
 
+_CONSUMED = "backward: this graph was already consumed by an earlier sweep"
+
+
 def _swept(g):
-    """Closure left on a node that a ``backward`` sweep has passed."""
-    raise StateError("backward: this graph was already consumed by an earlier sweep")
+    """Marks a node that a ``backward`` sweep has passed; calling it raises."""
+    raise StateError(_CONSUMED)
 
 
 def backward(loss: Tensor) -> None:
@@ -754,7 +742,7 @@ def backward(loss: Tensor) -> None:
         if id(node) in seen:
             continue
         if node._backward is _swept:
-            _swept(node.grad)
+            raise StateError(_CONSUMED)
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:

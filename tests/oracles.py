@@ -174,10 +174,9 @@ def adam_trajectory(p0, grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# Composite normalization chains, built from tape primitives one step at a
-# time. ``tensor.batch_norm`` and ``layers._standardize`` are single nodes
-# with a closed-form backward; these chains are the reference the fused
-# outputs and gradients are checked against.
+# Composite batch norm, built from tape primitives one step at a time.
+# ``tensor.batch_norm`` is a single node with a closed-form backward; this
+# chain is the reference its outputs and gradients are checked against.
 
 
 def batch_norm_chain(x, gamma, beta, training: bool, stats=None, eps: float = 1e-5):
@@ -201,16 +200,3 @@ def batch_norm_chain(x, gamma, beta, training: bool, stats=None, eps: float = 1e
         xhat = T.div(T.sub(x, mu), denom)
     return T.add(T.mul(xhat, T.reshape(gamma, bshape)), T.reshape(beta, bshape))
 
-
-def standardize_chain(x, axes, epsilon: float):
-    """Per-sample standardization with the constant-sample guard, node by node."""
-    from volformer import tensor as T
-    mu = T.mean(x, axes, keepdims=True)
-    centered = T.sub(x, mu)
-    var = T.mean(T.mul(centered, centered), axes, keepdims=True)
-    std = T.sqrt(var)
-    alive = (x.data.max(axis=axes, keepdims=True)
-             > x.data.min(axis=axes, keepdims=True)).astype(x.dtype)
-    floor = float(np.finfo(x.dtype).tiny)
-    denom = T.add(T.mul(std, 1.0 + epsilon), T.Tensor((1.0 - alive) + floor))
-    return T.div(T.mul(centered, T.Tensor(alive)), denom)
