@@ -22,9 +22,10 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -184,12 +185,29 @@ def _load_records(args, cfg: RunConfig):
 def _check_extents(records, model_cfg) -> None:
     want = tuple(model_cfg.input_extent)
     for rec in records:
-        for i, vol in enumerate(rec.fmri_volumes):
+        named = [(f"volume {i}", vol) for i, vol in enumerate(rec.fmri_volumes)]
+        if model_cfg.use_smri and rec.smri is not None:
+            named.append(("smri volume", rec.smri))
+        for label, vol in named:
             got = tuple(vol.volume.shape)
             if got != want:
                 raise ConfigError(
-                    f"subject {rec.subject_id!r} volume {i} has extents {got} "
+                    f"subject {rec.subject_id!r} {label} has extents {got} "
                     f"but the model expects {want}")
+
+
+@contextmanager
+def _replacing(path: Path):
+    """Yield a temporary path beside ``path`` to write to; move it onto
+    ``path`` when the body returns and remove it when the body raises, so an
+    interrupted write never leaves a truncated artifact under its final name."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +242,11 @@ def _fold_model(model_cfg, seed: int, fold: int):
 def _write_fold(out_dir: Path, seed: int, result) -> None:
     """Per-fold artifacts: the loss curve and the trained checkpoint."""
     from .model import save_model
-    result.history.write_csv(out_dir / f"fold{result.fold}_history.csv")
-    save_model(result.model, out_dir / f"fold{result.fold}.ckpt",
-               extra_meta={"fold": result.fold, "seed": seed + result.fold})
+    with _replacing(out_dir / f"fold{result.fold}_history.csv") as tmp:
+        result.history.write_csv(tmp)
+    with _replacing(out_dir / f"fold{result.fold}.ckpt") as tmp:
+        save_model(result.model, tmp,
+                   extra_meta={"fold": result.fold, "seed": seed + result.fold})
 
 
 def cmd_cv(args) -> int:
@@ -264,8 +284,10 @@ def cmd_cv(args) -> int:
         print(f"error: training aborted: {err}", file=sys.stderr)
         return EXIT_TRAIN
 
-    aggregate.write_json(out / "metrics.json")
-    aggregate.write_fold_csv(out / "folds.csv")
+    with _replacing(out / "metrics.json") as tmp:
+        aggregate.write_json(tmp)
+    with _replacing(out / "folds.csv") as tmp:
+        aggregate.write_fold_csv(tmp)
     print(f"folds: {len(aggregate.folds)}")
     print(f"volume accuracy:  {aggregate.volume_accuracy:.4f} "
           f"± {aggregate.volume_accuracy_std:.4f}")

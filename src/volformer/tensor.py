@@ -456,36 +456,40 @@ def matmul(a, b) -> Tensor:
     return _node(out_data, (a, b), backward_fn, batch * ad.shape[-2] * ad.shape[-1] * bd.shape[-1])
 
 
-def _pad3(x: np.ndarray, margin: int) -> np.ndarray:
-    """Zero-pad the three trailing axes of a 5-d array by ``margin`` per face.
+def _pad_batch_last(x: np.ndarray, margin: int) -> np.ndarray:
+    """Zero-pad a (B, C, D, H, W) array by ``margin`` per spatial face and
+    move its batch axis last, in one copy: (C, D+2m, H+2m, W+2m, B).
 
-    Same result as ``np.pad``, at a tenth of its per-call overhead, which a
-    batch-1 backward pass pays three times per conv.
+    Without a margin at B=1 this is a view, so batch-1 passes copy no more
+    than a plain pad would.
     """
-    if not margin:
-        return x
     B, C, D, H, W = x.shape
-    out = np.zeros((B, C, D + 2 * margin, H + 2 * margin, W + 2 * margin), dtype=x.dtype)
-    out[:, :, margin:margin + D, margin:margin + H, margin:margin + W] = x
+    moved = x.transpose(1, 2, 3, 4, 0)
+    if not margin:
+        return np.ascontiguousarray(moved)
+    out = np.zeros((C, D + 2 * margin, H + 2 * margin, W + 2 * margin, B), dtype=x.dtype)
+    out[:, margin:margin + D, margin:margin + H, margin:margin + W] = moved
     return out
 
 
-def _unfold(x: np.ndarray, kernel_shape, stride: int, pad: int) -> np.ndarray:
-    """Patch matrix of a (B, C, D, H, W) array for one window shape.
+def _unfold(x: np.ndarray, kernel_shape, stride: int) -> np.ndarray:
+    """Patch matrix of a batch-last (C, D, H, W, B) array for one window shape.
 
-    Returns a contiguous (K, B*V) array. Rows are the K = C*kd*kh*kw patch
+    Returns a contiguous (K, V*B) array. Rows are the K = C*kd*kh*kw patch
     entries in (C, kd, kh, kw) order, so a (C_out, C, kd, kh, kw) kernel
     reshaped to (C_out, K) multiplies it directly. Columns are the windows,
-    placed every ``stride`` voxels on the input zero-padded by ``pad`` on
-    every spatial face, in (B, Do, Ho, Wo) order.
+    placed every ``stride`` voxels, in (Do, Ho, Wo, B) order.
+
+    The batch axis is last because the gather, not the GEMM it feeds, is the
+    cost: each row copies runs of Wo*B contiguous floats at stride 1 (B at
+    larger strides), where a (B, C, D, H, W) source gives runs of Wo.
     """
-    x = _pad3(x, pad)
-    B, C = x.shape[:2]
-    out = [(n - k) // stride + 1 for n, k in zip(x.shape[2:], kernel_shape)]
-    sb, sc, sd, sh, sw = x.strides
+    C, *extents, B = x.shape
+    out = [(n - k) // stride + 1 for n, k in zip(extents, kernel_shape)]
+    sc, sd, sh, sw, sb = x.strides
     windows = np.lib.stride_tricks.as_strided(
-        x, (C, *kernel_shape, B, *out),
-        (sc, sd, sh, sw, sb, sd * stride, sh * stride, sw * stride), writeable=False)
+        x, (C, *kernel_shape, *out, B),
+        (sc, sd, sh, sw, sd * stride, sh * stride, sw * stride, sb), writeable=False)
     return np.ascontiguousarray(windows).reshape(C * math.prod(kernel_shape), -1)
 
 
@@ -516,22 +520,29 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     stride shared by all three axes, and summation over input channels. With
     ``pad = (k - 1) // 2`` (odd k) each output extent is ceil(in / stride).
 
-    The kernel is laid out (C_out, C_in, kd, kh, kw). ``_unfold`` turns the
-    input into a (K, B*V) patch matrix, K = C_in*kd*kh*kw patch entries by
-    V output voxels per batch entry, and each direction is one 2-D GEMM:
+    The kernel is laid out (C_out, C_in, kd, kh, kw). ``_pad_batch_last``
+    copies the input once, padded and batch-last, and ``_unfold`` gathers
+    from that a (K, V*B) patch matrix, K = C_in*kd*kh*kw patch entries by
+    V output voxels per batch entry, columns in (Do, Ho, Wo, B) order, so
+    the gather copies runs of Wo*B floats rather than Wo. Each direction is
+    one 2-D GEMM:
 
-    - forward: the (C_out, K) kernel matrix times the patch matrix;
-    - kernel gradient: the (C_out, B*V) output gradient times the transposed
-      patch matrix. The patches are not kept from the forward pass; backward
-      unfolds the input array again, which the graph holds anyway, so a
-      tracked conv retains no more than its output (activation
+    - forward: the (C_out, K) kernel matrix times the patch matrix, then one
+      transpose of the (C_out, Do, Ho, Wo, B) product to batch-first (a view
+      at B=1);
+    - kernel gradient: the output gradient laid out (C_out, V*B) times the
+      transposed patch matrix. The patches are not kept from the forward
+      pass; backward unfolds the input array again, which the graph holds
+      anyway, so a tracked conv retains no more than its output (activation
       recomputation). The input must not change in place before backward;
     - input gradient: a stride-1 correlation of the output gradient with
-      the flipped, channel-swapped kernel, through the same ``_unfold``. It
-      is split into stride**3 residue classes: input positions
-      ``stride*q + r`` (padded coordinates) see only the taps
-      ``r + stride*j``, so each class is one GEMM over its own taps and no
-      zero-dilated gradient is formed. Stride 1 is the one-class case.
+      the flipped, channel-swapped kernel, through the same ``_unfold`` on
+      windows of the output gradient padded once, batch-last. It is split
+      into stride**3 residue classes: input positions ``stride*q + r``
+      (padded coordinates) see only the taps ``r + stride*j``, so each class
+      is one GEMM over its own taps and no zero-dilated gradient is formed.
+      Stride 1 is the one-class case. The classes fill a batch-last input
+      gradient, transposed once as it is accumulated.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     xd = x.data
@@ -557,29 +568,29 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     ksize = (kd, kh, kw)
     out_ext = tuple((n + 2 * pad - k) // stride + 1 for n, k in zip(extents, ksize))
     vox = math.prod(out_ext)
-    out_data = np.matmul(w.reshape(Co, -1), _unfold(xd, ksize, stride, pad))
-    out_data = np.ascontiguousarray(out_data.reshape(Co, B, *out_ext).transpose(1, 0, 2, 3, 4))
+    out_data = np.matmul(w.reshape(Co, -1), _unfold(_pad_batch_last(xd, pad), ksize, stride))
+    out_data = np.ascontiguousarray(out_data.reshape(Co, *out_ext, B).transpose(4, 0, 1, 2, 3))
 
     def backward_fn(g):
         if kernel.requires_grad:
-            col = _unfold(xd, ksize, stride, pad)
-            g2 = g.transpose(1, 0, 2, 3, 4).reshape(Co, B * vox)
+            col = _unfold(_pad_batch_last(xd, pad), ksize, stride)
+            g2 = g.transpose(1, 2, 3, 4, 0).reshape(Co, -1)
             kernel._accum(np.matmul(g2, col.T).reshape(w.shape))
         if x.requires_grad:
             classes = [_residue_classes(n, k, stride, pad) for n, k in zip(extents, ksize)]
             margin = max([0] + [max(-lo, hi - n_out) for axis, n_out in zip(classes, out_ext)
                                 for _, _, lo, hi in axis])
-            g = _pad3(g, margin)
-            gx = np.zeros(xd.shape, dtype=xd.dtype)
+            g = _pad_batch_last(g, margin)
+            gx = np.zeros((C, *extents, B), dtype=xd.dtype)
             for (rd, fd, ld, hd), (rh, fh, lh, hh), (rw, fw, lw, hw) in itertools.product(*classes):
                 taps = w[:, :, rd::stride, rh::stride, rw::stride][:, :, ::-1, ::-1, ::-1]
-                window = g[:, :, margin + ld:margin + hd, margin + lh:margin + hh,
+                window = g[:, margin + ld:margin + hd, margin + lh:margin + hh,
                            margin + lw:margin + hw]
                 part = np.matmul(taps.transpose(1, 0, 2, 3, 4).reshape(C, -1),
-                                 _unfold(window, taps.shape[2:], 1, 0))
-                target = gx[:, :, fd::stride, fh::stride, fw::stride]
-                target[...] = part.reshape(C, B, *target.shape[2:]).transpose(1, 0, 2, 3, 4)
-            x._accum(gx)
+                                 _unfold(window, taps.shape[2:], 1))
+                target = gx[:, fd::stride, fh::stride, fw::stride]
+                target[...] = part.reshape(target.shape)
+            x._accum(gx.transpose(4, 0, 1, 2, 3))
 
     return _node(out_data, (x, kernel), backward_fn, B * Co * C * kd * kh * kw * vox)
 

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -334,6 +335,28 @@ def test_cv_extent_mismatch_exit_2(workdir, tmp_path, capsys):
     assert "(8, 8, 8)" in err and "(16, 18, 16)" in err
 
 
+def test_cv_smri_extent_mismatch_exit_2(tmp_path, capsys):
+    spec = dict(SPEC, subjects_per_class_per_site=2, volumes_per_subject=1, with_smri=True)
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main(["gen", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "data")]) == 0
+    misfit = sorted((tmp_path / "data" / "volumes").glob("*_smri.vfv"))[0]
+    write_volume(misfit, np.zeros((6, 6, 6), dtype=np.float32))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": dict(MODEL, use_smri=True), "train": TRAIN,
+                                    "split": {"mode": "kfold", "k": 2}}))
+    rc = main(["cv", "--config", str(cfg_path),
+               "--data", str(tmp_path / "data" / "manifest.csv"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    subject = next(r.subject_id for r in load_manifest(tmp_path / "data" / "manifest.csv")
+                   if r.smri.volume.shape == (6, 6, 6))
+    assert repr(subject) in err and "smri" in err
+    assert "(6, 6, 6)" in err and "(8, 8, 8)" in err
+    assert not (tmp_path / "o" / "fold0.ckpt").exists()
+
+
 def test_cv_no_data_source_exit_2(workdir, tmp_path, capsys):
     cfg = {"model": MODEL, "train": TRAIN, "split": {"mode": "kfold", "k": 3}}
     cfg_path = tmp_path / "nodata.json"
@@ -353,6 +376,28 @@ def test_cv_training_abort_exit_4(workdir, tmp_path, monkeypatch, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 4
     assert "training aborted" in capsys.readouterr().err
+
+
+def test_interrupted_checkpoint_write_leaves_no_file(workdir, tmp_path, monkeypatch):
+    import volformer.model
+    from volformer.cli import _write_fold
+    from volformer.train import TrainHistory
+    model, _ = load_model(workdir / "run" / "fold0.ckpt")
+    record = volformer.model._tensor_record
+    written = []
+
+    def fail_third(name, arr):
+        written.append(name)
+        if len(written) == 3:
+            raise OSError("simulated disk full")
+        return record(name, arr)
+
+    monkeypatch.setattr(volformer.model, "_tensor_record", fail_third)
+    result = SimpleNamespace(fold=0, model=model, history=TrainHistory())
+    with pytest.raises(OSError, match="disk full"):
+        _write_fold(tmp_path, 0, result)
+    assert len(written) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fold0_history.csv"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN propagates by design

@@ -299,6 +299,33 @@ def test_conv3d_adjoint_fuzz():
             assert abs(np.vdot(grad, value) - pairing) <= 1e-10 * scale, (xs, ws, stride, pad)
 
 
+@pytest.mark.parametrize("k,stride,pad", [
+    pytest.param(7, 2, 3, id="k7-s2-p3"),
+    pytest.param(3, 1, 1, id="k3-s1-p1"),
+    pytest.param(3, 2, 1, id="k3-s2-p1"),
+    pytest.param(1, 2, 0, id="k1-s2-p0"),
+])
+def test_conv3d_batch_entries_are_independent(k, stride, pad):
+    """At B=5, unlike every extent and channel count here, so that mixing the
+    batch axis with another axis shows: each sample's output and input
+    gradient equal its own B=1 results, and the kernel gradient is their sum."""
+    rng = np.random.default_rng(23)
+    x = t64(rng.normal(size=(5, 2, 6, 7, 4)))
+    w = t64(rng.normal(size=(3, 2, k, k, k)))
+    y = T.conv3d(x, w, stride, pad)
+    g = rng.normal(size=y.shape)
+    T.backward(T.tensor_sum(T.mul(y, Tensor(g))))
+    dw = np.zeros_like(w.data)
+    for b in range(5):
+        xb, wb = t64(x.data[b:b + 1]), t64(w.data)
+        yb = T.conv3d(xb, wb, stride, pad)
+        T.backward(T.tensor_sum(T.mul(yb, Tensor(g[b:b + 1]))))
+        assert rel_error(y.data[b], yb.data[0]) < 1e-12, b
+        assert rel_error(x.grad[b], xb.grad[0]) < 1e-12, b
+        dw += wb.grad
+    assert rel_error(w.grad, dw) < 1e-12
+
+
 def test_conv3d_retains_only_its_output():
     rng = np.random.default_rng(22)
     x = Tensor(rng.normal(size=(2, 8, 8, 9, 8)).astype(np.float32), requires_grad=True)
