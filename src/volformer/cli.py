@@ -183,11 +183,28 @@ def _load_records(args, cfg: RunConfig):
 
 
 def _check_extents(records, model_cfg) -> None:
+    """Check every subject against the model before training starts. A
+    subject without the data of an enabled branch is a ``DataError``; a
+    volume or vector whose size differs from the model's is a ``ConfigError``."""
     want = tuple(model_cfg.input_extent)
+    branches = (("smri", model_cfg.use_smri, "smri", None),
+                ("fc", model_cfg.use_fc, "fc_vector", model_cfg.fc_input_dim),
+                ("pheno", model_cfg.use_pheno, "phenotype", model_cfg.pheno_input_dim))
     for rec in records:
         named = [(f"volume {i}", vol) for i, vol in enumerate(rec.fmri_volumes)]
-        if model_cfg.use_smri and rec.smri is not None:
-            named.append(("smri volume", rec.smri))
+        for branch, enabled, attr, dim in branches:
+            if not enabled:
+                continue
+            value = getattr(rec, attr)
+            if value is None:
+                raise DataError(f"subject {rec.subject_id!r} has no {branch} data "
+                                f"but the model's {branch} branch is enabled")
+            if dim is None:
+                named.append((f"{branch} volume", value))
+            elif len(value) != dim:
+                raise ConfigError(
+                    f"subject {rec.subject_id!r} {branch} vector has {len(value)} "
+                    f"values but the model expects {branch}_input_dim = {dim}")
         for label, vol in named:
             got = tuple(vol.volume.shape)
             if got != want:
@@ -519,6 +536,3 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CHECKPOINT
 
-
-if __name__ == "__main__":
-    sys.exit(main())

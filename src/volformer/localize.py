@@ -114,15 +114,24 @@ def grad_cam(model, volume, target_class: int, layer: str | None = None
     arr = np.asarray(volume.data if isinstance(volume, Tensor) else volume)
     if arr.ndim != 3:
         raise DataError(f"expected a (D, H, W) volume, got shape {arr.shape}")
-    x = Tensor(arr[None, None].astype(model.params()[0][1].data.dtype))
-    logits, trace = model.forward_trace(x, training=False)
-    probs = T.softmax(Tensor(logits.data), -1).data[0]
-    score = T.tensor_sum(T.narrow(logits, 1, target_class, 1))
-    T.backward(score)
+    params = [p for _, p in model.params()]
+    x = Tensor(arr[None, None].astype(params[0].data.dtype), requires_grad=True)
+    # The map needs activation gradients only: with the parameters untracked
+    # the sweep computes no kernel gradient, and the tracked input records
+    # the graph in their place.
+    tracked = [p.requires_grad for p in params]
+    try:
+        for p in params:
+            p.requires_grad = False
+        logits, trace = model.forward_trace(x, training=False)
+        probs = T.softmax(Tensor(logits.data), -1).data[0]
+        T.backward(T.tensor_sum(T.narrow(logits, 1, target_class, 1)))
+    finally:
+        for p, flag in zip(params, tracked):
+            p.requires_grad = flag
     act = trace[layer]
     grads = act.grad[0]
     features = act.data[0]
-    T.zero_grads([p for _, p in model.params()])
     channel_weights = grads.mean(axis=(1, 2, 3))
     combined = np.einsum("c,cdhw->dhw", channel_weights, features)
     cam = trilinear_resize(np.maximum(combined, 0.0), arr.shape)

@@ -357,6 +357,37 @@ def test_cv_smri_extent_mismatch_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "fold0.ckpt").exists()
 
 
+@pytest.fixture(scope="module")
+def fc_only_manifest(tmp_path_factory):
+    """An 8x8x8 cohort generated with fc vectors (64 values) and nothing else."""
+    root = tmp_path_factory.mktemp("fc_only")
+    spec = dict(SPEC, subjects_per_class_per_site=2, volumes_per_subject=1, with_fc=True)
+    (root / "spec.json").write_text(json.dumps(spec))
+    assert main(["gen", "--spec", str(root / "spec.json"), "--out", str(root / "data")]) == 0
+    return root / "data" / "manifest.csv"
+
+
+@pytest.mark.parametrize("branch,code,words", [
+    pytest.param({"use_smri": True}, 3, ("smri",), id="smri-missing-exit-3"),
+    pytest.param({"use_pheno": True}, 3, ("pheno",), id="pheno-missing-exit-3"),
+    pytest.param({"use_fc": True, "fc_input_dim": 100}, 2, ("fc", "64", "100"),
+                 id="fc-size-exit-2"),
+])
+def test_cv_checks_branch_inputs_before_training(fc_only_manifest, tmp_path, capsys,
+                                                 branch, code, words):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": dict(MODEL, **branch), "train": TRAIN,
+                                    "split": {"mode": "kfold", "k": 2}}))
+    rc = main(["cv", "--config", str(cfg_path), "--data", str(fc_only_manifest),
+               "--out", str(tmp_path / "o")])
+    assert rc == code
+    err = capsys.readouterr().err
+    subject = load_manifest(fc_only_manifest)[0].subject_id
+    assert repr(subject) in err and all(w in err for w in words), err
+    assert "training aborted" not in err
+    assert not list((tmp_path / "o").glob("fold*"))
+
+
 def test_cv_no_data_source_exit_2(workdir, tmp_path, capsys):
     cfg = {"model": MODEL, "train": TRAIN, "split": {"mode": "kfold", "k": 3}}
     cfg_path = tmp_path / "nodata.json"
@@ -628,6 +659,15 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "False"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "volformer", "cost", "--preset", "desk"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
 
 
 def test_thread_env_validation(monkeypatch, capsys):

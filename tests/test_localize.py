@@ -170,6 +170,22 @@ def test_map_deterministic():
     assert np.array_equal(a.volume, b.volume)
 
 
+def test_map_leaves_parameters_tracked_and_without_grads(monkeypatch):
+    model = _ready_model(seed=6)
+    params = [p for _, p in model.params()]
+    grad_cam(model, _volume(), 1)
+    assert all(p.requires_grad and p.grad is None for p in params)
+
+    def boom(*args, **kwargs):
+        assert not any(p.requires_grad for p in params)
+        raise RuntimeError("forward failed")
+
+    monkeypatch.setattr(model, "forward_trace", boom)
+    with pytest.raises(RuntimeError, match="forward failed"):
+        grad_cam(model, _volume(), 1)
+    assert all(p.requires_grad and p.grad is None for p in params)
+
+
 def test_trained_model_maps_are_usable_and_class_specific():
     records = generate_synthetic(_tiny_spec(subjects_per_class_per_site=4))
     model = _tiny_model(seed=1, stage_strides=(1, 1, 1, 1))

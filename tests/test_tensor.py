@@ -238,13 +238,16 @@ def test_batch_norm_retains_at_most_twice_its_input():
     assert retained <= 2 * x.data.nbytes + 8192, retained
 
 
-@pytest.mark.parametrize("shape,k,stride,pad", [
+GRAD_CONV3D_CASES = [
     pytest.param((1, 2, 4, 5, 4), 1, 2, 0, id="k1-s2-p0"),  # projection shortcut
     pytest.param((1, 2, 5, 6, 4), 7, 2, 3, id="k7-s2-p3"),  # stem
     # (D + 2p - k) % stride != 0 on D and W: the last padded face is never read
     pytest.param((1, 2, 4, 5, 4), 3, 2, 1, id="k3-s2-p1"),
     pytest.param((1, 2, 3, 4, 3), 1, 1, 1, id="k1-s1-p1"),  # pad > k - 1
-])
+]
+
+
+@pytest.mark.parametrize("shape,k,stride,pad", GRAD_CONV3D_CASES)
 def test_grad_conv3d(shape, k, stride, pad):
     rng = np.random.default_rng(12)
     x = t64(rng.normal(size=shape))
@@ -299,12 +302,15 @@ def test_conv3d_adjoint_fuzz():
             assert abs(np.vdot(grad, value) - pairing) <= 1e-10 * scale, (xs, ws, stride, pad)
 
 
-@pytest.mark.parametrize("k,stride,pad", [
+BATCH_CONV3D_CASES = [
     pytest.param(7, 2, 3, id="k7-s2-p3"),
     pytest.param(3, 1, 1, id="k3-s1-p1"),
     pytest.param(3, 2, 1, id="k3-s2-p1"),
     pytest.param(1, 2, 0, id="k1-s2-p0"),
-])
+]
+
+
+@pytest.mark.parametrize("k,stride,pad", BATCH_CONV3D_CASES)
 def test_conv3d_batch_entries_are_independent(k, stride, pad):
     """At B=5, unlike every extent and channel count here, so that mixing the
     batch axis with another axis shows: each sample's output and input
@@ -346,14 +352,17 @@ def test_conv3d_retains_only_its_output():
 # conv3d against the nested-loop oracle
 
 
-@pytest.mark.parametrize("shape,kout,k,stride,pad", [
+ORACLE_CONV3D_CASES = [
     ((1, 4, 4, 4), 2, 3, 1, 1),
     ((2, 8, 8, 8), 3, 3, 2, 1),
     ((2, 5, 6, 7), 2, 1, 1, 0),
     ((1, 8, 8, 8), 2, 7, 2, 3),
     ((2, 7, 8, 6), 4, 3, 2, 1),
     ((2, 8, 7, 8), 1, 3, 1, 0),
-])
+]
+
+
+@pytest.mark.parametrize("shape,kout,k,stride,pad", ORACLE_CONV3D_CASES)
 def test_conv3d_matches_loop_oracle(shape, kout, k, stride, pad):
     rng = np.random.default_rng(hash((shape, kout, k, stride, pad)) % 2**32)
     x = rng.normal(size=shape)
@@ -389,6 +398,63 @@ def test_conv3d_kernel_exceeds_padded_input():
     w = Tensor(np.zeros((1, 1, 7, 7, 7)))
     with pytest.raises(ShapeError):
         T.conv3d(x, w, 1, 1)
+
+
+def test_conv3d_checks_hold_with_one_plane_chunks(monkeypatch):
+    """At the real budget every geometry above fits in one chunk. With a
+    budget below one plane, each chunk is a single output depth plane, so the
+    adjoint fuzz, the finite-difference, oracle and batch-independence
+    checks rerun, at their own tolerances, over the multi-chunk path."""
+    monkeypatch.setattr(T, "_PATCH_BYTES", 1)
+    real, chunks = T._patch_chunks, []
+
+    def counted(src, kernel_shape, stride):
+        n = 0
+        for chunk in real(src, kernel_shape, stride):
+            n += 1
+            yield chunk
+        assert n == (src.shape[1] - kernel_shape[0]) // stride + 1
+        chunks.append(n)
+
+    monkeypatch.setattr(T, "_patch_chunks", counted)
+    test_conv3d_adjoint_fuzz()
+    for case in GRAD_CONV3D_CASES:
+        test_grad_conv3d(*case.values)
+    for case in BATCH_CONV3D_CASES:
+        test_conv3d_batch_entries_are_independent(*case.values)
+    for case in ORACLE_CONV3D_CASES:
+        test_conv3d_matches_loop_oracle(*case)
+    assert sum(n >= 2 for n in chunks) > len(chunks) / 2, chunks
+
+
+def test_conv3d_transients_stay_within_the_patch_budget():
+    """A (16, 8, 8, 9, 8) input with a 3x3x3 kernel has a 7.6 MiB patch
+    matrix. Above what each direction returns (the output; the two
+    gradients, plus the upstream gradient the caller holds), the tracemalloc
+    peak stays within 3 * _PATCH_BYTES: one patch buffer, the padded
+    batch-last copy and the output- or gradient-sized temporaries, about
+    1.5 MiB here. A whole patch matrix alone would exceed it."""
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.normal(size=(16, 8, 8, 9, 8)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(8, 8, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    g = Tensor(rng.normal(size=x.shape).astype(np.float32))
+    patch_matrix_bytes = w.data[0].size * x.data[:, 0].nbytes  # K x V*B float32
+    assert patch_matrix_bytes > 3 * T._PATCH_BYTES
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        y = T.conv3d(x, w, 1, 1)
+        forward = tracemalloc.get_traced_memory()[1] - base
+        loss = T.tensor_sum(T.mul(y, g))
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        T.backward(loss)
+        backward = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert forward <= y.data.nbytes + 3 * T._PATCH_BYTES, forward
+    returned = x.grad.nbytes + w.grad.nbytes + y.grad.nbytes
+    assert backward <= returned + 3 * T._PATCH_BYTES, backward
 
 
 def test_matmul_shape_error_names_both_shapes():
