@@ -7,8 +7,9 @@ and print the analytic cost table for every attention plan.
 Exit codes: 0 success, 2 configuration error, 3 data or fold-planning error,
 4 training abort, 5 checkpoint error. Every command that owns an output
 directory echoes its fully resolved configuration there as
-``resolved_config.json`` and refuses to rerun into a directory whose echo
-differs, unless ``--force`` is given.
+``resolved_config.json`` once its inputs pass their checks, so a command that
+fails on its inputs leaves no echo, and refuses to rerun into a directory
+whose echo differs, unless ``--force`` is given.
 
 The environment variable ``VOLFORMER_THREADS`` caps kernel (BLAS/OpenMP)
 threads; ``--deterministic`` pins them to one for bitwise-stable reruns.
@@ -26,7 +27,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -93,21 +94,10 @@ class RunConfig:
     documented defaults; unknown section names are rejected.
     """
 
-    model: "object" = None
-    train: "object" = None
-    synthetic: "object" = None
-    split: SplitSpec = field(default_factory=SplitSpec)
-
-    def __post_init__(self):
-        from .data import SyntheticSpec
-        from .model import ModelConfig
-        from .train import TrainConfig
-        if self.model is None:
-            self.model = ModelConfig()
-        if self.train is None:
-            self.train = TrainConfig()
-        if self.synthetic is not None and not isinstance(self.synthetic, SyntheticSpec):
-            raise ConfigError("synthetic section must be a SyntheticSpec or None")
+    model: "object"
+    train: "object"
+    synthetic: "object"
+    split: SplitSpec
 
     def to_dict(self) -> dict:
         return {
@@ -273,17 +263,16 @@ def cmd_cv(args) -> int:
     if args.seed is not None:
         cfg.train = replace(cfg.train, seed=args.seed)
         cfg.train.validate()
-    out = Path(args.out)
-    resolved = {"command": "cv", **cfg.to_dict(),
-                "data": str(args.data) if args.data else None}
-    _write_resolved(out, resolved, args.force)
-
     records = _load_records(args, cfg)
     _check_extents(records, cfg.model)
     plan = None
     if cfg.split.mode == "site_holdout":
         plan = plan_site_holdout(records, cfg.split.train_sites, cfg.split.test_sites)
         records = [r for r in records if r.subject_id in plan.assignments]
+    out = Path(args.out)
+    resolved = {"command": "cv", **cfg.to_dict(),
+                "data": str(args.data) if args.data else None}
+    _write_resolved(out, resolved, args.force)
 
     seed = cfg.train.seed
     try:
@@ -326,13 +315,6 @@ def _audit(args, model) -> int:
 
     spec = SyntheticSpec.from_dict(_read_json(args.spec))
     records = load_manifest(args.manifest)
-    out = Path(args.out)
-    resolved = {"command": "localize", "mode": "audit",
-                "ckpt": str(args.ckpt), "manifest": str(args.manifest),
-                "layer": args.layer, "fraction": args.fraction,
-                "synthetic": spec.to_dict()}
-    _write_resolved(out, resolved, args.force)
-
     rows = []
     hits_on_correct = correct_total = degenerate_count = 0
     for rec in records:
@@ -354,6 +336,12 @@ def _audit(args, model) -> int:
                          int(is_correct), int(hit), int(amap.degenerate),
                          peak[0], peak[1], peak[2]])
 
+    out = Path(args.out)
+    resolved = {"command": "localize", "mode": "audit",
+                "ckpt": str(args.ckpt), "manifest": str(args.manifest),
+                "layer": args.layer, "fraction": args.fraction,
+                "synthetic": spec.to_dict()}
+    _write_resolved(out, resolved, args.force)
     audit_path = out / "audit.csv"
     with open(audit_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -407,12 +395,12 @@ def cmd_localize(args) -> int:
         volume = read_volume(args.volume)
         out = Path(args.out)
         layer = resolve_layer(model, args.target_class, args.layer)
+        amap = grad_cam(model, volume, target_class=args.target_class,
+                        layer=layer)
         resolved = {"command": "localize", "mode": "single",
                     "ckpt": str(args.ckpt), "volume": str(args.volume),
                     "target_class": args.target_class, "layer": layer}
         _write_resolved(out, resolved, args.force)
-        amap = grad_cam(model, volume, target_class=args.target_class,
-                        layer=layer)
         paths = export_map(amap, out / "map.vfv", slices=args.slices)
     except (ShapeError, StateError) as err:
         raise CheckpointError(

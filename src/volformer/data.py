@@ -75,7 +75,6 @@ class SubjectRecord:
 class FoldPlan:
     fold_count: int
     assignments: dict[str, int]
-    seed: int
 
     def split(self, records: list[SubjectRecord], fold: int
               ) -> tuple[list[SubjectRecord], list[SubjectRecord]]:
@@ -371,7 +370,7 @@ def plan_folds(records: list[SubjectRecord], k: int = 5, seed: int = 0) -> FoldP
         order = rng.permutation(len(subjects))
         for slot, idx in enumerate(order):
             assignments[subjects[idx]] = slot % k
-    return FoldPlan(fold_count=k, assignments=assignments, seed=seed)
+    return FoldPlan(fold_count=k, assignments=assignments)
 
 
 def plan_site_holdout(records: list[SubjectRecord], train_sites, test_sites) -> FoldPlan:
@@ -386,7 +385,7 @@ def plan_site_holdout(records: list[SubjectRecord], train_sites, test_sites) -> 
                    for r in records if r.site_id in (*train_sites, *test_sites)}
     if not {0, -1} <= set(assignments.values()):
         raise PlanError("site holdout produced an empty train or test side")
-    return FoldPlan(fold_count=1, assignments=assignments, seed=0)  # nothing drawn
+    return FoldPlan(fold_count=1, assignments=assignments)
 
 
 # ---------------------------------------------------------------------------

@@ -118,18 +118,20 @@ def grad_cam(model, volume, target_class: int, layer: str | None = None
     x = Tensor(arr[None, None].astype(params[0].data.dtype), requires_grad=True)
     # The map needs activation gradients only: with the parameters untracked
     # the sweep computes no kernel gradient, and the tracked input records
-    # the graph in their place.
+    # the graph in their place. Cut below the mapped layer, which then
+    # looks like a constant to the sweep, so nothing beneath it runs.
     tracked = [p.requires_grad for p in params]
     try:
         for p in params:
             p.requires_grad = False
         logits, trace = model.forward_trace(x, training=False)
+        act = trace[layer]
+        act._parents, act._backward = (), None
         probs = T.softmax(Tensor(logits.data), -1).data[0]
         T.backward(T.tensor_sum(T.narrow(logits, 1, target_class, 1)))
     finally:
         for p, flag in zip(params, tracked):
             p.requires_grad = flag
-    act = trace[layer]
     grads = act.grad[0]
     features = act.data[0]
     channel_weights = grads.mean(axis=(1, 2, 3))

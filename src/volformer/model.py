@@ -299,7 +299,6 @@ class BrainFormer:
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
         self.cfg = cfg
         self.dtype = dtype
-        self.seed = seed
         rng = np.random.default_rng(seed)
         self.encoder = VolumeEncoder(cfg, rng, dtype)
         self.encoder_smri = VolumeEncoder(cfg, rng, dtype) if cfg.use_smri else None
@@ -389,13 +388,6 @@ class CostReport:
     peak_activation_bytes: int
     parameter_count: int
     per_layer: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "flops": self.flops,
-            "peak_activation_bytes": self.peak_activation_bytes,
-            "parameter_count": self.parameter_count,
-        }
 
 
 def estimate_cost(cfg: ModelConfig, bytes_per_scalar: int = 4) -> CostReport:
@@ -553,7 +545,7 @@ def load_model(path):
     meta, arrays = load_checkpoint(path)
     if "config" not in meta:
         raise CheckpointError("checkpoint metadata is missing the model config")
-    model = BrainFormer(ModelConfig.from_dict(meta["config"]), seed=0)
+    model = BrainFormer(ModelConfig.from_dict(meta["config"]))
     load_state(model, arrays)
     return model, meta
 

@@ -115,10 +115,6 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
 

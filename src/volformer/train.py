@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    deterministic: bool = True
     class_weighting: bool = False
 
     def validate(self) -> None:
@@ -80,60 +79,37 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 # optimizer
 
 
-def adam_init(params: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(np.zeros_like(p), np.zeros_like(p)) for p in params]
-
-
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
-              state: list[tuple[np.ndarray, np.ndarray]], t: int,
-              cfg: TrainConfig) -> None:
-    """One in-place Adam update with bias correction.
-
-    Raises ArithmeticError before touching any parameter or state if a
-    gradient contains a non-finite value, so a skipped step leaves the
-    optimizer untouched.
-    """
-    if t < 1:
-        raise ConfigError(f"step index must be >= 1, got {t}")
-    if len(params) != len(grads) or len(params) != len(state):
-        raise ConfigError("params, grads and state must have matching lengths")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise ArithmeticError("non-finite gradient")
-    c1 = 1.0 - cfg.beta1 ** t
-    c2 = 1.0 - cfg.beta2 ** t
-    for p, g, (m, v) in zip(params, grads, state):
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        p -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
-
-
 class Adam:
-    """Stateful wrapper tying the functional update to a model's parameters."""
+    """In-place Adam (Kingma & Ba 2015) with bias correction over a model's
+    named parameters; ``state`` holds each parameter's (m, v) moments."""
 
     def __init__(self, named_params: list[tuple[str, T.Tensor]], cfg: TrainConfig):
         self.cfg = cfg
-        self.names = [n for n, _ in named_params]
-        self.tensors = [p for _, p in named_params]
-        self.state = adam_init([p.data for p in self.tensors])
+        self.named_params = named_params
+        self.state = [(np.zeros_like(p.data), np.zeros_like(p.data))
+                      for _, p in named_params]
         self.t = 0
 
     def step(self, lr: float) -> bool:
-        """Apply one update; returns False (and changes nothing) on bad grads."""
+        """Apply one update at rate ``lr``. Returns False, touching no
+        parameter or moment, if any gradient is not finite."""
         grads = []
-        for name, p in zip(self.names, self.tensors):
+        for name, p in self.named_params:
             if p.grad is None:
                 raise ConfigError(f"parameter {name} has no gradient")
             grads.append(p.grad)
-        cfg = replace(self.cfg, lr=lr)
-        try:
-            adam_step([p.data for p in self.tensors], grads, self.state,
-                      self.t + 1, cfg)
-        except ArithmeticError:
+        if not all(np.all(np.isfinite(g)) for g in grads):
             return False
         self.t += 1
+        cfg = self.cfg
+        c1 = 1.0 - cfg.beta1 ** self.t
+        c2 = 1.0 - cfg.beta2 ** self.t
+        for (_, p), g, (m, v) in zip(self.named_params, grads, self.state):
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * (g * g)
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
         return True
 
 
@@ -225,7 +201,7 @@ def train_fold(model, train_records: list[SubjectRecord], cfg: TrainConfig
     weights = _class_weights(items, class_count) if cfg.class_weighting else None
     opt = Adam(model.params(), cfg)
     stats = [layer.stats for _, layer in model.norm_layers()]
-    rng = np.random.default_rng(cfg.seed if cfg.deterministic else None)
+    rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
     n = len(items)
     for epoch in range(1, cfg.epochs + 1):

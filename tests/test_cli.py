@@ -323,16 +323,20 @@ def test_cv_manifest_with_nan_volume_exit_3(workdir, tmp_path, capsys):
 
 
 def test_cv_extent_mismatch_exit_2(workdir, tmp_path, capsys):
-    cfg = {"model": dict(MODEL, input_extent=[16, 18, 16]),
-           "train": TRAIN, "split": {"mode": "kfold", "k": 3}}
-    cfg_path = tmp_path / "mismatch.json"
-    cfg_path.write_text(json.dumps(cfg))
-    rc = main(["cv", "--config", str(cfg_path),
-               "--data", str(workdir / "data" / "manifest.csv"),
-               "--out", str(tmp_path / "o")])
-    assert rc == 2
+    out = tmp_path / "o"
+    bad, good = tmp_path / "mismatch.json", tmp_path / "cfg.json"
+    split = {"mode": "kfold", "k": 3}
+    bad.write_text(json.dumps({"model": dict(MODEL, input_extent=[16, 18, 16]),
+                               "train": TRAIN, "split": split}))
+    good.write_text(json.dumps({"model": MODEL, "train": TRAIN, "split": split}))
+    data = str(workdir / "data" / "manifest.csv")
+    assert main(["cv", "--config", str(bad), "--data", data, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "(8, 8, 8)" in err and "(16, 18, 16)" in err
+    # the failed run leaves nothing that would refuse its corrected rerun
+    assert not out.exists() or not any(out.iterdir())
+    assert main(["cv", "--config", str(good), "--data", data, "--out", str(out)]) == 0
+    assert (out / "metrics.json").exists()
 
 
 def test_cv_smri_extent_mismatch_exit_2(tmp_path, capsys):
@@ -503,12 +507,17 @@ def test_localize_degenerate_map_warns(zero_head_ckpt, workdir, tmp_path, capsys
 
 
 def test_localize_extent_mismatch_exit_5(workdir, tmp_path, capsys):
+    out = tmp_path / "o"
     big = tmp_path / "big.vfv"
     write_volume(big, np.zeros((16, 16, 16), dtype=np.float32))
-    rc = main(["localize", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
-               "--volume", str(big), "--class", "0", "--out", str(tmp_path / "o")])
-    assert rc == 5
+    args = ["localize", "--ckpt", str(workdir / "run" / "fold0.ckpt"), "--class", "0",
+            "--out", str(out)]
+    assert main(args + ["--volume", str(big)]) == 5
     assert "incompatible" in capsys.readouterr().err
+    # the failed run leaves nothing that would refuse its corrected rerun
+    assert not (out / "resolved_config.json").exists()
+    assert main(args + ["--volume", str(_first_volume(workdir))]) == 0
+    assert (out / "map.vfv").exists()
 
 
 def test_localize_missing_ckpt_exit_5(workdir, tmp_path):

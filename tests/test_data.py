@@ -301,7 +301,7 @@ def test_folds_conflicting_labels_rejected():
 
 
 def test_fold_split_unknown_subject():
-    plan = FoldPlan(2, {"s0": 0}, seed=0)
+    plan = FoldPlan(2, {"s0": 0})
     with pytest.raises(PlanError):
         plan.split([SubjectRecord("ghost", "a", 0)], 0)
 

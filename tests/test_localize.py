@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from volformer import tensor as T
 from volformer.data import SyntheticSpec, generate_synthetic
 from volformer.errors import ConfigError, DataError, StateError
 from volformer.localize import (ActivationMap, average_maps, export_map, grad_cam,
@@ -184,6 +185,31 @@ def test_map_leaves_parameters_tracked_and_without_grads(monkeypatch):
     with pytest.raises(RuntimeError, match="forward failed"):
         grad_cam(model, _volume(), 1)
     assert all(p.requires_grad and p.grad is None for p in params)
+
+
+def test_map_sweep_stops_at_the_mapped_layer(monkeypatch):
+    model = _ready_model(seed=7)
+    v = _volume()
+    # reference: a full sweep over the tracked model, mapped by hand
+    logits, full = model.forward_trace(Tensor(v[None, None].astype(np.float32)))
+    T.backward(T.tensor_sum(T.narrow(logits, 1, 1, 1)))
+    T.zero_grads([p for _, p in model.params()])
+    assert full["stem"].grad is not None
+    act = full["stage2"]
+    combined = np.einsum("c,cdhw->dhw", act.grad[0].mean(axis=(1, 2, 3)), act.data[0])
+    cam = trilinear_resize(np.maximum(combined, 0.0), v.shape)
+    want = np.clip(cam / cam.max(), 0.0, 1.0).astype(np.float32)
+
+    traces = []
+    forward_trace = model.forward_trace
+    monkeypatch.setattr(model, "forward_trace", lambda *a, **kw: traces.append(
+        forward_trace(*a, **kw)) or traces[-1])
+    amap = grad_cam(model, v, 1, layer="stage2")
+    trace = traces[0][1]
+    assert trace["stage2"].grad is not None
+    assert trace["stem"].grad is None and trace["stage1"].grad is None
+    assert not amap.degenerate
+    assert np.array_equal(amap.volume, want)
 
 
 def test_trained_model_maps_are_usable_and_class_specific():

@@ -5,12 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from volformer import train
 from volformer.data import SubjectRecord, SyntheticSpec, VolumeSample, generate_synthetic
 from volformer.errors import ConfigError, DataError
 from volformer.model import BrainFormer, ModelConfig
 from volformer.tensor import Tensor
-from volformer.train import (Adam, MetricReport, TrainConfig, adam_init, adam_step,
-                             cross_validate, evaluate, lr_at, train_fold)
+from volformer.train import (Adam, MetricReport, TrainConfig, cross_validate, evaluate,
+                             lr_at, train_fold)
 
 from oracles import adam_trajectory
 
@@ -85,46 +86,53 @@ def test_lr_schedule_values():
 # optimizer math
 
 
+def _adam(p0):
+    """An optimizer over one float64 parameter that starts at ``p0``."""
+    p = Tensor(np.array(p0, dtype=np.float64), requires_grad=True)
+    return p, Adam([("p", p)], TrainConfig())
+
+
+def _adam_step(opt, p, g, lr=TrainConfig().lr):
+    p.grad = np.asarray(g, dtype=np.float64)
+    return opt.step(lr)
+
+
 def test_adam_first_step_closed_form():
     cfg = TrainConfig()
-    p = np.zeros(5, dtype=np.float64)
-    state = adam_init([p])
-    adam_step([p], [np.ones(5)], state, t=1, cfg=cfg)
+    p, opt = _adam(np.zeros(5))
+    assert _adam_step(opt, p, np.ones(5))
     expected = -cfg.lr / (1.0 + cfg.eps)
-    assert np.abs(p - expected).max() < 1e-12
+    assert np.abs(p.data - expected).max() < 1e-12
 
 
 def test_adam_matches_reference_trajectory():
     rng = np.random.default_rng(2)
     p0 = rng.normal(size=(3, 4))
     grads = [rng.normal(size=(3, 4)) for _ in range(6)]
-    cfg = TrainConfig(lr=1e-3)
-    p = p0.copy()
-    state = adam_init([p])
-    for t, g in enumerate(grads, start=1):
-        adam_step([p], [g], state, t, cfg)
+    p, opt = _adam(p0)
+    for g in grads:
+        assert _adam_step(opt, p, g, lr=1e-3)
+    assert opt.t == len(grads)
     expected = adam_trajectory(p0, grads, lr=1e-3)[-1]
-    assert np.abs(p - expected).max() < 1e-10
+    assert np.abs(p.data - expected).max() < 1e-10
 
 
 def test_adam_zero_gradient_keeps_parameters():
-    p = np.full(4, 3.0)
-    state = adam_init([p])
-    adam_step([p], [np.zeros(4)], state, t=1, cfg=TrainConfig())
-    assert np.array_equal(p, np.full(4, 3.0))
+    p, opt = _adam(np.full(4, 3.0))
+    assert _adam_step(opt, p, np.zeros(4))
+    assert np.array_equal(p.data, np.full(4, 3.0))
 
 
 def test_adam_nonfinite_gradient_aborts_without_mutation():
-    p = np.array([1.0, 2.0])
-    state = adam_init([p])
-    adam_step([p], [np.array([0.5, -0.5])], state, 1, TrainConfig())
-    p_snap = p.copy()
-    m_snap = state[0][0].copy()
-    bad = np.array([1.0, np.nan])
-    with pytest.raises(ArithmeticError):
-        adam_step([p], [bad], state, 2, TrainConfig())
-    assert np.array_equal(p, p_snap)
-    assert np.array_equal(state[0][0], m_snap)
+    p, opt = _adam([1.0, 2.0])
+    assert _adam_step(opt, p, [0.5, -0.5])
+    p_snap = p.data.copy()
+    m_snap, v_snap = (a.copy() for a in opt.state[0])
+    assert not _adam_step(opt, p, [1.0, np.nan])
+    assert opt.t == 1
+    assert p.data.tobytes() == p_snap.tobytes()
+    assert opt.state[0][0].tobytes() == m_snap.tobytes()
+    assert opt.state[0][1].tobytes() == v_snap.tobytes()
 
 
 def test_adam_deterministic_trajectories():
@@ -132,11 +140,10 @@ def test_adam_deterministic_trajectories():
     grads = [rng.normal(size=3) for _ in range(4)]
     outs = []
     for _ in range(2):
-        p = np.zeros(3)
-        state = adam_init([p])
-        for t, g in enumerate(grads, 1):
-            adam_step([p], [g], state, t, TrainConfig())
-        outs.append(p.copy())
+        p, opt = _adam(np.zeros(3))
+        for g in grads:
+            _adam_step(opt, p, g)
+        outs.append(p.data.copy())
     assert np.array_equal(outs[0], outs[1])
 
 
@@ -257,6 +264,36 @@ def test_skipped_step_leaves_bn_running_stats_bitwise_unchanged(monkeypatch):
     assert any(before[i][0] is not None for i in skipped)  # stats already seeded
     for i in skipped:  # the stats after step i are those the next step starts from
         assert before[i + 1] == before[i]
+
+
+@pytest.mark.parametrize("weighting", [True, False])
+def test_class_weighting_reaches_the_loss(monkeypatch, weighting):
+    records = generate_synthetic(_tiny_spec(subjects_per_class_per_site=2,
+                                            volumes_per_subject=2))
+    records = [r for r in records if r.label == 0] + [r for r in records if r.label == 1][:1]
+    counts = np.bincount([r.label for r in records for _ in r.fmri_volumes])
+    assert counts.tolist() == [4, 2]
+    calls = []
+    loss_fn = train.cross_entropy_logits
+
+    def spy(logits, labels, weights=None):
+        loss = loss_fn(logits, labels, weights)
+        calls.append((logits.data.astype(np.float64), labels, weights, float(loss.data)))
+        return loss
+
+    monkeypatch.setattr(train, "cross_entropy_logits", spy)
+    train_fold(_tiny_model(), records, TrainConfig(epochs=1, batch_size=4, lr_drop_epoch=1,
+                                                   class_weighting=weighting))
+    assert sum(len(labels) for _, labels, _, _ in calls) == counts.sum()
+    for z, labels, weights, loss in calls:
+        top = z.max(axis=-1)
+        nll = top + np.log(np.exp(z - top[:, None]).sum(axis=-1)) - z[np.arange(len(z)), labels]
+        if weighting:
+            assert np.array_equal(weights, 1.0 / counts[labels])
+            assert loss == pytest.approx((weights * nll).sum() / weights.sum(), rel=1e-5)
+        else:
+            assert weights is None
+            assert loss == pytest.approx(nll.mean(), rel=1e-5)
 
 
 def test_train_fold_rejects_empty():
