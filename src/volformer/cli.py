@@ -8,8 +8,8 @@ Exit codes: 0 success, 2 configuration error, 3 data or fold-planning error,
 4 training abort, 5 checkpoint error. Every command that owns an output
 directory echoes its fully resolved configuration there as
 ``resolved_config.json`` once its inputs pass their checks, so a command that
-fails on its inputs leaves no echo, and refuses to rerun into a directory
-whose echo differs, unless ``--force`` is given.
+fails on its inputs leaves no echo. It refuses, before any work, to rerun
+into a directory whose echo differs, unless ``--force`` is given.
 
 The environment variable ``VOLFORMER_THREADS`` caps kernel (BLAS/OpenMP)
 threads; ``--deterministic`` pins them to one for bitwise-stable reruns.
@@ -146,9 +146,8 @@ def load_run_config(path) -> RunConfig:
 # shared plumbing
 
 
-def _write_resolved(out_dir: Path, doc: dict, force: bool) -> Path:
-    """Echo the resolved configuration; refuse a differing rerun sans --force."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _check_resolved(out_dir: Path, doc: dict, force: bool) -> str:
+    """Echo text for ``doc``; refuse a directory whose echo differs, sans --force."""
     path = out_dir / RESOLVED_NAME
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if path.exists() and path.read_text() != text:
@@ -157,8 +156,12 @@ def _write_resolved(out_dir: Path, doc: dict, force: bool) -> Path:
                 f"{path} was written by a different run configuration; "
                 "pass --force to overwrite the directory contents")
         log.warning("overwriting %s (--force)", path)
-    path.write_text(text)
-    return path
+    return text
+
+
+def _write_resolved(out_dir: Path, text: str) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / RESOLVED_NAME).write_text(text)
 
 
 def _load_records(args, cfg: RunConfig):
@@ -177,26 +180,21 @@ def _check_extents(records, model_cfg) -> None:
     subject without the data of an enabled branch is a ``DataError``; a
     volume or vector whose size differs from the model's is a ``ConfigError``."""
     want = tuple(model_cfg.input_extent)
-    branches = (("smri", model_cfg.use_smri, "smri", None),
-                ("fc", model_cfg.use_fc, "fc_vector", model_cfg.fc_input_dim),
-                ("pheno", model_cfg.use_pheno, "phenotype", model_cfg.pheno_input_dim))
     for rec in records:
-        named = [(f"volume {i}", vol) for i, vol in enumerate(rec.fmri_volumes)]
-        for branch, enabled, attr, dim in branches:
-            if not enabled:
-                continue
-            value = getattr(rec, attr)
+        extents = [(f"volume {i}", s.volume.shape) for i, s in enumerate(rec.fmri_volumes)]
+        inputs = model_cfg.branch_inputs(rec)
+        for branch, shape in model_cfg.branch_shapes().items():
+            value = inputs[branch]
             if value is None:
                 raise DataError(f"subject {rec.subject_id!r} has no {branch} data "
                                 f"but the model's {branch} branch is enabled")
-            if dim is None:
-                named.append((f"{branch} volume", value))
-            elif len(value) != dim:
+            if len(shape) > 1:
+                extents.append((f"{branch} volume", value.shape[1:]))
+            elif len(value) != shape[0]:
                 raise ConfigError(
                     f"subject {rec.subject_id!r} {branch} vector has {len(value)} "
-                    f"values but the model expects {branch}_input_dim = {dim}")
-        for label, vol in named:
-            got = tuple(vol.volume.shape)
+                    f"values but the model expects {branch}_input_dim = {shape[0]}")
+        for label, got in extents:
             if got != want:
                 raise ConfigError(
                     f"subject {rec.subject_id!r} {label} has extents {got} "
@@ -228,8 +226,9 @@ def cmd_gen(args) -> int:
         spec = replace(spec, seed=args.seed)
         spec.validate()
     out = Path(args.out)
+    echo = _check_resolved(out, {"command": "gen", "synthetic": spec.to_dict()}, args.force)
     records = generate_synthetic(spec)
-    _write_resolved(out, {"command": "gen", "synthetic": spec.to_dict()}, args.force)
+    _write_resolved(out, echo)
     manifest = write_dataset(records, out)
     n_vol = sum(len(r.fmri_volumes) for r in records)
     print(f"wrote {len(records)} subjects ({n_vol} fmri volumes) to {out}")
@@ -263,16 +262,17 @@ def cmd_cv(args) -> int:
     if args.seed is not None:
         cfg.train = replace(cfg.train, seed=args.seed)
         cfg.train.validate()
+    out = Path(args.out)
+    resolved = {"command": "cv", **cfg.to_dict(),
+                "data": str(args.data) if args.data else None}
+    echo = _check_resolved(out, resolved, args.force)
     records = _load_records(args, cfg)
     _check_extents(records, cfg.model)
     plan = None
     if cfg.split.mode == "site_holdout":
         plan = plan_site_holdout(records, cfg.split.train_sites, cfg.split.test_sites)
         records = [r for r in records if r.subject_id in plan.assignments]
-    out = Path(args.out)
-    resolved = {"command": "cv", **cfg.to_dict(),
-                "data": str(args.data) if args.data else None}
-    _write_resolved(out, resolved, args.force)
+    _write_resolved(out, echo)
 
     seed = cfg.train.seed
     try:
@@ -314,6 +314,12 @@ def _audit(args, model) -> int:
     from .localize import grad_cam, top_fraction_mask
 
     spec = SyntheticSpec.from_dict(_read_json(args.spec))
+    out = Path(args.out)
+    resolved = {"command": "localize", "mode": "audit",
+                "ckpt": str(args.ckpt), "manifest": str(args.manifest),
+                "layer": args.layer, "fraction": args.fraction,
+                "synthetic": spec.to_dict()}
+    echo = _check_resolved(out, resolved, args.force)
     records = load_manifest(args.manifest)
     rows = []
     hits_on_correct = correct_total = degenerate_count = 0
@@ -336,12 +342,7 @@ def _audit(args, model) -> int:
                          int(is_correct), int(hit), int(amap.degenerate),
                          peak[0], peak[1], peak[2]])
 
-    out = Path(args.out)
-    resolved = {"command": "localize", "mode": "audit",
-                "ckpt": str(args.ckpt), "manifest": str(args.manifest),
-                "layer": args.layer, "fraction": args.fraction,
-                "synthetic": spec.to_dict()}
-    _write_resolved(out, resolved, args.force)
+    _write_resolved(out, echo)
     audit_path = out / "audit.csv"
     with open(audit_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -384,7 +385,7 @@ def cmd_localize(args) -> int:
         raise ConfigError("pass --volume and --class, or --manifest and --spec")
 
     model, _meta = load_model(args.ckpt)
-    if model.cfg.use_smri or model.cfg.use_fc or model.cfg.use_pheno:
+    if model.branches:
         raise ConfigError(
             "localize works on volume-only checkpoints; this checkpoint's "
             "model has extra input branches")
@@ -392,15 +393,16 @@ def cmd_localize(args) -> int:
         if audit_mode:
             return _audit(args, model)
 
-        volume = read_volume(args.volume)
         out = Path(args.out)
         layer = resolve_layer(model, args.target_class, args.layer)
-        amap = grad_cam(model, volume, target_class=args.target_class,
-                        layer=layer)
         resolved = {"command": "localize", "mode": "single",
                     "ckpt": str(args.ckpt), "volume": str(args.volume),
                     "target_class": args.target_class, "layer": layer}
-        _write_resolved(out, resolved, args.force)
+        echo = _check_resolved(out, resolved, args.force)
+        volume = read_volume(args.volume)
+        amap = grad_cam(model, volume, target_class=args.target_class,
+                        layer=layer)
+        _write_resolved(out, echo)
         paths = export_map(amap, out / "map.vfv", slices=args.slices)
     except (ShapeError, StateError) as err:
         raise CheckpointError(
@@ -442,40 +444,43 @@ def cmd_cost(args) -> int:
 # argument parsing and dispatch
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the seed from the configuration file")
-    sub.add_argument("--deterministic", action="store_true",
-                     help="pin kernel threads to 1 for bitwise-stable reruns")
-    sub.add_argument("--force", action="store_true",
-                     help="allow writing into an output directory whose "
-                          "resolved_config.json differs")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # The shared flags, each given only to the subcommands that read it.
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None,
+                      help="override the seed from the configuration file")
+    det = argparse.ArgumentParser(add_help=False)
+    det.add_argument("--deterministic", action="store_true",
+                     help="pin kernel threads to 1 for bitwise-stable reruns")
+    force = argparse.ArgumentParser(add_help=False)
+    force.add_argument("--force", action="store_true",
+                       help="allow writing into an output directory whose "
+                            "resolved_config.json differs")
+
     parser = argparse.ArgumentParser(
         prog="volformer",
         description="Volumetric classification: synthesize data, train with "
                     "cross-validation, localize evidence, estimate cost.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    gen = subs.add_parser("gen", help="materialize a synthetic dataset")
+    gen = subs.add_parser("gen", parents=[seed, det, force],
+                          help="materialize a synthetic dataset")
     gen.add_argument("--spec", required=True, help="SyntheticSpec JSON file")
     gen.add_argument("--out", required=True, help="output directory")
-    _add_common(gen)
     gen.set_defaults(func=cmd_gen)
 
-    cv = subs.add_parser("cv", help="cross-validated training and evaluation")
+    cv = subs.add_parser("cv", parents=[seed, det, force],
+                         help="cross-validated training and evaluation")
     cv.add_argument("--config", required=True, help="run config JSON file")
     cv.add_argument("--data", default=None,
                     help="manifest.csv (defaults to the config's synthetic section)")
     cv.add_argument("--out", required=True, help="output directory")
     cv.add_argument("--jobs", type=int, default=1,
                     help="train folds in parallel processes")
-    _add_common(cv)
     cv.set_defaults(func=cmd_cv)
 
-    loc = subs.add_parser("localize", help="activation maps from a checkpoint")
+    loc = subs.add_parser("localize", parents=[det, force],
+                          help="activation maps from a checkpoint")
     loc.add_argument("--ckpt", required=True, help="model checkpoint")
     loc.add_argument("--volume", default=None, help="input volume (.vfv)")
     loc.add_argument("--class", dest="target_class", type=int, default=None,
@@ -491,15 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="audit mode: SyntheticSpec JSON with ground-truth centers")
     loc.add_argument("--fraction", type=float, default=0.05,
                      help="audit mode: top-activation fraction counted as a hit")
-    _add_common(loc)
     loc.set_defaults(func=cmd_localize)
 
-    cost = subs.add_parser("cost", help="print the five-plan cost table as CSV")
+    cost = subs.add_parser("cost", parents=[det], help="print the five-plan cost table as CSV")
     cost.add_argument("--config", default=None,
                       help="run config JSON (model section used)")
     cost.add_argument("--preset", choices=("full", "desk"), default="full",
                       help="model preset when no config is given")
-    _add_common(cost)
     cost.set_defaults(func=cmd_cost)
     return parser
 
@@ -512,7 +515,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cap_threads("1" if getattr(args, "deterministic", False) else None)
+        cap_threads("1" if args.deterministic else None)
         return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -302,20 +302,13 @@ class MLP:
             self.biases.append(Tensor(np.zeros(b, dtype=dtype), requires_grad=True))
 
     def forward(self, x: Tensor) -> Tensor:
-        h = x
-        last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = T.add(T.matmul(h, w), b)
-            if i != last:
-                h = T.relu(h)
-        return h
+            x = T.add(T.matmul(T.relu(x) if i else x, w), b)
+        return x
 
     def params(self):
-        out = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out.append((f"w{i}", w))
-            out.append((f"b{i}", b))
-        return out
+        return [(f"{kind}{i}", t) for i, pair in enumerate(zip(self.weights, self.biases))
+                for kind, t in zip("wb", pair)]
 
 
 def cross_entropy_logits(logits: Tensor, labels: np.ndarray,

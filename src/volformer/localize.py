@@ -49,14 +49,12 @@ class ActivationMap:
 # trilinear resampling
 
 
-def _axis_positions(in_extent: int, out_extent: int):
-    """Corner-aligned source positions: low index, high index, high weight."""
-    if in_extent == 1 or out_extent == 1:
-        zeros = np.zeros(out_extent, dtype=np.int64)
-        return zeros, zeros, np.zeros(out_extent)
-    pos = np.arange(out_extent) * (in_extent - 1) / (out_extent - 1)
-    lo = np.minimum(np.floor(pos).astype(np.int64), in_extent - 2)
-    return lo, lo + 1, pos - lo
+def _interp_matrix(in_extent: int, out_extent: int) -> np.ndarray:
+    """(out, in) corner-aligned linear-interpolation weights along one axis:
+    the tent 1 - |distance| to each source point; a singleton output takes
+    source point 0."""
+    pos = np.arange(out_extent) * (in_extent - 1) / max(out_extent - 1, 1)
+    return np.maximum(0.0, 1.0 - np.abs(pos[:, None] - np.arange(in_extent)))
 
 
 def trilinear_resize(src: np.ndarray, target: tuple[int, int, int]) -> np.ndarray:
@@ -67,20 +65,10 @@ def trilinear_resize(src: np.ndarray, target: tuple[int, int, int]) -> np.ndarra
         raise DataError(f"resize expects 3D volumes, got {src.shape} -> {tuple(target)}")
     if any(e < 1 for e in target):
         raise DataError(f"target extents must be positive, got {tuple(target)}")
-    axes = [_axis_positions(s, t) for s, t in zip(src.shape, target)]
-    out = np.zeros(target)
-    for pick_z in range(2):
-        z_idx = axes[0][pick_z]
-        w_z = axes[0][2] if pick_z else 1.0 - axes[0][2]
-        for pick_y in range(2):
-            y_idx = axes[1][pick_y]
-            w_y = axes[1][2] if pick_y else 1.0 - axes[1][2]
-            for pick_x in range(2):
-                x_idx = axes[2][pick_x]
-                w_x = axes[2][2] if pick_x else 1.0 - axes[2][2]
-                weight = (w_z[:, None, None] * w_y[None, :, None]
-                          * w_x[None, None, :])
-                out += weight * src[np.ix_(z_idx, y_idx, x_idx)]
+    out = src
+    for extent, size in zip(src.shape, target):
+        # contract the leading axis and append its output axis: (D, H, W) after three
+        out = np.tensordot(out, _interp_matrix(extent, size), axes=(0, 1))
     return out
 
 
@@ -115,7 +103,7 @@ def grad_cam(model, volume, target_class: int, layer: str | None = None
     if arr.ndim != 3:
         raise DataError(f"expected a (D, H, W) volume, got shape {arr.shape}")
     params = [p for _, p in model.params()]
-    x = Tensor(arr[None, None].astype(params[0].data.dtype), requires_grad=True)
+    x = Tensor(arr[None, None], requires_grad=True)
     # The map needs activation gradients only: with the parameters untracked
     # the sweep computes no kernel gradient, and the tracked input records
     # the graph in their place. Cut below the mapped layer, which then

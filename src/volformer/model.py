@@ -4,8 +4,8 @@ The volumetric network is: per-volume data normalization, a 7x7x7 stride-2
 stem conv + BN + ReLU, four stages of residual conv blocks each optionally
 followed by a global attention block (shallow token/channel mixing or
 multi-head self-attention), global average pooling, and a linear classifier
-ending in softmax. Optional sMRI, connectivity and phenotype branches add
-features before the linear classifier.
+ending in softmax. Optional sMRI, connectivity and phenotype branches
+(``BRANCHES``) add features before the linear classifier.
 
 Checkpoints are a little-endian container: magic ``VFCK``, u32 format
 version (2), u32 metadata length + UTF-8 JSON metadata (config echo), u32
@@ -44,6 +44,10 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {code: dtype for dtype, code in _DTYPE_CODES.items()}
 
 ATTENTION_KINDS = ("S", "D", "none")
+
+# Optional input branches in feature order; see ``ModelConfig.branch_shapes``
+# and ``ModelConfig.branch_inputs``.
+BRANCHES = ("smri", "fc", "pheno")
 
 
 def _ceil_div(extent: int, stride: int) -> int:
@@ -110,6 +114,30 @@ class ModelConfig:
     def feature_channels(self) -> int:
         return self.stage_channels[-1] if self.stage_channels else self.resolved_stem_channels()
 
+    def branch_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Per-sample input shape of each enabled branch, in ``BRANCHES``
+        order: a (1, D, H, W) sMRI volume, or an FC or phenotype vector."""
+        shapes = {"smri": (1, *self.input_extent), "fc": (self.fc_input_dim,),
+                  "pheno": (self.pheno_input_dim,)}
+        return {b: shapes[b] for b in BRANCHES if getattr(self, f"use_{b}")}
+
+    def branch_inputs(self, rec) -> dict:
+        """A subject record's input to each enabled branch, None where it has
+        none: its sMRI volume, FC vector, and phenotype zeroed where masked."""
+        pheno = rec.phenotype
+        if pheno is not None:
+            pheno = np.asarray(pheno, dtype=np.float32) * (
+                1.0 if rec.pheno_mask is None else rec.pheno_mask)
+        values = {"smri": None if rec.smri is None else rec.smri.volume[None],
+                  "fc": rec.fc_vector, "pheno": pheno}
+        return {b: values[b] for b in self.branch_shapes()}
+
+    def feature_width(self) -> int:
+        """Classifier input width: pooled channels per volume, ``mlp_out`` per vector."""
+        return self.feature_channels() + sum(
+            self.feature_channels() if len(shape) > 1 else self.mlp_out
+            for shape in self.branch_shapes().values())
+
     def stage_extents(self) -> list[tuple[int, int, int]]:
         """Spatial extents after the stem and after each stage, in order."""
         e = tuple(_ceil_div(x, 2) for x in self.input_extent)
@@ -147,10 +175,9 @@ class ModelConfig:
             raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
         if len(self.mlp_hidden) != 2 or any(h < 1 for h in self.mlp_hidden):
             raise ConfigError(f"mlp_hidden must be two positive widths, got {self.mlp_hidden}")
-        if self.use_fc and self.fc_input_dim < 1:
-            raise ConfigError("fc_input_dim must be positive when use_fc is set")
-        if self.use_pheno and self.pheno_input_dim < 1:
-            raise ConfigError("pheno_input_dim must be positive when use_pheno is set")
+        for b, shape in self.branch_shapes().items():
+            if shape[0] < 1:  # a vector branch's width; an sMRI volume's is 1
+                raise ConfigError(f"{b}_input_dim must be positive when use_{b} is set")
         if self.scale_preset not in ("full", "desk"):
             raise ConfigError(f"unknown scale_preset {self.scale_preset!r}")
         if not self.stage_channels:
@@ -287,13 +314,13 @@ class VolumeEncoder:
 
 
 class BrainFormer:
-    """Classifier over an fMRI volume trunk plus optional input branches.
+    """Classifier over an fMRI volume trunk plus the enabled input branches.
 
-    Branch order is fixed: fMRI volumes, then (if ``use_smri``, ``use_fc``
-    or ``use_pheno`` is set) sMRI volumes, the flattened functional-
-    connectivity vector, and the phenotype vector. The concatenated feature
-    width is pooled channels per volume branch plus ``mlp_out`` per vector
-    branch; a bias-free linear head maps it to class logits.
+    ``branches`` maps each enabled branch, in ``BRANCHES`` order, to its
+    ``VolumeEncoder`` (sMRI) or ``MLP`` (a vector), and ``forward_logits``
+    takes each one's batch as the keyword argument of that name. The
+    branches' features follow the trunk's, ``cfg.feature_width()`` in all;
+    a bias-free linear head maps them to class logits.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
@@ -301,16 +328,11 @@ class BrainFormer:
         self.dtype = dtype
         rng = np.random.default_rng(seed)
         self.encoder = VolumeEncoder(cfg, rng, dtype)
-        self.encoder_smri = VolumeEncoder(cfg, rng, dtype) if cfg.use_smri else None
-        self.mlp_fc = (MLP(cfg.fc_input_dim, cfg.mlp_hidden, cfg.mlp_out, rng, dtype)
-                       if cfg.use_fc else None)
-        self.mlp_pheno = (MLP(cfg.pheno_input_dim, cfg.mlp_hidden, cfg.mlp_out, rng, dtype)
-                          if cfg.use_pheno else None)
-        feat = self.encoder.out_channels
-        if cfg.use_smri:
-            feat += self.encoder_smri.out_channels
-        feat += cfg.mlp_out * (int(cfg.use_fc) + int(cfg.use_pheno))
-        self.feature_dim = feat
+        self.branches = {
+            name: VolumeEncoder(cfg, rng, dtype) if len(shape) > 1
+            else MLP(shape[0], cfg.mlp_hidden, cfg.mlp_out, rng, dtype)
+            for name, shape in cfg.branch_shapes().items()}
+        feat = cfg.feature_width()
         self.classifier_weight = Tensor(
             kaiming_uniform((cfg.class_count, feat), feat, rng, dtype),
             requires_grad=True)
@@ -318,30 +340,23 @@ class BrainFormer:
     def forward_logits(self, volumes, training: bool, trace: dict | None = None,
                        smri=None, fc=None, pheno=None) -> Tensor:
         """Class logits; inputs of a disabled branch are ignored."""
+        inputs = {"smri": smri, "fc": fc, "pheno": pheno}
         parts = [self.encoder.forward(volumes, training, trace)]
-        if self.encoder_smri is not None:
-            if smri is None:
-                raise DataError("smri branch is enabled but the batch has no smri volumes")
-            parts.append(self.encoder_smri.forward(smri, training))
-        if self.mlp_fc is not None:
-            if fc is None:
-                raise DataError("fc branch is enabled but the batch has no fc vectors")
-            parts.append(self.mlp_fc.forward(self._vec(fc, self.cfg.fc_input_dim, "fc")))
-        if self.mlp_pheno is not None:
-            if pheno is None:
-                raise DataError("pheno branch is enabled but the batch has no phenotype vectors")
-            parts.append(self.mlp_pheno.forward(
-                self._vec(pheno, self.cfg.pheno_input_dim, "pheno")))
+        for name, shape in self.cfg.branch_shapes().items():
+            x, branch = inputs[name], self.branches[name]
+            if x is None:
+                raise DataError(f"{name} branch is enabled but the batch has no {name} input")
+            if isinstance(branch, VolumeEncoder):
+                parts.append(branch.forward(x, training))
+                continue
+            x = T._as_tensor(x)
+            if x.dtype != np.dtype(self.dtype):
+                x = Tensor(x.data.astype(self.dtype), requires_grad=x.requires_grad)
+            if x.shape[1:] != shape:
+                raise ShapeError(f"{name} branch expects (B, {shape[0]}) input, got {x.shape}")
+            parts.append(branch.forward(x))
         feats = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
         return T.matmul(feats, T.transpose(self.classifier_weight))
-
-    def _vec(self, value, dim: int, branch: str) -> Tensor:
-        v = T._as_tensor(value)
-        if v.dtype != np.dtype(self.dtype):
-            v = Tensor(v.data.astype(self.dtype), requires_grad=v.requires_grad)
-        if v.ndim != 2 or v.shape[1] != dim:
-            raise ShapeError(f"{branch} branch expects (B, {dim}) input, got {v.shape}")
-        return v
 
     def forward_probs(self, volumes, **extras) -> Tensor:
         with T.no_grad():
@@ -352,18 +367,19 @@ class BrainFormer:
         logits = self.forward_logits(volumes, training, trace=trace, **extras)
         return logits, trace
 
+    def _modules(self):
+        """(parameter prefix, module) pairs in parameter order."""
+        return [("encoder", self.encoder)] + [
+            (f"{'encoder' if isinstance(m, VolumeEncoder) else 'mlp'}_{name}", m)
+            for name, m in self.branches.items()]
+
     def params(self):
-        branches = (("encoder", self.encoder), ("encoder_smri", self.encoder_smri),
-                    ("mlp_fc", self.mlp_fc), ("mlp_pheno", self.mlp_pheno))
-        out = [(f"{b}.{n}", t) for b, branch in branches if branch is not None
-               for n, t in branch.params()]
-        out.append(("classifier.weight", self.classifier_weight))
-        return out
+        return [(f"{prefix}.{n}", t) for prefix, m in self._modules()
+                for n, t in m.params()] + [("classifier.weight", self.classifier_weight)]
 
     def norm_layers(self):
-        encoders = (("encoder", self.encoder), ("encoder_smri", self.encoder_smri))
-        return [(f"{b}.{n}", layer) for b, enc in encoders if enc is not None
-                for n, layer in enc.norm_layers()]
+        return [(f"{prefix}.{n}", layer) for prefix, m in self._modules()
+                if isinstance(m, VolumeEncoder) for n, layer in m.norm_layers()]
 
     def trace_layer_names(self) -> list[str]:
         return self.encoder.layer_names()
@@ -374,7 +390,7 @@ def forward_volume(model, volume) -> Tensor:
     v = volume.data if isinstance(volume, Tensor) else np.asarray(volume)
     if v.ndim != 3:
         raise ShapeError(f"forward_volume expects a (D, H, W) volume, got {v.shape}")
-    probs = model.forward_probs(v[None, None].astype(model.dtype))
+    probs = model.forward_probs(v[None, None])
     return T.reshape(probs, (model.cfg.class_count,))
 
 
@@ -396,7 +412,8 @@ def estimate_cost(cfg: ModelConfig, bytes_per_scalar: int = 4) -> CostReport:
     Counts are per single input volume (batch 1). The activation figure is
     the largest single live tensor any layer produces, including attention
     masks. Elementwise work (ReLU, BN, pooling, data norm) is not counted as
-    MACs; conv, matmul-style mixing, and attention contractions are.
+    MACs; conv, matmul-style mixing, and attention contractions are. Each
+    enabled branch adds a row named after it: a second encoder, or an MLP.
     """
     cfg.validate()
     macs = 0
@@ -456,8 +473,17 @@ def estimate_cost(cfg: ModelConfig, bytes_per_scalar: int = 4) -> CostReport:
                            + c * ff + ff + ff * c + c)
             record(f"stage{i + 1}.attn[D]", attn_macs, max(act, mask_bytes), attn_params)
 
-    feat = cfg.feature_channels()
-    record("avg_pool", 0, feat * bytes_per_scalar, 0)
+    record("avg_pool", 0, cfg.feature_channels() * bytes_per_scalar, 0)
+    encoder = (macs, peak, params)  # the totals so far are the encoder's
+    for name, shape in cfg.branch_shapes().items():
+        if len(shape) > 1:
+            record(name, *encoder)
+        else:
+            dims = (shape[0], *cfg.mlp_hidden, cfg.mlp_out)
+            pairs = list(zip(dims, dims[1:]))
+            record(name, sum(a * b for a, b in pairs), max(dims[1:]) * bytes_per_scalar,
+                   sum(a * b + b for a, b in pairs))
+    feat = cfg.feature_width()
     record("classifier", feat * cfg.class_count,
            cfg.class_count * bytes_per_scalar, feat * cfg.class_count)
     return CostReport(flops=2 * macs, peak_activation_bytes=peak,

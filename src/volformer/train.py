@@ -119,42 +119,32 @@ class Adam:
 
 @dataclass
 class _Item:
-    subject_id: str
     label: int
     volume: np.ndarray
-    smri: np.ndarray | None
-    fc: np.ndarray | None
-    pheno: np.ndarray | None
+    inputs: dict  # the subject's branch inputs, from ``ModelConfig.branch_inputs``
 
 
-def _items(records: list[SubjectRecord]) -> list[_Item]:
+def _items(records: list[SubjectRecord], model_cfg) -> list[_Item]:
     """Pool volumes in canonical per-subject order, so the item list (and any
     seeded shuffle of it) does not depend on manifest row order."""
     items = []
     for rec in sorted(records, key=lambda r: r.subject_id):
-        pheno = None
-        if rec.phenotype is not None:
-            mask = rec.pheno_mask if rec.pheno_mask is not None else 1.0
-            pheno = np.asarray(rec.phenotype, dtype=np.float32) * mask
+        inputs = model_cfg.branch_inputs(rec)
         for sample in rec.fmri_volumes:
-            items.append(_Item(rec.subject_id, rec.label, sample.volume,
-                               rec.smri.volume if rec.smri is not None else None,
-                               rec.fc_vector, pheno))
+            items.append(_Item(rec.label, sample.volume, inputs))
     return items
 
 
-def _stack(items: list[_Item], dtype) -> tuple[T.Tensor, np.ndarray, dict]:
-    volumes = T.Tensor(np.stack([it.volume[None] for it in items]).astype(dtype))
+def _stack(items: list[_Item]) -> tuple[T.Tensor, np.ndarray, dict]:
+    """Batch arrays as the data holds them; the model casts to its dtype."""
+    volumes = T.Tensor(np.stack([it.volume[None] for it in items]))
     labels = np.array([it.label for it in items], dtype=np.int64)
     extras: dict = {}
-    for branch in ("smri", "fc", "pheno"):
-        values = [getattr(it, branch) for it in items]
+    for branch in items[0].inputs:
+        values = [it.inputs[branch] for it in items]
         have = [v is not None for v in values]
         if all(have):
-            if branch == "smri":
-                extras[branch] = T.Tensor(np.stack([v[None] for v in values]).astype(dtype))
-            else:
-                extras[branch] = T.Tensor(np.stack(values).astype(dtype))
+            extras[branch] = T.Tensor(np.stack(values))
         elif any(have):
             raise DataError(f"batch mixes subjects with and without {branch} data")
     return volumes, labels, extras
@@ -193,10 +183,9 @@ def train_fold(model, train_records: list[SubjectRecord], cfg: TrainConfig
     statistics as they were; an epoch of only such batches raises
     ``FloatingPointError``."""
     cfg.validate()
-    items = _items(train_records)
+    items = _items(train_records, model.cfg)
     if not items:
         raise DataError("training set contains no volumes")
-    dtype = model.params()[0][1].data.dtype
     class_count = model.cfg.class_count
     weights = _class_weights(items, class_count) if cfg.class_weighting else None
     opt = Adam(model.params(), cfg)
@@ -212,7 +201,7 @@ def train_fold(model, train_records: list[SubjectRecord], cfg: TrainConfig
         counted = 0
         for start in range(0, n, cfg.batch_size):
             batch = [items[i] for i in order[start:start + cfg.batch_size]]
-            volumes, labels, extras = _stack(batch, dtype)
+            volumes, labels, extras = _stack(batch)
             T.zero_grads([p for _, p in model.params()])
             saved = [(s.mean, s.var) for s in stats]
             logits = model.forward_logits(volumes, training=True, **extras)
@@ -304,20 +293,19 @@ def _precision_recall(confusion: np.ndarray) -> dict:
 def evaluate(model, test_records: list[SubjectRecord]) -> MetricReport:
     """Volume-level metrics plus subject-level mean-probability voting."""
     class_count = model.cfg.class_count
-    dtype = model.params()[0][1].data.dtype
     confusion = np.zeros((class_count, class_count), dtype=np.int64)
     excluded: list[str] = []
     ties = 0
     subj_correct = 0
     subj_total = 0
     for rec in sorted(test_records, key=lambda r: r.subject_id):
-        sub_items = _items([rec])
+        sub_items = _items([rec], model.cfg)
         if not sub_items:
             excluded.append(rec.subject_id)
             log.warning("subject %s has no volumes; excluded from evaluation",
                         rec.subject_id)
             continue
-        volumes, labels, extras = _stack(sub_items, dtype)
+        volumes, labels, extras = _stack(sub_items)
         probs = model.forward_probs(volumes, **extras).data
         preds = np.argmax(probs, axis=-1)
         for y, p in zip(labels, preds):

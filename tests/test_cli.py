@@ -581,6 +581,36 @@ def test_localize_audit_mode(workdir, tmp_path, capsys, monkeypatch):
     assert "audited 18 volumes" in capsys.readouterr().out
 
 
+def test_localize_refuses_differing_echo_before_any_map(workdir, tmp_path, monkeypatch,
+                                                       capsys):
+    import volformer.localize
+    calls = []
+    real = volformer.localize.grad_cam
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("volformer.localize.grad_cam", counting)
+    out = tmp_path / "audit"
+    args = ["localize", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
+            "--manifest", str(workdir / "data" / "manifest.csv"),
+            "--spec", str(workdir / "spec.json"), "--out", str(out)]
+    assert main(args + ["--fraction", "0.05"]) == 0
+    assert len(calls) == 18
+    echo = (out / "resolved_config.json").read_text()
+    calls.clear()
+    assert main(args + ["--fraction", "0.1"]) == 2
+    assert "--force" in capsys.readouterr().err
+    assert calls == []
+    assert (out / "resolved_config.json").read_text() == echo
+    # single mode checks the echo of its own run before mapping too
+    assert main(["localize", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
+                 "--volume", str(_first_volume(workdir)), "--class", "0",
+                 "--out", str(out)]) == 2
+    assert calls == []
+
+
 def test_localize_flag_conflicts_exit_2(workdir, tmp_path, capsys):
     rc = main(["localize", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
                "--volume", str(_first_volume(workdir)), "--class", "0",
@@ -683,6 +713,17 @@ def test_thread_env_validation(monkeypatch, capsys):
     monkeypatch.setenv("VOLFORMER_THREADS", "zero")
     assert main(["cost", "--preset", "desk"]) == 2
     assert "VOLFORMER_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["cost", "--preset", "desk", "--seed", "5"], id="cost-seed"),
+    pytest.param(["cost", "--preset", "desk", "--force"], id="cost-force"),
+    pytest.param(["localize", "--ckpt", "m.ckpt", "--volume", "v.vfv", "--class", "0",
+                  "--out", "o", "--seed", "5"], id="localize-seed"),
+])
+def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_deterministic_pins_threads(monkeypatch, capsys):

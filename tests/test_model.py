@@ -1,5 +1,7 @@
 """Model assembly, cost estimation, fusion equivalences, checkpoints."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,26 @@ def test_cost_report_positive_and_matches_built_parameters():
             p for _, _, _, p in report.per_layer)
 
 
+@pytest.mark.parametrize("smri,fc,pheno", itertools.product((False, True), repeat=3))
+def test_cost_counts_the_enabled_branches(smri, fc, pheno):
+    cfg = ModelConfig.desk(use_smri=smri, use_fc=fc, use_pheno=pheno)
+    report = M.estimate_cost(cfg)
+    assert report.parameter_count == param_count(M.BrainFormer(cfg, seed=0)) == sum(
+        p for _, _, _, p in report.per_layer)
+    names = [name for name, _, _, _ in report.per_layer]
+    assert names[-1] == "classifier"
+    branches = ("smri", "fc", "pheno")
+    assert [n for n in names if n in branches] == [
+        b for b, on in zip(branches, (smri, fc, pheno)) if on]
+
+
+def test_fusion_rejects_unknown_branch_input():
+    model = M.BrainFormer(ModelConfig.desk(use_fc=True), seed=0)
+    with pytest.raises(TypeError):
+        model.forward_logits(desk_batch(np.random.default_rng(0)), training=False,
+                             fmri2=np.zeros((2, 64)))
+
+
 def test_cost_ordering_over_attention_plans():
     plans = ["S-S-S-S", "S-S-S-D", "S-S-D-D", "S-D-D-D", "D-D-D-D"]
     flops = [M.estimate_cost(ModelConfig.full(
@@ -167,8 +189,8 @@ def test_fusion_fmri_only_equals_plain_model():
 def test_fusion_feature_width_arithmetic():
     cfg = ModelConfig.desk(use_smri=True, use_fc=True, use_pheno=True)
     fusion = M.BrainFormer(cfg, seed=0)
-    assert fusion.feature_dim == 64 * 2 + cfg.mlp_out * 2
-    assert fusion.classifier_weight.shape == (2, fusion.feature_dim)
+    assert cfg.feature_width() == 64 * 2 + cfg.mlp_out * 2
+    assert fusion.classifier_weight.shape == (2, cfg.feature_width())
 
 
 def test_fusion_missing_branch_data_names_branch():
@@ -190,7 +212,7 @@ def test_fusion_masked_branch_equals_reduced_model():
     vol_feat = fusion.encoder.out_channels
     reduced.classifier_weight.data = fusion.classifier_weight.data[:, :vol_feat].copy()
     # Freeze the pheno branch at zero and mask its classifier columns.
-    for _, t in fusion.mlp_pheno.params():
+    for _, t in fusion.branches["pheno"].params():
         t.data[:] = 0.0
     fusion.classifier_weight.data[:, vol_feat:] = 0.0
     x = desk_batch(rng, 2)

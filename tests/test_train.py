@@ -1,7 +1,5 @@
 """Optimizer math, schedule, training loop behavior, metrics, k-fold harness."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -37,12 +35,8 @@ class _Stub:
     """Evaluation stand-in: probabilities computed by a plain function."""
 
     def __init__(self, prob_fn, class_count=2):
-        self.cfg = SimpleNamespace(class_count=class_count)
+        self.cfg = ModelConfig(class_count=class_count)
         self._fn = prob_fn
-        self._w = Tensor(np.zeros(1, dtype=np.float32))
-
-    def params(self):
-        return [("w", self._w)]
 
     def forward_probs(self, volumes, **extras):
         return Tensor(np.asarray(self._fn(volumes.data), dtype=np.float32))
@@ -299,6 +293,17 @@ def test_class_weighting_reaches_the_loss(monkeypatch, weighting):
 def test_train_fold_rejects_empty():
     with pytest.raises(DataError):
         train_fold(_tiny_model(), [], TrainConfig())
+
+
+def test_train_fold_reads_only_enabled_branches():
+    spec = _tiny_spec(with_pheno=True)
+    records = generate_synthetic(spec)
+    records[0].phenotype = None
+    cfg = TrainConfig(epochs=1, batch_size=32, lr_drop_epoch=1)
+    history = train_fold(_tiny_model(), records, cfg)
+    assert len(history.loss) == 1
+    with pytest.raises(DataError, match="pheno"):
+        train_fold(_tiny_model(use_pheno=True, pheno_input_dim=spec.pheno_dim), records, cfg)
 
 
 def test_history_csv(tmp_path):
