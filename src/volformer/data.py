@@ -64,6 +64,9 @@ class SubjectRecord:
                 raise DataError(
                     f"volume of subject {s.subject_id!r} (label {s.label}) filed "
                     f"under subject {self.subject_id!r} (label {self.label})")
+        for name, vector in (("fc", self.fc_vector), ("phenotype", self.phenotype)):
+            if vector is not None and not np.isfinite(vector).all():
+                raise DataError(f"{name} entries for {self.subject_id!r} are non-finite")
         if self.fc_vector is not None:
             fc = np.asarray(self.fc_vector)
             if fc.min(initial=0.0) < -1 - 1e-9 or fc.max(initial=0.0) > 1 + 1e-9:
@@ -581,11 +584,16 @@ def load_manifest(manifest_path) -> list[SubjectRecord]:
                 for i, cell in enumerate(cells):
                     if cell.strip():
                         try:
-                            values[i] = float(cell)
+                            # Checked as stored: 1e40 parses, then is inf in float32.
+                            with np.errstate(over="ignore"):
+                                values[i] = float(cell)
                         except ValueError:
                             raise DataError(
                                 f"manifest line {lineno}: bad phenotype cell {cell!r}"
                             ) from None
+                        if not np.isfinite(values[i]):
+                            raise DataError(f"manifest line {lineno}: non-finite "
+                                            f"phenotype cell pheno_{i} = {cell!r}")
                         mask[i] = 1.0
                 rec.phenotype = values
                 rec.pheno_mask = mask

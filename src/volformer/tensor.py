@@ -1,19 +1,22 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The graph is define-by-run: every primitive returns through ``_node``, which
-tallies its work for ``count_ops`` and links the output tensor back to its
-inputs with a closure mapping the output gradient to input gradient
-contributions. Closures capture the inputs and the arrays they read, never the
-output tensor, so reference counting alone frees a finished graph.
-``backward`` walks that implicit tape once in reverse topological order, so
+tallies its work for ``count_ops`` and links the output's tape record back to
+its inputs' records with a closure mapping the output gradient to input
+gradient contributions. A ``Tensor`` is its ``data`` plus a ``_Tape`` record
+holding the gradient, the parent records and the closure; the record never
+holds ``data``. Closures capture parent records and only the arrays their
+formula reads (the rule table in ``_node``'s docstring), never the output's
+record, so an intermediate the caller does not hold is freed as soon as no
+backward formula reads it, and reference counting alone frees a finished
+graph. ``backward`` walks the records once in reverse topological order, so
 each node's closure fires exactly once and gradients accumulate additively
 across multiple uses of the same tensor. The sweep consumes the graph: a
-node drops its closure and parents once its closure has run, so what the
-caller does not hold is freed as the sweep passes. Held tensors keep their
-``.grad``; a second sweep that reaches a consumed node is a ``StateError``.
-``batch_norm`` is one node that keeps ``x`` and per-channel vectors, with the
-closed-form backward of Ioffe & Szegedy (2015); its docstring gives the
-formulas and its ``count_ops`` units.
+record drops its closure and parents once its closure has run. Held tensors
+keep their ``.grad``; a second sweep that reaches a consumed node is a
+``StateError``. ``batch_norm`` and ``softmax`` are single nodes with
+closed-form backwards; their docstrings give the formulas and their
+``count_ops`` units.
 
 ``conv3d`` is im2col plus GEMM that never holds a whole patch matrix (after
 Anderson et al. 2017 and Dukhan 2019): ``_patch_chunks`` gathers it in runs
@@ -84,27 +87,63 @@ def count_ops():
         _counters.remove(counter)
 
 
+class _Tape:
+    """A tensor's gradient record: everything ``backward`` reads, no data.
+
+    ``parents`` are the records of the inputs and ``backward`` the closure
+    that feeds them; ``shape`` and ``dtype`` are the data's, which is all a
+    gradient needs of it.
+    """
+
+    __slots__ = ("grad", "requires_grad", "parents", "backward", "shape", "dtype")
+
+    def __init__(self, shape, dtype, requires_grad: bool):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self.parents: tuple[_Tape, ...] = ()
+        self.backward = None
+        self.shape = shape
+        self.dtype = dtype
+
+    def _accum(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            # A copy, never ``g`` itself: g may be another node's gradient
+            # or a read-only broadcast view, and later uses add in place.
+            self.grad = np.array(np.broadcast_to(g, self.shape), dtype=self.dtype)
+        else:
+            self.grad += g
+
+
+def _forward(field: str) -> property:
+    return property(lambda t: getattr(t._tape, field),
+                    lambda t, value: setattr(t._tape, field, value))
+
+
 class Tensor:
-    """N-d float array plus an optional gradient buffer and graph linkage.
+    """N-d float array plus its gradient record (``_Tape``).
 
     ``requires_grad`` marks tensors that should receive gradient
     contributions. Tensors produced by operations on tracked inputs are
     tracked themselves; their ``grad`` holds the upstream gradient after a
     ``backward`` sweep, which is what gradient-based localization reads off
-    intermediate activations.
+    intermediate activations. ``grad``, ``requires_grad``, ``_parents`` and
+    ``_backward`` read and write the record. ``data`` may be replaced only
+    by an array of the same shape and dtype.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "_tape")
+
+    grad = _forward("grad")
+    requires_grad = _forward("requires_grad")
+    _parents = _forward("parents")
+    _backward = _forward("backward")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._tape = _Tape(arr.shape, arr.dtype, bool(requires_grad))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -120,14 +159,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # A copy, never ``g`` itself: g may be another node's gradient
-            # or a read-only broadcast view, and later uses add in place.
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
-        else:
-            self.grad += g
 
     def __repr__(self) -> str:
         return (
@@ -154,23 +185,36 @@ def _as_tensor(x) -> Tensor:
 def _node(data, parents, backward_fn, macs=0) -> Tensor:
     """Wrap a primitive's result array as a tape node.
 
-    ``macs`` is added to every open ``count_ops`` counter, under ``no_grad``
-    too. The result joins the tape, with ``_parents`` and ``_backward`` set,
-    only while recording is on and some parent is tracked; otherwise it is a
-    constant with ``_backward is None`` and ``_parents == ()``.
+    ``parents`` are the inputs' ``_Tape`` records. ``macs`` is added to
+    every open ``count_ops`` counter, under ``no_grad`` too. The result
+    joins the tape, with ``_parents`` and ``_backward`` set, only while
+    recording is on and some parent is tracked; otherwise it is a constant
+    with ``_backward is None`` and ``_parents == ()``.
 
     ``backward_fn(g)`` adds the output gradient's contributions to the
-    tracked parents. It may capture the parents and the arrays it reads but
-    never the result tensor: a result -> closure -> result cycle keeps each
-    finished graph alive until the cyclic GC runs.
+    tracked parents' records. It captures those records and only the arrays
+    its formula reads, which bounds what a graph retains:
+
+    - ``add``, ``sub``, ``neg``, the shape ops and ``tensor_sum``: none;
+    - ``mul``, ``matmul``, ``conv3d``: each operand, only if the other
+      operand was tracked when the node was made;
+    - ``div``: the divisor and the output; ``exp``, ``sqrt``, ``relu`` and
+      ``softmax``: the output; ``log``: the input;
+    - ``batch_norm``: the input, only if ``gamma`` or, in training mode,
+      the input is tracked.
+
+    It never captures a ``Tensor`` or the result's record: a result ->
+    closure -> result cycle keeps each finished graph alive until the
+    cyclic GC runs.
     """
     for counter in _counters:
         counter.macs += int(macs)
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+        tape = out._tape
+        tape.requires_grad = True
+        tape.parents = tuple(parents)
+        tape.backward = backward_fn
     return out
 
 
@@ -194,99 +238,116 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _pair(a, b)
     y = a.data + b.data
+    ra, rb = a._tape, b._tape
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.data.shape))
+        if ra.requires_grad:
+            ra._accum(_unbroadcast(g, ra.shape))
+        if rb.requires_grad:
+            rb._accum(_unbroadcast(g, rb.shape))
 
-    return _node(y, (a, b), backward_fn, y.size)
+    return _node(y, (ra, rb), backward_fn, y.size)
 
 
 def sub(a, b) -> Tensor:
     a, b = _pair(a, b)
     y = a.data - b.data
+    ra, rb = a._tape, b._tape
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g, b.data.shape))
+        if ra.requires_grad:
+            ra._accum(_unbroadcast(g, ra.shape))
+        if rb.requires_grad:
+            rb._accum(_unbroadcast(-g, rb.shape))
 
-    return _node(y, (a, b), backward_fn, y.size)
+    return _node(y, (ra, rb), backward_fn, y.size)
 
 
 def mul(a, b) -> Tensor:
     a, b = _pair(a, b)
     y = a.data * b.data
+    ra, rb = a._tape, b._tape
+    # Each operand's array feeds only the other's gradient.
+    ad = a.data if rb.requires_grad else None
+    bd = b.data if ra.requires_grad else None
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.data.shape))
+        if bd is not None:
+            ra._accum(_unbroadcast(g * bd, ra.shape))
+        if ad is not None:
+            rb._accum(_unbroadcast(g * ad, rb.shape))
 
-    return _node(y, (a, b), backward_fn, y.size)
+    return _node(y, (ra, rb), backward_fn, y.size)
 
 
 def div(a, b) -> Tensor:
     a, b = _pair(a, b)
-    y = a.data / b.data
+    bd = b.data
+    y = a.data / bd
+    ra, rb = a._tape, b._tape
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g * y / b.data, b.data.shape))
+        if ra.requires_grad:
+            ra._accum(_unbroadcast(g / bd, ra.shape))
+        if rb.requires_grad:
+            rb._accum(_unbroadcast(-g * y / bd, rb.shape))
 
-    return _node(y, (a, b), backward_fn, y.size)
+    return _node(y, (ra, rb), backward_fn, y.size)
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
     y = -a.data
+    ra = a._tape
 
     def backward_fn(g):
-        a._accum(-g)
+        ra._accum(-g)
 
-    return _node(y, (a,), backward_fn, y.size)
+    return _node(y, (ra,), backward_fn, y.size)
 
 
 def relu(a) -> Tensor:
-    """max(0, x); the subgradient at exactly 0 is taken as 0."""
+    """max(0, x); the subgradient at exactly 0 is taken as 0.
+
+    The closure keeps the output: y > 0 exactly where x > 0, NaN included.
+    """
     a = _as_tensor(a)
     y = np.maximum(a.data, 0)
+    ra = a._tape
 
     def backward_fn(g):
-        a._accum(g * (a.data > 0))
+        ra._accum(g * (y > 0))
 
-    return _node(y, (a,), backward_fn, y.size)
+    return _node(y, (ra,), backward_fn, y.size)
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     y = np.exp(a.data)
+    ra = a._tape
 
     def backward_fn(g):
-        a._accum(g * y)
+        ra._accum(g * y)
 
-    return _node(y, (a,), backward_fn, y.size)
+    return _node(y, (ra,), backward_fn, y.size)
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    y = np.log(a.data)
+    ad = a.data
+    y = np.log(ad)
+    ra = a._tape
 
     def backward_fn(g):
-        a._accum(g / a.data)
+        ra._accum(g / ad)
 
-    return _node(y, (a,), backward_fn, y.size)
+    return _node(y, (ra,), backward_fn, y.size)
 
 
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
     y = np.sqrt(a.data)
+    ra = a._tape
     # Guard the derivative at 0. The true derivative diverges there, but
     # every caller multiplies it by a factor that is exactly 0 in the
     # degenerate (constant-input) case, so a finite surrogate yields the
@@ -294,9 +355,9 @@ def sqrt(a) -> Tensor:
     guard = np.finfo(y.dtype).tiny
 
     def backward_fn(g):
-        a._accum(g * 0.5 / np.maximum(y, guard))
+        ra._accum(g * 0.5 / np.maximum(y, guard))
 
-    return _node(y, (a,), backward_fn, y.size)
+    return _node(y, (ra,), backward_fn, y.size)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +366,12 @@ def sqrt(a) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
+    ra = a._tape
 
     def backward_fn(g):
-        a._accum(g.reshape(a.data.shape))
+        ra._accum(g.reshape(ra.shape))
 
-    return _node(a.data.reshape(shape), (a,), backward_fn)
+    return _node(a.data.reshape(shape), (ra,), backward_fn)
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -317,25 +379,27 @@ def transpose(a, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(a.data.ndim)))
     axes = tuple(axes)
+    ra = a._tape
 
     def backward_fn(g):
-        a._accum(np.transpose(g, tuple(np.argsort(axes))))
+        ra._accum(np.transpose(g, tuple(np.argsort(axes))))
 
-    return _node(np.transpose(a.data, axes), (a,), backward_fn)
+    return _node(np.transpose(a.data, axes), (ra,), backward_fn)
 
 
 def concat(parts, axis: int = 0) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat requires at least one tensor")
+    records = tuple(p._tape for p in parts)
 
     def backward_fn(g):
-        bounds = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
-        for part, piece in zip(parts, np.split(g, bounds, axis=axis)):
-            if part.requires_grad:
-                part._accum(piece)
+        bounds = np.cumsum([r.shape[axis] for r in records])[:-1]
+        for record, piece in zip(records, np.split(g, bounds, axis=axis)):
+            if record.requires_grad:
+                record._accum(piece)
 
-    return _node(np.concatenate([p.data for p in parts], axis=axis), parts, backward_fn)
+    return _node(np.concatenate([p.data for p in parts], axis=axis), records, backward_fn)
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -349,13 +413,14 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
+    ra = a._tape
 
     def backward_fn(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(ra.shape, ra.dtype)
         full[idx] = g
-        a._accum(full)
+        ra._accum(full)
 
-    return _node(a.data[idx].copy(), (a,), backward_fn)
+    return _node(a.data[idx].copy(), (ra,), backward_fn)
 
 
 def select_index(a, index) -> Tensor:
@@ -377,13 +442,14 @@ def select_index(a, index) -> Tensor:
             f"select_index: index out of range for {a.data.shape[1]} columns"
         )
     rows = np.arange(a.data.shape[0])
+    ra = a._tape
 
     def backward_fn(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(ra.shape, ra.dtype)
         np.add.at(full, (rows, idx), g)
-        a._accum(full)
+        ra._accum(full)
 
-    return _node(a.data[rows, idx].copy(), (a,), backward_fn)
+    return _node(a.data[rows, idx].copy(), (ra,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +467,14 @@ def _norm_axes(axis, ndim: int):
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     axes = _norm_axes(axis, a.data.ndim)
+    ra = a._tape
 
     def backward_fn(g):
         if not keepdims:
-            g = g.reshape([1 if i in axes else n for i, n in enumerate(a.data.shape)])
-        a._accum(np.broadcast_to(g, a.data.shape))
+            g = g.reshape([1 if i in axes else n for i, n in enumerate(ra.shape)])
+        ra._accum(np.broadcast_to(g, ra.shape))
 
-    return _node(a.data.sum(axis=axes, keepdims=keepdims), (a,), backward_fn, a.data.size)
+    return _node(a.data.sum(axis=axes, keepdims=keepdims), (ra,), backward_fn, a.data.size)
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -447,14 +514,19 @@ def matmul(a, b) -> Tensor:
             f"matmul: shapes {ad.shape} and {bd.shape} do not broadcast: {err}"
         ) from None
     batch = int(np.prod(out_data.shape[:-2], dtype=np.int64))
+    macs = batch * ad.shape[-2] * ad.shape[-1] * bd.shape[-1]
+    ra, rb = a._tape, b._tape
+    # Each operand's array feeds only the other's gradient.
+    ad = ad if rb.requires_grad else None
+    bd = bd if ra.requires_grad else None
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape))
+        if bd is not None:
+            ra._accum(_unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ra.shape))
+        if ad is not None:
+            rb._accum(_unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), rb.shape))
 
-    return _node(out_data, (a, b), backward_fn, batch * ad.shape[-2] * ad.shape[-1] * bd.shape[-1])
+    return _node(out_data, (ra, rb), backward_fn, macs)
 
 
 def _pad_batch_last(x: np.ndarray, margin: int) -> np.ndarray:
@@ -556,9 +628,10 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
       (K, C_out) orientation runs about twice as fast as (C_out, K) for
       the network's tall, narrow products; it is transposed as it is
       accumulated. The patches are not kept from the forward pass; backward
-      gathers the input array again, which the graph holds anyway, so a
-      tracked conv retains no more than its output (activation
-      recomputation). The input must not change in place before backward;
+      gathers them again from the input array, which the closure keeps for
+      this gradient alone, so a tracked conv retains at most its output
+      and its input (activation recomputation). The input must not change
+      in place before backward;
     - input gradient: a stride-1 correlation of the output gradient with
       the flipped, channel-swapped kernel, through the same chunks on
       windows of the output gradient padded once, batch-last. It is split
@@ -601,20 +674,24 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     for c0, c1, col in _patch_chunks(_pad_batch_last(xd, pad), ksize, stride):
         np.matmul(w2, col, out=out_data[:, c0:c1])
     out_data = np.ascontiguousarray(out_data.reshape(Co, *out_ext, B).transpose(4, 0, 1, 2, 3))
+    rx, rk = x._tape, kernel._tape
+    # The input feeds only the kernel gradient and the kernel only the input's.
+    xd = xd if rk.requires_grad else None
+    w = w if rx.requires_grad else None
 
     def backward_fn(g):
-        if kernel.requires_grad:
+        if xd is not None:
             g2 = g.transpose(1, 2, 3, 4, 0).reshape(Co, -1)
             gk = sum(np.matmul(col, g2[:, c0:c1].T)
                      for c0, c1, col in _patch_chunks(_pad_batch_last(xd, pad), ksize, stride))
-            kernel._accum(gk.T.reshape(w.shape))
+            rk._accum(gk.T.reshape(rk.shape))
             del g2  # an output-sized copy; free it before the input gradient
-        if x.requires_grad:
+        if w is not None:
             classes = [_residue_classes(n, k, stride, pad) for n, k in zip(extents, ksize)]
             margin = max([0] + [max(-lo, hi - n_out) for axis, n_out in zip(classes, out_ext)
                                 for _, _, lo, hi in axis])
             g = _pad_batch_last(g, margin)
-            gx = np.zeros((C, *extents, B), dtype=xd.dtype)
+            gx = np.zeros((C, *extents, B), dtype=rx.dtype)
             for (rd, fd, ld, hd), (rh, fh, lh, hh), (rw, fw, lw, hw) in itertools.product(*classes):
                 taps = w[:, :, rd::stride, rh::stride, rw::stride][:, :, ::-1, ::-1, ::-1]
                 taps2 = taps.transpose(1, 0, 2, 3, 4).reshape(C, -1)
@@ -625,9 +702,9 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
                 for c0, c1, col in _patch_chunks(window, taps.shape[2:], 1):
                     target[:, c0 // plane:c1 // plane] = np.matmul(taps2, col).reshape(
                         C, -1, *target.shape[2:])
-            x._accum(gx.transpose(4, 0, 1, 2, 3))
+            rx._accum(gx.transpose(4, 0, 1, 2, 3))
 
-    return _node(out_data, (x, kernel), backward_fn, B * Co * C * kd * kh * kw * vox)
+    return _node(out_data, (rx, rk), backward_fn, B * Co * C * kd * kh * kw * vox)
 
 
 # ---------------------------------------------------------------------------
@@ -637,13 +714,22 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
 def softmax(x, axis: int = -1) -> Tensor:
     """Row-stochastic exponential normalization, max-subtracted for stability.
 
-    Subtracting the (detached) per-row maximum leaves both the value and the
-    gradient unchanged because the map is shift invariant.
+    Subtracting the per-row maximum leaves both the value and the gradient
+    unchanged because the map is shift invariant. One tape node that keeps
+    only its output y, with gx = y·(g − Σ g·y) along ``axis``. ``count_ops``:
+    4 units per element (shift, exponential, sum, divide).
     """
     x = _as_tensor(x)
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))
-    e = exp(sub(x, shift))
-    return div(e, tensor_sum(e, axis, keepdims=True))
+    y = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    y /= y.sum(axis=axis, keepdims=True)
+    rx = x._tape
+
+    def backward_fn(g):
+        gx = g - (g * y).sum(axis=axis, keepdims=True)
+        gx *= y
+        rx._accum(gx)
+
+    return _node(y, (rx,), backward_fn, 4 * y.size)
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:
@@ -732,27 +818,32 @@ def batch_norm(x, gamma, beta, training: bool, stats: RunningStats | None = None
     scale = inv * gamma.data.reshape(bshape)
     y *= scale
     y += beta.data.reshape(bshape)
+    rx, rg, rb = x._tape, gamma._tape, beta._tape
+    size = xd.size
+    # x-hat feeds gamma's gradient and, in training mode, the input's.
+    xd = xd if rg.requires_grad or (training and rx.requires_grad) else None
 
     def backward_fn(g):
-        xhat = xd - mu
-        xhat *= inv
-        gxhat = (g * xhat).sum(axis=axes, keepdims=True)
-        if gamma.requires_grad:
-            gamma._accum(gxhat.reshape(C))
-        if beta.requires_grad:
-            beta._accum(g.sum(axis=axes).reshape(C))
-        if not x.requires_grad:
+        if xd is not None:
+            xhat = xd - mu
+            xhat *= inv
+            gxhat = (g * xhat).sum(axis=axes, keepdims=True)
+            if rg.requires_grad:
+                rg._accum(gxhat.reshape(C))
+        if rb.requires_grad:
+            rb._accum(g.sum(axis=axes).reshape(C))
+        if not rx.requires_grad:
             return
         if not training:
-            x._accum(g * scale)
+            rx._accum(g * scale)
             return
         gx = g - g.mean(axis=axes, keepdims=True)
-        xhat *= gxhat * (C / xd.size)
+        xhat *= gxhat * (C / size)
         gx -= xhat
         gx *= scale
-        x._accum(gx)
+        rx._accum(gx)
 
-    return _node(y, (x, gamma, beta), backward_fn, (6 if training else 3) * xd.size)
+    return _node(y, (rx, rg, rb), backward_fn, (6 if training else 3) * size)
 
 
 # ---------------------------------------------------------------------------
@@ -777,9 +868,10 @@ def backward(loss: Tensor) -> None:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise StateError("backward: loss does not depend on any tracked tensor")
-    topo: list[Tensor] = []
+    root = loss._tape
+    topo: list[_Tape] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Tape, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -787,20 +879,20 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
-        if node._backward is _swept:
+        if node.backward is _swept:
             raise StateError(_CONSUMED)
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
+        for parent in node.parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
-        fn = node._backward
+        fn = node.backward
         if fn is None:
             continue
-        node._backward, node._parents = _swept, ()
+        node.backward, node.parents = _swept, ()
         if node.grad is not None:
             fn(node.grad)
 

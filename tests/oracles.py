@@ -200,3 +200,10 @@ def batch_norm_chain(x, gamma, beta, training: bool, stats=None, eps: float = 1e
         xhat = T.div(T.sub(x, mu), denom)
     return T.add(T.mul(xhat, T.reshape(gamma, bshape)), T.reshape(beta, bshape))
 
+
+
+def softmax_chain(x, axis: int = -1):
+    """Softmax as shift -> exp -> sum -> divide nodes, the shift detached."""
+    from volformer import tensor as T
+    e = T.exp(T.sub(x, T.Tensor(x.data.max(axis=axis, keepdims=True))))
+    return T.div(e, T.tensor_sum(e, axis, keepdims=True))

@@ -392,6 +392,30 @@ def test_cv_checks_branch_inputs_before_training(fc_only_manifest, tmp_path, cap
     assert not list((tmp_path / "o").glob("fold*"))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "1e40"])
+def test_cv_non_finite_pheno_cell_exit_3(tmp_path, capsys, cell):
+    spec = dict(SPEC, subjects_per_class_per_site=2, volumes_per_subject=1,
+                with_pheno=True, pheno_dim=2)
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main(["gen", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "data")]) == 0
+    manifest = tmp_path / "data" / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + "," + cell
+    manifest.write_text("\n".join(lines) + "\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "model": dict(MODEL, use_pheno=True, pheno_input_dim=2), "train": TRAIN,
+        "split": {"mode": "kfold", "k": 2}}))
+    capsys.readouterr()
+    rc = main(["cv", "--config", str(cfg_path), "--data", str(manifest),
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "line 2" in err and f"pheno_1 = {cell!r}" in err, err
+    assert not list((tmp_path / "o").glob("fold*"))
+
+
 def test_cv_no_data_source_exit_2(workdir, tmp_path, capsys):
     cfg = {"model": MODEL, "train": TRAIN, "split": {"mode": "kfold", "k": 3}}
     cfg_path = tmp_path / "nodata.json"

@@ -482,6 +482,34 @@ def test_manifest_missing_pheno_cells_become_mask(tmp_path):
     assert np.array_equal(back[1].pheno_mask, [1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "1e40"])
+def test_manifest_rejects_non_finite_pheno_cell(tmp_path, cell):
+    """1e40 is finite for ``float`` but overflows the float32 vector."""
+    spec = SyntheticSpec(subjects_per_class_per_site=1, volumes_per_subject=1,
+                         with_pheno=True, pheno_dim=3)
+    manifest = write_dataset(generate_synthetic(spec), tmp_path)
+    lines = manifest.read_text().splitlines()
+    row = lines[2].split(",")
+    row[6] = cell
+    lines[2] = ",".join(row)
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError) as err:
+        load_manifest(manifest)
+    assert "line 3" in str(err.value) and f"pheno_1 = {cell!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["fc_vector", "phenotype"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_subject_record_rejects_non_finite_vectors(field, value):
+    """A NaN would pass the fc range check alone: nan < -1 is False."""
+    vector = np.zeros(4, dtype=np.float32)
+    vector[2] = value
+    rec = SubjectRecord("s0", "site0", 0, **{field: vector})
+    with pytest.raises(DataError) as err:
+        rec.validate()
+    assert "'s0'" in str(err.value) and "non-finite" in str(err.value)
+
+
 def test_manifest_without_pheno_leaves_none(tmp_path):
     recs = generate_synthetic(SyntheticSpec(subjects_per_class_per_site=1,
                                             volumes_per_subject=1))

@@ -3,13 +3,14 @@
 import gc
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import batch_norm_chain, conv3d_loops, numeric_grad, rel_error
+from oracles import batch_norm_chain, conv3d_loops, numeric_grad, rel_error, softmax_chain
 from volformer.errors import ShapeError, StateError
 from volformer import tensor as T
 from volformer.layers import cross_entropy_logits
@@ -511,6 +512,7 @@ PRIMITIVES = {
     "narrow": (lambda a: T.narrow(a, 1, 1, 2), [(2, 3)], 0),
     "select_index": (lambda a: T.select_index(a, [2, 0]), [(2, 3)], 0),
     "tensor_sum": (lambda a: T.tensor_sum(a, 1), [(2, 3)], 6),
+    "softmax": (lambda a: T.softmax(a, -1), [(2, 3)], 4 * 6),
     "matmul": (T.matmul, [(3, 4), (4, 5)], 3 * 4 * 5),
     "conv3d": (lambda x, k: T.conv3d(x, k, 1, 1), [(1, 2, 4, 4, 4), (3, 2, 3, 3, 3)],
                3 * 2 * 27 * 64),
@@ -532,7 +534,7 @@ def test_no_grad_suppresses_recording(name):
         y = call(*inputs)
     assert y.requires_grad and y._backward is not None
     assert len(y._parents) == len(inputs)
-    assert all(p is t for p, t in zip(y._parents, inputs))
+    assert all(p is t._tape for p, t in zip(y._parents, inputs))
     with T.no_grad(), T.count_ops() as unrecorded:
         z = call(*inputs)
     assert not z.requires_grad and z._backward is None and z._parents == ()
@@ -554,13 +556,58 @@ def test_finished_graph_is_freed_without_cyclic_gc():
         T.backward(loss)
         del loss
         gc.collect()
-        leaked = sum(isinstance(obj, Tensor) for obj in gc.garbage)
+        leaked = sum(isinstance(obj, (Tensor, T._Tape)) for obj in gc.garbage)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         if was_enabled:
             gc.enable()
-    assert leaked == 0, f"{leaked} tensors were only freed by the cyclic GC"
+    assert leaked == 0, f"{leaked} tensors or tape records were only freed by the cyclic GC"
+
+
+@pytest.mark.parametrize("name", list(PRIMITIVES))
+def test_closures_capture_no_tensor(name):
+    """A closure holds parent records and arrays, never a ``Tensor``, so a
+    ``Tensor`` (and its data) lives only as long as its caller holds it."""
+    call, shapes, _ = PRIMITIVES[name]
+    rng = np.random.default_rng(15)
+    y = call(*[t64(rng.uniform(0.5, 2.0, size=s)) for s in shapes])
+    cells = [c.cell_contents for c in y._backward.__closure__]
+    cells += [item for c in cells if isinstance(c, tuple) for item in c]
+    assert not any(isinstance(c, Tensor) for c in cells), name
+    assert any(isinstance(c, T._Tape) for c in cells), name
+
+
+def test_relu_keeps_its_output_not_its_input():
+    rng = np.random.default_rng(28)
+    x = Tensor(rng.normal(size=(2, 3, 2, 2, 2)), requires_grad=True)
+    bn = T.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), True)
+    y = T.relu(bn)
+    data = weakref.ref(bn.data)
+    del bn
+    assert data() is None
+    T.backward(T.tensor_sum(y))
+    assert x.grad is not None and np.all(np.isfinite(x.grad))
+
+
+def test_desk_training_forward_retains_under_0p6_mib_per_volume():
+    """What a B=2 training forward keeps for backward: the arrays the
+    backward formulas read (about 0.52 MiB per volume), not every
+    intermediate (0.91 MiB)."""
+    model = BrainFormer(ModelConfig.desk(), seed=0)
+    rng = np.random.default_rng(29)
+    x = Tensor(rng.normal(size=(2, 1) + model.cfg.input_extent).astype(np.float32))
+    labels = np.array([0, 1])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = cross_entropy_logits(model.forward_logits(x, training=True), labels)
+        retained = (tracemalloc.get_traced_memory()[0] - before) / 2 / 2**20
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.6, retained
+    T.backward(loss)
 
 
 def test_second_backward_over_swept_graph_is_state_error():
@@ -646,6 +693,25 @@ def test_softmax_rows_stochastic_and_shift_invariant(rows, cols, shift, seed):
     assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-9)
     q = T.softmax(Tensor(x + shift, dtype=np.float64), -1).data
     assert np.allclose(p, q, atol=1e-9)
+
+
+@pytest.mark.parametrize("axis", [-1, 0, 1])
+def test_fused_softmax_matches_composite_chain(axis):
+    """The single-node softmax against the primitive chain in ``oracles``:
+    output and input gradient, float64, 1e-12, over attention-mask-like
+    (B, heads, n, n) scores with a wide range of logits."""
+    rng = np.random.default_rng(30)
+    for shape in [(1, 1, 1, 2), (2, 3, 5, 5), (3, 2, 4, 7)]:
+        x = rng.normal(scale=6.0, size=shape)
+        w = rng.normal(size=shape)
+        results = []
+        for softmax in (T.softmax, softmax_chain):
+            xt = t64(x.copy())
+            y = softmax(xt, axis)
+            T.backward(T.tensor_sum(T.mul(y, Tensor(w))))
+            results.append((y.data, xt.grad))
+        for got, want in zip(*results):
+            assert rel_error(got, want) < 1e-12, (shape, axis)
 
 
 def test_softmax_extreme_logits_stay_normalized():
