@@ -516,7 +516,6 @@ def matmul(a, b) -> Tensor:
     batch = int(np.prod(out_data.shape[:-2], dtype=np.int64))
     macs = batch * ad.shape[-2] * ad.shape[-1] * bd.shape[-1]
     ra, rb = a._tape, b._tape
-    # Each operand's array feeds only the other's gradient.
     ad = ad if rb.requires_grad else None
     bd = bd if ra.requires_grad else None
 
