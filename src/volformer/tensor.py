@@ -114,7 +114,7 @@ class _Tape:
             self.grad += g
 
 
-def _forward(field: str) -> property:
+def _tape_attr(field: str) -> property:
     return property(lambda t: getattr(t._tape, field),
                     lambda t, value: setattr(t._tape, field, value))
 
@@ -133,10 +133,10 @@ class Tensor:
 
     __slots__ = ("data", "_tape")
 
-    grad = _forward("grad")
-    requires_grad = _forward("requires_grad")
-    _parents = _forward("parents")
-    _backward = _forward("backward")
+    grad = _tape_attr("grad")
+    requires_grad = _tape_attr("requires_grad")
+    _parents = _tape_attr("parents")
+    _backward = _tape_attr("backward")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
