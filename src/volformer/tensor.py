@@ -2,8 +2,10 @@
 
 The graph is define-by-run: every primitive returns through ``_node``, which
 tallies its work for ``count_ops`` and links the output's tape record back to
-its inputs' records with a closure mapping the output gradient to input
-gradient contributions. A ``Tensor`` is its ``data`` plus a ``_Tape`` record
+its tracked inputs' records with a closure mapping the output gradient to
+input gradient contributions. Only inputs tracked when the node is made are
+linked, so ``backward`` never walks an untracked parameter or a wrapped
+constant. A ``Tensor`` is its ``data`` plus a ``_Tape`` record
 holding the gradient, the parent records and the closure; the record never
 holds ``data``. Closures capture parent records and only the arrays their
 formula reads (the rule table in ``_node``'s docstring), never the output's
@@ -20,8 +22,9 @@ closed-form backwards; their docstrings give the formulas and their
 
 ``conv3d`` is im2col plus GEMM that never holds a whole patch matrix (after
 Anderson et al. 2017 and Dukhan 2019): ``_patch_chunks`` gathers it in runs
-of output depth planes through one buffer of at most ``_PATCH_BYTES``, and
-the kernel gradient is formed (K, C_out); its docstring has the details.
+of output depth planes, or of output rows where one plane is too large,
+through one buffer of at most ``_PATCH_BYTES``, and the kernel gradient is
+formed (K, C_out); its docstring has the details.
 
 The API is functional (``T.add(a, b)``, ``T.backward(loss)``); ``Tensor`` has
 no operators. ``conv3d`` and ``avg_pool_global`` take (B, C, D, H, W) maps and
@@ -106,12 +109,14 @@ class _Tape:
         self.dtype = dtype
 
     def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # A copy, never ``g`` itself: g may be another node's gradient
-            # or a read-only broadcast view, and later uses add in place.
-            self.grad = np.array(np.broadcast_to(g, self.shape), dtype=self.dtype)
-        else:
+        if self.grad is not None:
             self.grad += g
+        # A copy, never ``g`` itself: g may be another node's gradient or a
+        # read-only broadcast view, and later uses add in place.
+        elif g.shape == self.shape:
+            self.grad = np.array(g, dtype=self.dtype)
+        else:
+            self.grad = np.array(np.broadcast_to(g, self.shape), dtype=self.dtype)
 
 
 def _tape_attr(field: str) -> property:
@@ -139,9 +144,12 @@ class Tensor:
     _backward = _tape_attr("backward")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
-        if arr.dtype not in _FLOAT_DTYPES:
-            arr = arr.astype(np.float32)
+        if type(data) is np.ndarray and dtype is None and data.dtype in _FLOAT_DTYPES:
+            arr = data
+        else:
+            arr = np.asarray(data, dtype=dtype)
+            if arr.dtype not in _FLOAT_DTYPES:
+                arr = arr.astype(np.float32)
         self.data = arr
         self._tape = _Tape(arr.shape, arr.dtype, bool(requires_grad))
 
@@ -158,6 +166,9 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
+        """The value of a one-element tensor; any other size is a ``ShapeError``."""
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs a one-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
@@ -187,9 +198,11 @@ def _node(data, parents, backward_fn, macs=0) -> Tensor:
 
     ``parents`` are the inputs' ``_Tape`` records. ``macs`` is added to
     every open ``count_ops`` counter, under ``no_grad`` too. The result
-    joins the tape, with ``_parents`` and ``_backward`` set, only while
-    recording is on and some parent is tracked; otherwise it is a constant
-    with ``_backward is None`` and ``_parents == ()``.
+    joins the tape only while recording is on and some parent is tracked;
+    otherwise it is a constant with ``_backward is None`` and
+    ``_parents == ()``. A node lists only the parents that were tracked when
+    it was made, so ``backward`` never walks a parameter the caller left
+    untracked or a wrapped constant.
 
     ``backward_fn(g)`` adds the output gradient's contributions to the
     tracked parents' records. It captures those records and only the arrays
@@ -210,11 +223,16 @@ def _node(data, parents, backward_fn, macs=0) -> Tensor:
     for counter in _counters:
         counter.macs += int(macs)
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        tape = out._tape
-        tape.requires_grad = True
-        tape.parents = tuple(parents)
-        tape.backward = backward_fn
+    if _grad_enabled:
+        tracked = ()
+        for p in parents:
+            if p.requires_grad:
+                tracked += (p,)
+        if tracked:
+            tape = out._tape
+            tape.requires_grad = True
+            tape.parents = tracked
+            tape.backward = backward_fn
     return out
 
 
@@ -382,9 +400,9 @@ def transpose(a, axes=None) -> Tensor:
     ra = a._tape
 
     def backward_fn(g):
-        ra._accum(np.transpose(g, tuple(np.argsort(axes))))
+        ra._accum(g.transpose(sorted(range(len(axes)), key=axes.__getitem__)))
 
-    return _node(np.transpose(a.data, axes), (ra,), backward_fn)
+    return _node(a.data.transpose(axes), (ra,), backward_fn)
 
 
 def concat(parts, axis: int = 0) -> Tensor:
@@ -513,17 +531,16 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(
             f"matmul: shapes {ad.shape} and {bd.shape} do not broadcast: {err}"
         ) from None
-    batch = int(np.prod(out_data.shape[:-2], dtype=np.int64))
-    macs = batch * ad.shape[-2] * ad.shape[-1] * bd.shape[-1]
+    macs = math.prod(out_data.shape[:-2]) * ad.shape[-2] * ad.shape[-1] * bd.shape[-1]
     ra, rb = a._tape, b._tape
     ad = ad if rb.requires_grad else None
     bd = bd if ra.requires_grad else None
 
     def backward_fn(g):
         if bd is not None:
-            ra._accum(_unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ra.shape))
+            ra._accum(_unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ra.shape))
         if ad is not None:
-            rb._accum(_unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), rb.shape))
+            rb._accum(_unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), rb.shape))
 
     return _node(out_data, (ra, rb), backward_fn, macs)
 
@@ -547,40 +564,57 @@ def _pad_batch_last(x: np.ndarray, margin: int) -> np.ndarray:
 _PATCH_BYTES = 1 << 20
 
 
-def _patch_chunks(src: np.ndarray, kernel_shape, stride: int):
-    """Patch matrix of a batch-last (C, D, H, W, B) array, in bounded chunks.
+def _patch_chunks(src: np.ndarray, corner, kernel_shape, out, stride: int):
+    """Patch matrix of a correlation over a batch-last (C, D, H, W, B) array,
+    in bounded chunks.
 
-    The whole matrix is (K, V*B). Rows are the K = C*kd*kh*kw patch entries
-    in (C, kd, kh, kw) order, so a (C_out, C, kd, kh, kw) kernel reshaped to
-    (C_out, K) multiplies it directly. Columns are the windows, placed every
+    ``src`` is C-contiguous; the correlation reads it from the voxel
+    ``corner`` on, with ``out`` output extents. The whole matrix is
+    (K, V*B). Rows are the K = C*kd*kh*kw patch entries in (C, kd, kh, kw)
+    order, so a (C_out, C, kd, kh, kw) kernel reshaped to (C_out, K)
+    multiplies it directly. Columns are the windows, placed every
     ``stride`` voxels, in (Do, Ho, Wo, B) order.
 
-    Yields ``(c0, c1, col)``, ``col`` the contiguous (K, c1 - c0) block of
-    columns c0:c1: a run of whole output depth planes, as many as fit in
-    ``_PATCH_BYTES`` and at least one. Every ``col`` lives in one buffer
-    allocated per call and is overwritten by the next chunk. The strided
-    window view is built once per call and sliced per chunk.
+    Yields ``(c0, c1, region, col)``: ``col`` the contiguous (K, c1 - c0)
+    block of columns c0:c1, which hold the output voxels ``[region]`` of a
+    (Do, Ho, Wo, B) array. A block is a run of whole output depth planes,
+    as many as fit in ``_PATCH_BYTES``; where one plane exceeds it, a run of
+    whole output rows within one plane, as many as fit and at least one.
+    Every ``col`` lives in one buffer allocated per call and is overwritten
+    by the next chunk. The read-only strided window view is built once per
+    call and sliced per chunk.
 
     The batch axis is last because the gather, not the GEMM it feeds, is the
     cost: each row copies runs of Wo*B contiguous floats at stride 1 (B at
     larger strides), where a (B, C, D, H, W) source gives runs of Wo.
     """
-    C, *extents, B = src.shape
-    out = [(n - k) // stride + 1 for n, k in zip(extents, kernel_shape)]
+    C, B = src.shape[0], src.shape[4]
     sc, sd, sh, sw, sb = src.strides
-    windows = np.lib.stride_tricks.as_strided(
-        src, (C, *kernel_shape, *out, B),
-        (sc, sd, sh, sw, sd * stride, sh * stride, sw * stride, sb), writeable=False)
-    rows = C * math.prod(kernel_shape)
-    cols = out[1] * out[2] * B
-    step = max(1, _PATCH_BYTES // max(1, rows * cols * src.itemsize))
-    buf = np.empty(rows * cols * min(step, out[0]), dtype=src.dtype)
-    for d0 in range(0, out[0], step):
-        d1 = min(d0 + step, out[0])
-        col = buf[:rows * cols * (d1 - d0)].reshape(rows, -1)
-        chunk = windows[:, :, :, :, d0:d1]
-        np.copyto(col.reshape(chunk.shape), chunk)
-        yield d0 * cols, d1 * cols, col
+    windows = np.ndarray(
+        (C, *kernel_shape, *out, B), src.dtype, src,
+        sd * corner[0] + sh * corner[1] + sw * corner[2],
+        (sc, sd, sh, sw, sd * stride, sh * stride, sw * stride, sb))
+    windows.flags.writeable = False
+    rows = C * kernel_shape[0] * kernel_shape[1] * kernel_shape[2]
+    row = out[2] * B
+    plane = out[1] * row
+    row_bytes = max(1, rows * row * src.itemsize)
+    if row_bytes * out[1] <= _PATCH_BYTES:
+        step = _PATCH_BYTES // (row_bytes * out[1])
+        runs = [(d * plane, (slice(d, d + step),)) for d in range(0, out[0], step)]
+        width = min(step, out[0]) * plane
+    else:
+        step = max(1, _PATCH_BYTES // row_bytes)
+        runs = [(d * plane + h * row, (d, slice(h, h + step)))
+                for d in range(out[0]) for h in range(0, out[1], step)]
+        width = min(step, out[1]) * row
+    buf = np.empty(rows * width, dtype=src.dtype)
+    for c0, region in runs:
+        chunk = windows[(slice(None),) * 4 + region]
+        col = buf[:chunk.size].reshape(chunk.shape)
+        np.copyto(col, chunk)
+        col = col.reshape(rows, -1)
+        yield c0, c0 + col.shape[1], region, col
 
 
 def _residue_classes(n: int, k: int, stride: int, pad: int) -> list[tuple[int, ...]]:
@@ -588,10 +622,12 @@ def _residue_classes(n: int, k: int, stride: int, pad: int) -> list[tuple[int, .
 
     Input index i sits at padded position i + pad = stride*m + r, which only
     the taps r + stride*j reach, from outputs m - j. For each class with at
-    least one tap and one input index this returns (r, first input index,
-    lo, hi): the class's input-gradient is the correlation of the output
-    gradient window [lo, hi) with its taps reversed. lo < 0 or hi past the
-    output extent stand for zero outputs.
+    least one tap and one input index this returns (first reversed tap,
+    first input index, lo, hi): the class's input-gradient is the
+    correlation of the output gradient window [lo, hi) with its taps
+    reversed, which are every ``stride``-th entry of the reversed kernel
+    axis from the first. lo < 0 or hi past the output extent stand for zero
+    outputs.
     """
     classes = []
     for r in range(min(stride, k)):
@@ -599,7 +635,8 @@ def _residue_classes(n: int, k: int, stride: int, pad: int) -> list[tuple[int, .
         if first < n:
             m = (first + pad) // stride
             lo = m - len(range(r, k, stride)) + 1
-            classes.append((r, first, lo, m + (n - 1 - first) // stride + 1))
+            classes.append(((k - 1 - r) % stride, first, lo,
+                            m + (n - 1 - first) // stride + 1))
     return classes
 
 
@@ -615,9 +652,10 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     (K, V*B), K = C_in*kd*kh*kw patch entries by V output voxels per batch
     entry, columns in (Do, Ho, Wo, B) order, so the gather copies runs of
     Wo*B floats rather than Wo. It is never formed whole: ``_patch_chunks``
-    gathers it in runs of output depth planes of at most ``_PATCH_BYTES``
-    (at least one plane) into one buffer per call, and every direction is a
-    2-D GEMM per chunk:
+    gathers it in runs of output depth planes, or of output rows where one
+    plane exceeds ``_PATCH_BYTES``, into one buffer per call of at most
+    ``_PATCH_BYTES`` (at least one row), and every direction is a 2-D GEMM
+    per chunk:
 
     - forward: the (C_out, K) kernel matrix times each chunk, written into
       its columns of one (C_out, V*B) product, then one transpose of that
@@ -637,9 +675,9 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
       into stride**3 residue classes: input positions ``stride*q + r``
       (padded coordinates) see only the taps ``r + stride*j``, so each class
       is one GEMM per chunk over its own taps and no zero-dilated gradient
-      is formed. Stride 1 is the one-class case. Each chunk fills its depth
-      planes of the class in a batch-last input gradient, transposed once as
-      it is accumulated.
+      is formed. Stride 1 is the one-class case. Each chunk fills its
+      planes or rows of the class in a batch-last input gradient,
+      transposed once as it is accumulated.
 
     Transients beyond the arrays a direction returns are thus one patch
     buffer plus input- or output-sized copies, whatever the batch.
@@ -666,11 +704,13 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
         )
     extents = (D, H, W)
     ksize = (kd, kh, kw)
-    out_ext = tuple((n + 2 * pad - k) // stride + 1 for n, k in zip(extents, ksize))
-    vox = math.prod(out_ext)
+    out_ext = ((D + 2 * pad - kd) // stride + 1, (H + 2 * pad - kh) // stride + 1,
+               (W + 2 * pad - kw) // stride + 1)
+    vox = out_ext[0] * out_ext[1] * out_ext[2]
     w2 = w.reshape(Co, -1)
     out_data = np.empty((Co, vox * B), dtype=np.result_type(xd, w))
-    for c0, c1, col in _patch_chunks(_pad_batch_last(xd, pad), ksize, stride):
+    for c0, c1, _, col in _patch_chunks(_pad_batch_last(xd, pad), (0, 0, 0), ksize, out_ext,
+                                        stride):
         np.matmul(w2, col, out=out_data[:, c0:c1])
     out_data = np.ascontiguousarray(out_data.reshape(Co, *out_ext, B).transpose(4, 0, 1, 2, 3))
     rx, rk = x._tape, kernel._tape
@@ -681,8 +721,8 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     def backward_fn(g):
         if xd is not None:
             g2 = g.transpose(1, 2, 3, 4, 0).reshape(Co, -1)
-            gk = sum(np.matmul(col, g2[:, c0:c1].T)
-                     for c0, c1, col in _patch_chunks(_pad_batch_last(xd, pad), ksize, stride))
+            gk = sum(np.matmul(col, g2[:, c0:c1].T) for c0, c1, _, col in _patch_chunks(
+                _pad_batch_last(xd, pad), (0, 0, 0), ksize, out_ext, stride))
             rk._accum(gk.T.reshape(rk.shape))
             del g2  # an output-sized copy; free it before the input gradient
         if w is not None:
@@ -691,16 +731,16 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
                                 for _, _, lo, hi in axis])
             g = _pad_batch_last(g, margin)
             gx = np.zeros((C, *extents, B), dtype=rx.dtype)
-            for (rd, fd, ld, hd), (rh, fh, lh, hh), (rw, fw, lw, hw) in itertools.product(*classes):
-                taps = w[:, :, rd::stride, rh::stride, rw::stride][:, :, ::-1, ::-1, ::-1]
-                taps2 = taps.transpose(1, 0, 2, 3, 4).reshape(C, -1)
-                window = g[:, margin + ld:margin + hd, margin + lh:margin + hh,
-                           margin + lw:margin + hw]
+            flipped = w.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
+            for (td, fd, ld, _), (th, fh, lh, _), (tw, fw, lw, _) in itertools.product(*classes):
+                taps = flipped[:, :, td::stride, th::stride, tw::stride]
+                taps2 = taps.reshape(C, -1)
                 target = gx[:, fd::stride, fh::stride, fw::stride]
-                plane = math.prod(target.shape[2:])
-                for c0, c1, col in _patch_chunks(window, taps.shape[2:], 1):
-                    target[:, c0 // plane:c1 // plane] = np.matmul(taps2, col).reshape(
-                        C, -1, *target.shape[2:])
+                corner = (margin + ld, margin + lh, margin + lw)
+                for _, _, region, col in _patch_chunks(g, corner, taps.shape[2:],
+                                                       target.shape[1:4], 1):
+                    block = target[(slice(None), *region)]
+                    block[...] = np.matmul(taps2, col).reshape(block.shape)
             rx._accum(gx.transpose(4, 0, 1, 2, 3))
 
     return _node(out_data, (rx, rk), backward_fn, B * Co * C * kd * kh * kw * vox)
@@ -857,6 +897,34 @@ def _swept(g):
     raise StateError(_CONSUMED)
 
 
+def _closures_in_order(root: _Tape) -> list[_Tape]:
+    """Records reachable from ``root`` that have a closure, parents first.
+
+    Depth-first: a record is pushed again when first reached (False in
+    ``expanded``) and is listed when that entry pops (True); its other
+    entries sit beneath and are skipped. Leaves are never pushed. Raises
+    ``StateError`` on reaching a consumed record.
+    """
+    order: list[_Tape] = []
+    expanded: dict[_Tape, bool] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        state = expanded.get(node)
+        if state is None:
+            if node.backward is _swept:
+                raise StateError(_CONSUMED)
+            expanded[node] = False
+            stack.append(node)
+            for parent in node.parents:
+                if parent.backward is not None and parent not in expanded:
+                    stack.append(parent)
+        elif not state:
+            expanded[node] = True
+            order.append(node)
+    return order
+
+
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss through the recorded graph.
 
@@ -868,23 +936,9 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise StateError("backward: loss does not depend on any tracked tensor")
     root = loss._tape
-    topo: list[_Tape] = []
-    seen: set[int] = set()
-    stack: list[tuple[_Tape, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        if node.backward is _swept:
-            raise StateError(_CONSUMED)
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node.parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
+    # Only this list holds the records: each is freed, with its gradient,
+    # once popped and no longer referenced by a consumer.
+    topo = _closures_in_order(root)
     root.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import tracemalloc
 import weakref
 
@@ -402,19 +403,21 @@ def test_conv3d_kernel_exceeds_padded_input():
 
 
 def test_conv3d_checks_hold_with_one_plane_chunks(monkeypatch):
-    """At the real budget every geometry above fits in one chunk. With a
-    budget below one plane, each chunk is a single output depth plane, so the
-    adjoint fuzz, the finite-difference, oracle and batch-independence
-    checks rerun, at their own tolerances, over the multi-chunk path."""
-    monkeypatch.setattr(T, "_PATCH_BYTES", 1)
+    """At the real budget every geometry above fits in one chunk. With the
+    budget set to one output depth plane of each gather, each chunk is a
+    single plane, so the adjoint fuzz, the finite-difference, oracle and
+    batch-independence checks rerun, at their own tolerances, over the
+    multi-chunk path."""
     real, chunks = T._patch_chunks, []
 
-    def counted(src, kernel_shape, stride):
+    def counted(src, corner, kernel_shape, out, stride):
+        plane = src.shape[0] * math.prod(kernel_shape) * out[1] * out[2] * src.shape[4]
+        monkeypatch.setattr(T, "_PATCH_BYTES", plane * src.itemsize)
         n = 0
-        for chunk in real(src, kernel_shape, stride):
+        for chunk in real(src, corner, kernel_shape, out, stride):
             n += 1
             yield chunk
-        assert n == (src.shape[1] - kernel_shape[0]) // stride + 1
+        assert n == out[0]
         chunks.append(n)
 
     monkeypatch.setattr(T, "_patch_chunks", counted)
@@ -426,6 +429,66 @@ def test_conv3d_checks_hold_with_one_plane_chunks(monkeypatch):
     for case in ORACLE_CONV3D_CASES:
         test_conv3d_matches_loop_oracle(*case)
     assert sum(n >= 2 for n in chunks) > len(chunks) / 2, chunks
+
+
+@pytest.mark.parametrize("B", [1, 2])
+@pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 2, 0), (2, 1, 0)])
+def test_conv3d_row_chunks_stay_within_the_budget(monkeypatch, B, k, stride, pad):
+    """Where one output plane exceeds ``_PATCH_BYTES`` and one output row
+    fits, every patch block is within the budget: runs of whole rows of one
+    plane. Outputs and both gradients equal the one-chunk path to 1e-12 in
+    float64."""
+    rng = np.random.default_rng(26)
+    xs, ws = rng.normal(size=(B, 3, 6, 7, 5)), rng.normal(size=(4, 3, k, k, k))
+    g = rng.normal(size=T.conv3d(Tensor(xs), Tensor(ws), stride, pad).shape)
+
+    def run():
+        x, w = t64(xs), t64(ws)
+        y = T.conv3d(x, w, stride, pad)
+        T.backward(T.tensor_sum(T.mul(y, Tensor(g))))
+        return y.data, x.grad, w.grad
+
+    whole = run()
+    budget = 2 * 3 * k ** 3 * g.shape[-1] * B * 8  # two rows of the forward's patch matrix
+    monkeypatch.setattr(T, "_PATCH_BYTES", budget)
+    real, split = T._patch_chunks, []
+
+    def checked(src, corner, kernel_shape, out, s):
+        row = src.shape[0] * math.prod(kernel_shape) * out[2] * src.shape[4] * src.itemsize
+        assert row <= budget  # one output row fits, so no block may exceed the budget
+        n = 0
+        for c0, c1, region, col in real(src, corner, kernel_shape, out, s):
+            assert col.nbytes <= budget, (col.nbytes, budget)
+            n += 1
+            yield c0, c1, region, col
+        split.append(row * out[1] > budget and n > out[0])
+
+    monkeypatch.setattr(T, "_patch_chunks", checked)
+    rows = run()
+    assert any(split)
+    for got, want in zip(rows, whole):
+        assert rel_error(got, want) < 1e-12
+
+
+def test_patch_windows_are_read_only(monkeypatch):
+    """Every window that ``_patch_chunks`` copies from, in the forward and
+    in both gradients, is a read-only view."""
+    rng = np.random.default_rng(30)
+    sources, real = [], np.copyto
+
+    def spy(dst, src, *args, **kwargs):
+        sources.append(src)
+        return real(dst, src, *args, **kwargs)
+
+    monkeypatch.setattr(np, "copyto", spy)
+    x = t64(rng.normal(size=(2, 2, 5, 4, 3)))
+    w = t64(rng.normal(size=(3, 2, 3, 3, 3)))
+    T.backward(T.tensor_sum(T.conv3d(x, w, 2, 1)))
+    assert len(sources) > 3
+    for window in sources:
+        assert not window.flags.writeable
+        with pytest.raises(ValueError):
+            window[...] = 0.0
 
 
 def test_conv3d_transients_stay_within_the_patch_budget():
@@ -481,6 +544,53 @@ def test_untracked_tensor_never_receives_grad():
     T.backward(T.tensor_sum(T.mul(x, c)))
     assert c.grad is None
     assert np.allclose(x.grad, [3.0, 4.0])
+
+
+def test_node_lists_only_tracked_parents():
+    x = t64([1.0, 2.0])
+    c = Tensor(np.array([3.0, 4.0]))
+    for y in (T.mul(x, c), T.add(c, x), T.add(x, 2.0)):
+        assert len(y._parents) == 1 and y._parents[0] is x._tape
+
+
+@pytest.mark.parametrize("broadcast", [False, True])
+def test_accumulated_gradient_never_aliases_its_source(broadcast):
+    """A gradient stored on first use is a copy: writing into the upstream
+    gradient it came from (the same array, or the source of a broadcast
+    view) after the sweep leaves ``.grad`` unchanged."""
+    x = t64(np.arange(6.0).reshape(2, 3))
+    mid = T.tensor_sum(x, 1) if broadcast else T.add(x, Tensor(np.ones((2, 3))))
+    T.backward(T.tensor_sum(T.mul(mid, Tensor(np.full(mid.shape, 2.0)))))
+    want = x.grad.copy()
+    np.testing.assert_array_equal(want, np.full((2, 3), 2.0))
+    mid.grad[...] = -7.0
+    np.testing.assert_array_equal(x.grad, want)
+
+
+def test_item_requires_one_element():
+    assert Tensor([[3.5]]).item() == 3.5
+    with pytest.raises(ShapeError, match="one-element"):
+        Tensor([1.0, 2.0]).item()
+
+
+def test_backward_frees_each_gradient_after_its_consumers():
+    """A chain of 20 nodes over 1 MiB arrays: the sweep's tracemalloc peak
+    stays within a few arrays, not one gradient per node."""
+    rng = np.random.default_rng(31)
+    x = t64(rng.normal(size=(128, 1024)))
+    h = x
+    for _ in range(20):
+        h = T.mul(h, 1.5)
+    loss = T.tensor_sum(h)
+    del h
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        T.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * x.data.nbytes, peak / x.data.nbytes
 
 
 def test_backward_rejects_non_scalar():
