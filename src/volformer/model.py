@@ -270,7 +270,6 @@ class VolumeEncoder:
         h = T.relu(self.stem_bn.forward(self.stem.forward(x), training))
         if trace is not None:
             trace["stem"] = h
-        extents = self.cfg.stage_extents()
         for i, blocks in enumerate(self.stages):
             for block in blocks:
                 h = block.forward(h, training)
@@ -278,9 +277,8 @@ class VolumeEncoder:
                 trace[f"stage{i + 1}.conv"] = h
             attn = self.attention[i]
             if attn is not None:
-                tokens = self._to_tokens(h)
-                tokens = attn.forward(tokens)
-                h = self._from_tokens(tokens, extents[i + 1])
+                tokens = attn.forward(self._to_tokens(h))
+                h = self._from_tokens(tokens, h.shape[2:])
             if trace is not None:
                 trace[f"stage{i + 1}"] = h
         return T.avg_pool_global(h)

@@ -595,10 +595,10 @@ def _patch_chunks(src: np.ndarray, corner, kernel_shape, out, stride: int):
         sd * corner[0] + sh * corner[1] + sw * corner[2],
         (sc, sd, sh, sw, sd * stride, sh * stride, sw * stride, sb))
     windows.flags.writeable = False
-    rows = C * kernel_shape[0] * kernel_shape[1] * kernel_shape[2]
-    row = out[2] * B
-    plane = out[1] * row
-    row_bytes = max(1, rows * row * src.itemsize)
+    K = C * kernel_shape[0] * kernel_shape[1] * kernel_shape[2]
+    row = out[2] * B  # columns per output row
+    plane = out[1] * row  # and per output depth plane
+    row_bytes = max(1, K * row * src.itemsize)
     if row_bytes * out[1] <= _PATCH_BYTES:
         step = _PATCH_BYTES // (row_bytes * out[1])
         runs = [(d * plane, (slice(d, d + step),)) for d in range(0, out[0], step)]
@@ -608,12 +608,12 @@ def _patch_chunks(src: np.ndarray, corner, kernel_shape, out, stride: int):
         runs = [(d * plane + h * row, (d, slice(h, h + step)))
                 for d in range(out[0]) for h in range(0, out[1], step)]
         width = min(step, out[1]) * row
-    buf = np.empty(rows * width, dtype=src.dtype)
+    buf = np.empty(K * width, dtype=src.dtype)
     for c0, region in runs:
         chunk = windows[(slice(None),) * 4 + region]
         col = buf[:chunk.size].reshape(chunk.shape)
         np.copyto(col, chunk)
-        col = col.reshape(rows, -1)
+        col = col.reshape(K, -1)
         yield c0, c0 + col.shape[1], region, col
 
 
@@ -898,11 +898,13 @@ def _swept(g):
 
 
 def _closures_in_order(root: _Tape) -> list[_Tape]:
-    """Records reachable from ``root`` that have a closure, parents first.
+    """``root`` and the records reachable from it that have a closure,
+    each after its parents.
 
     Depth-first: a record is pushed again when first reached (False in
     ``expanded``) and is listed when that entry pops (True); its other
-    entries sit beneath and are skipped. Leaves are never pushed. Raises
+    entries sit beneath and are skipped. Leaves are never pushed, which
+    leaves the order of the rest as it would be with them. Raises
     ``StateError`` on reaching a consumed record.
     """
     order: list[_Tape] = []
@@ -936,8 +938,8 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise StateError("backward: loss does not depend on any tracked tensor")
     root = loss._tape
-    # Only this list holds the records: each is freed, with its gradient,
-    # once popped and no longer referenced by a consumer.
+    # The visit map dies with the helper, so a popped record and its
+    # gradient are freed once the closures that read them have run.
     topo = _closures_in_order(root)
     root.grad = np.ones_like(loss.data)
     while topo:
