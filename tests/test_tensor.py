@@ -553,18 +553,30 @@ def test_node_lists_only_tracked_parents():
         assert len(y._parents) == 1 and y._parents[0] is x._tape
 
 
-@pytest.mark.parametrize("broadcast", [False, True])
-def test_accumulated_gradient_never_aliases_its_source(broadcast):
+@pytest.mark.parametrize("source", ["same-shape", "broadcast-view"])
+def test_accumulated_gradient_never_aliases_its_source(source):
     """A gradient stored on first use is a copy: writing into the upstream
     gradient it came from (the same array, or the source of a broadcast
     view) after the sweep leaves ``.grad`` unchanged."""
     x = t64(np.arange(6.0).reshape(2, 3))
-    mid = T.tensor_sum(x, 1) if broadcast else T.add(x, Tensor(np.ones((2, 3))))
+    if source == "same-shape":
+        mid = T.add(x, Tensor(np.ones((2, 3))))
+    else:
+        mid = T.tensor_sum(x, 1)
     T.backward(T.tensor_sum(T.mul(mid, Tensor(np.full(mid.shape, 2.0)))))
     want = x.grad.copy()
     np.testing.assert_array_equal(want, np.full((2, 3), 2.0))
     mid.grad[...] = -7.0
     np.testing.assert_array_equal(x.grad, want)
+
+
+def test_accumulating_a_smaller_gradient_broadcasts_a_copy():
+    record = t64(np.zeros((2, 3)))._tape
+    g = np.array([1.0, 2.0, 3.0])
+    record._accum(g)
+    g[...] = -7.0
+    np.testing.assert_array_equal(record.grad, [[1.0, 2.0, 3.0]] * 2)
+    assert record.grad.flags.writeable and record.grad.dtype == np.float64
 
 
 def test_item_requires_one_element():
