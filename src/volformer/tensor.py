@@ -562,6 +562,9 @@ def _pad_batch_last(x: np.ndarray, margin: int) -> np.ndarray:
 
 
 _PATCH_BYTES = 1 << 20
+# Copy runs up to one cache line long cost about as much per run as per
+# byte, so a gather made of them is worth a second copy that lengthens them.
+_SHORT_RUN_BYTES = 64
 
 
 def _patch_chunks(src: np.ndarray, corner, kernel_shape, out, stride: int):
@@ -577,44 +580,61 @@ def _patch_chunks(src: np.ndarray, corner, kernel_shape, out, stride: int):
 
     Yields ``(c0, c1, region, col)``: ``col`` the contiguous (K, c1 - c0)
     block of columns c0:c1, which hold the output voxels ``[region]`` of a
-    (Do, Ho, Wo, B) array. A block is a run of whole output depth planes,
-    as many as fit in ``_PATCH_BYTES``; where one plane exceeds it, a run of
-    whole output rows within one plane, as many as fit and at least one.
-    Every ``col`` lives in one buffer allocated per call and is overwritten
-    by the next chunk. The read-only strided window view is built once per
-    call and sliced per chunk.
+    (Do, Ho, Wo, B) array, ``region`` a pair of depth and row slices. A
+    block is a run of whole output depth planes, as many as fit in
+    ``_PATCH_BYTES``; where one plane exceeds it, a run of whole output rows
+    within one plane, as many as fit and at least one. Every ``col`` lives
+    in one buffer allocated per call and is overwritten by the next chunk.
+    The window views over ``src`` are read-only.
 
     The batch axis is last because the gather, not the GEMM it feeds, is the
     cost: each row copies runs of Wo*B contiguous floats at stride 1 (B at
-    larger strides), where a (B, C, D, H, W) source gives runs of Wo.
+    larger strides), where a (B, C, D, H, W) source gives runs of Wo. Where
+    those runs are at most ``_SHORT_RUN_BYTES`` (stride 1, kw > 1, batch 1
+    at desk extents), each chunk first copies its input slab kw times, each
+    copy starting at its tap's column and Wo wide; a window into those
+    copies reads whole runs of output rows, n_h*Wo*B floats, and ``col``
+    holds the same values.
     """
     C, B = src.shape[0], src.shape[4]
+    kd, kh, kw = kernel_shape
+    Do, Ho, Wo = out
     sc, sd, sh, sw, sb = src.strides
-    windows = np.ndarray(
-        (C, *kernel_shape, *out, B), src.dtype, src,
-        sd * corner[0] + sh * corner[1] + sw * corner[2],
-        (sc, sd, sh, sw, sd * stride, sh * stride, sw * stride, sb))
-    windows.flags.writeable = False
-    K = C * kernel_shape[0] * kernel_shape[1] * kernel_shape[2]
-    row = out[2] * B  # columns per output row
-    plane = out[1] * row  # and per output depth plane
+    K = C * kd * kh * kw
+    row = Wo * B  # columns per output row
+    plane = Ho * row  # and per output depth plane
     row_bytes = max(1, K * row * src.itemsize)
-    if row_bytes * out[1] <= _PATCH_BYTES:
-        step = _PATCH_BYTES // (row_bytes * out[1])
-        runs = [(d * plane, (slice(d, d + step),)) for d in range(0, out[0], step)]
-        width = min(step, out[0]) * plane
+    if row_bytes * Ho <= _PATCH_BYTES:
+        nd, nh = min(Do, _PATCH_BYTES // (row_bytes * Ho)), Ho
     else:
-        step = max(1, _PATCH_BYTES // row_bytes)
-        runs = [(d * plane + h * row, (d, slice(h, h + step)))
-                for d in range(out[0]) for h in range(0, out[1], step)]
-        width = min(step, out[1]) * row
-    buf = np.empty(K * width, dtype=src.dtype)
-    for c0, region in runs:
-        chunk = windows[(slice(None),) * 4 + region]
-        col = buf[:chunk.size].reshape(chunk.shape)
-        np.copyto(col, chunk)
-        col = col.reshape(K, -1)
-        yield c0, c0 + col.shape[1], region, col
+        nd, nh = 1, min(Ho, max(1, _PATCH_BYTES // row_bytes))
+    origin = sd * corner[0] + sh * corner[1] + sw * corner[2]
+    readonly = memoryview(src).toreadonly()
+    buf = np.empty(K * nd * nh * row, dtype=src.dtype)
+    shifted = stride == 1 and kw > 1 and nh > 1 and row * src.itemsize <= _SHORT_RUN_BYTES
+    if shifted:
+        copies = np.empty(kw * C * (nd + kd - 1) * (nh + kh - 1) * row, dtype=src.dtype)
+    for d in range(0, Do, nd):
+        for h in range(0, Ho, nh):
+            n_d, n_h = min(nd, Do - d), min(nh, Ho - h)
+            shape = (C, kd, kh, kw, n_d, n_h, Wo, B)
+            if shifted:
+                slab = (kw, C, n_d + kd - 1, n_h + kh - 1, Wo, B)
+                part = copies[:math.prod(slab)].reshape(slab)
+                np.copyto(part, np.ndarray(slab, src.dtype, readonly, origin + sd * d + sh * h,
+                                           (sw, sc, sd, sh, sw, sb)))
+                t_kw, t_c, t_d, t_h, t_w, t_b = part.strides
+                chunk = np.ndarray(shape, src.dtype, memoryview(part).toreadonly(), 0,
+                                   (t_c, t_d, t_h, t_kw, t_d, t_h, t_w, t_b))
+            else:
+                chunk = np.ndarray(shape, src.dtype, readonly,
+                                   origin + (sd * d + sh * h) * stride,
+                                   (sc, sd, sh, sw, sd * stride, sh * stride, sw * stride, sb))
+            n = n_d * n_h * row
+            col = buf[:K * n].reshape(shape)
+            np.copyto(col, chunk)
+            c0 = d * plane + h * row
+            yield c0, c0 + n, (slice(d, d + n_d), slice(h, h + n_h)), col.reshape(K, n)
 
 
 def _residue_classes(n: int, k: int, stride: int, pad: int) -> list[tuple[int, ...]]:
@@ -680,7 +700,8 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
       transposed once as it is accumulated.
 
     Transients beyond the arrays a direction returns are thus one patch
-    buffer plus input- or output-sized copies, whatever the batch.
+    buffer (and, for short copy runs, a buffer of tap-shifted input copies
+    no larger) plus input- or output-sized copies, whatever the batch.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     xd = x.data

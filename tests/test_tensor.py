@@ -470,6 +470,34 @@ def test_conv3d_row_chunks_stay_within_the_budget(monkeypatch, B, k, stride, pad
         assert rel_error(got, want) < 1e-12
 
 
+def test_short_run_gather_matches_the_direct_gather(monkeypatch):
+    """Stride-1 patches gathered through tap-shifted copies of the input
+    are the same bytes as patches gathered straight from the window: over
+    the fuzz geometries, outputs and both gradients are equal with the
+    copies used wherever they apply and with them never used."""
+    real = np.copyto
+
+    def run(limit):
+        monkeypatch.setattr(T, "_SHORT_RUN_BYTES", limit)
+        calls = []
+        monkeypatch.setattr(np, "copyto", lambda *a, **k: calls.append(1) or real(*a, **k))
+        rng = np.random.default_rng(32)
+        results = []
+        for xs, ws, stride, pad in _conv3d_geometries(2):
+            x, w = t64(rng.normal(size=xs)), t64(rng.normal(size=ws))
+            y = T.conv3d(x, w, stride, pad)
+            T.backward(T.tensor_sum(T.mul(y, Tensor(rng.normal(size=y.shape)))))
+            results.append((y.data, x.grad, w.grad))
+        return results, len(calls)
+
+    shifted, shifted_copies = run(1 << 30)
+    direct, direct_copies = run(0)
+    assert shifted_copies > direct_copies  # the copies were made
+    for got, want in zip(shifted, direct):
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_patch_windows_are_read_only(monkeypatch):
     """Every window that ``_patch_chunks`` copies from, in the forward and
     in both gradients, is a read-only view."""
