@@ -562,8 +562,9 @@ def _pad_batch_last(x: np.ndarray, margin: int) -> np.ndarray:
 
 
 _PATCH_BYTES = 1 << 20
-# Copy runs up to one cache line long cost about as much per run as per
-# byte, so a gather made of them is worth a second copy that lengthens them.
+# A gather whose copy runs fit in one cache line pays more per run than per
+# float (runs of 2-8 floats: 1.7-3.5 ns per float, 0.7 ns from 32 on), so a
+# second copy that lengthens them pays; for longer runs it cost 10-15%.
 _SHORT_RUN_BYTES = 64
 
 
