@@ -1,7 +1,7 @@
 """Volumetric classification with global attention and built-in localization.
 
-Importing the package loads no numeric library, so the thread cap below and
-the one ``volformer.cli.main`` applies reach BLAS (``config.cap_threads``)."""
+Importing the package applies the ``VOLFORMER_THREADS`` thread cap before it
+loads any numeric library, so the cap reaches BLAS (``config.cap_threads``)."""
 
 from .config import cap_threads as _cap_threads
 from .errors import ConfigError as _ConfigError

@@ -1,8 +1,11 @@
-"""Command-line entry point: ``gen``, ``cv``, ``localize``, and ``cost``.
+"""Command-line entry point: ``gen``, ``cv``, ``localize``, ``audit`` and
+``cost``.
 
 One binary with subcommands covers the whole workflow: synthesize a dataset,
-run cross-validated training, produce localization maps from a checkpoint,
-and print the analytic cost table for every attention plan.
+run cross-validated training, produce a localization map from a checkpoint,
+score the maps of a whole manifest against the generator's ground truth, and
+print the analytic cost table for every attention plan. Each subcommand
+accepts only the flags it reads.
 
 Exit codes: 0 success, 2 configuration error, 3 data or fold-planning error,
 4 training abort, 5 checkpoint error. Every command that owns an output
@@ -12,9 +15,9 @@ fails on its inputs leaves no echo. It refuses, before any work, to rerun
 into a directory whose echo differs, unless ``--force`` is given.
 
 The environment variable ``VOLFORMER_THREADS`` caps kernel (BLAS/OpenMP)
-threads; ``--deterministic`` pins them to one for bitwise-stable reruns.
-Both act before the numeric kernels are first loaded and are inherited by
-``--jobs`` worker processes.
+threads; ``VOLFORMER_THREADS=1`` gives bitwise-stable reruns. The package
+import applies it, before numpy loads, and ``--jobs`` worker processes
+inherit it; ``main`` checks it again so that an invalid value exits 2.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
+from . import data, localize, model, train
 from .config import cap_threads, from_config_dict, to_config_dict
 from .errors import (CheckpointError, ConfigError, DataError, ParseError,
                      PlanError, ShapeError, StateError)
@@ -94,9 +100,9 @@ class RunConfig:
     documented defaults; unknown section names are rejected.
     """
 
-    model: "object"
-    train: "object"
-    synthetic: "object"
+    model: model.ModelConfig
+    train: train.TrainConfig
+    synthetic: data.SyntheticSpec | None
     split: SplitSpec
 
     def to_dict(self) -> dict:
@@ -109,21 +115,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        from .data import SyntheticSpec
-        from .model import ModelConfig
-        from .train import TrainConfig
         if not isinstance(doc, dict):
             raise ConfigError(f"run config must be an object, got {type(doc).__name__}")
         unknown = set(doc) - {"model", "train", "synthetic", "split"}
         if unknown:
             raise ConfigError(f"unknown run config sections: {sorted(unknown)}")
-        model = ModelConfig.from_dict(doc.get("model", {}))
-        train = TrainConfig.from_dict(doc.get("train", {}))
         synthetic = doc.get("synthetic")
-        if synthetic is not None:
-            synthetic = SyntheticSpec.from_dict(synthetic)
-        split = SplitSpec.from_dict(doc.get("split", {}))
-        return cls(model=model, train=train, synthetic=synthetic, split=split)
+        return cls(model=model.ModelConfig.from_dict(doc.get("model", {})),
+                   train=train.TrainConfig.from_dict(doc.get("train", {})),
+                   synthetic=None if synthetic is None
+                   else data.SyntheticSpec.from_dict(synthetic),
+                   split=SplitSpec.from_dict(doc.get("split", {})))
 
 
 def _read_json(path) -> dict:
@@ -165,20 +167,30 @@ def _write_resolved(out_dir: Path, text: str) -> None:
 
 
 def _load_records(args, cfg: RunConfig):
-    from .data import generate_synthetic, load_manifest
-    if getattr(args, "data", None):
-        return load_manifest(args.data)
+    if args.data:
+        return data.load_manifest(args.data)
     if cfg.synthetic is not None:
-        return generate_synthetic(cfg.synthetic)
+        return data.generate_synthetic(cfg.synthetic)
     raise ConfigError(
         "no data source: pass --data <manifest> or add a 'synthetic' "
         "section to the config")
 
 
+def _check_labels(records, count: int, source: str) -> None:
+    """``ConfigError`` naming the first subject whose label is not below
+    ``count``, the number of classes ``source`` has."""
+    for rec in records:
+        if rec.label >= count:
+            raise ConfigError(f"subject {rec.subject_id!r} has label {rec.label} "
+                              f"but {source} is {count}")
+
+
 def _check_extents(records, model_cfg) -> None:
     """Check every subject against the model before training starts. A
     subject without the data of an enabled branch is a ``DataError``; a
-    volume or vector whose size differs from the model's is a ``ConfigError``."""
+    label outside the model's classes, or a volume or vector whose size
+    differs from the model's, is a ``ConfigError``."""
+    _check_labels(records, model_cfg.class_count, "the model's class_count")
     want = tuple(model_cfg.input_extent)
     for rec in records:
         extents = [(f"volume {i}", s.volume.shape) for i, s in enumerate(rec.fmri_volumes)]
@@ -220,16 +232,15 @@ def _replacing(path: Path):
 
 
 def cmd_gen(args) -> int:
-    from .data import SyntheticSpec, generate_synthetic, write_dataset
-    spec = SyntheticSpec.from_dict(_read_json(args.spec))
+    spec = data.SyntheticSpec.from_dict(_read_json(args.spec))
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
         spec.validate()
     out = Path(args.out)
     echo = _check_resolved(out, {"command": "gen", "synthetic": spec.to_dict()}, args.force)
-    records = generate_synthetic(spec)
+    records = data.generate_synthetic(spec)
     _write_resolved(out, echo)
-    manifest = write_dataset(records, out)
+    manifest = data.write_dataset(records, out)
     n_vol = sum(len(r.fmri_volumes) for r in records)
     print(f"wrote {len(records)} subjects ({n_vol} fmri volumes) to {out}")
     print(f"manifest: {manifest}")
@@ -241,23 +252,19 @@ def cmd_gen(args) -> int:
 
 
 def _fold_model(model_cfg, seed: int, fold: int):
-    from .model import BrainFormer
-    return BrainFormer(model_cfg, seed=seed + fold)
+    return model.BrainFormer(model_cfg, seed=seed + fold)
 
 
 def _write_fold(out_dir: Path, seed: int, result) -> None:
     """Per-fold artifacts: the loss curve and the trained checkpoint."""
-    from .model import save_model
     with _replacing(out_dir / f"fold{result.fold}_history.csv") as tmp:
         result.history.write_csv(tmp)
     with _replacing(out_dir / f"fold{result.fold}.ckpt") as tmp:
-        save_model(result.model, tmp,
-                   extra_meta={"fold": result.fold, "seed": seed + result.fold})
+        model.save_model(result.model, tmp,
+                         extra_meta={"fold": result.fold, "seed": seed + result.fold})
 
 
 def cmd_cv(args) -> int:
-    from .data import plan_site_holdout
-    from .train import cross_validate
     cfg = load_run_config(args.config)
     if args.seed is not None:
         cfg.train = replace(cfg.train, seed=args.seed)
@@ -270,7 +277,7 @@ def cmd_cv(args) -> int:
     _check_extents(records, cfg.model)
     plan = None
     if cfg.split.mode == "site_holdout":
-        plan = plan_site_holdout(records, cfg.split.train_sites, cfg.split.test_sites)
+        plan = data.plan_site_holdout(records, cfg.split.train_sites, cfg.split.test_sites)
         records = [r for r in records if r.subject_id in plan.assignments]
     _write_resolved(out, echo)
 
@@ -280,7 +287,7 @@ def cmd_cv(args) -> int:
             map_fn = map
             if args.jobs > 1:
                 map_fn = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
-            aggregate, _ = cross_validate(
+            aggregate, _ = train.cross_validate(
                 records, partial(_fold_model, cfg.model, seed), cfg.train,
                 k=cfg.split.k, plan=plan, map_fn=map_fn,
                 on_fold=partial(_write_fold, out, seed))
@@ -304,109 +311,38 @@ def cmd_cv(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# localize
+# localize and audit
 
 
-def _audit(args, model) -> int:
-    import numpy as np
-
-    from .data import SyntheticSpec, load_manifest
-    from .localize import grad_cam, top_fraction_mask
-
-    spec = SyntheticSpec.from_dict(_read_json(args.spec))
-    out = Path(args.out)
-    resolved = {"command": "localize", "mode": "audit",
-                "ckpt": str(args.ckpt), "manifest": str(args.manifest),
-                "layer": args.layer, "fraction": args.fraction,
-                "synthetic": spec.to_dict()}
-    echo = _check_resolved(out, resolved, args.force)
-    records = load_manifest(args.manifest)
-    rows = []
-    hits_on_correct = correct_total = degenerate_count = 0
-    for rec in records:
-        center = spec.blob_centers[rec.label]
-        for i, vol in enumerate(rec.fmri_volumes):
-            amap = grad_cam(model, vol.volume, target_class=rec.label,
-                            layer=args.layer)
-            predicted = int(np.argmax(amap.probs))
-            is_correct = predicted == rec.label
-            hit = (not amap.degenerate
-                   and bool(top_fraction_mask(amap.volume, args.fraction)[center]))
-            if amap.degenerate:
-                degenerate_count += 1
-            if is_correct:
-                correct_total += 1
-                hits_on_correct += int(hit)
-            peak = np.unravel_index(int(np.argmax(amap.volume)), amap.volume.shape)
-            rows.append([rec.subject_id, rec.site_id, i, rec.label, predicted,
-                         int(is_correct), int(hit), int(amap.degenerate),
-                         peak[0], peak[1], peak[2]])
-
-    _write_resolved(out, echo)
-    audit_path = out / "audit.csv"
-    with open(audit_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "site_id", "volume", "label", "predicted",
-                         "correct", "hit", "degenerate",
-                         "peak_d", "peak_h", "peak_w"])
-        writer.writerows(rows)
-    hit_rate = hits_on_correct / correct_total if correct_total else 0.0
-    summary = {
-        "volumes": len(rows),
-        "correct": correct_total,
-        "hits_on_correct": hits_on_correct,
-        "hit_rate_on_correct": hit_rate,
-        "degenerate_maps": degenerate_count,
-        "fraction": args.fraction,
-        "layer": args.layer or "default",
-    }
-    with open(out / "audit_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    print(f"audited {len(rows)} volumes: {correct_total} classified correctly, "
-          f"{hits_on_correct} of those hit the target "
-          f"(rate {hit_rate:.3f} at top {args.fraction:.0%})")
-    print(f"per-volume table: {audit_path}")
-    return EXIT_OK
-
-
-def cmd_localize(args) -> int:
-    from .data import read_volume
-    from .localize import export_map, grad_cam, resolve_layer
-    from .model import load_model
-
-    audit_mode = args.manifest is not None or args.spec is not None
-    single_mode = args.volume is not None or args.target_class is not None
-    if audit_mode and single_mode:
-        raise ConfigError("--volume/--class and --manifest/--spec are exclusive")
-    if audit_mode and not (args.manifest and args.spec):
-        raise ConfigError("audit mode needs both --manifest and --spec")
-    if not audit_mode and not (args.volume and args.target_class is not None):
-        raise ConfigError("pass --volume and --class, or --manifest and --spec")
-
-    model, _meta = load_model(args.ckpt)
-    if model.branches:
+@contextmanager
+def _map_model(args):
+    """Yield the volume-only model of ``args.ckpt``; a shape or state error
+    while mapping means the checkpoint does not fit the input (exit 5)."""
+    net, _meta = model.load_model(args.ckpt)
+    if net.branches:
         raise ConfigError(
-            "localize works on volume-only checkpoints; this checkpoint's "
+            f"{args.command} works on volume-only checkpoints; this checkpoint's "
             "model has extra input branches")
     try:
-        if audit_mode:
-            return _audit(args, model)
-
-        out = Path(args.out)
-        layer = resolve_layer(model, args.target_class, args.layer)
-        resolved = {"command": "localize", "mode": "single",
-                    "ckpt": str(args.ckpt), "volume": str(args.volume),
-                    "target_class": args.target_class, "layer": layer}
-        echo = _check_resolved(out, resolved, args.force)
-        volume = read_volume(args.volume)
-        amap = grad_cam(model, volume, target_class=args.target_class,
-                        layer=layer)
-        _write_resolved(out, echo)
-        paths = export_map(amap, out / "map.vfv", slices=args.slices)
+        yield net
     except (ShapeError, StateError) as err:
         raise CheckpointError(
             f"checkpoint is incompatible with this input: {err}") from None
+
+
+def cmd_localize(args) -> int:
+    out = Path(args.out)
+    with _map_model(args) as net:
+        layer = localize.resolve_layer(net, args.target_class, args.layer)
+        resolved = {"command": "localize",
+                    "ckpt": str(args.ckpt), "volume": str(args.volume),
+                    "target_class": args.target_class, "layer": layer}
+        echo = _check_resolved(out, resolved, args.force)
+        volume = data.read_volume(args.volume)
+        amap = localize.grad_cam(net, volume, target_class=args.target_class,
+                                 layer=layer)
+        _write_resolved(out, echo)
+        paths = localize.export_map(amap, out / "map.vfv", slices=args.slices)
     if amap.degenerate:
         print("warning: activation map is degenerate (no positive evidence "
               "for this class); the sidecar flags it", file=sys.stderr)
@@ -415,23 +351,77 @@ def cmd_localize(args) -> int:
     return EXIT_OK
 
 
+def cmd_audit(args) -> int:
+    out = Path(args.out)
+    with _map_model(args) as net:
+        spec = data.SyntheticSpec.from_dict(_read_json(args.spec))
+        resolved = {"command": "audit",
+                    "ckpt": str(args.ckpt), "manifest": str(args.manifest),
+                    "layer": args.layer, "fraction": args.fraction,
+                    "synthetic": spec.to_dict()}
+        echo = _check_resolved(out, resolved, args.force)
+        records = data.load_manifest(args.manifest)
+        _check_labels(records, len(spec.blob_centers), "the spec's blob center count")
+        _check_labels(records, net.cfg.class_count, "the model's class_count")
+        rows = []
+        for rec in records:
+            center = spec.blob_centers[rec.label]
+            for i, vol in enumerate(rec.fmri_volumes):
+                amap = localize.grad_cam(net, vol.volume, target_class=rec.label,
+                                         layer=args.layer)
+                predicted = int(np.argmax(amap.probs))
+                hit = (not amap.degenerate and bool(
+                    localize.top_fraction_mask(amap.volume, args.fraction)[center]))
+                peak = np.unravel_index(int(np.argmax(amap.volume)), amap.volume.shape)
+                rows.append([rec.subject_id, rec.site_id, i, rec.label, predicted,
+                             int(predicted == rec.label), int(hit),
+                             int(amap.degenerate), *peak])
+
+    _write_resolved(out, echo)
+    audit_path = out / "audit.csv"
+    with _replacing(audit_path) as tmp, open(tmp, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["subject_id", "site_id", "volume", "label", "predicted",
+                         "correct", "hit", "degenerate",
+                         "peak_d", "peak_h", "peak_w"])
+        writer.writerows(rows)
+    correct_total = sum(row[5] for row in rows)
+    hits_on_correct = sum(row[5] * row[6] for row in rows)
+    hit_rate = hits_on_correct / correct_total if correct_total else 0.0
+    summary = {
+        "volumes": len(rows),
+        "correct": correct_total,
+        "hits_on_correct": hits_on_correct,
+        "hit_rate_on_correct": hit_rate,
+        "degenerate_maps": sum(row[7] for row in rows),
+        "fraction": args.fraction,
+        "layer": args.layer or "default",
+    }
+    with _replacing(out / "audit_summary.json") as tmp:
+        tmp.write_text(json.dumps(summary, indent=2) + "\n")
+    print(f"audited {len(rows)} volumes: {correct_total} classified correctly, "
+          f"{hits_on_correct} of those hit the target "
+          f"(rate {hit_rate:.3f} at top {args.fraction:.0%})")
+    print(f"per-volume table: {audit_path}")
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # cost
 
 
 def cmd_cost(args) -> int:
-    from .model import ModelConfig, estimate_cost, parse_attention_plan
     if args.config:
         base = load_run_config(args.config).model
     elif args.preset == "desk":
-        base = ModelConfig.desk()
+        base = model.ModelConfig.desk()
     else:
-        base = ModelConfig()
+        base = model.ModelConfig()
     rows = []
     for plan in ATTENTION_PLANS:
-        cfg = replace(base, attention_plan=parse_attention_plan(plan))
+        cfg = replace(base, attention_plan=model.parse_attention_plan(plan))
         cfg.validate()
-        report = estimate_cost(cfg)
+        report = model.estimate_cost(cfg)
         rows.append([plan, report.flops, report.peak_activation_bytes,
                      report.parameter_count])
     writer = csv.writer(sys.stdout)
@@ -449,13 +439,15 @@ def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=None,
                       help="override the seed from the configuration file")
-    det = argparse.ArgumentParser(add_help=False)
-    det.add_argument("--deterministic", action="store_true",
-                     help="pin kernel threads to 1 for bitwise-stable reruns")
     force = argparse.ArgumentParser(add_help=False)
     force.add_argument("--force", action="store_true",
                        help="allow writing into an output directory whose "
                             "resolved_config.json differs")
+    maps = argparse.ArgumentParser(add_help=False, parents=[force])
+    maps.add_argument("--ckpt", required=True, help="model checkpoint")
+    maps.add_argument("--layer", default=None,
+                      help="trace layer to map (default: deepest conv output)")
+    maps.add_argument("--out", required=True, help="output directory")
 
     parser = argparse.ArgumentParser(
         prog="volformer",
@@ -463,13 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "cross-validation, localize evidence, estimate cost.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    gen = subs.add_parser("gen", parents=[seed, det, force],
+    gen = subs.add_parser("gen", parents=[seed, force],
                           help="materialize a synthetic dataset")
     gen.add_argument("--spec", required=True, help="SyntheticSpec JSON file")
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=cmd_gen)
 
-    cv = subs.add_parser("cv", parents=[seed, det, force],
+    cv = subs.add_parser("cv", parents=[seed, force],
                          help="cross-validated training and evaluation")
     cv.add_argument("--config", required=True, help="run config JSON file")
     cv.add_argument("--data", default=None,
@@ -479,43 +471,44 @@ def build_parser() -> argparse.ArgumentParser:
                     help="train folds in parallel processes")
     cv.set_defaults(func=cmd_cv)
 
-    loc = subs.add_parser("localize", parents=[det, force],
-                          help="activation maps from a checkpoint")
-    loc.add_argument("--ckpt", required=True, help="model checkpoint")
-    loc.add_argument("--volume", default=None, help="input volume (.vfv)")
-    loc.add_argument("--class", dest="target_class", type=int, default=None,
+    loc = subs.add_parser("localize", parents=[maps],
+                          help="activation map of one volume from a checkpoint")
+    loc.add_argument("--volume", required=True, help="input volume (.vfv)")
+    loc.add_argument("--class", dest="target_class", type=int, required=True,
                      help="class index to explain")
-    loc.add_argument("--layer", default=None,
-                     help="trace layer to map (default: deepest conv output)")
-    loc.add_argument("--out", required=True, help="output directory")
     loc.add_argument("--slices", action="store_true",
                      help="also write mid-slice CSVs")
-    loc.add_argument("--manifest", default=None,
-                     help="audit mode: manifest of labelled volumes")
-    loc.add_argument("--spec", default=None,
-                     help="audit mode: SyntheticSpec JSON with ground-truth centers")
-    loc.add_argument("--fraction", type=float, default=0.05,
-                     help="audit mode: top-activation fraction counted as a hit")
     loc.set_defaults(func=cmd_localize)
 
-    cost = subs.add_parser("cost", parents=[det], help="print the five-plan cost table as CSV")
-    cost.add_argument("--config", default=None,
-                      help="run config JSON (model section used)")
-    cost.add_argument("--preset", choices=("full", "desk"), default="full",
-                      help="model preset when no config is given")
+    audit = subs.add_parser("audit", parents=[maps],
+                            help="score the maps of a manifest against ground truth")
+    audit.add_argument("--manifest", required=True,
+                       help="manifest of labelled volumes")
+    audit.add_argument("--spec", required=True,
+                       help="SyntheticSpec JSON with the ground-truth centers")
+    audit.add_argument("--fraction", type=float, default=0.05,
+                       help="top-activation fraction counted as a hit")
+    audit.set_defaults(func=cmd_audit)
+
+    cost = subs.add_parser("cost", help="print the five-plan cost table as CSV")
+    source = cost.add_mutually_exclusive_group()
+    source.add_argument("--config", default=None,
+                        help="run config JSON (model section used)")
+    # default None: argparse misses a conflict if the value "is" the default
+    source.add_argument("--preset", choices=("full", "desk"), default=None,
+                        help="model preset (default: full)")
     cost.set_defaults(func=cmd_cost)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cap_threads("1" if args.deterministic else None)
+        cap_threads()
         return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """Strict parsing of settings from outside the program: JSON configuration
 sections and the ``VOLFORMER_THREADS`` thread cap. Loads no numeric library,
-so the package import and ``volformer.cli`` use it before numpy loads."""
+so the package import applies the cap before numpy loads."""
 
 from __future__ import annotations
 
@@ -10,13 +10,13 @@ from dataclasses import fields, replace
 from .errors import ConfigError
 
 
-def cap_threads(cap: str | None = None) -> None:
-    """Cap BLAS/OpenMP threads at ``cap``, else at ``VOLFORMER_THREADS``, by
-    writing the cap to that variable and the BLAS/OpenMP ones, which child
-    processes inherit. It acts only if numpy is not yet imported. Raises
-    ConfigError unless the cap is a positive integer.
+def cap_threads() -> None:
+    """Cap BLAS/OpenMP threads at ``VOLFORMER_THREADS`` by writing it to the
+    BLAS/OpenMP variables, which child processes inherit. It acts only if
+    numpy is not yet imported. Raises ConfigError unless the cap is a
+    positive integer.
     """
-    cap = cap or os.environ.get("VOLFORMER_THREADS")
+    cap = os.environ.get("VOLFORMER_THREADS")
     if not cap:
         return
     try:
@@ -25,7 +25,7 @@ def cap_threads(cap: str | None = None) -> None:
     except ValueError:
         raise ConfigError(
             f"VOLFORMER_THREADS must be a positive integer, got {cap!r}") from None
-    for var in ("VOLFORMER_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ[var] = cap
 

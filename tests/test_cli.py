@@ -1,5 +1,6 @@
 """End-to-end and contract tests for the command-line interface."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from volformer.cli import RunConfig, SplitSpec, main
+from volformer.cli import RunConfig, SplitSpec, build_parser, main
 from volformer.data import load_manifest, read_volume, write_volume
 from volformer.errors import ConfigError
 from volformer.model import BrainFormer, ModelConfig, forward_volume, load_model, save_model
@@ -339,6 +340,31 @@ def test_cv_extent_mismatch_exit_2(workdir, tmp_path, capsys):
     assert (out / "metrics.json").exists()
 
 
+@pytest.fixture(scope="module")
+def three_class_manifest(tmp_path_factory):
+    """A dataset with labels 0-2, one more class than MODEL and SPEC have."""
+    root = tmp_path_factory.mktemp("three")
+    spec = dict(SPEC, class_count=3, blob_centers=[[2, 2, 2], [5, 5, 5], [2, 5, 2]],
+                blob_radius=[1.5, 1.5, 1.5], volumes_per_subject=1)
+    (root / "spec.json").write_text(json.dumps(spec))
+    assert main(["gen", "--spec", str(root / "spec.json"), "--out", str(root / "data")]) == 0
+    return root / "data" / "manifest.csv"
+
+
+def test_cv_label_outside_model_classes_exit_2(three_class_manifest, workdir, tmp_path,
+                                               capsys):
+    out = tmp_path / "o"
+    capsys.readouterr()
+    rc = main(["cv", "--config", str(workdir / "cfg.json"),
+               "--data", str(three_class_manifest), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    subject = next(r for r in load_manifest(three_class_manifest) if r.label == 2).subject_id
+    assert repr(subject) in err and "label 2" in err and "class_count is 2" in err, err
+    assert "training aborted" not in err
+    assert not out.exists()
+
+
 def test_cv_smri_extent_mismatch_exit_2(tmp_path, capsys):
     spec = dict(SPEC, subjects_per_class_per_site=2, volumes_per_subject=1, with_smri=True)
     (tmp_path / "spec.json").write_text(json.dumps(spec))
@@ -590,7 +616,7 @@ def test_localize_audit_mode(workdir, tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("volformer.model.forward_volume", second_pass)
     out = tmp_path / "audit"
-    rc = main(["localize", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
+    rc = main(["audit", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
                "--manifest", str(workdir / "data" / "manifest.csv"),
                "--spec", str(workdir / "spec.json"), "--out", str(out)])
     assert rc == 0
@@ -617,7 +643,7 @@ def test_localize_refuses_differing_echo_before_any_map(workdir, tmp_path, monke
 
     monkeypatch.setattr("volformer.localize.grad_cam", counting)
     out = tmp_path / "audit"
-    args = ["localize", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
+    args = ["audit", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
             "--manifest", str(workdir / "data" / "manifest.csv"),
             "--spec", str(workdir / "spec.json"), "--out", str(out)]
     assert main(args + ["--fraction", "0.05"]) == 0
@@ -628,11 +654,72 @@ def test_localize_refuses_differing_echo_before_any_map(workdir, tmp_path, monke
     assert "--force" in capsys.readouterr().err
     assert calls == []
     assert (out / "resolved_config.json").read_text() == echo
-    # single mode checks the echo of its own run before mapping too
+    # localize checks the echo of its own run before mapping too
     assert main(["localize", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
                  "--volume", str(_first_volume(workdir)), "--class", "0",
                  "--out", str(out)]) == 2
     assert calls == []
+
+
+@pytest.mark.parametrize("spec_classes, words", [
+    pytest.param(2, ("blob center count is 2",), id="spec"),
+    pytest.param(3, ("class_count is 2",), id="model"),
+])
+def test_audit_checks_every_label_before_any_map(three_class_manifest, workdir, tmp_path,
+                                                 monkeypatch, capsys, spec_classes, words):
+    spec = json.loads((three_class_manifest.parents[1] / "spec.json").read_text())
+    for key in ("blob_centers", "blob_radius"):
+        spec[key] = spec[key][:spec_classes]
+    spec["class_count"] = spec_classes
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    monkeypatch.setattr("volformer.localize.grad_cam", None)  # any map would raise
+    out = tmp_path / "audit"
+    capsys.readouterr()
+    rc = main(["audit", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
+               "--manifest", str(three_class_manifest),
+               "--spec", str(tmp_path / "spec.json"), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    subject = next(r for r in load_manifest(three_class_manifest) if r.label == 2).subject_id
+    assert repr(subject) in err and "label 2" in err, err
+    assert all(w in err for w in words), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("artifact", ["audit.csv", "audit_summary.json"])
+def test_interrupted_audit_write_leaves_no_file(workdir, tmp_path, monkeypatch, artifact):
+    import csv
+    real_writer, real_write_text = csv.writer, Path.write_text
+
+    class HalfWriter:
+        """Writes the header, then fails partway through the rows."""
+
+        def __init__(self, fh):
+            self.inner = real_writer(fh)
+            self.writerow = self.inner.writerow
+
+        def writerows(self, rows):
+            self.inner.writerow(rows[0])
+            raise OSError("simulated disk full")
+
+    def half_write_text(path, text, *args, **kwargs):
+        if path.name.endswith(".tmp"):
+            real_write_text(path, text[:len(text) // 2], *args, **kwargs)
+            raise OSError("simulated disk full")
+        return real_write_text(path, text, *args, **kwargs)
+
+    if artifact == "audit.csv":
+        monkeypatch.setattr(csv, "writer", HalfWriter)
+    else:
+        monkeypatch.setattr(Path, "write_text", half_write_text)
+    out = tmp_path / "audit"
+    with pytest.raises(OSError, match="disk full"):
+        main(["audit", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
+              "--manifest", str(workdir / "data" / "manifest.csv"),
+              "--spec", str(workdir / "spec.json"), "--out", str(out)])
+    written = {"audit.csv": ["resolved_config.json"],
+               "audit_summary.json": ["audit.csv", "resolved_config.json"]}[artifact]
+    assert sorted(p.name for p in out.iterdir()) == written
 
 
 def test_localize_flag_conflicts_exit_2(workdir, tmp_path, capsys):
@@ -641,7 +728,7 @@ def test_localize_flag_conflicts_exit_2(workdir, tmp_path, capsys):
                "--manifest", str(workdir / "data" / "manifest.csv"),
                "--spec", str(workdir / "spec.json"), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "exclusive" in capsys.readouterr().err
+    assert "unrecognized arguments: --manifest" in capsys.readouterr().err
     rc = main(["localize", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
                "--volume", str(_first_volume(workdir)), "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -714,14 +801,18 @@ def test_help_exits_zero(capsys):
     assert "gen" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    """The thread cap only reaches BLAS if numpy loads after cli.main runs."""
-    code = "import sys, volformer.cli; print('numpy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _run_python(code: str, **env) -> str:
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
+def test_package_import_leaves_numpy_unloaded():
+    """The thread cap only reaches BLAS if numpy loads after the package
+    import applies it."""
+    assert _run_python("import sys, volformer; print('numpy' in sys.modules)"
+                       ).strip() == "False"
 
 
 def test_python_dash_m_runs_the_cli():
@@ -739,21 +830,65 @@ def test_thread_env_validation(monkeypatch, capsys):
     assert "VOLFORMER_THREADS" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["cost", "--preset", "desk", "--seed", "5"], id="cost-seed"),
-    pytest.param(["cost", "--preset", "desk", "--force"], id="cost-force"),
-    pytest.param(["localize", "--ckpt", "m.ckpt", "--volume", "v.vfv", "--class", "0",
-                  "--out", "o", "--seed", "5"], id="localize-seed"),
+# The smallest argument list each subcommand accepts.
+MINIMAL_ARGV = {
+    "gen": ["gen", "--spec", "s.json", "--out", "o"],
+    "cv": ["cv", "--config", "c.json", "--out", "o"],
+    "localize": ["localize", "--ckpt", "m.ckpt", "--volume", "v.vfv", "--class", "0",
+                 "--out", "o"],
+    "audit": ["audit", "--ckpt", "m.ckpt", "--manifest", "m.csv", "--spec", "s.json",
+              "--out", "o"],
+    "cost": ["cost"],
+}
+
+
+def _subparsers() -> dict:
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _unread_flag_cases() -> dict:
+    """For every long flag of one subcommand, a case giving it to each
+    subcommand that does not define it, with a value if the flag takes one;
+    then the cases that were once accepted and ignored, or that conflict."""
+    flags = {name: {opt: action.nargs != 0 for action in sub._actions
+                    for opt in action.option_strings if opt.startswith("--")}
+             for name, sub in _subparsers().items()}
+    cases = {}
+    for name, base in MINIMAL_ARGV.items():
+        for other in flags.values():
+            for flag, takes_value in other.items():
+                if flag not in flags[name]:
+                    cases[f"{name}-{flag[2:]}"] = (
+                        base + [flag] + ["1"] * takes_value, "unrecognized arguments")
+        cases[f"{name}-deterministic"] = (base + ["--deterministic"], "unrecognized arguments")
+    cases["localize-fraction"] = (MINIMAL_ARGV["localize"] + ["--fraction", "0.5"],
+                                  "unrecognized arguments")
+    cases["localize-manifest"] = (MINIMAL_ARGV["localize"] + ["--manifest", "m.csv"],
+                                  "unrecognized arguments")
+    cases["audit-slices"] = (MINIMAL_ARGV["audit"] + ["--slices"], "unrecognized arguments")
+    cases["cost-config-preset"] = (["cost", "--config", "run.json", "--preset", "full"],
+                                   "not allowed with argument")
+    return cases
+
+
+def test_minimal_argv_covers_every_subcommand():
+    assert sorted(MINIMAL_ARGV) == sorted(_subparsers())
+    for argv in MINIMAL_ARGV.values():
+        build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, message, id=case) for case, (argv, message) in _unread_flag_cases().items()
 ])
-def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
+def test_subcommand_rejects_flags_it_does_not_read(argv, message, capsys):
     assert main(argv) == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
-def test_deterministic_pins_threads(monkeypatch, capsys):
-    monkeypatch.setenv("VOLFORMER_THREADS", "4")
-    monkeypatch.setenv("OMP_NUM_THREADS", "4")
-    assert main(["cost", "--preset", "desk", "--deterministic"]) == 0
-    capsys.readouterr()
-    assert os.environ["OMP_NUM_THREADS"] == "1"
-    assert os.environ["VOLFORMER_THREADS"] == "1"
+def test_thread_cap_of_one_pins_threads():
+    code = ("import os, volformer; "
+            "print(os.environ['OMP_NUM_THREADS'], os.environ['VOLFORMER_THREADS'])")
+    omp, cap = _run_python(code, VOLFORMER_THREADS="1", OMP_NUM_THREADS="4").split()
+    assert omp == "1"
+    assert cap == "1"
