@@ -354,6 +354,7 @@ def cmd_localize(args) -> int:
 def cmd_audit(args) -> int:
     out = Path(args.out)
     with _map_model(args) as net:
+        localize.resolve_layer(net, 0, args.layer)  # the layer; class 0 always exists
         spec = data.SyntheticSpec.from_dict(_read_json(args.spec))
         resolved = {"command": "audit",
                     "ckpt": str(args.ckpt), "manifest": str(args.manifest),
@@ -434,6 +435,17 @@ def cmd_cost(args) -> int:
 # argument parsing and dispatch
 
 
+def _checked(cast, ok, rule: str):
+    """argparse type: ``cast`` the text, then reject a value ``ok`` refuses."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     # The shared flags, each given only to the subcommands that read it.
     seed = argparse.ArgumentParser(add_help=False)
@@ -467,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--data", default=None,
                     help="manifest.csv (defaults to the config's synthetic section)")
     cv.add_argument("--out", required=True, help="output directory")
-    cv.add_argument("--jobs", type=int, default=1,
+    cv.add_argument("--jobs", type=_checked(int, lambda n: n >= 1, "at least 1"), default=1,
                     help="train folds in parallel processes")
     cv.set_defaults(func=cmd_cv)
 
@@ -486,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="manifest of labelled volumes")
     audit.add_argument("--spec", required=True,
                        help="SyntheticSpec JSON with the ground-truth centers")
-    audit.add_argument("--fraction", type=float, default=0.05,
+    audit.add_argument("--fraction", default=0.05,
+                       type=_checked(float, lambda f: 0 < f <= 1, "in (0, 1]"),
                        help="top-activation fraction counted as a hit")
     audit.set_defaults(func=cmd_audit)
 

@@ -5,8 +5,10 @@ Conventions:
     (B, C, D, H, W) and token matrices (B, N, C), with tokens = flattened
     voxels and channels last. One volume is a batch of one; the single-volume
     entry points are ``model.forward_volume`` and ``localize.grad_cam``;
-  * every block exposes ``params()`` as (name, Tensor) pairs in a stable
-    order, which is also the checkpoint order;
+  * every layer is a ``Module``: ``children()`` names its parameters
+    (``Tensor``) and sublayers (``Module``), by default the attributes that
+    hold one in assignment order, and ``params()`` / ``norm_layers()`` walk
+    that tree with dotted names, in checkpoint order;
   * blocks are pure functions of their parameters except batch-norm running
     statistics, which update in training mode only.
 """
@@ -43,7 +45,32 @@ def _standardize(x: Tensor, axes: tuple[int, ...], epsilon: float) -> Tensor:
     return T.div(T.mul(centered, Tensor(alive)), denom)
 
 
-class DataNormLayer:
+class Module:
+    """A layer whose trained state is the tree that ``children()`` names.
+
+    ``params()`` and ``norm_layers()`` walk that tree depth first and name
+    each entry by its dotted path from this module, in checkpoint order.
+    """
+
+    def children(self) -> list:
+        """(name, Tensor or Module) pairs in checkpoint order; by default the
+        attributes holding one, in assignment order."""
+        return [(n, v) for n, v in vars(self).items() if isinstance(v, (Tensor, Module))]
+
+    def _walk(self, prefix: str = ""):
+        for name, child in self.children():
+            yield prefix + name, child
+            if isinstance(child, Module):
+                yield from child._walk(f"{prefix}{name}.")
+
+    def params(self) -> list[tuple[str, Tensor]]:
+        return [(n, t) for n, t in self._walk() if isinstance(t, Tensor)]
+
+    def norm_layers(self) -> list[tuple[str, BatchNormLayer]]:
+        return [(n, m) for n, m in self._walk() if isinstance(m, BatchNormLayer)]
+
+
+class DataNormLayer(Module):
     """Per-volume intensity standardization applied sample by sample.
 
     Each sample of a (B, C, D, H, W) input is standardized over all of its
@@ -60,11 +87,8 @@ class DataNormLayer:
             raise ShapeError(f"data norm expects (B, C, D, H, W), got {x.shape}")
         return _standardize(x, (1, 2, 3, 4), self.epsilon)
 
-    def params(self):
-        return []
 
-
-class Conv3dLayer:
+class Conv3dLayer(Module):
     """Bias-free 3-d convolution (cross-correlation) with fixed stride/pad."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
@@ -81,11 +105,8 @@ class Conv3dLayer:
     def forward(self, x: Tensor) -> Tensor:
         return T.conv3d(x, self.weight, self.stride, self.pad)
 
-    def params(self):
-        return [("weight", self.weight)]
 
-
-class BatchNormLayer:
+class BatchNormLayer(Module):
     """Per-channel batch normalization with learned scale and shift."""
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1,
@@ -100,11 +121,8 @@ class BatchNormLayer:
         return T.batch_norm(x, self.gamma, self.beta, training, self.stats,
                             self.eps, self.momentum)
 
-    def params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
 
-
-class ResidualConvBlock:
+class ResidualConvBlock(Module):
     """Two same-padded 3x3x3 conv+BN stages with a residual shortcut.
 
     The first conv carries the block stride. When the stride or channel count
@@ -134,22 +152,6 @@ class ResidualConvBlock:
             shortcut = self.bn_proj.forward(self.proj.forward(x), training)
         return T.relu(T.add(h, shortcut))
 
-    def params(self):
-        out = [(f"conv1.{n}", t) for n, t in self.conv1.params()]
-        out += [(f"bn1.{n}", t) for n, t in self.bn1.params()]
-        out += [(f"conv2.{n}", t) for n, t in self.conv2.params()]
-        out += [(f"bn2.{n}", t) for n, t in self.bn2.params()]
-        if self.proj is not None:
-            out += [(f"proj.{n}", t) for n, t in self.proj.params()]
-            out += [(f"bn_proj.{n}", t) for n, t in self.bn_proj.params()]
-        return out
-
-    def norm_layers(self):
-        layers = [("bn1", self.bn1), ("bn2", self.bn2)]
-        if self.bn_proj is not None:
-            layers.append(("bn_proj", self.bn_proj))
-        return layers
-
 
 def _token_batch(block, x) -> Tensor:
     """Check a (B, N, C) input against the N and C ``block`` was built for."""
@@ -160,7 +162,7 @@ def _token_batch(block, x) -> Tensor:
     return x
 
 
-class SGABlock:
+class SGABlock(Module):
     """Shallow global attention: token mixing then channel mixing, both residual.
 
     Each channel column (length N) is mixed through a two-layer bottleneck
@@ -201,16 +203,8 @@ class SGABlock:
         out = T.add(rows, T.matmul(hidden_c, T.transpose(self.w_channel_out)))
         return T.reshape(out, (b, n, c))
 
-    def params(self):
-        return [
-            ("w_spatial_in", self.w_spatial_in),
-            ("w_spatial_out", self.w_spatial_out),
-            ("w_channel_in", self.w_channel_in),
-            ("w_channel_out", self.w_channel_out),
-        ]
 
-
-class DGABlock:
+class DGABlock(Module):
     """Deep global attention: multi-head self-attention plus feed-forward.
 
     Adds a learned positional embedding, then two residual stages:
@@ -276,19 +270,8 @@ class DGABlock:
         z1 = T.add(z0, self.msa(z0))
         return T.add(z1, self.feed_forward(z1))
 
-    def params(self):
-        return [
-            ("pos_embed", self.pos_embed),
-            ("qkv", self.qkv),
-            ("out_proj", self.out_proj),
-            ("ff_w_in", self.ff_w_in),
-            ("ff_b_in", self.ff_b_in),
-            ("ff_w_out", self.ff_w_out),
-            ("ff_b_out", self.ff_b_out),
-        ]
 
-
-class MLP:
+class MLP(Module):
     """Three-layer perceptron with ReLU between layers, used by vector branches."""
 
     def __init__(self, in_dim: int, hidden: tuple[int, int], out_dim: int,
@@ -306,7 +289,7 @@ class MLP:
             x = T.add(T.matmul(T.relu(x) if i else x, w), b)
         return x
 
-    def params(self):
+    def children(self):
         return [(f"{kind}{i}", t) for i, pair in enumerate(zip(self.weights, self.biases))
                 for kind, t in zip("wb", pair)]
 

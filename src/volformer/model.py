@@ -33,6 +33,7 @@ from .layers import (
     Conv3dLayer,
     DataNormLayer,
     DGABlock,
+    Module,
     ResidualConvBlock,
     SGABlock,
 )
@@ -202,7 +203,7 @@ def parse_attention_plan(text: str) -> tuple[str, ...]:
     return plan
 
 
-class VolumeEncoder:
+class VolumeEncoder(Module):
     """Volume to pooled feature vector: data norm, stem, stages, attention, pool."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32):
@@ -283,23 +284,12 @@ class VolumeEncoder:
                 trace[f"stage{i + 1}"] = h
         return T.avg_pool_global(h)
 
-    def params(self):
-        out = [("stem.weight", self.stem.weight)]
-        out += [(f"stem_bn.{n}", t) for n, t in self.stem_bn.params()]
+    def children(self):
+        out = [("stem", self.stem), ("stem_bn", self.stem_bn)]
         for i, blocks in enumerate(self.stages):
-            for b, block in enumerate(blocks):
-                out += [(f"stage{i + 1}.block{b}.{n}", t) for n, t in block.params()]
-            attn = self.attention[i]
-            if attn is not None:
-                out += [(f"stage{i + 1}.attn.{n}", t) for n, t in attn.params()]
-        return out
-
-    def norm_layers(self):
-        out = [("stem_bn", self.stem_bn)]
-        for i, blocks in enumerate(self.stages):
-            for b, block in enumerate(blocks):
-                out += [(f"stage{i + 1}.block{b}.{n}", layer)
-                        for n, layer in block.norm_layers()]
+            out += [(f"stage{i + 1}.block{b}", block) for b, block in enumerate(blocks)]
+            if self.attention[i] is not None:
+                out.append((f"stage{i + 1}.attn", self.attention[i]))
         return out
 
     def layer_names(self) -> list[str]:
@@ -311,7 +301,7 @@ class VolumeEncoder:
         return names
 
 
-class BrainFormer:
+class BrainFormer(Module):
     """Classifier over an fMRI volume trunk plus the enabled input branches.
 
     ``branches`` maps each enabled branch, in ``BRANCHES`` order, to its
@@ -365,19 +355,10 @@ class BrainFormer:
         logits = self.forward_logits(volumes, training, trace=trace, **extras)
         return logits, trace
 
-    def _modules(self):
-        """(parameter prefix, module) pairs in parameter order."""
+    def children(self):
         return [("encoder", self.encoder)] + [
             (f"{'encoder' if isinstance(m, VolumeEncoder) else 'mlp'}_{name}", m)
-            for name, m in self.branches.items()]
-
-    def params(self):
-        return [(f"{prefix}.{n}", t) for prefix, m in self._modules()
-                for n, t in m.params()] + [("classifier.weight", self.classifier_weight)]
-
-    def norm_layers(self):
-        return [(f"{prefix}.{n}", layer) for prefix, m in self._modules()
-                if isinstance(m, VolumeEncoder) for n, layer in m.norm_layers()]
+            for name, m in self.branches.items()] + [("classifier.weight", self.classifier_weight)]
 
     def trace_layer_names(self) -> list[str]:
         return self.encoder.layer_names()

@@ -202,7 +202,7 @@ def train_fold(model, train_records: list[SubjectRecord], cfg: TrainConfig
         for start in range(0, n, cfg.batch_size):
             batch = [items[i] for i in order[start:start + cfg.batch_size]]
             volumes, labels, extras = _stack(batch)
-            T.zero_grads([p for _, p in model.params()])
+            T.zero_grads([p for _, p in opt.named_params])
             saved = [(s.mean, s.var) for s in stats]
             logits = model.forward_logits(volumes, training=True, **extras)
             batch_w = weights[labels] if weights is not None else None

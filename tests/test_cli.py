@@ -365,6 +365,17 @@ def test_cv_label_outside_model_classes_exit_2(three_class_manifest, workdir, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cv_rejects_non_positive_jobs_exit_2(workdir, tmp_path, capsys, jobs):
+    out = tmp_path / "o"
+    rc = main(["cv", "--config", str(workdir / "cfg.json"),
+               "--data", str(workdir / "data" / "manifest.csv"),
+               "--out", str(out), "--jobs", jobs])
+    assert rc == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
+
+
 def test_cv_smri_extent_mismatch_exit_2(tmp_path, capsys):
     spec = dict(SPEC, subjects_per_class_per_site=2, volumes_per_subject=1, with_smri=True)
     (tmp_path / "spec.json").write_text(json.dumps(spec))
@@ -682,6 +693,30 @@ def test_audit_checks_every_label_before_any_map(three_class_manifest, workdir, 
     err = capsys.readouterr().err
     subject = next(r for r in load_manifest(three_class_manifest) if r.label == 2).subject_id
     assert repr(subject) in err and "label 2" in err, err
+    assert all(w in err for w in words), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, words", [
+    pytest.param("--fraction", "5", ("--fraction: must be in (0, 1]",), id="fraction-5"),
+    pytest.param("--fraction", "0", ("--fraction: must be in (0, 1]",), id="fraction-0"),
+    pytest.param("--layer", "bogus", ("unknown trace layer 'bogus'", "stage4.conv"),
+                 id="layer"),
+])
+def test_audit_checks_fraction_and_layer_before_any_map(workdir, tmp_path, monkeypatch,
+                                                        capsys, flag, value, words):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("audit read the manifest or mapped a volume")
+
+    monkeypatch.setattr("volformer.localize.grad_cam", must_not_run)
+    monkeypatch.setattr("volformer.data.load_manifest", must_not_run)
+    out = tmp_path / "audit"
+    capsys.readouterr()
+    rc = main(["audit", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
+               "--manifest", str(workdir / "data" / "manifest.csv"),
+               "--spec", str(workdir / "spec.json"), "--out", str(out), flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
     assert all(w in err for w in words), err
     assert not out.exists()
 

@@ -267,6 +267,59 @@ def test_branched_checkpoint_round_trip_bit_identical(tmp_path):
     assert np.array_equal(a, b)
 
 
+def _hand_written_tree(cfg):
+    """Parameter and norm-layer names by the rules each layer once listed by
+    hand, for a model built from ``cfg``."""
+    def bn(prefix):
+        return [f"{prefix}.gamma", f"{prefix}.beta"]
+
+    def encoder(p):
+        params = [f"{p}.stem.weight"] + bn(f"{p}.stem_bn")
+        norms = [f"{p}.stem_bn"]
+        in_ch = cfg.resolved_stem_channels()
+        for i, out_ch in enumerate(cfg.stage_channels):
+            for b in range(cfg.stage_blocks[i]):
+                blk = f"{p}.stage{i + 1}.block{b}"
+                params += [f"{blk}.conv1.weight", *bn(f"{blk}.bn1"),
+                           f"{blk}.conv2.weight", *bn(f"{blk}.bn2")]
+                norms += [f"{blk}.bn1", f"{blk}.bn2"]
+                stride = cfg.stage_strides[i] if b == 0 else 1
+                if stride != 1 or in_ch != out_ch:
+                    params += [f"{blk}.proj.weight", *bn(f"{blk}.bn_proj")]
+                    norms.append(f"{blk}.bn_proj")
+                in_ch = out_ch
+            attn = {"S": ("w_spatial_in", "w_spatial_out", "w_channel_in", "w_channel_out"),
+                    "D": ("pos_embed", "qkv", "out_proj", "ff_w_in", "ff_b_in",
+                          "ff_w_out", "ff_b_out"),
+                    "none": ()}[cfg.attention_plan[i]]
+            params += [f"{p}.stage{i + 1}.attn.{n}" for n in attn]
+        return params, norms
+
+    params, norms = encoder("encoder")
+    for name, shape in cfg.branch_shapes().items():
+        if len(shape) > 1:
+            more, more_norms = encoder(f"encoder_{name}")
+            params += more
+            norms += more_norms
+        else:
+            params += [f"mlp_{name}.{kind}{i}" for i in range(3) for kind in "wb"]
+    return params + ["classifier.weight"], norms
+
+
+@pytest.mark.parametrize("branches, n_params, n_norms", [
+    pytest.param({}, 83, 20, id="volume-only"),
+    pytest.param(dict(use_smri=True, use_fc=True, use_pheno=True), 177, 40, id="all-branches"),
+])
+def test_state_tree_names_and_order_are_pinned(branches, n_params, n_norms):
+    model = M.BrainFormer(ModelConfig.desk(**branches), seed=3)
+    params, norms = _hand_written_tree(model.cfg)
+    assert (len(params), len(norms)) == (n_params, n_norms)
+    assert [n for n, _ in model.params()] == params
+    assert [n for n, _ in model.norm_layers()] == norms
+    assert all(isinstance(layer, M.BatchNormLayer) for _, layer in model.norm_layers())
+    assert len({id(t) for _, t in model.params()}) == n_params
+
+
 def test_checkpoint_version_1_is_rejected(tmp_path):
     model, _ = trained_desk_model()
     path = tmp_path / "model.vfck"
