@@ -26,7 +26,6 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
@@ -213,20 +212,6 @@ def _check_extents(records, model_cfg) -> None:
                     f"but the model expects {want}")
 
 
-@contextmanager
-def _replacing(path: Path):
-    """Yield a temporary path beside ``path`` to write to; move it onto
-    ``path`` when the body returns and remove it when the body raises, so an
-    interrupted write never leaves a truncated artifact under its final name."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 # ---------------------------------------------------------------------------
 # gen
 
@@ -257,9 +242,9 @@ def _fold_model(model_cfg, seed: int, fold: int):
 
 def _write_fold(out_dir: Path, seed: int, result) -> None:
     """Per-fold artifacts: the loss curve and the trained checkpoint."""
-    with _replacing(out_dir / f"fold{result.fold}_history.csv") as tmp:
+    with data.replacing(out_dir / f"fold{result.fold}_history.csv") as tmp:
         result.history.write_csv(tmp)
-    with _replacing(out_dir / f"fold{result.fold}.ckpt") as tmp:
+    with data.replacing(out_dir / f"fold{result.fold}.ckpt") as tmp:
         model.save_model(result.model, tmp,
                          extra_meta={"fold": result.fold, "seed": seed + result.fold})
 
@@ -297,9 +282,9 @@ def cmd_cv(args) -> int:
         print(f"error: training aborted: {err}", file=sys.stderr)
         return EXIT_TRAIN
 
-    with _replacing(out / "metrics.json") as tmp:
+    with data.replacing(out / "metrics.json") as tmp:
         aggregate.write_json(tmp)
-    with _replacing(out / "folds.csv") as tmp:
+    with data.replacing(out / "folds.csv") as tmp:
         aggregate.write_fold_csv(tmp)
     print(f"folds: {len(aggregate.folds)}")
     print(f"volume accuracy:  {aggregate.volume_accuracy:.4f} "
@@ -380,7 +365,7 @@ def cmd_audit(args) -> int:
 
     _write_resolved(out, echo)
     audit_path = out / "audit.csv"
-    with _replacing(audit_path) as tmp, open(tmp, "w", newline="") as fh:
+    with data.replacing(audit_path) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subject_id", "site_id", "volume", "label", "predicted",
                          "correct", "hit", "degenerate",
@@ -398,7 +383,7 @@ def cmd_audit(args) -> int:
         "fraction": args.fraction,
         "layer": args.layer or "default",
     }
-    with _replacing(out / "audit_summary.json") as tmp:
+    with data.replacing(out / "audit_summary.json") as tmp:
         tmp.write_text(json.dumps(summary, indent=2) + "\n")
     print(f"audited {len(rows)} volumes: {correct_total} classified correctly, "
           f"{hits_on_correct} of those hit the target "

@@ -1,4 +1,4 @@
-"""Volume I/O, manifests, padding, FC extraction, folds, synthetic data.
+"""Volume I/O, artifact writes, manifests, padding, FC extraction, folds, synthetic data.
 
 Volume files are a little-endian container: magic ``VFV1``, u32 rank, u32
 extents, raw float32 row-major payload, trailing u32 CRC32 of the payload.
@@ -11,8 +11,10 @@ treated as masked-absent.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -170,6 +172,20 @@ class SyntheticSpec:
 
 # ---------------------------------------------------------------------------
 # binary containers and the volume file format
+
+
+@contextmanager
+def replacing(path: Path):
+    """Yield a temporary path beside ``path`` to write to; move it onto
+    ``path`` when the body returns and remove it when the body raises, so an
+    interrupted write never leaves a truncated artifact under its final name."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_container(path, magic: bytes, header: bytes, records) -> None:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .data import read_volume, write_volume
+from .data import read_volume, replacing, write_volume
 from .errors import ConfigError, DataError
 from .tensor import Tensor
 
@@ -175,30 +176,32 @@ def export_map(amap: ActivationMap, path, slices: bool = False) -> dict:
     """Write the map volume, a JSON sidecar, and optional mid-slice CSVs.
 
     Returns the written paths keyed by artifact name; the sidecar lives at
-    ``<path>.json`` and slice dumps at ``<path stem>_axis<k>.csv``.
+    ``<path>.json`` and slice dumps at ``<path stem>_axis<k>.csv``. Each file
+    is written under a temporary name, and none is moved onto its final name
+    unless all were written.
     """
     amap.validate()
     path = Path(path)
-    write_volume(path, amap.volume)
-    sidecar = path.with_name(path.name + ".json")
-    with open(sidecar, "w") as fh:
-        json.dump({
-            "target_class": amap.target_class,
-            "layer": amap.layer,
-            "interpolation": amap.interpolation,
-            "normalization": NORMALIZATION,
-            "degenerate": amap.degenerate,
-            "extents": list(amap.volume.shape),
-        }, fh, indent=2)
-        fh.write("\n")
-    written = {"volume": path, "sidecar": sidecar}
+    written = {"volume": path, "sidecar": path.with_name(path.name + ".json")}
     if slices:
-        for axis in range(3):
-            mid = amap.volume.shape[axis] // 2
-            plane = np.take(amap.volume, mid, axis=axis)
-            slice_path = path.with_name(f"{path.stem}_axis{axis}.csv")
-            np.savetxt(slice_path, plane, delimiter=",", fmt="%.8g")
-            written[f"slice_axis{axis}"] = slice_path
+        written.update({f"slice_axis{axis}": path.with_name(f"{path.stem}_axis{axis}.csv")
+                        for axis in range(3)})
+    with ExitStack() as stack:
+        tmp = {name: stack.enter_context(replacing(p)) for name, p in written.items()}
+        write_volume(tmp["volume"], amap.volume)
+        with open(tmp["sidecar"], "w") as fh:
+            json.dump({
+                "target_class": amap.target_class,
+                "layer": amap.layer,
+                "interpolation": amap.interpolation,
+                "normalization": NORMALIZATION,
+                "degenerate": amap.degenerate,
+                "extents": list(amap.volume.shape),
+            }, fh, indent=2)
+            fh.write("\n")
+        for axis in range(3) if slices else ():
+            plane = np.take(amap.volume, amap.volume.shape[axis] // 2, axis=axis)
+            np.savetxt(tmp[f"slice_axis{axis}"], plane, delimiter=",", fmt="%.8g")
     return written
 
 

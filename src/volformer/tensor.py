@@ -23,8 +23,12 @@ closed-form backwards; their docstrings give the formulas and their
 ``conv3d`` is im2col plus GEMM that never holds a whole patch matrix (after
 Anderson et al. 2017 and Dukhan 2019): ``_patch_chunks`` gathers it in runs
 of output depth planes, or of output rows where one plane is too large,
-through one buffer of at most ``_PATCH_BYTES``, and the kernel gradient is
-formed (K, C_out); its docstring has the details.
+through one buffer of at most ``_PATCH_BYTES``. Backward gathers the
+output-gradient patches once per residue class and takes both gradients from
+them; only an untracked input takes its kernel gradient from input patches.
+Each GEMM is split into column blocks within OpenBLAS's small-matrix budget
+(``_GEMM_MACS``), so results depend on chunk and block widths at rounding
+level. Its docstring has the details.
 
 The API is functional (``T.add(a, b)``, ``T.backward(loss)``); ``Tensor`` has
 no operators. ``conv3d`` and ``avg_pool_global`` take (B, C, D, H, W) maps and
@@ -566,6 +570,53 @@ _PATCH_BYTES = 1 << 20
 # float (runs of 2-8 floats: 1.7-3.5 ns per float, 0.7 ns from 32 on), so a
 # second copy that lengthens them pays; for longer runs it cost 10-15%.
 _SHORT_RUN_BYTES = 64
+# scipy-openblas 0.3.31 on AVX-512 runs a GEMM of at most 10**6
+# multiply-adds through its small-matrix kernel, which skips packing: float32
+# (8x216)(216x578) took 21 us and (8x216)(216x579) 45 us (one thread, Xeon).
+# So a chunk's GEMM is split into column blocks within that budget where a
+# block keeps at least _GEMM_MIN_COLS columns; wider operands stay one GEMM.
+# The kernel wants a contiguous second operand: (216x576)(576x8) took 25 us
+# contiguous and 44 us as a transposed view; at (6912x32)(32x256) the view was
+# the faster, 1159 against 1249 us.
+_GEMM_MACS = 10 ** 6
+_GEMM_MIN_COLS = 64
+
+
+def _gemm_width(macs_per_col: int) -> int:
+    """Columns per GEMM block for an operand pair costing ``macs_per_col``
+    multiply-adds per column; 0 (no split) where that is under
+    ``_GEMM_MIN_COLS``."""
+    width = _GEMM_MACS // macs_per_col
+    return width if width >= _GEMM_MIN_COLS else 0
+
+
+def _matmul_blocks(a, col, out, width: int) -> None:
+    """``out = a @ col``, one GEMM per block of ``width`` columns (0: one)."""
+    if not width or col.shape[1] <= width:
+        np.matmul(a, col, out=out)
+        return
+    for b in range(0, col.shape[1], width):
+        np.matmul(a, col[:, b:b + width], out=out[:, b:b + width])
+
+
+def _matmul_sum(col, rows, acc, width: int) -> None:
+    """``acc += col @ rows``, one GEMM per block of ``width`` columns of
+    ``col`` and rows of ``rows`` (0: one), each formed in one buffer that is
+    freed on return."""
+    step = width or col.shape[1]
+    part = np.empty((col.shape[0], rows.shape[1]), np.result_type(col, rows))
+    for b in range(0, col.shape[1], step):
+        np.matmul(col[:, b:b + step], rows[b:b + step], out=part)
+        acc += part.reshape(acc.shape)
+
+
+def _rows(a: np.ndarray, contiguous: bool) -> np.ndarray:
+    """A (B, C, D, H, W) array as a (D*H*W*B, C) matrix, rows in (D, H, W, B)
+    order to match patch columns: contiguous, or the transpose of a
+    contiguous (C, D*H*W*B) matrix, a view where the layout allows."""
+    if contiguous:
+        return a.transpose(2, 3, 4, 0, 1).reshape(-1, a.shape[1])
+    return a.transpose(1, 2, 3, 4, 0).reshape(a.shape[1], -1).T
 
 
 def _patch_chunks(src: np.ndarray, corner, kernel_shape, out, stride: int):
@@ -681,24 +732,38 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     - forward: the (C_out, K) kernel matrix times each chunk, written into
       its columns of one (C_out, V*B) product, then one transpose of that
       to batch-first (a view at B=1);
-    - kernel gradient: the sum over chunks of the chunk times the
-      transposed output-gradient columns, laid out (C_out, V*B). This
-      (K, C_out) orientation runs about twice as fast as (C_out, K) for
-      the network's tall, narrow products; it is transposed as it is
-      accumulated. The patches are not kept from the forward pass; backward
-      gathers them again from the input array, which the closure keeps for
-      this gradient alone, so a tracked conv retains at most its output
-      and its input (activation recomputation). The input must not change
-      in place before backward;
     - input gradient: a stride-1 correlation of the output gradient with
       the flipped, channel-swapped kernel, through the same chunks on
       windows of the output gradient padded once, batch-last. It is split
       into stride**3 residue classes: input positions ``stride*q + r``
       (padded coordinates) see only the taps ``r + stride*j``, so each class
       is one GEMM per chunk over its own taps and no zero-dilated gradient
-      is formed. Stride 1 is the one-class case. Each chunk fills its
-      planes or rows of the class in a batch-last input gradient,
-      transposed once as it is accumulated.
+      is formed. Stride 1 is the one-class case. Each class fills its
+      positions of a batch-last input gradient, transposed once as it is
+      accumulated;
+    - kernel gradient, with the input tracked: from the same output-gradient
+      chunks, so backward gathers once per residue class. By
+      gk[co, ci, t] = sum over input positions q of x[ci, q] * g[co, q - t],
+      a chunk times its class's input positions, laid out (positions, C_in),
+      adds to a (C_out * taps, C_in) block of the flipped kernel gradient;
+    - kernel gradient, with the input untracked (the stem in training): the
+      sum over chunks of input patches times the output-gradient columns,
+      (K, C_out), transposed once at the end. The output-gradient patches
+      would be C_out/C_in times larger here.
+
+    The patches are not kept from the forward pass: backward gathers again,
+    and the closure keeps the input for the kernel gradient alone, so a
+    tracked conv retains at most its output and its input (activation
+    recomputation). The input must not change in place before backward.
+
+    A chunk's GEMM is split into column blocks of at most ``_GEMM_MACS``
+    multiply-adds, which OpenBLAS runs through its small-matrix kernel, where
+    a block keeps at least ``_GEMM_MIN_COLS`` columns; wider operands stay
+    one GEMM per chunk. A split kernel-gradient GEMM reads its (positions,
+    channels) operand contiguous, an unsplit one as the transpose of a
+    (channels, positions) array (``_rows``). So results depend on the chunk
+    and block widths at rounding level: a batch of volumes and each volume
+    alone, or two patch budgets, agree to rounding, not bit for bit.
 
     Transients beyond the arrays a direction returns are thus one patch
     buffer (and, for short copy runs, a buffer of tap-shifted input copies
@@ -730,10 +795,11 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
                (W + 2 * pad - kw) // stride + 1)
     vox = out_ext[0] * out_ext[1] * out_ext[2]
     w2 = w.reshape(Co, -1)
+    width = _gemm_width(w.size)
     out_data = np.empty((Co, vox * B), dtype=np.result_type(xd, w))
     for c0, c1, _, col in _patch_chunks(_pad_batch_last(xd, pad), (0, 0, 0), ksize, out_ext,
                                         stride):
-        np.matmul(w2, col, out=out_data[:, c0:c1])
+        _matmul_blocks(w2, col, out_data[:, c0:c1], width)
     out_data = np.ascontiguousarray(out_data.reshape(Co, *out_ext, B).transpose(4, 0, 1, 2, 3))
     rx, rk = x._tape, kernel._tape
     # The input feeds only the kernel gradient and the kernel only the input's.
@@ -741,29 +807,49 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     w = w if rx.requires_grad else None
 
     def backward_fn(g):
-        if xd is not None:
-            g2 = g.transpose(1, 2, 3, 4, 0).reshape(Co, -1)
-            gk = sum(np.matmul(col, g2[:, c0:c1].T) for c0, c1, _, col in _patch_chunks(
-                _pad_batch_last(xd, pad), (0, 0, 0), ksize, out_ext, stride))
+        if w is None:  # an untracked input: the kernel gradient from input patches
+            gk = np.zeros((C * math.prod(ksize), Co), g.dtype)
+            width = _gemm_width(gk.size)
+            for _, _, (ds, hs), col in _patch_chunks(_pad_batch_last(xd, pad), (0, 0, 0),
+                                                     ksize, out_ext, stride):
+                _matmul_sum(col, _rows(g[:, :, ds, hs], width > 0), gk, width)
+            col = None  # the patch buffer; the result below may reuse its memory
             rk._accum(gk.T.reshape(rk.shape))
-            del g2  # an output-sized copy; free it before the input gradient
-        if w is not None:
-            classes = [_residue_classes(n, k, stride, pad) for n, k in zip(extents, ksize)]
-            margin = max([0] + [max(-lo, hi - n_out) for axis, n_out in zip(classes, out_ext)
-                                for _, _, lo, hi in axis])
-            g = _pad_batch_last(g, margin)
-            gx = np.zeros((C, *extents, B), dtype=rx.dtype)
-            flipped = w.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
-            for (td, fd, ld, _), (th, fh, lh, _), (tw, fw, lw, _) in itertools.product(*classes):
-                taps = flipped[:, :, td::stride, th::stride, tw::stride]
-                taps2 = taps.reshape(C, -1)
-                target = gx[:, fd::stride, fh::stride, fw::stride]
-                corner = (margin + ld, margin + lh, margin + lw)
-                for _, _, region, col in _patch_chunks(g, corner, taps.shape[2:],
+            return
+        classes = [_residue_classes(n, k, stride, pad) for n, k in zip(extents, ksize)]
+        margin = max([0] + [max(-lo, hi - n_out) for axis, n_out in zip(classes, out_ext)
+                            for _, _, lo, hi in axis])
+        g = _pad_batch_last(g, margin)
+        gx = np.zeros((C, *extents, B), dtype=rx.dtype)
+        if stride > 1:  # one class's gradient, before it is spread into gx
+            spread = np.empty(C * B * math.prod(-(-n // stride) for n in extents), rx.dtype)
+        if xd is not None:  # the kernel gradient, flipped: (C_out, kd, kh, kw, C_in)
+            gk = np.zeros((Co, *ksize, C), g.dtype)
+        flipped = w.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
+        for (td, fd, ld, _), (th, fh, lh, _), (tw, fw, lw, _) in itertools.product(*classes):
+            taps = flipped[:, :, td::stride, th::stride, tw::stride]
+            taps2 = taps.reshape(C, -1)
+            width = _gemm_width(taps.size)
+            target = gx[:, fd::stride, fh::stride, fw::stride]
+            res = (target if stride == 1 else spread[:target.size]).reshape(C, -1)
+            if xd is not None:
+                xq = xd[:, :, fd::stride, fh::stride, fw::stride]
+                acc = gk[:, td::stride, th::stride, tw::stride]
+            corner = (margin + ld, margin + lh, margin + lw)
+            for c0, c1, (ds, hs), col in _patch_chunks(g, corner, taps.shape[2:],
                                                        target.shape[1:4], 1):
-                    block = target[(slice(None), *region)]
-                    block[...] = np.matmul(taps2, col).reshape(block.shape)
-            rx._accum(gx.transpose(4, 0, 1, 2, 3))
+                _matmul_blocks(taps2, col, res[:, c0:c1], width)
+                if xd is not None:
+                    _matmul_sum(col, _rows(xq[:, :, ds, hs], width > 0), acc, width)
+            if stride > 1:
+                target[...] = res.reshape(target.shape)
+        # Drop the padded gradient, the patch buffer, the views of gx and then
+        # gx itself before each result is allocated, which may reuse that memory.
+        g = col = res = target = None
+        rx._accum(gx.transpose(4, 0, 1, 2, 3))
+        del gx
+        if xd is not None:
+            rk._accum(gk[:, ::-1, ::-1, ::-1].transpose(0, 4, 1, 2, 3))
 
     return _node(out_data, (rx, rk), backward_fn, B * Co * C * kd * kh * kw * vox)
 

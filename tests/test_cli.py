@@ -546,6 +546,28 @@ def test_localize_single_map(workdir, tmp_path):
     assert resolved["layer"] == "stage4.conv"
 
 
+def test_interrupted_localize_write_leaves_no_map(workdir, tmp_path, monkeypatch):
+    """A failure while the --slices CSVs are written, here after the second
+    one is complete, leaves neither the map, its sidecar nor any slice under
+    its final name, and no temporary file."""
+    real_savetxt, calls = np.savetxt, []
+
+    def failing_savetxt(fname, *args, **kwargs):
+        calls.append(fname)
+        real_savetxt(fname, *args, **kwargs)
+        if len(calls) == 2:
+            raise OSError("simulated disk full")
+
+    monkeypatch.setattr(np, "savetxt", failing_savetxt)
+    out = tmp_path / "loc"
+    with pytest.raises(OSError, match="disk full"):
+        main(["localize", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
+              "--volume", str(_first_volume(workdir)), "--class", "0",
+              "--out", str(out), "--slices"])
+    assert len(calls) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+
+
 def test_localize_explicit_layer(workdir, tmp_path):
     out = tmp_path / "loc"
     rc = main(["localize", "--ckpt", str(workdir / "run" / "fold0.ckpt"),

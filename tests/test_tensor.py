@@ -470,6 +470,90 @@ def test_conv3d_row_chunks_stay_within_the_budget(monkeypatch, B, k, stride, pad
         assert rel_error(got, want) < 1e-12
 
 
+GATHER_CASES = [(3, 1, 1, 1), (3, 2, 1, 8)]  # k, stride, pad, residue classes
+
+
+@pytest.mark.parametrize("k,stride,pad,classes", GATHER_CASES, ids=["k3-s1-p1", "k3-s2-p1"])
+def test_conv3d_backward_gathers_once_per_residue_class(monkeypatch, k, stride, pad, classes):
+    """With the input tracked, backward gathers output-gradient patches once
+    per residue class, and each gather feeds the input gradient and, with
+    the kernel tracked too, the kernel gradient; only an untracked input
+    makes backward gather input patches instead, once. C_in = 2 and
+    C_out = 3 tell the gathered arrays apart. The three paths agree to
+    1e-12 in float64."""
+    rng = np.random.default_rng(33)
+    xs, ws = rng.normal(size=(2, 2, 6, 7, 5)), rng.normal(size=(3, 2, k, k, k))
+    g = rng.normal(size=T.conv3d(Tensor(xs), Tensor(ws), stride, pad).shape)
+    real, gathered = T._patch_chunks, []
+
+    def counted(src, corner, kernel_shape, out, s):
+        gathered.append(src.shape[0])
+        return real(src, corner, kernel_shape, out, s)
+
+    monkeypatch.setattr(T, "_patch_chunks", counted)
+    grads = {}
+    for name, x_tracked, w_tracked in [("both", True, True), ("kernel", False, True),
+                                       ("input", True, False)]:
+        x, w = t64(xs, x_tracked), t64(ws, w_tracked)
+        y = T.conv3d(x, w, stride, pad)
+        gathered.clear()
+        T.backward(T.tensor_sum(T.mul(y, Tensor(g))))
+        grads[name] = x.grad, w.grad
+        want = [2] if name == "kernel" else [3] * classes
+        assert gathered == want, (name, gathered)
+    np.testing.assert_array_equal(grads["input"][0], grads["both"][0])
+    assert rel_error(grads["kernel"][1], grads["both"][1]) < 1e-12
+
+
+def test_conv3d_split_gemms_stay_exact(monkeypatch):
+    """With the GEMM budget cut to 1500 multiply-adds and blocks of at
+    least 5 columns, chunks split into several GEMMs in the forward, the
+    input gradient and the kernel gradient, some blocks ending inside an
+    output row, while wider operands stay one GEMM. The adjoint fuzz, the
+    batch-independence checks and the one-gather checks rerun, at their own
+    tolerances, over the split path."""
+    monkeypatch.setattr(T, "_GEMM_MACS", 1500)
+    monkeypatch.setattr(T, "_GEMM_MIN_COLS", 5)
+    real_chunks, real_blocks, real_sum, real_backward = (
+        T._patch_chunks, T._matmul_blocks, T._matmul_sum, T.backward)
+    state = {"direction": "forward", "row": 0}
+    gemms = []  # (direction, columns, width, output row length)
+
+    def chunks(src, corner, kernel_shape, out, s):
+        for chunk in real_chunks(src, corner, kernel_shape, out, s):
+            state["row"] = out[2] * src.shape[4]
+            yield chunk
+
+    def blocks(a, col, out, width):
+        gemms.append((state["direction"], col.shape[1], width, state["row"]))
+        real_blocks(a, col, out, width)
+
+    def summed(col, rows, acc, width):
+        gemms.append(("kernel", col.shape[1], width, state["row"]))
+        real_sum(col, rows, acc, width)
+
+    def backward(loss):
+        state["direction"] = "input"
+        try:
+            real_backward(loss)
+        finally:
+            state["direction"] = "forward"
+
+    for name, fn in [("_patch_chunks", chunks), ("_matmul_blocks", blocks),
+                     ("_matmul_sum", summed), ("backward", backward)]:
+        monkeypatch.setattr(T, name, fn)
+    test_conv3d_adjoint_fuzz()
+    for case in BATCH_CONV3D_CASES:
+        test_conv3d_batch_entries_are_independent(*case.values)
+    for case in GATHER_CASES:
+        test_conv3d_backward_gathers_once_per_residue_class(monkeypatch, *case)
+    split = [(d, n, width, row) for d, n, width, row in gemms if 0 < width < n]
+    assert {d for d, *_ in split} == {"forward", "input", "kernel"}
+    assert any(width % row for *_, width, row in split)  # a block ends mid-row
+    assert {d for d, _, width, _ in gemms if not width} >= {"forward", "input", "kernel"}
+    assert sum(-(-n // width) for _, n, width, _ in split) > 2 * len(split)
+
+
 def test_short_run_gather_matches_the_direct_gather(monkeypatch):
     """Stride-1 patches gathered through tap-shifted copies of the input
     are the same bytes as patches gathered straight from the window: over
