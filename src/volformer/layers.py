@@ -171,6 +171,11 @@ class SGABlock(Module):
     count N; no NxN structure is ever materialized. The channel-mixing output
     projection starts at zero so that stage is the identity at init.
 
+    Each stage is one ``T.residual_mlp`` node, token mixing over the (B, C, N)
+    transpose of the tokens and channel mixing over the transpose of that
+    result, so a training forward keeps the token-mixed tokens and the
+    output, no hidden layer or layout copy.
+
     Token-mixing weights are sized to N, so the block only accepts the token
     count it was built for.
     """
@@ -194,14 +199,10 @@ class SGABlock(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         x = _token_batch(self, x)
-        b, n, c = x.shape
-        cols = T.reshape(T.transpose(x, (1, 0, 2)), (n, b * c))
-        hidden = T.relu(T.matmul(self.w_spatial_in, cols))
-        mixed = T.add(cols, T.matmul(self.w_spatial_out, hidden))
-        rows = T.reshape(T.transpose(T.reshape(mixed, (n, b, c)), (1, 0, 2)), (b * n, c))
-        hidden_c = T.relu(T.matmul(rows, T.transpose(self.w_channel_in)))
-        out = T.add(rows, T.matmul(hidden_c, T.transpose(self.w_channel_out)))
-        return T.reshape(out, (b, n, c))
+        mixed = T.residual_mlp(T.transpose(x, (0, 2, 1)), T.transpose(self.w_spatial_in),
+                               T.transpose(self.w_spatial_out))
+        return T.residual_mlp(T.transpose(mixed, (0, 2, 1)), T.transpose(self.w_channel_in),
+                              T.transpose(self.w_channel_out))
 
 
 class DGABlock(Module):
@@ -214,6 +215,11 @@ class DGABlock(Module):
     softmax(q k^T / sqrt(hd)) applied to v. Head outputs are
     concatenated and projected back to C by a zero-initialized matrix, so
     z1 == z0 exactly at init. No layer normalization anywhere.
+
+    The second stage is one ``T.residual_mlp`` node that keeps z1 and
+    recomputes the hidden layer in backward; it adds FF's output bias before
+    the residual, so the block's output equals z1 + ``feed_forward(z1)``
+    bit for bit.
     """
 
     def __init__(self, tokens: int, channels: int, heads: int = 8,
@@ -268,7 +274,7 @@ class DGABlock(Module):
     def forward(self, x: Tensor) -> Tensor:
         z0 = T.add(_token_batch(self, x), self.pos_embed)
         z1 = T.add(z0, self.msa(z0))
-        return T.add(z1, self.feed_forward(z1))
+        return T.residual_mlp(z1, self.ff_w_in, self.ff_w_out, self.ff_b_in, self.ff_b_out)
 
 
 class MLP(Module):

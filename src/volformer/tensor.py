@@ -16,9 +16,12 @@ each node's closure fires exactly once and gradients accumulate additively
 across multiple uses of the same tensor. The sweep consumes the graph: a
 record drops its closure and parents once its closure has run. Held tensors
 keep their ``.grad``; a second sweep that reaches a consumed node is a
-``StateError``. ``batch_norm`` and ``softmax`` are single nodes with
-closed-form backwards; their docstrings give the formulas and their
-``count_ops`` units.
+``StateError``. ``batch_norm``, ``softmax`` and ``residual_mlp`` are single
+nodes with closed-form backwards; their docstrings give the formulas and
+their ``count_ops`` units. ``residual_mlp`` keeps its input, not its hidden
+layer, and recomputes that with one GEMM in backward. A batched operand
+times a matrix, in ``matmul`` and ``residual_mlp``, is one GEMM over the
+folded leading axes.
 
 ``conv3d`` is im2col plus GEMM that never holds a whole patch matrix (after
 Anderson et al. 2017 and Dukhan 2019): ``_patch_chunks`` gathers it in runs
@@ -218,7 +221,9 @@ def _node(data, parents, backward_fn, macs=0) -> Tensor:
     - ``div``: the divisor and the output; ``exp``, ``sqrt``, ``relu`` and
       ``softmax``: the output; ``log``: the input;
     - ``batch_norm``: the input, only if ``gamma`` or, in training mode,
-      the input is tracked.
+      the input is tracked;
+    - ``residual_mlp``: the input and the weights (never the hidden layer),
+      unless only the output bias is tracked.
 
     It never captures a ``Tensor`` or the result's record: a result ->
     closure -> result cycle keeps each finished graph alive until the
@@ -518,8 +523,19 @@ def avg_pool_global(a) -> Tensor:
 # contractions
 
 
+def _fold(a: np.ndarray) -> np.ndarray:
+    """``a`` as a matrix of its last axis, leading axes folded into the rows;
+    a copy where ``a``'s layout does not allow a view."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def matmul(a, b) -> Tensor:
-    """Product over the last two axes of rank >= 2 operands; leading axes broadcast."""
+    """Product over the last two axes of rank >= 2 operands; leading axes broadcast.
+
+    With a 2-D ``b`` (tokens times a weight) the leading axes of ``a`` fold
+    into its rows: the product is one GEMM, and so is ``b``'s gradient, aᵀg
+    over all rows, rather than a per-batch stack summed afterwards.
+    """
     a, b = _pair(a, b)
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
@@ -529,18 +545,29 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(
             f"matmul: inner extents disagree for shapes {ad.shape} and {bd.shape}"
         )
-    try:
-        out_data = np.matmul(ad, bd)
-    except ValueError as err:
-        raise ShapeError(
-            f"matmul: shapes {ad.shape} and {bd.shape} do not broadcast: {err}"
-        ) from None
+    folded = bd.ndim == 2
+    if folded:
+        out_data = (_fold(ad) @ bd).reshape(*ad.shape[:-1], bd.shape[1])
+    else:
+        try:
+            out_data = np.matmul(ad, bd)
+        except ValueError as err:
+            raise ShapeError(
+                f"matmul: shapes {ad.shape} and {bd.shape} do not broadcast: {err}"
+            ) from None
     macs = math.prod(out_data.shape[:-2]) * ad.shape[-2] * ad.shape[-1] * bd.shape[-1]
     ra, rb = a._tape, b._tape
     ad = ad if rb.requires_grad else None
     bd = bd if ra.requires_grad else None
 
     def backward_fn(g):
+        if folded:
+            g2 = _fold(g)
+            if bd is not None:
+                ra._accum((g2 @ bd.T).reshape(ra.shape))
+            if ad is not None:
+                rb._accum(_fold(ad).T @ g2)
+            return
         if bd is not None:
             ra._accum(_unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ra.shape))
         if ad is not None:
@@ -877,6 +904,82 @@ def softmax(x, axis: int = -1) -> Tensor:
         rx._accum(gx)
 
     return _node(y, (rx,), backward_fn, 4 * y.size)
+
+
+def residual_mlp(x, w1, w2, b1=None, b2=None) -> Tensor:
+    """y = x + (relu(x @ w1 + b1) @ w2 + b2) over the last axis of ``x``.
+
+    ``x`` is (..., K), ``w1`` (K, H), ``w2`` (H, K) and the optional biases
+    (H,) and (K,); each layer is one GEMM over the leading axes of ``x``
+    folded into its rows. One tape node whose closure keeps ``x`` and the
+    weights but not the hidden layer: backward recomputes
+    h = relu(x @ w1 + b1) with one GEMM (Chen et al. 2016), then with
+    gh = (g @ w2ᵀ)·[h > 0] takes gx = g + gh @ w1ᵀ, gw1 = xᵀ gh,
+    gb1 = Σ gh, gw2 = hᵀ g and gb2 = Σ g. ``x`` is kept unless only ``b2``
+    is tracked. ``count_ops``: what the matmul, bias, relu and residual-add
+    chain it replaces counts, per row 2·K·H multiply-adds plus H + K, and
+    one more per bias entry.
+    """
+    x, w1, w2 = _as_tensor(x), _as_tensor(w1), _as_tensor(w2)
+    b1, b2 = (None if b is None else _as_tensor(b) for b in (b1, b2))
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    b1d, b2d = (None if b is None else b.data for b in (b1, b2))
+    K = xd.shape[-1] if xd.ndim else -1
+    H = w1d.shape[-1] if w1d.ndim == 2 else -1
+    if (w1d.shape != (K, H) or w2d.shape != (H, K)
+            or (b1d is not None and b1d.shape != (H,))
+            or (b2d is not None and b2d.shape != (K,))):
+        raise ShapeError(
+            f"residual_mlp: x {xd.shape}, w1 {w1d.shape}, w2 {w2d.shape}, "
+            f"b1 {None if b1d is None else b1d.shape} and "
+            f"b2 {None if b2d is None else b2d.shape} do not chain as "
+            f"(..., K), (K, H), (H, K), (H,), (K,)")
+
+    def hidden(rows):
+        h = rows @ w1d
+        if b1d is not None:
+            h += b1d
+        return np.maximum(h, 0, out=h)
+
+    rows = _fold(xd)  # a copy where x is a transposed view: backward folds again
+    y = hidden(rows) @ w2d
+    if b2d is not None:
+        y += b2d
+    y += rows
+    macs = rows.shape[0] * (2 * K * H + H + K + (b1d is not None) * H + (b2d is not None) * K)
+    tapes = [None if t is None else t._tape for t in (x, w1, w2, b1, b2)]
+    rx, r1, r2, rb1, rb2 = tapes
+    on_x, on_w1, on_w2, on_b1, on_b2 = (t is not None and t.requires_grad
+                                        for t in (x, w1, w2, b1, b2))
+    # Every gradient but b2's reads the hidden layer, recomputed from x.
+    xd = xd if on_x or on_w1 or on_w2 or on_b1 else None
+
+    def backward_fn(g):
+        g2 = _fold(g)
+        if on_b2:
+            rb2._accum(g2.sum(axis=0))
+        if xd is None:
+            return
+        rows = _fold(xd)
+        h = hidden(rows)
+        if on_w2:
+            r2._accum(h.T @ g2)
+        if not (on_x or on_w1 or on_b1):
+            return
+        gh = g2 @ w2d.T
+        gh *= h > 0
+        del h
+        if on_b1:
+            rb1._accum(gh.sum(axis=0))
+        if on_w1:
+            r1._accum(rows.T @ gh)
+        if on_x:
+            gx = gh @ w1d.T
+            gx += g2
+            rx._accum(gx.reshape(rx.shape))
+
+    return _node(y.reshape(x.data.shape), [r for r in tapes if r is not None], backward_fn,
+                 macs)
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:

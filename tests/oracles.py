@@ -207,3 +207,13 @@ def softmax_chain(x, axis: int = -1):
     from volformer import tensor as T
     e = T.exp(T.sub(x, T.Tensor(x.data.max(axis=axis, keepdims=True))))
     return T.div(e, T.tensor_sum(e, axis, keepdims=True))
+
+
+def residual_mlp_chain(x, w1, w2, b1=None, b2=None):
+    """The residual MLP as matmul -> bias -> relu -> matmul -> bias -> add
+    nodes, the chain ``tensor.residual_mlp`` replaces."""
+    from volformer import tensor as T
+    h = T.matmul(x, w1)
+    h = T.relu(h if b1 is None else T.add(h, b1))
+    y = T.matmul(h, w2)
+    return T.add(x, y if b2 is None else T.add(y, b2))

@@ -1,6 +1,7 @@
 """Layer blocks: loop oracles, init identities, and gradient checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,26 @@ def test_sga_gradient():
     w = Tensor(rng.normal(size=(1, 5, 3)))
     tracked = [x] + [t for _, t in block.params()]
     check_grads(lambda: T.tensor_sum(T.mul(block.forward(x), w)), tracked, tol=1e-4)
+
+
+def test_sga_forward_retains_at_most_twice_its_input():
+    """A training forward keeps its token-mixed tokens and its output, each
+    the size of its input, and no hidden layer or layout copy (5.1x its
+    input, 5.4x here, when the hidden layers were kept)."""
+    rng = np.random.default_rng(39)
+    block = L.SGABlock(216, 32, 64, 2, rng)
+    x = Tensor(rng.normal(size=(4, 216, 32)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = block.forward(x)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad
+    assert retained <= 2 * x.data.nbytes + 8192, retained / x.data.nbytes
+    T.backward(T.tensor_sum(y))
+    assert all(t.grad is not None for _, t in block.params())
 
 
 def test_sga_cost_grows_linearly_with_tokens():

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import batch_norm_chain, conv3d_loops, numeric_grad, rel_error, softmax_chain
+from oracles import (batch_norm_chain, conv3d_loops, numeric_grad, rel_error,
+                     residual_mlp_chain, softmax_chain)
 from volformer.errors import ShapeError, StateError
 from volformer import tensor as T
 from volformer.layers import cross_entropy_logits
@@ -238,6 +239,106 @@ def test_batch_norm_retains_at_most_twice_its_input():
     assert y.requires_grad
     # The output plus per-channel vectors; a saved x-hat would be a third copy.
     assert retained <= 2 * x.data.nbytes + 8192, retained
+
+
+def test_batched_matmul_by_a_matrix_matches_the_unfolded_formula():
+    """A batched operand times a 2-D one, folded into one GEMM: output and
+    both gradients against numpy's per-batch matmul and the summed per-batch
+    weight gradient, float64, 1e-12, for a contiguous and a transposed-view
+    batched operand, with each operand untracked in turn."""
+    rng = np.random.default_rng(40)
+    g = rng.normal(size=(2, 3, 5, 6))
+    for a in (rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(2, 3, 4, 5)).swapaxes(-1, -2)):
+        b = rng.normal(size=(4, 6))
+        want = (np.matmul(a, b), np.matmul(g, b.T), np.einsum("abij,abik->jk", a, g))
+        for on_a, on_b in ((True, True), (False, True), (True, False)):
+            at, bt = Tensor(a, requires_grad=on_a), Tensor(b, requires_grad=on_b)
+            y = T.matmul(at, bt)
+            T.backward(T.tensor_sum(T.mul(y, Tensor(g))))
+            assert rel_error(y.data, want[0]) < 1e-12
+            for t, on, w in ((at, on_a, want[1]), (bt, on_b, want[2])):
+                assert (t.grad is None) if not on else rel_error(t.grad, w) < 1e-12
+
+
+def test_batched_matmul_weight_gradient_forms_no_per_batch_stack():
+    """The 2-D operand's gradient is one GEMM over all rows: the backward
+    peak stays below the (B, k, n) stack of per-batch products (256 KiB)."""
+    rng = np.random.default_rng(41)
+    a = Tensor(rng.normal(size=(64, 2, 8)), requires_grad=True)
+    b = Tensor(rng.normal(size=(8, 64)), requires_grad=True)
+    y = T.tensor_sum(T.matmul(a, b))
+    stack = 64 * b.data.nbytes
+    tracemalloc.start()
+    try:
+        T.backward(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack // 2, peak
+    np.testing.assert_allclose(b.grad, a.data.sum(axis=(0, 1))[:, None].repeat(64, 1))
+
+
+def test_residual_mlp_matches_the_chain():
+    """The single-node residual MLP against the primitive chain in
+    ``oracles``: output and the input, weight and bias gradients, float64,
+    1e-12, with and without biases, over a transposed-view input, with every
+    input tracked and with x (as in an eval forward from an untracked
+    volume), each weight or bias, all parameters (as in ``grad_cam``) or all
+    but the output bias untracked; ``count_ops`` as the chain's."""
+    rng = np.random.default_rng(42)
+    K, H = 5, 7
+    base = rng.normal(size=(3, K, 4))  # x is its (3, 4, K) transpose
+    arrays = {"x": base, "w1": rng.normal(size=(K, H)), "w2": rng.normal(size=(H, K)),
+              "b1": rng.normal(size=H), "b2": rng.normal(size=K)}
+    g = rng.normal(size=(3, 4, K))
+    for names, untracked in itertools.product(
+            (("x", "w1", "w2", "b1", "b2"), ("x", "w1", "w2")),
+            ((), ("x",), ("w1",), ("w2",), ("b1",), ("b2",), ("w1", "w2", "b1", "b2"),
+             ("x", "w1", "w2", "b1"))):
+        results = []
+        for fn in (T.residual_mlp, residual_mlp_chain):
+            leaves = [t64(arrays[n], requires_grad=n not in untracked) for n in names]
+            with T.count_ops() as ops:
+                y = fn(T.transpose(leaves[0], (0, 2, 1)), *leaves[1:])
+            if y.requires_grad:  # not without biases and with x and weights untracked
+                T.backward(T.tensor_sum(T.mul(y, Tensor(g))))
+            results.append(([y.data] + [t.grad for t in leaves], ops.macs))
+        (got, got_macs), (want, want_macs) = results
+        assert got_macs == want_macs
+        for name, a, b in zip(("y",) + names, got, want):
+            if b is None or name in untracked:
+                assert a is None and b is None, (names, untracked, name)
+            else:
+                assert rel_error(a, b) < 1e-12, (names, untracked, name)
+
+
+def test_residual_mlp_keeps_its_input_not_its_hidden_layer():
+    """With every input tracked the node keeps x and the weights: the graph
+    retains the output alone (x is held by the caller), not the 4x wider
+    hidden layer."""
+    rng = np.random.default_rng(43)
+    x = Tensor(rng.normal(size=(2, 64, 16)).astype(np.float32), requires_grad=True)
+    w1, w2 = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+              for s in ((16, 64), (64, 16)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = T.residual_mlp(x, w1, w2)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= x.data.nbytes + 4096, retained
+    T.backward(T.tensor_sum(y))
+    assert all(t.grad is not None for t in (x, w1, w2))
+
+
+def test_residual_mlp_shape_errors_name_every_shape():
+    x = Tensor(np.zeros((2, 4)))
+    w1, w2 = Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 4)))
+    for args in ((x, w2, w1), (x, w1, w1), (x, w1, w2, Tensor(np.zeros(4))),
+                 (x, w1, w2, None, Tensor(np.zeros(3)))):
+        with pytest.raises(ShapeError, match=r"w1 \("):
+            T.residual_mlp(*args)
 
 
 GRAD_CONV3D_CASES = [
@@ -748,6 +849,10 @@ PRIMITIVES = {
     "tensor_sum": (lambda a: T.tensor_sum(a, 1), [(2, 3)], 6),
     "softmax": (lambda a: T.softmax(a, -1), [(2, 3)], 4 * 6),
     "matmul": (T.matmul, [(3, 4), (4, 5)], 3 * 4 * 5),
+    "matmul_folded": (T.matmul, [(2, 3, 4), (4, 5)], 2 * 3 * 4 * 5),
+    # per row of x: 2*K*H multiply-adds, H (relu), K (residual), H + K (biases)
+    "residual_mlp": (T.residual_mlp, [(2, 3, 4), (4, 5), (5, 4), (5,), (4,)],
+                     6 * (2 * 4 * 5 + 5 + 4 + 5 + 4)),
     "conv3d": (lambda x, k: T.conv3d(x, k, 1, 1), [(1, 2, 4, 4, 4), (3, 2, 3, 3, 3)],
                3 * 2 * 27 * 64),
     # 6 units per element of x in training mode and 3 in evaluation mode
