@@ -15,8 +15,6 @@ Conventions:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import tensor as T
@@ -216,10 +214,11 @@ class DGABlock(Module):
     concatenated and projected back to C by a zero-initialized matrix, so
     z1 == z0 exactly at init. No layer normalization anywhere.
 
-    The second stage is one ``T.residual_mlp`` node that keeps z1 and
-    recomputes the hidden layer in backward; it adds FF's output bias before
-    the residual, so the block's output equals z1 + ``feed_forward(z1)``
-    bit for bit.
+    Each stage is one tape node that keeps its input, not its intermediates:
+    ``T.residual_attention`` keeps z0 and recomputes q, k, v and the masks in
+    backward, and ``T.residual_mlp`` keeps z1 and recomputes the hidden layer.
+    Their outputs equal those of the primitive chains they replace bit for
+    bit (FF's output bias is added before the residual, as the chain does).
     """
 
     def __init__(self, tokens: int, channels: int, heads: int = 8,
@@ -249,31 +248,9 @@ class DGABlock(Module):
                                requires_grad=True)
         self.ff_b_out = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
 
-    def msa(self, z: Tensor, return_masks: bool = False):
-        """Multi-head self-attention over tokens (no residual, no pos embed).
-
-        With ``return_masks`` also returns the attention masks as one
-        (B, heads, N, N) tensor.
-        """
-        z = _token_batch(self, z)
-        b, n, c = z.shape
-        h, hd = self.heads, self.head_dim
-        qkv = T.transpose(T.reshape(T.matmul(z, self.qkv), (b, n, h, 3 * hd)), (0, 2, 1, 3))
-        q, k, v = (T.narrow(qkv, 3, i * hd, hd) for i in range(3))
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
-        masks = T.softmax(scores, axis=-1)
-        heads_out = T.reshape(T.transpose(T.matmul(masks, v), (0, 2, 1, 3)), (b, n, c))
-        out = T.matmul(heads_out, self.out_proj)
-        return (out, masks) if return_masks else out
-
-    def feed_forward(self, z: Tensor) -> Tensor:
-        """Token-wise two-layer MLP with ReLU; residual added by the caller."""
-        hidden = T.relu(T.add(T.matmul(z, self.ff_w_in), self.ff_b_in))
-        return T.add(T.matmul(hidden, self.ff_w_out), self.ff_b_out)
-
     def forward(self, x: Tensor) -> Tensor:
         z0 = T.add(_token_batch(self, x), self.pos_embed)
-        z1 = T.add(z0, self.msa(z0))
+        z1 = T.residual_attention(z0, self.qkv, self.out_proj, self.heads)
         return T.residual_mlp(z1, self.ff_w_in, self.ff_w_out, self.ff_b_in, self.ff_b_out)
 
 

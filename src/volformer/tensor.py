@@ -16,12 +16,15 @@ each node's closure fires exactly once and gradients accumulate additively
 across multiple uses of the same tensor. The sweep consumes the graph: a
 record drops its closure and parents once its closure has run. Held tensors
 keep their ``.grad``; a second sweep that reaches a consumed node is a
-``StateError``. ``batch_norm``, ``softmax`` and ``residual_mlp`` are single
-nodes with closed-form backwards; their docstrings give the formulas and
-their ``count_ops`` units. ``residual_mlp`` keeps its input, not its hidden
-layer, and recomputes that with one GEMM in backward. A batched operand
-times a matrix, in ``matmul`` and ``residual_mlp``, is one GEMM over the
-folded leading axes.
+``StateError``. ``batch_norm``, ``softmax``, ``residual_mlp`` and
+``residual_attention`` are single nodes with closed-form backwards; their
+docstrings give the formulas and their ``count_ops`` units.
+``residual_mlp`` keeps its input, not its hidden layer, and recomputes that
+with one GEMM in backward. ``residual_attention`` keeps its input, not q, k,
+v, the softmax masks or the concatenated heads, and recomputes them in
+backward with one projection GEMM, the batched score GEMMs and the softmax.
+A batched operand times a matrix, in ``matmul``, ``residual_mlp`` and
+``residual_attention``, is one GEMM over the folded leading axes.
 
 ``conv3d`` is im2col plus GEMM that never holds a whole patch matrix (after
 Anderson et al. 2017 and Dukhan 2019): ``_patch_chunks`` gathers it in runs
@@ -223,7 +226,9 @@ def _node(data, parents, backward_fn, macs=0) -> Tensor:
     - ``batch_norm``: the input, only if ``gamma`` or, in training mode,
       the input is tracked;
     - ``residual_mlp``: the input and the weights (never the hidden layer),
-      unless only the output bias is tracked.
+      unless only the output bias is tracked;
+    - ``residual_attention``: the input and the weights (never q, k, v, the
+      masks or the concatenated heads).
 
     It never captures a ``Tensor`` or the result's record: a result ->
     closure -> result cycle keeps each finished graph alive until the
@@ -894,16 +899,28 @@ def softmax(x, axis: int = -1) -> Tensor:
     4 units per element (shift, exponential, sum, divide).
     """
     x = _as_tensor(x)
-    y = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
-    y /= y.sum(axis=axis, keepdims=True)
+    y = _softmax(x.data, axis)
     rx = x._tape
 
     def backward_fn(g):
-        gx = g - (g * y).sum(axis=axis, keepdims=True)
-        gx *= y
-        rx._accum(gx)
+        rx._accum(_softmax_grad(g, y, axis))
 
     return _node(y, (rx,), backward_fn, 4 * y.size)
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """exp(x − max) normalized along ``axis``: the forward of ``softmax`` and
+    of the masks in ``residual_attention``."""
+    y = np.exp(x - x.max(axis=axis, keepdims=True))
+    y /= y.sum(axis=axis, keepdims=True)
+    return y
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """The input gradient of a softmax with output ``y``: y·(g − Σ g·y)."""
+    gx = g - (g * y).sum(axis=axis, keepdims=True)
+    gx *= y
+    return gx
 
 
 def residual_mlp(x, w1, w2, b1=None, b2=None) -> Tensor:
@@ -980,6 +997,84 @@ def residual_mlp(x, w1, w2, b1=None, b2=None) -> Tensor:
 
     return _node(y.reshape(x.data.shape), [r for r in tapes if r is not None], backward_fn,
                  macs)
+
+
+def residual_attention(z, qkv, out_proj, heads: int) -> Tensor:
+    """y = z + MSA(z): multi-head self-attention over the tokens of ``z``.
+
+    ``z`` is (B, N, C), ``qkv`` (C, 3C) and ``out_proj`` (C, C), with C a
+    multiple of ``heads`` and hd = C / heads. Head i's q, k and v are columns
+    [3·hd·i, 3·hd·(i+1)) of z @ qkv, in that order; its mask is
+    m = softmax(q kᵀ / √hd) over the keys and its output m v. The heads'
+    outputs, concatenated, are projected by ``out_proj``. One tape node whose
+    closure keeps ``z`` and the weights but not q, k, v, the (B, heads, N, N)
+    masks or the concatenated heads: backward recomputes them with one GEMM of
+    z, the batched score GEMMs and the softmax (as FlashAttention does, Dao et
+    al. 2022). Then, per head, with go = (g out_projᵀ) for that head and
+    gs = softmax_grad(go vᵀ) / √hd, it takes gq = gs k, gk = gsᵀ q,
+    gv = mᵀ go, gz = g + [gq gk gv] qkvᵀ, gqkv = zᵀ [gq gk gv] and
+    gout_proj = headsᵀ g. A gradient whose input is untracked is skipped;
+    ``out_proj``'s alone needs no softmax backward. ``count_ops``: what the
+    matmul, scale, softmax and residual-add chain it replaces counts,
+    B·N·(4C² + C) plus B·heads·N²·(2·hd + 5).
+    """
+    z, qkv, out_proj = _as_tensor(z), _as_tensor(qkv), _as_tensor(out_proj)
+    zd, wd, od = z.data, qkv.data, out_proj.data
+    B, N, C = zd.shape if zd.ndim == 3 else (-1, -1, -1)
+    if (C < 0 or heads < 1 or C % heads or wd.shape != (C, 3 * C)
+            or od.shape != (C, C)):
+        raise ShapeError(
+            f"residual_attention: z {zd.shape}, qkv {wd.shape}, out_proj {od.shape} "
+            f"and {heads} heads do not chain as (B, N, C), (C, 3C), (C, C) with C "
+            f"a multiple of heads")
+    hd = C // heads
+    scale = 1.0 / math.sqrt(hd)
+
+    def attend():
+        """q, k, v and the masks, each (B, heads, N, ·), in the order of
+        the matmul, narrow, scale and softmax chain."""
+        lin = (_fold(zd) @ wd).reshape(B, N, heads, 3 * hd).transpose(0, 2, 1, 3)
+        q, k, v = (lin[..., i * hd:(i + 1) * hd] for i in range(3))
+        s = np.matmul(q, k.swapaxes(-1, -2))
+        s *= scale
+        return q, k, v, _softmax(s, -1)
+
+    def merge(heads_out):
+        """(B, heads, N, hd) head outputs as (B·N, C) rows, heads concatenated."""
+        return heads_out.transpose(0, 2, 1, 3).reshape(B * N, C)
+
+    q, k, v, masks = attend()
+    y = (merge(np.matmul(masks, v)) @ od).reshape(B, N, C)
+    y += zd
+    macs = B * N * (4 * C * C + C) + B * heads * N * N * (2 * hd + 5)
+    rz, rw, ro = z._tape, qkv._tape, out_proj._tape
+    on_z, on_w, on_o = rz.requires_grad, rw.requires_grad, ro.requires_grad
+
+    def backward_fn(g):
+        q, k, v, masks = attend()
+        g2 = _fold(g)
+        if on_o:
+            ro._accum(merge(np.matmul(masks, v)).T @ g2)
+        if not (on_z or on_w):
+            return
+        go = (g2 @ od.T).reshape(B, N, heads, hd).transpose(0, 2, 1, 3)
+        gs = _softmax_grad(np.matmul(go, v.swapaxes(-1, -2)), masks, -1)
+        gs *= scale
+        glin = np.empty((B, N, heads, 3 * hd), gs.dtype)
+        glin[..., 2 * hd:] = np.matmul(masks.swapaxes(-1, -2), go).transpose(0, 2, 1, 3)
+        del masks, go, v
+        glin[..., :hd] = np.matmul(gs, k).transpose(0, 2, 1, 3)
+        glin[..., hd:2 * hd] = np.matmul(q.swapaxes(-1, -2), gs).transpose(0, 3, 1, 2)
+        del gs, q, k
+        glin = glin.reshape(B * N, 3 * C)
+        if on_w:
+            rw._accum(_fold(zd).T @ glin)
+        if on_z:
+            gz = (glin @ wd.T).reshape(B, N, C)
+            gz += g
+            rz._accum(gz)
+
+    return _node(y, (rz, rw, ro), backward_fn, macs)
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:

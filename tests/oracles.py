@@ -217,3 +217,30 @@ def residual_mlp_chain(x, w1, w2, b1=None, b2=None):
     h = T.relu(h if b1 is None else T.add(h, b1))
     y = T.matmul(h, w2)
     return T.add(x, y if b2 is None else T.add(y, b2))
+
+
+def msa_chain(block, z, return_masks: bool = False):
+    """Multi-head self-attention of a ``DGABlock`` (its ``qkv``, ``out_proj``
+    and ``heads``) over (B, N, C) tokens, without the residual, as matmul ->
+    narrow -> scale -> softmax -> matmul nodes: the chain
+    ``tensor.residual_attention`` replaces. With ``return_masks`` also
+    returns the (B, heads, N, N) masks."""
+    from volformer import tensor as T
+    b, n, c = z.shape
+    h = block.heads
+    hd = c // h
+    qkv = T.transpose(T.reshape(T.matmul(z, block.qkv), (b, n, h, 3 * hd)), (0, 2, 1, 3))
+    q, k, v = (T.narrow(qkv, 3, i * hd, hd) for i in range(3))
+    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
+    masks = T.softmax(scores, axis=-1)
+    heads_out = T.reshape(T.transpose(T.matmul(masks, v), (0, 2, 1, 3)), (b, n, c))
+    out = T.matmul(heads_out, block.out_proj)
+    return (out, masks) if return_masks else out
+
+
+def feed_forward_chain(block, z):
+    """A ``DGABlock``'s token-wise two-layer ReLU MLP as matmul -> bias ->
+    relu -> matmul -> bias nodes; the residual is the caller's."""
+    from volformer import tensor as T
+    hidden = T.relu(T.add(T.matmul(z, block.ff_w_in), block.ff_b_in))
+    return T.add(T.matmul(hidden, block.ff_w_out), block.ff_b_out)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import volformer.tensor as T
-from oracles import (conv3d_loops, dga_loops, numeric_grad, pearson_loops,
-                     rel_error, sga_loops)
+from oracles import (conv3d_loops, dga_loops, msa_chain, numeric_grad,
+                     pearson_loops, rel_error, sga_loops)
 from volformer.cli import main
 from volformer.data import (SyntheticSpec, compute_fc, generate_synthetic,
                             plan_folds)
@@ -118,6 +118,10 @@ def test_01_gradients_match_finite_differences():
     bm1 = _t64(rng, 2, 3, 4)
     cases.append((lambda: _scalarize(T.matmul(bm1, m2),
                                      np.random.default_rng(19)), [bm1, m2]))
+    arng = np.random.default_rng(24)  # leaves the draws of the cases below as they were
+    az, aw, ao = _t64(arng, 2, 3, 4), _t64(arng, 4, 12), _t64(arng, 4, 4)
+    cases.append((lambda: _scalarize(T.residual_attention(az, aw, ao, 2),
+                                     np.random.default_rng(25)), [az, aw, ao]))
     cx = _t64(rng, 2, 2, 3, 4, 3)
     cw = _t64(rng, 2, 2, 3, 3, 3)
     cases.append((lambda: _scalarize(T.conv3d(cx, cw, stride=2, pad=1),
@@ -225,7 +229,7 @@ def test_04_attention_masks_and_zero_init_identities():
     for z in (rng.normal(size=(10, 8)).astype(np.float32)[None],
               extreme[None],
               rng.normal(size=(2, 10, 8)).astype(np.float32)):
-        _, masks = block.msa(Tensor(z), return_masks=True)
+        _, masks = msa_chain(block, Tensor(z), return_masks=True)
         assert masks.shape == z.shape[:-2] + (4, 10, 10)
         sums = masks.data.sum(axis=-1)
         worst = max(worst, float(np.abs(sums - 1.0).max()))
@@ -233,9 +237,11 @@ def test_04_attention_masks_and_zero_init_identities():
 
     # zero-initialized output projections make both blocks start as identities
     z0 = Tensor(rng.normal(size=(10, 8)).astype(np.float32)[None])
-    msa_out = block.msa(z0)
+    msa_out = msa_chain(block, z0)
     assert np.all(msa_out.data == 0.0)
     assert np.array_equal(T.add(z0, msa_out).data, z0.data)
+    z1 = T.residual_attention(z0, block.qkv, block.out_proj, block.heads)
+    assert np.array_equal(z1.data, z0.data)
 
     sga = SGABlock(tokens=6, channels=4, spatial_hidden=8, rng=rng)
     x = rng.normal(size=(6, 4)).astype(np.float32)

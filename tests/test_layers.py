@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dga_loops, numeric_grad, rel_error, sga_loops
+from oracles import (dga_loops, feed_forward_chain, msa_chain, numeric_grad, rel_error,
+                     sga_loops)
 from volformer import layers as L
 from volformer import tensor as T
 from volformer.errors import ShapeError
@@ -255,10 +256,37 @@ def test_dga_msa_is_zero_at_init_so_z1_equals_z0():
     block = L.DGABlock(5, 8, 4, 4, 0.02, rng, dtype=np.float32)
     x = Tensor(rng.normal(size=(1, 5, 8)).astype(np.float32))
     z0 = T.add(x, block.pos_embed)
-    assert np.all(block.msa(z0).data == 0.0)
+    assert np.all(msa_chain(block, z0).data == 0.0)
+    z1 = T.residual_attention(z0, block.qkv, block.out_proj, block.heads)
+    assert np.array_equal(z1.data, z0.data)
     out = block.forward(x).data
-    want = T.add(z0, block.feed_forward(z0)).data
+    want = T.add(z0, feed_forward_chain(block, z0)).data
     assert np.array_equal(out, want)
+
+
+def test_dga_forward_and_gradients_equal_the_chains_bit_for_bit():
+    """float32, every weight random: the block's two nodes against
+    z1 = z0 + MSA(z0), z2 = z1 + FF(z1) as primitive chains, output and every
+    parameter and input gradient compared exactly."""
+    rng = np.random.default_rng(44)
+    block = random_dga(9, 8, 2, rng, dtype=np.float32)
+    x = rng.normal(size=(3, 9, 8)).astype(np.float32)
+    g = Tensor(rng.normal(size=(3, 9, 8)).astype(np.float32))
+
+    def chain(xt):
+        z0 = T.add(xt, block.pos_embed)
+        z1 = T.add(z0, msa_chain(block, z0))
+        return T.add(z1, feed_forward_chain(block, z1))
+
+    results = []
+    for fn in (block.forward, chain):
+        xt = Tensor(x, requires_grad=True)
+        T.zero_grads([t for _, t in block.params()])
+        y = fn(xt)
+        T.backward(T.tensor_sum(T.mul(y, g)))
+        results.append([y.data, xt.grad] + [t.grad for _, t in block.params()])
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_dga_mask_rows_sum_to_one_even_for_extreme_inputs():
@@ -266,7 +294,7 @@ def test_dga_mask_rows_sum_to_one_even_for_extreme_inputs():
     block = random_dga(6, 4, 2, rng, dtype=np.float32)
     for scale in (1.0, 1e4):
         x = Tensor((rng.normal(size=(1, 6, 4)) * scale).astype(np.float32))
-        _, masks = block.msa(x, return_masks=True)
+        _, masks = msa_chain(block, x, return_masks=True)
         s = masks.data.sum(axis=-1)
         assert np.all(np.isfinite(masks.data))
         assert np.abs(s - 1.0).max() < 1e-6
@@ -362,7 +390,7 @@ def test_unbatched_inputs_are_rejected_naming_their_shape():
         (lambda x: T.matmul(x, Tensor(np.zeros((4, 3)))), (4,)),
         (sga.forward, (6, 4)),
         (dga.forward, (6, 4)),
-        (dga.msa, (6, 4)),
+        (lambda z: T.residual_attention(z, dga.qkv, dga.out_proj, dga.heads), (6, 4)),
         (L.DataNormLayer().forward, (4, 5, 4)),
     ]
     for call, shape in calls:

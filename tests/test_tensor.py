@@ -5,13 +5,14 @@ import itertools
 import math
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (batch_norm_chain, conv3d_loops, numeric_grad, rel_error,
+from oracles import (batch_norm_chain, conv3d_loops, msa_chain, numeric_grad, rel_error,
                      residual_mlp_chain, softmax_chain)
 from volformer.errors import ShapeError, StateError
 from volformer import tensor as T
@@ -339,6 +340,69 @@ def test_residual_mlp_shape_errors_name_every_shape():
                  (x, w1, w2, None, Tensor(np.zeros(3)))):
         with pytest.raises(ShapeError, match=r"w1 \("):
             T.residual_mlp(*args)
+
+
+def test_residual_attention_matches_the_chain():
+    """The single-node residual attention against z + ``msa_chain``: output
+    and the z, qkv and out_proj gradients, float64, 1e-12, for B = 1 and 3
+    over a transposed-view z, with everything tracked, the weights untracked
+    (as in ``grad_cam``), z untracked, or only out_proj tracked;
+    ``count_ops`` as the chain's."""
+    rng = np.random.default_rng(44)
+    N, C, heads = 5, 6, 3
+    for batch in (1, 3):
+        base = rng.normal(size=(batch, C, N))  # z is its (batch, N, C) transpose
+        w, o = rng.normal(size=(C, 3 * C)), rng.normal(size=(C, C))
+        g = rng.normal(size=(batch, N, C))
+        for tracked in (("z", "qkv", "out_proj"), ("z",), ("qkv", "out_proj"), ("out_proj",)):
+            results = []
+            for chain in (False, True):
+                leaves = [t64(a, requires_grad=n in tracked)
+                          for n, a in (("z", base), ("qkv", w), ("out_proj", o))]
+                z = T.transpose(leaves[0], (0, 2, 1))
+                with T.count_ops() as ops:
+                    if chain:
+                        block = SimpleNamespace(qkv=leaves[1], out_proj=leaves[2], heads=heads)
+                        y = T.add(z, msa_chain(block, z))
+                    else:
+                        y = T.residual_attention(z, leaves[1], leaves[2], heads)
+                T.backward(T.tensor_sum(T.mul(y, Tensor(g))))
+                results.append(([y.data] + [t.grad for t in leaves], ops.macs))
+            (got, got_macs), (want, want_macs) = results
+            assert got_macs == want_macs
+            for name, a, b in zip(("y", "z", "qkv", "out_proj"), got, want):
+                if name != "y" and name not in tracked:
+                    assert a is None and b is None, (batch, tracked, name)
+                else:
+                    assert rel_error(a, b) < 1e-12, (batch, tracked, name)
+
+
+def test_residual_attention_keeps_its_input_not_q_k_v_or_masks():
+    """A full-preset stage-3 shape (B=1, 576 tokens, 256 channels, 8 heads),
+    everything tracked: the node retains its output alone (z and the weights
+    are the caller's), not q, k and v (0.6 MiB each) or the 10 MiB of masks."""
+    rng = np.random.default_rng(45)
+    z = Tensor(rng.normal(size=(1, 576, 256)).astype(np.float32), requires_grad=True)
+    w, o = (Tensor((0.05 * rng.normal(size=s)).astype(np.float32), requires_grad=True)
+            for s in ((256, 768), (256, 256)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = T.residual_attention(z, w, o, 8)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= y.data.nbytes + 4096, retained
+    T.backward(T.tensor_sum(y))
+    assert all(t.grad is not None for t in (z, w, o))
+
+
+def test_residual_attention_shape_errors_name_every_shape():
+    z, w, o = (Tensor(np.zeros(s)) for s in ((2, 3, 4), (4, 12), (4, 4)))
+    for args in ((Tensor(np.zeros((3, 4))), w, o, 2), (z, o, o, 2), (z, w, w, 2),
+                 (z, w, o, 3), (z, w, o, 0)):
+        with pytest.raises(ShapeError, match=r"z \(.*qkv \(.*out_proj \(.*heads"):
+            T.residual_attention(*args)
 
 
 GRAD_CONV3D_CASES = [
@@ -853,6 +917,10 @@ PRIMITIVES = {
     # per row of x: 2*K*H multiply-adds, H (relu), K (residual), H + K (biases)
     "residual_mlp": (T.residual_mlp, [(2, 3, 4), (4, 5), (5, 4), (5,), (4,)],
                      6 * (2 * 4 * 5 + 5 + 4 + 5 + 4)),
+    # B*N*(4C^2 + C) for the projections and residual, B*heads*N^2*(2hd + 5)
+    # for the score and value GEMMs, the scale and the softmax
+    "residual_attention": (lambda z, w, o: T.residual_attention(z, w, o, 2),
+                           [(2, 3, 4), (4, 12), (4, 4)], 6 * (4 * 16 + 4) + 2 * 2 * 9 * (2 * 2 + 5)),
     "conv3d": (lambda x, k: T.conv3d(x, k, 1, 1), [(1, 2, 4, 4, 4), (3, 2, 3, 3, 3)],
                3 * 2 * 27 * 64),
     # 6 units per element of x in training mode and 3 in evaluation mode
