@@ -34,7 +34,11 @@ output-gradient patches once per residue class and takes both gradients from
 them; only an untracked input takes its kernel gradient from input patches.
 Each GEMM is split into column blocks within OpenBLAS's small-matrix budget
 (``_GEMM_MACS``), so results depend on chunk and block widths at rounding
-level. Its docstring has the details.
+level. A small patch matrix (short copy runs, at most ``_INDEX_ENTRIES``
+entries: the deep stages at batch 1) is a third path: one ``take`` through a
+cached flat index (``_patch_index``) gathers it whole, and ``np.bincount``
+over the same index, its exact adjoint, scatters the input gradient back.
+Its docstring has the details.
 
 The API is functional (``T.add(a, b)``, ``T.backward(loss)``); ``Tensor`` has
 no operators. ``conv3d`` and ``avg_pool_global`` take (B, C, D, H, W) maps and
@@ -49,6 +53,7 @@ itself thread-safe.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from contextlib import contextmanager
@@ -612,6 +617,18 @@ _SHORT_RUN_BYTES = 64
 # the faster, 1159 against 1249 us.
 _GEMM_MACS = 10 ** 6
 _GEMM_MIN_COLS = 64
+# A conv with short copy runs and at most _INDEX_ENTRIES patch entries
+# gathers through one take of a cached flat index and scatters its input
+# gradient back with one np.bincount. At batch 1 the deep desk convs'
+# chunked input gradients took 23-188 us each, up to 5.5x their forward:
+# about 1 us of Python per residue class and copies of 2-float runs.
+# Through the index they took 10-93 us (float32, one thread, Xeon). Desk
+# stage 2's stride-1 convs (34,560 entries) took 64-69 us chunked and
+# 170-257 us through the index, so they stay on the chunks. The cache keeps
+# _INDEX_CACHE arrays of at most _INDEX_ENTRIES intp entries; int32 would
+# halve them but made each take and bincount 1-3 us slower.
+_INDEX_ENTRIES = 1 << 15
+_INDEX_CACHE = 16
 
 
 def _gemm_width(macs_per_col: int) -> int:
@@ -651,6 +668,32 @@ def _rows(a: np.ndarray, contiguous: bool) -> np.ndarray:
     return a.transpose(1, 2, 3, 4, 0).reshape(a.shape[1], -1).T
 
 
+def _indexed(C: int, kernel_shape, out, B: int, itemsize: int) -> bool:
+    """Whether a conv gathers through ``_patch_index``: its copy runs of
+    Wo*B items are at most ``_SHORT_RUN_BYTES`` and its (K, V*B) patch
+    matrix has at most ``_INDEX_ENTRIES`` entries."""
+    return (out[2] * B * itemsize <= _SHORT_RUN_BYTES
+            and C * math.prod(kernel_shape) * math.prod(out) * B <= _INDEX_ENTRIES)
+
+
+@functools.lru_cache(maxsize=_INDEX_CACHE)
+def _patch_index(padded, kernel_shape, out, stride: int) -> np.ndarray:
+    """Flat positions in a C-contiguous batch-last array of shape ``padded``
+    = (C, D, H, W, B) of its whole patch matrix, read-only and laid out as
+    ``_patch_chunks`` lays out its columns: (K, V*B), rows (C, kd, kh, kw),
+    columns (Do, Ho, Wo, B), windows every ``stride`` voxels from the origin.
+    ``np.take`` through it gathers the patches and ``np.bincount`` over it
+    scatters patch gradients back, its exact adjoint."""
+    pos = np.arange(math.prod(padded)).reshape(padded)
+    sc, sd, sh, sw, sb = pos.strides
+    window = np.lib.stride_tricks.as_strided(
+        pos, (padded[0], *kernel_shape, *out, padded[4]),
+        (sc, sd, sh, sw, sd * stride, sh * stride, sw * stride, sb))
+    index = window.reshape(padded[0] * math.prod(kernel_shape), -1)
+    index.flags.writeable = False
+    return index
+
+
 def _patch_chunks(src: np.ndarray, corner, kernel_shape, out, stride: int):
     """Patch matrix of a correlation over a batch-last (C, D, H, W, B) array,
     in bounded chunks.
@@ -674,11 +717,12 @@ def _patch_chunks(src: np.ndarray, corner, kernel_shape, out, stride: int):
     The batch axis is last because the gather, not the GEMM it feeds, is the
     cost: each row copies runs of Wo*B contiguous floats at stride 1 (B at
     larger strides), where a (B, C, D, H, W) source gives runs of Wo. Where
-    those runs are at most ``_SHORT_RUN_BYTES`` (stride 1, kw > 1, batch 1
-    at desk extents), each chunk first copies its input slab kw times, each
-    copy starting at its tap's column and Wo wide; a window into those
-    copies reads whole runs of output rows, n_h*Wo*B floats, and ``col``
-    holds the same values.
+    those runs are at most ``_SHORT_RUN_BYTES`` (stride 1, kw > 1: desk
+    stages 1-2 at batch 1, deeper ones in small batches; smaller matrices
+    take ``_patch_index``), each chunk first copies its input slab kw
+    times, each copy starting at its tap's column and Wo wide; a window into
+    those copies reads whole runs of output rows, n_h*Wo*B floats, and
+    ``col`` holds the same values.
     """
     C, B = src.shape[0], src.shape[4]
     kd, kh, kw = kernel_shape
@@ -788,6 +832,25 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     tracked conv retains at most its output and its input (activation
     recomputation). The input must not change in place before backward.
 
+    A conv whose copy runs of Wo*B items are at most ``_SHORT_RUN_BYTES``
+    and whose patch matrix has at most ``_INDEX_ENTRIES`` entries (at desk
+    scale: from stage 2's stride-2 conv down at B=1, except stage 2's
+    stride-1 3x3x3 convs; at B=6 the 16->32 stride-2 conv and two 1x1
+    projections; no conv at B=16) takes neither chunks nor residue classes.
+    ``_patch_index`` gives the flat positions of its whole patch matrix in
+    the padded batch-last input, cached per shape, and:
+
+    - forward: one ``take`` through the index, then the same GEMM;
+    - input gradient: the kernel matrix transposed times the output
+      gradient, (K, V*B), summed back into the padded input by
+      ``np.bincount`` over the same index and cropped;
+    - kernel gradient: the output gradient times the transposed ``take``.
+
+    ``take`` and ``bincount`` over one index are an exact adjoint pair, for
+    any stride. ``bincount`` sums in float64 in index order, which is
+    deterministic but not the chunk path's order, so the input gradient
+    differs from it at rounding level (and so may ``cv`` output bytes).
+
     A chunk's GEMM is split into column blocks of at most ``_GEMM_MACS``
     multiply-adds, which OpenBLAS runs through its small-matrix kernel, where
     a block keeps at least ``_GEMM_MIN_COLS`` columns; wider operands stay
@@ -829,9 +892,16 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     w2 = w.reshape(Co, -1)
     width = _gemm_width(w.size)
     out_data = np.empty((Co, vox * B), dtype=np.result_type(xd, w))
-    for c0, c1, _, col in _patch_chunks(_pad_batch_last(xd, pad), (0, 0, 0), ksize, out_ext,
-                                        stride):
-        _matmul_blocks(w2, col, out_data[:, c0:c1], width)
+    xp = _pad_batch_last(xd, pad)
+    if _indexed(C, ksize, out_ext, B, xd.itemsize):
+        # The method, as np.take's wrapper left a block per call alive that
+        # tracemalloc counts as retained graph bytes.
+        _matmul_blocks(w2, xp.take(_patch_index(xp.shape, ksize, out_ext, stride)),
+                       out_data, width)
+    else:
+        for c0, c1, _, col in _patch_chunks(xp, (0, 0, 0), ksize, out_ext, stride):
+            _matmul_blocks(w2, col, out_data[:, c0:c1], width)
+    xp = None  # the padded copy, freed before the output transpose allocates
     out_data = np.ascontiguousarray(out_data.reshape(Co, *out_ext, B).transpose(4, 0, 1, 2, 3))
     rx, rk = x._tape, kernel._tape
     # The input feeds only the kernel gradient and the kernel only the input's.
@@ -839,6 +909,18 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     w = w if rx.requires_grad else None
 
     def backward_fn(g):
+        if _indexed(C, ksize, out_ext, B, rx.dtype.itemsize):
+            padded = (C, *(n + 2 * pad for n in extents), B)
+            index = _patch_index(padded, ksize, out_ext, stride)
+            g = g.transpose(1, 2, 3, 4, 0).reshape(Co, -1)
+            if xd is not None:
+                rk._accum((g @ _pad_batch_last(xd, pad).take(index).T).reshape(rk.shape))
+            if w is not None:
+                gx = np.bincount(index.ravel(), (w.reshape(Co, -1).T @ g).ravel(),
+                                 math.prod(padded)).reshape(padded)
+                rx._accum(gx[:, pad:pad + extents[0], pad:pad + extents[1],
+                             pad:pad + extents[2]].transpose(4, 0, 1, 2, 3))
+            return
         if w is None:  # an untracked input: the kernel gradient from input patches
             gk = np.zeros((C * math.prod(ksize), Co), g.dtype)
             width = _gemm_width(gk.size)

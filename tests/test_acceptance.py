@@ -63,7 +63,7 @@ def _check(f, tensors, tol, h=1e-5) -> float:
     return worst
 
 
-def test_01_gradients_match_finite_differences():
+def test_01_gradients_match_finite_differences(conv_gather):
     start = time.monotonic()
     tol_prim, tol_e2e = 1e-4, 1e-3
     rng = np.random.default_rng(7)
@@ -180,7 +180,7 @@ def test_01_gradients_match_finite_differences():
     ok = elapsed < 60.0
     _verdict(1, "gradients match finite differences", ok,
              f"primitives worst {worst:.2e} (<1e-4), end-to-end worst "
-             f"{worst_e2e:.2e} (<1e-3), {elapsed:.1f}s (<60s)")
+             f"{worst_e2e:.2e} (<1e-3), {elapsed:.1f}s (<60s), conv3d {conv_gather} path")
 
 
 def test_02_full_scale_stage_extents():
@@ -354,7 +354,7 @@ def test_07_blob_localization_hit_rate():
              f"{elapsed:.0f}s")
 
 
-def test_08_kernels_match_naive_oracles():
+def test_08_kernels_match_naive_oracles(conv_gather):
     tol = 1e-5
     trials = 200
     rng = np.random.default_rng(12)
@@ -429,7 +429,8 @@ def test_08_kernels_match_naive_oracles():
     ok = all(v < tol for v in worst.values())
     _verdict(8, "kernels match naive loop oracles", ok,
              f"{trials} trials each, worst errors " +
-             ", ".join(f"{k} {v:.2e}" for k, v in worst.items()) + f" (<{tol})")
+             ", ".join(f"{k} {v:.2e}" for k, v in worst.items()) + f" (<{tol}), "
+             f"conv3d {conv_gather} path")
 
 
 def test_09_cli_reruns_bit_identical(tmp_path):

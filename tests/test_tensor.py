@@ -573,6 +573,7 @@ def test_conv3d_checks_hold_with_one_plane_chunks(monkeypatch):
     single plane, so the adjoint fuzz, the finite-difference, oracle and
     batch-independence checks rerun, at their own tolerances, over the
     multi-chunk path."""
+    monkeypatch.setattr(T, "_INDEX_ENTRIES", 0)  # every conv on the chunk path
     real, chunks = T._patch_chunks, []
 
     def counted(src, corner, kernel_shape, out, stride):
@@ -603,6 +604,7 @@ def test_conv3d_row_chunks_stay_within_the_budget(monkeypatch, B, k, stride, pad
     fits, every patch block is within the budget: runs of whole rows of one
     plane. Outputs and both gradients equal the one-chunk path to 1e-12 in
     float64."""
+    monkeypatch.setattr(T, "_INDEX_ENTRIES", 0)  # every conv on the chunk path
     rng = np.random.default_rng(26)
     xs, ws = rng.normal(size=(B, 3, 6, 7, 5)), rng.normal(size=(4, 3, k, k, k))
     g = rng.normal(size=T.conv3d(Tensor(xs), Tensor(ws), stride, pad).shape)
@@ -646,6 +648,7 @@ def test_conv3d_backward_gathers_once_per_residue_class(monkeypatch, k, stride, 
     makes backward gather input patches instead, once. C_in = 2 and
     C_out = 3 tell the gathered arrays apart. The three paths agree to
     1e-12 in float64."""
+    monkeypatch.setattr(T, "_INDEX_ENTRIES", 0)  # every conv on the chunk path
     rng = np.random.default_rng(33)
     xs, ws = rng.normal(size=(2, 2, 6, 7, 5)), rng.normal(size=(3, 2, k, k, k))
     g = rng.normal(size=T.conv3d(Tensor(xs), Tensor(ws), stride, pad).shape)
@@ -679,6 +682,7 @@ def test_conv3d_split_gemms_stay_exact(monkeypatch):
     tolerances, over the split path."""
     monkeypatch.setattr(T, "_GEMM_MACS", 1500)
     monkeypatch.setattr(T, "_GEMM_MIN_COLS", 5)
+    monkeypatch.setattr(T, "_INDEX_ENTRIES", 0)  # every conv on the chunk path
     real_chunks, real_blocks, real_sum, real_backward = (
         T._patch_chunks, T._matmul_blocks, T._matmul_sum, T.backward)
     state = {"direction": "forward", "row": 0}
@@ -725,6 +729,7 @@ def test_short_run_gather_matches_the_direct_gather(monkeypatch):
     the fuzz geometries, outputs and both gradients are equal with the
     copies used wherever they apply and with them never used."""
     real = np.copyto
+    monkeypatch.setattr(T, "_INDEX_ENTRIES", 0)  # every conv on the chunk path
 
     def run(limit):
         monkeypatch.setattr(T, "_SHORT_RUN_BYTES", limit)
@@ -750,6 +755,7 @@ def test_short_run_gather_matches_the_direct_gather(monkeypatch):
 def test_patch_windows_are_read_only(monkeypatch):
     """Every window that ``_patch_chunks`` copies from, in the forward and
     in both gradients, is a read-only view."""
+    monkeypatch.setattr(T, "_INDEX_ENTRIES", 0)  # every conv on the chunk path
     rng = np.random.default_rng(30)
     sources, real = [], np.copyto
 
@@ -796,6 +802,123 @@ def test_conv3d_transients_stay_within_the_patch_budget():
     assert forward <= y.data.nbytes + 3 * T._PATCH_BYTES, forward
     returned = x.grad.nbytes + w.grad.nbytes + y.grad.nbytes
     assert backward <= returned + 3 * T._PATCH_BYTES, backward
+
+
+def _count_chunk_gathers(monkeypatch) -> list:
+    """Count ``_patch_chunks`` calls from here on: one per chunk-path gather."""
+    real, calls = T._patch_chunks, []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return real(*args)
+
+    monkeypatch.setattr(T, "_patch_chunks", counted)
+    return calls
+
+
+def test_conv3d_index_path_matches_the_chunk_path(monkeypatch):
+    """The flat-index path (one take forward, one bincount back) and the
+    patch chunks compute the same conv. Over a seeded fuzz of k in
+    {1, 2, 3, 7}, stride 1-2, pad 0 and k // 2 and B 1-2, with the input and
+    the kernel both tracked, the input only and the kernel only, the
+    outputs and both gradients agree to 1e-12 in float64."""
+    calls = _count_chunk_gathers(monkeypatch)
+    rng = np.random.default_rng(34)
+    cases = 0
+    for k, stride, B in itertools.product([1, 2, 3, 7], [1, 2], [1, 2]):
+        for pad in sorted({0, k // 2}):
+            ext = tuple(int(rng.integers(max(1, k - 2 * pad), k + 4)) for _ in range(3))
+            C, Co = (int(v) for v in rng.integers(1, 4, size=2))
+            xs, ws = rng.normal(size=(B, C, *ext)), rng.normal(size=(Co, C, k, k, k))
+            g = rng.normal(size=T.conv3d(Tensor(xs), Tensor(ws), stride, pad).shape)
+            for x_tracked, w_tracked in [(True, True), (True, False), (False, True)]:
+                results = {}
+                for path in ("chunk", "index"):
+                    monkeypatch.setattr(T, "_indexed", lambda *shape: path == "index")
+                    calls.clear()
+                    x, w = t64(xs, x_tracked), t64(ws, w_tracked)
+                    y = T.conv3d(x, w, stride, pad)
+                    T.backward(T.tensor_sum(T.mul(y, Tensor(g))))
+                    assert bool(calls) == (path == "chunk"), (path, calls)
+                    results[path] = y.data, x.grad, w.grad
+                for got, want in zip(results["index"], results["chunk"]):
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        assert rel_error(got, want) < 1e-12, (k, stride, pad, B, ext)
+                cases += 1
+    assert cases == 3 * 2 * 2 * 7
+
+
+def test_conv3d_index_gate_boundary(monkeypatch):
+    """A conv takes the flat-index path exactly when its copy runs of Wo*B
+    items are at most ``_SHORT_RUN_BYTES`` and its patch matrix has at most
+    ``_INDEX_ENTRIES`` entries; otherwise forward and backward gather
+    through ``_patch_chunks``. The shapes are float32 with a 1x1x1 kernel,
+    so the matrix has C*D*H*W*B entries."""
+    assert (T._INDEX_ENTRIES, T._SHORT_RUN_BYTES) == (2 ** 15, 64), "shapes below need updating"
+    calls = _count_chunk_gathers(monkeypatch)
+
+    def chunked(shape) -> bool:
+        calls.clear()
+        x = Tensor(np.ones(shape, np.float32), requires_grad=True)
+        w = Tensor(np.ones((2, shape[1], 1, 1, 1), np.float32), requires_grad=True)
+        T.backward(T.tensor_sum(T.conv3d(x, w)))
+        return bool(calls)
+
+    assert not chunked((1, 2, 32, 32, 16))  # 2**15 entries in runs of 64 bytes
+    assert chunked((1, 1, 11, 331, 9))  # 2**15 + 1 entries
+    assert chunked((1, 1, 2, 2, 17))  # runs of 68 bytes
+    assert not chunked((2, 1, 2, 2, 8))  # runs of 8 voxels times 2 volumes, 64 bytes
+    assert chunked((3, 1, 2, 2, 8))  # 96 bytes
+
+
+def test_patch_index_cache_is_read_only_and_bounded():
+    """The cached index arrays cannot be written through, and the cache
+    keeps at most ``_INDEX_CACHE`` of them however many shapes pass."""
+    T._patch_index.cache_clear()
+    w = Tensor(np.ones((1, 1, 1, 1, 1), np.float32))
+    for n in range(1, T._INDEX_CACHE + 5):
+        T.conv3d(Tensor(np.ones((1, 1, n, 2, 2), np.float32)), w)
+    info = T._patch_index.cache_info()
+    assert info.maxsize == T._INDEX_CACHE and info.currsize == T._INDEX_CACHE, info
+    index = T._patch_index((2, 4, 3, 3, 1), (2, 2, 2), (2, 1, 1), 2)
+    assert index.shape == (16, 2)
+    assert not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0, 0] = 0
+
+
+@pytest.mark.parametrize("x_tracked,w_tracked", [(True, True), (True, False)],
+                         ids=["both", "input"])
+def test_conv3d_index_path_retains_what_the_chunk_path_retains(monkeypatch, x_tracked,
+                                                                w_tracked):
+    """A tracked batch-1 conv keeps the same bytes on both paths: the output
+    and the same closure. Measured as the tracemalloc bytes freed when 100
+    graphs are dropped, per graph, after warm-up calls have filled the index
+    cache. numpy's small-block caches hold a few hundred bytes, which moves
+    that by a few bytes per graph; one more array kept would add at least
+    its header, about 100 bytes."""
+    rng = np.random.default_rng(35)
+    xs = rng.normal(size=(1, 64, 2, 3, 2)).astype(np.float32)
+    ws = rng.normal(size=(64, 64, 3, 3, 3)).astype(np.float32)
+    kept = {}
+    for path in ("chunk", "index"):
+        monkeypatch.setattr(T, "_indexed", lambda *shape: path == "index")
+        x, w = Tensor(xs, requires_grad=x_tracked), Tensor(ws, requires_grad=w_tracked)
+        for _ in range(3):
+            T.conv3d(x, w, 1, 1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            graphs = [T.conv3d(x, w, 1, 1) for _ in range(100)]
+            held = tracemalloc.get_traced_memory()[0]
+            del graphs
+            gc.collect()
+            kept[path] = (held - tracemalloc.get_traced_memory()[0]) / 100
+        finally:
+            tracemalloc.stop()
+    assert kept["chunk"] >= 64 * 12 * 4  # the output, at least
+    assert abs(kept["index"] - kept["chunk"]) <= 16, kept
 
 
 def test_matmul_shape_error_names_both_shapes():
