@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, localize, model, train
-from .config import cap_threads, from_config_dict, to_config_dict
+from .config import Section, cap_threads
 from .errors import (CheckpointError, ConfigError, DataError, ParseError,
                      PlanError, ShapeError, StateError)
 
@@ -58,8 +58,10 @@ RESOLVED_NAME = "resolved_config.json"
 
 
 @dataclass
-class SplitSpec:
+class SplitSpec(Section):
     """How to carve subjects into train/test for the ``cv`` command."""
+
+    what = "split config"
 
     mode: str = "kfold"
     k: int = 5
@@ -82,16 +84,9 @@ class SplitSpec:
             raise ConfigError(
                 f"split mode must be 'kfold' or 'site_holdout', got {self.mode!r}")
 
-    def to_dict(self) -> dict:
-        return to_config_dict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SplitSpec":
-        return from_config_dict(cls, doc, "split config")
-
 
 @dataclass
-class RunConfig:
+class RunConfig(Section):
     """Merged configuration document with one section per concern.
 
     JSON layout: ``{"model": {...}, "train": {...}, "synthetic": {...},
@@ -104,16 +99,8 @@ class RunConfig:
     synthetic: data.SyntheticSpec | None
     split: SplitSpec
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "train": self.train.to_dict(),
-            "synthetic": None if self.synthetic is None else self.synthetic.to_dict(),
-            "split": self.split.to_dict(),
-        }
-
     @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
+    def from_dict(cls, doc) -> "RunConfig":
         if not isinstance(doc, dict):
             raise ConfigError(f"run config must be an object, got {type(doc).__name__}")
         unknown = set(doc) - {"model", "train", "synthetic", "split"}
@@ -162,7 +149,8 @@ def _check_resolved(out_dir: Path, doc: dict, force: bool) -> str:
 
 def _write_resolved(out_dir: Path, text: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / RESOLVED_NAME).write_text(text)
+    with data.replacing(out_dir / RESOLVED_NAME) as tmp:
+        tmp.write_text(text)
 
 
 def _load_records(args, cfg: RunConfig):
@@ -242,8 +230,7 @@ def _fold_model(model_cfg, seed: int, fold: int):
 
 def _write_fold(out_dir: Path, seed: int, result) -> None:
     """Per-fold artifacts: the loss curve and the trained checkpoint."""
-    with data.replacing(out_dir / f"fold{result.fold}_history.csv") as tmp:
-        result.history.write_csv(tmp)
+    result.history.write_csv(out_dir / f"fold{result.fold}_history.csv")
     with data.replacing(out_dir / f"fold{result.fold}.ckpt") as tmp:
         model.save_model(result.model, tmp,
                          extra_meta={"fold": result.fold, "seed": seed + result.fold})
@@ -282,10 +269,8 @@ def cmd_cv(args) -> int:
         print(f"error: training aborted: {err}", file=sys.stderr)
         return EXIT_TRAIN
 
-    with data.replacing(out / "metrics.json") as tmp:
-        aggregate.write_json(tmp)
-    with data.replacing(out / "folds.csv") as tmp:
-        aggregate.write_fold_csv(tmp)
+    aggregate.write_json(out / "metrics.json")
+    aggregate.write_fold_csv(out / "folds.csv")
     print(f"folds: {len(aggregate.folds)}")
     print(f"volume accuracy:  {aggregate.volume_accuracy:.4f} "
           f"± {aggregate.volume_accuracy_std:.4f}")
@@ -365,12 +350,9 @@ def cmd_audit(args) -> int:
 
     _write_resolved(out, echo)
     audit_path = out / "audit.csv"
-    with data.replacing(audit_path) as tmp, open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "site_id", "volume", "label", "predicted",
-                         "correct", "hit", "degenerate",
-                         "peak_d", "peak_h", "peak_w"])
-        writer.writerows(rows)
+    data.write_csv(audit_path, ["subject_id", "site_id", "volume", "label", "predicted",
+                                "correct", "hit", "degenerate",
+                                "peak_d", "peak_h", "peak_w"], rows)
     correct_total = sum(row[5] for row in rows)
     hits_on_correct = sum(row[5] * row[6] for row in rows)
     hit_rate = hits_on_correct / correct_total if correct_total else 0.0
@@ -383,8 +365,7 @@ def cmd_audit(args) -> int:
         "fraction": args.fraction,
         "layer": args.layer or "default",
     }
-    with data.replacing(out / "audit_summary.json") as tmp:
-        tmp.write_text(json.dumps(summary, indent=2) + "\n")
+    data.write_json(out / "audit_summary.json", summary)
     print(f"audited {len(rows)} volumes: {correct_total} classified correctly, "
           f"{hits_on_correct} of those hit the target "
           f"(rate {hit_rate:.3f} at top {args.fraction:.0%})")

@@ -34,27 +34,35 @@ def _tuples(value):
     return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
-def _lists(value):
-    return [_lists(v) for v in value] if isinstance(value, tuple) else value
+def _plain(value):
+    if isinstance(value, Section):
+        return value.to_dict()
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
-def to_config_dict(obj) -> dict:
-    """JSON-ready fields of dataclass ``obj``, tuples as lists."""
-    return {f.name: _lists(getattr(obj, f.name)) for f in fields(obj)}
+class Section:
+    """JSON codec of a dataclass configuration section; ``what`` names the
+    section in errors."""
 
+    what = "config section"
 
-def from_config_dict(cls, doc, what: str, base=None):
-    """Build and validate dataclass ``cls`` from a JSON object: unknown keys are
-    rejected, lists become tuples, missing keys keep ``base``'s (or ``cls()``'s)."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} must be an object, got {type(doc).__name__}")
-    unknown = set(doc) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    try:
-        obj = replace(cls() if base is None else base,
-                      **{k: _tuples(v) for k, v in doc.items()})
-    except TypeError as err:
-        raise ConfigError(str(err)) from None
-    obj.validate()
-    return obj
+    def to_dict(self) -> dict:
+        """JSON-ready fields: nested sections as objects, tuples as lists."""
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, doc, base=None):
+        """Build and validate the section from a JSON object: unknown keys are
+        rejected, lists become tuples, missing keys keep ``base``'s (or ``cls()``'s)."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{cls.what} must be an object, got {type(doc).__name__}")
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown {cls.what} keys: {sorted(unknown)}")
+        try:
+            obj = replace(cls() if base is None else base,
+                          **{k: _tuples(v) for k, v in doc.items()})
+        except TypeError as err:
+            raise ConfigError(str(err)) from None
+        obj.validate()
+        return obj

@@ -11,6 +11,7 @@ treated as masked-absent.
 from __future__ import annotations
 
 import csv
+import json
 import os
 import struct
 import zlib
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import from_config_dict, to_config_dict
+from .config import Section
 from .errors import ConfigError, DataError, ParseError, PlanError
 
 VOLUME_MAGIC = b"VFV1"
@@ -94,7 +95,7 @@ class FoldPlan:
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Section):
     """Multi-site synthetic volumes with a planted class-specific blob.
 
     Each subject has one smooth underlying volume (filtered Gaussian noise
@@ -105,6 +106,8 @@ class SyntheticSpec:
     the same class and index at different sites share the underlying volume,
     so site pairs differ only by the affine map.
     """
+
+    what = "synthetic spec"
 
     site_count: int = 2
     class_count: int = 2
@@ -162,13 +165,6 @@ class SyntheticSpec:
         if self.with_pheno and self.pheno_dim < 1:
             raise ConfigError("pheno_dim must be >= 1 when with_pheno is set")
 
-    def to_dict(self) -> dict:
-        return to_config_dict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SyntheticSpec":
-        return from_config_dict(cls, doc, "synthetic spec")
-
 
 # ---------------------------------------------------------------------------
 # binary containers and the volume file format
@@ -186,6 +182,21 @@ def replacing(path: Path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write a CSV artifact in the default dialect through ``replacing``."""
+    with replacing(Path(path)) as tmp, open(tmp, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON artifact, indented by 2 with a trailing newline, through
+    ``replacing``."""
+    with replacing(Path(path)) as tmp:
+        tmp.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def write_container(path, magic: bytes, header: bytes, records) -> None:
@@ -494,7 +505,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SubjectRecord]:
 
 
 def write_dataset(records: list[SubjectRecord], out_dir) -> Path:
-    """Write volumes plus a manifest CSV; returns the manifest path."""
+    """Write volumes, then a manifest CSV naming them; returns the manifest path."""
     out_dir = Path(out_dir)
     vol_dir = out_dir / "volumes"
     vol_dir.mkdir(parents=True, exist_ok=True)
@@ -504,34 +515,33 @@ def write_dataset(records: list[SubjectRecord], out_dir) -> Path:
             pheno_dim = max(pheno_dim, len(rec.phenotype))
     header = ["subject_id", "site_id", "label", "modality", "path"]
     header += [f"pheno_{i}" for i in range(pheno_dim)]
+
+    def pheno_cells(rec, first_row: bool) -> list[str]:
+        if not first_row or rec.phenotype is None:
+            return [""] * pheno_dim
+        cells = []
+        for i in range(pheno_dim):
+            present = (i < len(rec.phenotype)
+                       and (rec.pheno_mask is None or rec.pheno_mask[i] > 0))
+            cells.append(repr(float(rec.phenotype[i])) if present else "")
+        return cells
+
+    rows = []
+    for rec in records:
+        files = [(f"fmri{i:02d}", "fmri", sample.volume)
+                 for i, sample in enumerate(rec.fmri_volumes)]
+        if rec.smri is not None:
+            files.append(("smri", "smri", rec.smri.volume))
+        if rec.fc_vector is not None:
+            p = int(round(len(rec.fc_vector) ** 0.5))
+            files.append(("fc", "fc", rec.fc_vector.reshape(p, p)))
+        for row, (suffix, modality, array) in enumerate(files):
+            name = f"{rec.subject_id}_{suffix}.vfv"
+            write_volume(vol_dir / name, array)
+            rows.append([rec.subject_id, rec.site_id, rec.label, modality,
+                         f"volumes/{name}"] + pheno_cells(rec, row == 0))
     manifest = out_dir / "manifest.csv"
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-
-        def pheno_cells(rec, first_row: bool) -> list[str]:
-            if not first_row or rec.phenotype is None:
-                return [""] * pheno_dim
-            cells = []
-            for i in range(pheno_dim):
-                present = (i < len(rec.phenotype)
-                           and (rec.pheno_mask is None or rec.pheno_mask[i] > 0))
-                cells.append(repr(float(rec.phenotype[i])) if present else "")
-            return cells
-
-        for rec in records:
-            files = [(f"fmri{i:02d}", "fmri", sample.volume)
-                     for i, sample in enumerate(rec.fmri_volumes)]
-            if rec.smri is not None:
-                files.append(("smri", "smri", rec.smri.volume))
-            if rec.fc_vector is not None:
-                p = int(round(len(rec.fc_vector) ** 0.5))
-                files.append(("fc", "fc", rec.fc_vector.reshape(p, p)))
-            for row, (suffix, modality, array) in enumerate(files):
-                name = f"{rec.subject_id}_{suffix}.vfv"
-                write_volume(vol_dir / name, array)
-                writer.writerow([rec.subject_id, rec.site_id, rec.label, modality,
-                                 f"volumes/{name}"] + pheno_cells(rec, row == 0))
+    write_csv(manifest, header, rows)
     return manifest
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import read_volume, replacing, write_volume
+from .data import read_volume, replacing, write_json, write_volume
 from .errors import ConfigError, DataError
 from .tensor import Tensor
 
@@ -80,7 +80,7 @@ def trilinear_resize(src: np.ndarray, target: tuple[int, int, int]) -> np.ndarra
 def resolve_layer(model, target_class: int, layer: str | None = None) -> str:
     """Check a map request against ``model``; return the layer to map, by
     default the deepest conv output."""
-    names = model.trace_layer_names()
+    names = model.encoder.layer_names()
     if layer is None:
         conv_names = [n for n in names if n.endswith(".conv")]
         layer = conv_names[-1] if conv_names else names[-1]
@@ -189,16 +189,14 @@ def export_map(amap: ActivationMap, path, slices: bool = False) -> dict:
     with ExitStack() as stack:
         tmp = {name: stack.enter_context(replacing(p)) for name, p in written.items()}
         write_volume(tmp["volume"], amap.volume)
-        with open(tmp["sidecar"], "w") as fh:
-            json.dump({
-                "target_class": amap.target_class,
-                "layer": amap.layer,
-                "interpolation": amap.interpolation,
-                "normalization": NORMALIZATION,
-                "degenerate": amap.degenerate,
-                "extents": list(amap.volume.shape),
-            }, fh, indent=2)
-            fh.write("\n")
+        write_json(tmp["sidecar"], {
+            "target_class": amap.target_class,
+            "layer": amap.layer,
+            "interpolation": amap.interpolation,
+            "normalization": NORMALIZATION,
+            "degenerate": amap.degenerate,
+            "extents": list(amap.volume.shape),
+        })
         for axis in range(3) if slices else ():
             plane = np.take(amap.volume, amap.volume.shape[axis] // 2, axis=axis)
             np.savetxt(tmp[f"slice_axis{axis}"], plane, delimiter=",", fmt="%.8g")

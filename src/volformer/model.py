@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .config import from_config_dict, to_config_dict
+from .config import Section
 from .data import ContainerReader, write_container
 from .errors import CheckpointError, ConfigError, DataError, ShapeError
 from .layers import (
@@ -56,8 +56,10 @@ def _ceil_div(extent: int, stride: int) -> int:
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Section):
     """Architecture hyperparameters. ``full()`` and ``desk()`` are the presets."""
+
+    what = "model config"
 
     input_extent: tuple[int, int, int] = (64, 72, 64)
     stage_channels: tuple[int, ...] = (64, 128, 256, 512)
@@ -184,14 +186,11 @@ class ModelConfig:
         if not self.stage_channels:
             self.resolved_stem_channels()
 
-    def to_dict(self) -> dict:
-        return to_config_dict(self)
-
     @classmethod
-    def from_dict(cls, doc: dict) -> "ModelConfig":
+    def from_dict(cls, doc) -> "ModelConfig":
         """Fields missing from ``doc`` take the values of its ``scale_preset``."""
         desk = isinstance(doc, dict) and doc.get("scale_preset") == "desk"
-        return from_config_dict(cls, doc, "model config", cls.desk() if desk else None)
+        return super().from_dict(doc, cls.desk() if desk else None)
 
 
 def parse_attention_plan(text: str) -> tuple[str, ...]:
@@ -360,9 +359,6 @@ class BrainFormer(Module):
             (f"{'encoder' if isinstance(m, VolumeEncoder) else 'mlp'}_{name}", m)
             for name, m in self.branches.items()] + [("classifier.weight", self.classifier_weight)]
 
-    def trace_layer_names(self) -> list[str]:
-        return self.encoder.layer_names()
-
 
 def forward_volume(model, volume) -> Tensor:
     """Probability vector for one unbatched (D, H, W) volume, eval mode."""
@@ -377,6 +373,9 @@ def forward_volume(model, volume) -> Tensor:
 # analytic cost model
 
 
+BYTES_PER_SCALAR = 4  # float32 activations
+
+
 @dataclass
 class CostReport:
     flops: int
@@ -385,7 +384,7 @@ class CostReport:
     per_layer: list = field(default_factory=list)
 
 
-def estimate_cost(cfg: ModelConfig, bytes_per_scalar: int = 4) -> CostReport:
+def estimate_cost(cfg: ModelConfig) -> CostReport:
     """Analytic per-layer multiply-accumulate counts and activation sizes.
 
     Counts are per single input volume (batch 1). The activation figure is
@@ -409,18 +408,18 @@ def estimate_cost(cfg: ModelConfig, bytes_per_scalar: int = 4) -> CostReport:
 
     in_vox = int(np.prod(cfg.input_extent))
     if cfg.use_data_norm:
-        record("data_norm", 0, in_vox * bytes_per_scalar, 0)
+        record("data_norm", 0, in_vox * BYTES_PER_SCALAR, 0)
     extents = cfg.stage_extents()
     stem_ch = cfg.resolved_stem_channels()
     stem_vox = int(np.prod(extents[0]))
     record("stem", stem_ch * 1 * 7 ** 3 * stem_vox,
-           stem_ch * stem_vox * bytes_per_scalar,
+           stem_ch * stem_vox * BYTES_PER_SCALAR,
            stem_ch * 343 + 2 * stem_ch)
 
     in_ch = stem_ch
     for i, out_ch in enumerate(cfg.stage_channels):
         vox = int(np.prod(extents[i + 1]))
-        act = out_ch * vox * bytes_per_scalar
+        act = out_ch * vox * BYTES_PER_SCALAR
         for b in range(cfg.stage_blocks[i]):
             stride = cfg.stage_strides[i] if b == 0 else 1
             block_macs = out_ch * in_ch * 27 * vox + out_ch * out_ch * 27 * vox
@@ -447,12 +446,12 @@ def estimate_cost(cfg: ModelConfig, bytes_per_scalar: int = 4) -> CostReport:
                          + 2 * n * n * hd * heads        # scores and weighted sum
                          + n * heads * hd * c            # output projection
                          + 2 * n * c * ff)               # feed-forward
-            mask_bytes = heads * n * n * bytes_per_scalar
+            mask_bytes = heads * n * n * BYTES_PER_SCALAR
             attn_params = (n * c + heads * c * 3 * hd + heads * hd * c
                            + c * ff + ff + ff * c + c)
             record(f"stage{i + 1}.attn[D]", attn_macs, max(act, mask_bytes), attn_params)
 
-    record("avg_pool", 0, cfg.feature_channels() * bytes_per_scalar, 0)
+    record("avg_pool", 0, cfg.feature_channels() * BYTES_PER_SCALAR, 0)
     encoder = (macs, peak, params)  # the totals so far are the encoder's
     for name, shape in cfg.branch_shapes().items():
         if len(shape) > 1:
@@ -460,11 +459,11 @@ def estimate_cost(cfg: ModelConfig, bytes_per_scalar: int = 4) -> CostReport:
         else:
             dims = (shape[0], *cfg.mlp_hidden, cfg.mlp_out)
             pairs = list(zip(dims, dims[1:]))
-            record(name, sum(a * b for a, b in pairs), max(dims[1:]) * bytes_per_scalar,
+            record(name, sum(a * b for a, b in pairs), max(dims[1:]) * BYTES_PER_SCALAR,
                    sum(a * b + b for a, b in pairs))
     feat = cfg.feature_width()
     record("classifier", feat * cfg.class_count,
-           cfg.class_count * bytes_per_scalar, feat * cfg.class_count)
+           cfg.class_count * BYTES_PER_SCALAR, feat * cfg.class_count)
     return CostReport(flops=2 * macs, peak_activation_bytes=peak,
                       parameter_count=params, per_layer=layers)
 

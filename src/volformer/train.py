@@ -9,16 +9,14 @@ lowest class index and are counted).
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .config import from_config_dict, to_config_dict
-from .data import FoldPlan, SubjectRecord, plan_folds
+from .config import Section
+from .data import FoldPlan, SubjectRecord, plan_folds, write_csv, write_json
 from .errors import ConfigError, DataError, PlanError
 from .layers import cross_entropy_logits
 
@@ -30,7 +28,9 @@ log = logging.getLogger("volformer.train")
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Section):
+    what = "train config"
+
     epochs: int = 10
     batch_size: int = 16
     lr: float = 1e-4
@@ -57,13 +57,6 @@ class TrainConfig:
                               f"{self.beta1}/{self.beta2}")
         if self.eps <= 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
-
-    def to_dict(self) -> dict:
-        return to_config_dict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        return from_config_dict(cls, doc, "train config")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -168,11 +161,9 @@ class TrainHistory:
     skipped_batches: int = 0
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss", "train_acc"])
-            for epoch, (l, a) in enumerate(zip(self.loss, self.train_accuracy), 1):
-                writer.writerow([epoch, repr(l), repr(a)])
+        write_csv(path, ["epoch", "loss", "train_acc"],
+                  [[epoch, repr(l), repr(a)]
+                   for epoch, (l, a) in enumerate(zip(self.loss, self.train_accuracy), 1)])
 
 
 def train_fold(model, train_records: list[SubjectRecord], cfg: TrainConfig
@@ -264,20 +255,15 @@ class MetricReport:
         return out
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     def write_fold_csv(self, path) -> None:
         if self.folds is None:
             raise ConfigError("per-fold CSV needs an aggregated report")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fold", "volume_accuracy", "subject_accuracy",
-                             "volume_count", "subject_count"])
-            for i, f in enumerate(self.folds):
-                writer.writerow([i, repr(f.volume_accuracy), repr(f.subject_accuracy),
-                                 f.volume_count, f.subject_count])
+        write_csv(path, ["fold", "volume_accuracy", "subject_accuracy",
+                         "volume_count", "subject_count"],
+                  [[i, repr(f.volume_accuracy), repr(f.subject_accuracy),
+                    f.volume_count, f.subject_count] for i, f in enumerate(self.folds)])
 
 
 def _precision_recall(confusion: np.ndarray) -> dict:

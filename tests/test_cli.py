@@ -1,6 +1,7 @@
 """End-to-end and contract tests for the command-line interface."""
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -86,11 +87,20 @@ def test_run_config_rejects_unknown_section():
 
 
 def test_run_config_round_trip():
-    doc = {"model": MODEL, "train": TRAIN, "synthetic": SPEC,
-           "split": {"mode": "kfold", "k": 3}}
+    split = {"mode": "site_holdout", "k": 5, "train_sites": ["site00"],
+             "test_sites": ["site01"]}
+    doc = {"model": MODEL, "train": TRAIN, "synthetic": SPEC, "split": split}
     cfg = RunConfig.from_dict(doc)
-    again = RunConfig.from_dict(cfg.to_dict())
-    assert again.to_dict() == cfg.to_dict()
+    out = cfg.to_dict()
+    assert list(out) == ["model", "train", "synthetic", "split"]
+    assert out["split"] == split
+    assert out["synthetic"]["blob_centers"] == SPEC["blob_centers"]
+    assert out["model"]["input_extent"] == MODEL["input_extent"]
+    assert json.loads(json.dumps(out)) == out
+    assert RunConfig.from_dict(out) == cfg
+    for section in (cfg.model, cfg.train, cfg.synthetic, cfg.split):
+        assert type(section).from_dict(section.to_dict()) == section
+    assert RunConfig.from_dict({}).to_dict()["synthetic"] is None
 
 
 def test_run_config_applies_desk_preset_geometry():
@@ -743,24 +753,37 @@ def test_audit_checks_fraction_and_layer_before_any_map(workdir, tmp_path, monke
     assert not out.exists()
 
 
+class HalfWriter:
+    """Stand-in for ``csv.writer``: writes the header, then fails partway
+    through the rows."""
+
+    real_writer = staticmethod(csv.writer)
+
+    def __init__(self, fh):
+        self.inner = self.real_writer(fh)
+        self.writerow = self.inner.writerow
+
+    def writerows(self, rows):
+        self.inner.writerow(rows[0])
+        raise OSError("simulated disk full")
+
+
+def test_interrupted_gen_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+    monkeypatch.setattr(csv, "writer", HalfWriter)
+    out = tmp_path / "data"
+    with pytest.raises(OSError, match="disk full"):
+        main(["gen", "--spec", str(tmp_path / "spec.json"), "--out", str(out)])
+    assert not (out / "manifest.csv").exists()
+    assert list(out.rglob("*.tmp")) == []
+
+
 @pytest.mark.parametrize("artifact", ["audit.csv", "audit_summary.json"])
 def test_interrupted_audit_write_leaves_no_file(workdir, tmp_path, monkeypatch, artifact):
-    import csv
-    real_writer, real_write_text = csv.writer, Path.write_text
-
-    class HalfWriter:
-        """Writes the header, then fails partway through the rows."""
-
-        def __init__(self, fh):
-            self.inner = real_writer(fh)
-            self.writerow = self.inner.writerow
-
-        def writerows(self, rows):
-            self.inner.writerow(rows[0])
-            raise OSError("simulated disk full")
+    real_write_text = Path.write_text
 
     def half_write_text(path, text, *args, **kwargs):
-        if path.name.endswith(".tmp"):
+        if path.name == artifact + ".tmp":
             real_write_text(path, text[:len(text) // 2], *args, **kwargs)
             raise OSError("simulated disk full")
         return real_write_text(path, text, *args, **kwargs)

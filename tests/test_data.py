@@ -1,15 +1,18 @@
 """Volume file I/O, padding, FC extraction, fold plans, synthetic cohorts."""
 
+import json
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from volformer.cli import main
 from volformer.data import (FoldPlan, SubjectRecord, SyntheticSpec, VolumeSample,
                             compute_fc, generate_synthetic, load_manifest,
                             load_volume, pad_volume, plan_folds, read_volume,
-                            write_dataset, write_volume)
+                            write_csv, write_dataset, write_json, write_volume)
 from volformer.errors import ConfigError, DataError, ParseError, PlanError
 from volformer.layers import DataNormLayer
 from volformer.tensor import Tensor
@@ -552,6 +555,71 @@ def test_manifest_rejects_label_flip(tmp_path):
 def test_manifest_missing_file(tmp_path):
     with pytest.raises(DataError):
         load_manifest(tmp_path / "nope.csv")
+
+
+HEADER = "subject_id,site_id,label,modality,path"
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("", "is empty", id="empty"),
+    pytest.param(f"{HEADER},pheno_1\ns0,a,0,fmri,v.vfv,1.0\n",
+                 "pheno_0..; got 'pheno_1'", id="pheno-column"),
+    pytest.param(f"{HEADER}\ns0,a,0,fmri\n", "line 2: expected 5 cells, got 4",
+                 id="short-row"),
+    pytest.param(f"{HEADER}\ns0,a,zero,fmri,v.vfv\n",
+                 "line 2: label 'zero' is not an int", id="label"),
+    pytest.param(f"{HEADER}\ns0,a,0,fc,fc.vfv\n",
+                 "square matrix, got shape (2, 3)", id="fc-not-square"),
+    pytest.param(f"{HEADER},pheno_0\ns0,a,0,fmri,v.vfv,abc\n",
+                 "line 2: bad phenotype cell 'abc'", id="pheno-cell"),
+])
+def test_manifest_refusals_exit_3(tmp_path, capsys, text, message):
+    write_volume(tmp_path / "v.vfv", np.ones((4, 4, 4), dtype=np.float32))
+    write_volume(tmp_path / "fc.vfv", np.zeros((2, 3), dtype=np.float32))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(text)
+    with pytest.raises(DataError) as err:
+        load_manifest(manifest)
+    assert message in str(err.value)
+    (tmp_path / "cfg.json").write_text(json.dumps({"model": {"scale_preset": "desk"}}))
+    capsys.readouterr()
+    rc = main(["cv", "--config", str(tmp_path / "cfg.json"), "--data", str(manifest),
+               "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 3 and message in err and "Traceback" not in err, err
+
+
+# ---------------------------------------------------------------------------
+# artifact writes
+
+
+def test_write_csv_and_json_formats(tmp_path):
+    write_csv(tmp_path / "t.csv", ["a", "b"], [[1, "x,y"], [2, ""]])
+    assert (tmp_path / "t.csv").read_bytes() == b'a,b\r\n1,"x,y"\r\n2,\r\n'
+    write_json(tmp_path / "t.json", {"a": [1, 2.5], "b": None})
+    assert (tmp_path / "t.json").read_text() == json.dumps(
+        {"a": [1, 2.5], "b": None}, indent=2) + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.json"]
+
+
+def _failing_rows():
+    yield [1, 2]
+    raise OSError("simulated disk full")
+
+
+def test_interrupted_csv_and_json_writes_leave_no_file(tmp_path, monkeypatch):
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], _failing_rows())
+    real_write_text = Path.write_text
+
+    def half_write_text(path, text, *args, **kwargs):
+        real_write_text(path, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("simulated disk full")
+
+    monkeypatch.setattr(Path, "write_text", half_write_text)
+    with pytest.raises(OSError, match="disk full"):
+        write_json(tmp_path / "t.json", {"a": list(range(10))})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_volume_sample_validation():

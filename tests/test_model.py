@@ -1,12 +1,15 @@
 """Model assembly, cost estimation, fusion equivalences, checkpoints."""
 
 import itertools
+import struct
 
 import numpy as np
 import pytest
 
 from volformer import model as M
 from volformer import tensor as T
+from volformer.cli import main
+from volformer.data import write_container, write_volume
 from volformer.errors import CheckpointError, ConfigError, DataError, ShapeError
 from volformer.model import ModelConfig
 
@@ -366,3 +369,55 @@ def test_checkpoint_rejects_mismatched_model(tmp_path):
     other = M.BrainFormer(ModelConfig.desk(stage_channels=(4, 8, 16, 32)), seed=0)
     with pytest.raises(CheckpointError):
         M.load_state(other, arrays)
+
+
+def test_checkpoint_refuses_to_save_an_integer_array(tmp_path):
+    with pytest.raises(CheckpointError, match="'w' has unsupported dtype int64"):
+        M.save_checkpoint(tmp_path / "int.vfck", {}, [("w", np.arange(3, dtype=np.int64))])
+
+
+def _raw_checkpoint(path, meta: bytes, tensors=()):
+    """A checkpoint container holding ``meta`` verbatim and ``(name, dtype
+    code, array)`` tensors, so a test can write what ``save_checkpoint`` refuses."""
+    header = struct.pack(f"<II{len(meta)}sI", M.CHECKPOINT_VERSION, len(meta), meta,
+                         len(tensors))
+    write_container(path, M.CHECKPOINT_MAGIC, header, [
+        (struct.pack(f"<H{len(name)}sBB{a.ndim}I", len(name), name.encode(), code,
+                     a.ndim, *a.shape), a.tobytes()) for name, code, a in tensors])
+
+
+def _edited_state(path, edit):
+    """Save a desk model's checkpoint with ``edit`` applied to its tensor dict."""
+    M.save_model(trained_desk_model()[0], path)
+    meta, arrays = M.load_checkpoint(path)
+    edit(arrays)
+    M.save_checkpoint(path, meta, list(arrays.items()))
+
+
+@pytest.mark.parametrize("write, message", [
+    pytest.param(lambda p: _raw_checkpoint(p, b"{not json"),
+                 "corrupt checkpoint metadata", id="metadata-not-json"),
+    pytest.param(lambda p: _raw_checkpoint(p, b"{}", [("w", 7, np.zeros(2))]),
+                 "tensor 'w': unknown dtype code 7", id="dtype-code"),
+    pytest.param(lambda p: M.save_checkpoint(p, {"kind": "brainformer"}, []),
+                 "metadata is missing the model config", id="no-config"),
+    pytest.param(lambda p: _edited_state(p, lambda a: a.pop("encoder.stem.weight")),
+                 "missing parameter 'encoder.stem.weight'", id="missing-parameter"),
+    pytest.param(lambda p: _edited_state(p, lambda a: a.pop("encoder.stem_bn.running_var")),
+                 "running stats for 'encoder.stem_bn' are incomplete", id="running-var"),
+    pytest.param(lambda p: _edited_state(p, lambda a: a.update(bogus=np.zeros(1))),
+                 "unknown tensors: ['bogus']", id="unknown-tensor"),
+])
+def test_checkpoint_refusals_exit_5(tmp_path, capsys, write, message):
+    ckpt = tmp_path / "bad.vfck"
+    write(ckpt)
+    with pytest.raises(CheckpointError) as err:
+        M.load_model(ckpt)
+    assert message in str(err.value)
+    volume = tmp_path / "v.vfv"
+    write_volume(volume, np.zeros((16, 18, 16), dtype=np.float32))
+    capsys.readouterr()
+    rc = main(["localize", "--ckpt", str(ckpt), "--volume", str(volume), "--class", "0",
+               "--out", str(tmp_path / "map")])
+    err = capsys.readouterr().err
+    assert rc == 5 and message in err and "Traceback" not in err, err
