@@ -126,6 +126,11 @@ class ResidualConvBlock(Module):
     The first conv carries the block stride. When the stride or channel count
     changes shape, the shortcut becomes a strided 1x1x1 conv + BN projection;
     otherwise it is the identity. Output extents are ceil(input / stride).
+
+    bn1, its ReLU and conv2 are one ``T.bn_relu_conv3d`` node, so a training
+    forward keeps the first conv's output c1, the second's c2, the block
+    output and, with a projection, the projection conv's output, but not
+    h = relu(bn1(c1)), which backward recomputes from c1.
     """
 
     def __init__(self, in_channels: int, out_channels: int, stride: int,
@@ -143,8 +148,11 @@ class ResidualConvBlock(Module):
             self.bn_proj = None
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        h = T.relu(self.bn1.forward(self.conv1.forward(x), training))
-        h = self.bn2.forward(self.conv2.forward(h), training)
+        bn1, conv2 = self.bn1, self.conv2
+        h = T.bn_relu_conv3d(self.conv1.forward(x), bn1.gamma, bn1.beta, conv2.weight,
+                             training, bn1.stats, bn1.eps, bn1.momentum, conv2.stride,
+                             conv2.pad)
+        h = self.bn2.forward(h, training)
         shortcut = x
         if self.proj is not None:
             shortcut = self.bn_proj.forward(self.proj.forward(x), training)

@@ -209,9 +209,13 @@ def load_map(path) -> ActivationMap:
     sidecar = path.with_name(path.name + ".json")
     if not sidecar.exists():
         raise DataError(f"missing sidecar {sidecar}")
-    with open(sidecar) as fh:
-        meta = json.load(fh)
-    amap = ActivationMap(volume, meta["layer"], int(meta["target_class"]),
+    try:
+        with open(sidecar) as fh:
+            meta = json.load(fh)
+        layer, target_class = meta["layer"], int(meta["target_class"])
+    except (ValueError, KeyError, TypeError) as err:  # JSONDecodeError is a ValueError
+        raise DataError(f"unreadable sidecar {sidecar}: {err!r}") from None
+    amap = ActivationMap(volume, layer, target_class,
                          meta.get("interpolation", INTERPOLATION),
                          bool(meta.get("degenerate", False)))
     amap.validate()

@@ -483,8 +483,6 @@ def _state_entries(model) -> list[tuple[str, np.ndarray]]:
 
 def _tensor_record(name: str, arr: np.ndarray) -> tuple[bytes, bytes]:
     arr = np.ascontiguousarray(arr)
-    if arr.dtype not in _DTYPE_CODES:
-        raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
     name_bytes = name.encode("utf-8")
     prefix = struct.pack(f"<H{len(name_bytes)}sBB{arr.ndim}I", len(name_bytes), name_bytes,
                          _DTYPE_CODES[arr.dtype], arr.ndim, *arr.shape)
@@ -492,6 +490,11 @@ def _tensor_record(name: str, arr: np.ndarray) -> tuple[bytes, bytes]:
 
 
 def save_checkpoint(path, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
+    """Write a checkpoint, one record at a time; an array of a dtype the
+    format lacks is refused before the file is opened."""
+    for name, arr in arrays:
+        if np.asarray(arr).dtype not in _DTYPE_CODES:
+            raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     header = struct.pack(f"<II{len(meta_bytes)}sI", CHECKPOINT_VERSION, len(meta_bytes),
                          meta_bytes, len(arrays))

@@ -16,13 +16,18 @@ each node's closure fires exactly once and gradients accumulate additively
 across multiple uses of the same tensor. The sweep consumes the graph: a
 record drops its closure and parents once its closure has run. Held tensors
 keep their ``.grad``; a second sweep that reaches a consumed node is a
-``StateError``. ``batch_norm``, ``softmax``, ``residual_mlp`` and
-``residual_attention`` are single nodes with closed-form backwards; their
-docstrings give the formulas and their ``count_ops`` units.
-``residual_mlp`` keeps its input, not its hidden layer, and recomputes that
-with one GEMM in backward. ``residual_attention`` keeps its input, not q, k,
-v, the softmax masks or the concatenated heads, and recomputes them in
-backward with one projection GEMM, the batched score GEMMs and the softmax.
+``StateError``. ``batch_norm``, ``softmax``, ``residual_mlp``,
+``residual_attention`` and ``bn_relu_conv3d`` are single nodes with
+closed-form backwards; their docstrings give the formulas and their
+``count_ops`` units. ``residual_mlp`` keeps its input, not its hidden layer,
+and recomputes that with one GEMM in backward. ``residual_attention`` keeps
+its input, not q, k, v, the softmax masks or the concatenated heads, and
+recomputes them in backward with one projection GEMM, the batched score GEMMs
+and the softmax. ``bn_relu_conv3d`` (batch norm, ReLU, then a conv) keeps its
+input, not the ReLU's output h, and recomputes h in backward with one scale,
+shift and max per element; it computes with the array-level helpers of
+``batch_norm`` (``_bn_forward``, ``_bn_grads``) and ``conv3d``
+(``_conv3d_forward``, ``_conv3d_grads``), so each formula has one copy.
 A batched operand times a matrix, in ``matmul``, ``residual_mlp`` and
 ``residual_attention``, is one GEMM over the folded leading axes.
 
@@ -234,6 +239,9 @@ def _node(data, parents, backward_fn, macs=0) -> Tensor:
       unless only the output bias is tracked;
     - ``residual_attention``: the input and the weights (never q, k, v, the
       masks or the concatenated heads).
+    - ``bn_relu_conv3d``: the input, batch norm's per-channel μ, inv,
+      inv·γ and β (never h = relu(batch_norm(x))), and the kernel unless it
+      alone is tracked.
 
     It never captures a ``Tensor`` or the result's record: a result ->
     closure -> result cycle keeps each finished graph alive until the
@@ -865,107 +873,124 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     no larger) plus input- or output-sized copies, whatever the batch.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
-    xd = x.data
-    if xd.ndim != 5 or kernel.data.ndim != 5:
-        raise ShapeError(f"conv3d expects a (B, C, D, H, W) input and a 5-d kernel, "
-                         f"got shapes {xd.shape} and {kernel.data.shape}")
-    if stride < 1 or pad < 0:
-        raise ShapeError(f"conv3d needs stride >= 1 and pad >= 0, got {stride} and {pad}")
-    B, C, D, H, W = xd.shape
-    w = kernel.data
-    Co, Ci, kd, kh, kw = w.shape
-    if Ci != C:
-        raise ShapeError(
-            f"conv3d: input has {C} channels but kernel expects {Ci} "
-            f"(input {x.data.shape}, kernel {kernel.data.shape})"
-        )
-    if kd > D + 2 * pad or kh > H + 2 * pad or kw > W + 2 * pad:
-        raise ShapeError(
-            f"conv3d: kernel {(kd, kh, kw)} exceeds padded input "
-            f"{(D + 2 * pad, H + 2 * pad, W + 2 * pad)}"
-        )
-    extents = (D, H, W)
-    ksize = (kd, kh, kw)
-    out_ext = ((D + 2 * pad - kd) // stride + 1, (H + 2 * pad - kh) // stride + 1,
-               (W + 2 * pad - kw) // stride + 1)
-    vox = out_ext[0] * out_ext[1] * out_ext[2]
-    w2 = w.reshape(Co, -1)
-    width = _gemm_width(w.size)
-    out_data = np.empty((Co, vox * B), dtype=np.result_type(xd, w))
-    xp = _pad_batch_last(xd, pad)
-    if _indexed(C, ksize, out_ext, B, xd.itemsize):
-        # The method, as np.take's wrapper left a block per call alive that
-        # tracemalloc counts as retained graph bytes.
-        _matmul_blocks(w2, xp.take(_patch_index(xp.shape, ksize, out_ext, stride)),
-                       out_data, width)
-    else:
-        for c0, c1, _, col in _patch_chunks(xp, (0, 0, 0), ksize, out_ext, stride):
-            _matmul_blocks(w2, col, out_data[:, c0:c1], width)
-    xp = None  # the padded copy, freed before the output transpose allocates
-    out_data = np.ascontiguousarray(out_data.reshape(Co, *out_ext, B).transpose(4, 0, 1, 2, 3))
+    xd, w = x.data, kernel.data
+    x_shape, k_shape = xd.shape, w.shape
+    out_ext = _conv_extents(x_shape, k_shape, stride, pad)
+    out_data = _conv3d_forward(xd, w, stride, pad, out_ext)
     rx, rk = x._tape, kernel._tape
     # The input feeds only the kernel gradient and the kernel only the input's.
     xd = xd if rk.requires_grad else None
     w = w if rx.requires_grad else None
 
     def backward_fn(g):
-        if _indexed(C, ksize, out_ext, B, rx.dtype.itemsize):
-            padded = (C, *(n + 2 * pad for n in extents), B)
-            index = _patch_index(padded, ksize, out_ext, stride)
-            g = g.transpose(1, 2, 3, 4, 0).reshape(Co, -1)
-            if xd is not None:
-                rk._accum((g @ _pad_batch_last(xd, pad).take(index).T).reshape(rk.shape))
-            if w is not None:
-                gx = np.bincount(index.ravel(), (w.reshape(Co, -1).T @ g).ravel(),
-                                 math.prod(padded)).reshape(padded)
-                rx._accum(gx[:, pad:pad + extents[0], pad:pad + extents[1],
-                             pad:pad + extents[2]].transpose(4, 0, 1, 2, 3))
-            return
-        if w is None:  # an untracked input: the kernel gradient from input patches
-            gk = np.zeros((C * math.prod(ksize), Co), g.dtype)
-            width = _gemm_width(gk.size)
-            for _, _, (ds, hs), col in _patch_chunks(_pad_batch_last(xd, pad), (0, 0, 0),
-                                                     ksize, out_ext, stride):
-                _matmul_sum(col, _rows(g[:, :, ds, hs], width > 0), gk, width)
-            col = None  # the patch buffer; the result below may reuse its memory
-            rk._accum(gk.T.reshape(rk.shape))
-            return
-        classes = [_residue_classes(n, k, stride, pad) for n, k in zip(extents, ksize)]
-        margin = max([0] + [max(-lo, hi - n_out) for axis, n_out in zip(classes, out_ext)
-                            for _, _, lo, hi in axis])
-        g = _pad_batch_last(g, margin)
-        gx = np.zeros((C, *extents, B), dtype=rx.dtype)
-        if stride > 1:  # one class's gradient, before it is spread into gx
-            spread = np.empty(C * B * math.prod(-(-n // stride) for n in extents), rx.dtype)
-        if xd is not None:  # the kernel gradient, flipped: (C_out, kd, kh, kw, C_in)
-            gk = np.zeros((Co, *ksize, C), g.dtype)
-        flipped = w.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
-        for (td, fd, ld, _), (th, fh, lh, _), (tw, fw, lw, _) in itertools.product(*classes):
-            taps = flipped[:, :, td::stride, th::stride, tw::stride]
-            taps2 = taps.reshape(C, -1)
-            width = _gemm_width(taps.size)
-            target = gx[:, fd::stride, fh::stride, fw::stride]
-            res = (target if stride == 1 else spread[:target.size]).reshape(C, -1)
-            if xd is not None:
-                xq = xd[:, :, fd::stride, fh::stride, fw::stride]
-                acc = gk[:, td::stride, th::stride, tw::stride]
-            corner = (margin + ld, margin + lh, margin + lw)
-            for c0, c1, (ds, hs), col in _patch_chunks(g, corner, taps.shape[2:],
-                                                       target.shape[1:4], 1):
-                _matmul_blocks(taps2, col, res[:, c0:c1], width)
-                if xd is not None:
-                    _matmul_sum(col, _rows(xq[:, :, ds, hs], width > 0), acc, width)
-            if stride > 1:
-                target[...] = res.reshape(target.shape)
-        # Drop the padded gradient, the patch buffer, the views of gx and then
-        # gx itself before each result is allocated, which may reuse that memory.
-        g = col = res = target = None
-        rx._accum(gx.transpose(4, 0, 1, 2, 3))
-        del gx
-        if xd is not None:
-            rk._accum(gk[:, ::-1, ::-1, ::-1].transpose(0, 4, 1, 2, 3))
+        gx, gk = _conv3d_grads(g, xd, w, x_shape, k_shape, stride, pad)
+        if gx is not None:
+            rx._accum(gx)
+        del gx  # before the kernel gradient's copy, which may reuse its memory
+        if gk is not None:
+            rk._accum(gk)
 
-    return _node(out_data, (rx, rk), backward_fn, B * Co * C * kd * kh * kw * vox)
+    return _node(out_data, (rx, rk), backward_fn,
+                 math.prod(k_shape[1:]) * out_data.size)
+
+
+def _conv_extents(x_shape, k_shape, stride: int, pad: int) -> tuple[int, int, int]:
+    """Output extents of ``conv3d`` for these shapes; ``ShapeError`` where
+    they do not chain."""
+    if len(x_shape) != 5 or len(k_shape) != 5:
+        raise ShapeError(f"conv3d expects a (B, C, D, H, W) input and a 5-d kernel, "
+                         f"got shapes {x_shape} and {k_shape}")
+    if stride < 1 or pad < 0:
+        raise ShapeError(f"conv3d needs stride >= 1 and pad >= 0, got {stride} and {pad}")
+    if k_shape[1] != x_shape[1]:
+        raise ShapeError(
+            f"conv3d: input has {x_shape[1]} channels but kernel expects {k_shape[1]} "
+            f"(input {x_shape}, kernel {k_shape})"
+        )
+    padded = tuple(n + 2 * pad for n in x_shape[2:])
+    if any(k > n for k, n in zip(k_shape[2:], padded)):
+        raise ShapeError(f"conv3d: kernel {tuple(k_shape[2:])} exceeds padded input {padded}")
+    return tuple((n - k) // stride + 1 for n, k in zip(padded, k_shape[2:]))
+
+
+def _conv3d_forward(xd: np.ndarray, w: np.ndarray, stride: int, pad: int,
+                    out_ext) -> np.ndarray:
+    """The (B, C_out, Do, Ho, Wo) output of ``conv3d``."""
+    B, C = xd.shape[:2]
+    Co, ksize = w.shape[0], w.shape[2:]
+    w2 = w.reshape(Co, -1)
+    width = _gemm_width(w.size)
+    out = np.empty((Co, math.prod(out_ext) * B), dtype=np.result_type(xd, w))
+    xp = _pad_batch_last(xd, pad)
+    if _indexed(C, ksize, out_ext, B, xd.itemsize):
+        # The method, as np.take's wrapper left a block per call alive that
+        # tracemalloc counts as retained graph bytes.
+        _matmul_blocks(w2, xp.take(_patch_index(xp.shape, ksize, out_ext, stride)), out, width)
+    else:
+        for c0, c1, _, col in _patch_chunks(xp, (0, 0, 0), ksize, out_ext, stride):
+            _matmul_blocks(w2, col, out[:, c0:c1], width)
+    xp = None  # the padded copy, freed before the output transpose allocates
+    return np.ascontiguousarray(out.reshape(Co, *out_ext, B).transpose(4, 0, 1, 2, 3))
+
+
+def _conv3d_grads(g: np.ndarray, xd, w, x_shape, k_shape, stride: int, pad: int):
+    """``conv3d``'s (gx, gk) for the output gradient ``g``: gx from the
+    kernel ``w`` and gk from the input ``xd``, each None where its source is
+    None. ``x_shape`` and ``k_shape`` are the input's and kernel's shapes.
+    gx may be a batch-last view."""
+    B, C, extents = x_shape[0], x_shape[1], tuple(x_shape[2:])
+    Co, ksize, out_ext = k_shape[0], tuple(k_shape[2:]), g.shape[2:]
+    gx = gk = None
+    if _indexed(C, ksize, out_ext, B, g.itemsize):
+        padded = (C, *(n + 2 * pad for n in extents), B)
+        index = _patch_index(padded, ksize, out_ext, stride)
+        g = g.transpose(1, 2, 3, 4, 0).reshape(Co, -1)
+        if xd is not None:
+            gk = (g @ _pad_batch_last(xd, pad).take(index).T).reshape(k_shape)
+        if w is not None:
+            gx = np.bincount(index.ravel(), (w.reshape(Co, -1).T @ g).ravel(),
+                             math.prod(padded)).reshape(padded)
+            gx = gx[:, pad:pad + extents[0], pad:pad + extents[1],
+                    pad:pad + extents[2]].transpose(4, 0, 1, 2, 3)
+        return gx, gk
+    if w is None:  # an untracked input: the kernel gradient from input patches
+        gk = np.zeros((C * math.prod(ksize), Co), g.dtype)
+        width = _gemm_width(gk.size)
+        for _, _, (ds, hs), col in _patch_chunks(_pad_batch_last(xd, pad), (0, 0, 0),
+                                                 ksize, out_ext, stride):
+            _matmul_sum(col, _rows(g[:, :, ds, hs], width > 0), gk, width)
+        col = None  # the patch buffer; the result below may reuse its memory
+        return None, gk.T.reshape(k_shape)
+    classes = [_residue_classes(n, k, stride, pad) for n, k in zip(extents, ksize)]
+    margin = max([0] + [max(-lo, hi - n_out) for axis, n_out in zip(classes, out_ext)
+                        for _, _, lo, hi in axis])
+    g = _pad_batch_last(g, margin)
+    gx = np.zeros((C, *extents, B), dtype=g.dtype)
+    if stride > 1:  # one class's gradient, before it is spread into gx
+        spread = np.empty(C * B * math.prod(-(-n // stride) for n in extents), g.dtype)
+    if xd is not None:  # the kernel gradient, flipped: (C_out, kd, kh, kw, C_in)
+        gk = np.zeros((Co, *ksize, C), g.dtype)
+    flipped = w.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
+    for (td, fd, ld, _), (th, fh, lh, _), (tw, fw, lw, _) in itertools.product(*classes):
+        taps = flipped[:, :, td::stride, th::stride, tw::stride]
+        taps2 = taps.reshape(C, -1)
+        width = _gemm_width(taps.size)
+        target = gx[:, fd::stride, fh::stride, fw::stride]
+        res = (target if stride == 1 else spread[:target.size]).reshape(C, -1)
+        if xd is not None:
+            xq = xd[:, :, fd::stride, fh::stride, fw::stride]
+            acc = gk[:, td::stride, th::stride, tw::stride]
+        corner = (margin + ld, margin + lh, margin + lw)
+        for c0, c1, (ds, hs), col in _patch_chunks(g, corner, taps.shape[2:],
+                                                   target.shape[1:4], 1):
+            _matmul_blocks(taps2, col, res[:, c0:c1], width)
+            if xd is not None:
+                _matmul_sum(col, _rows(xq[:, :, ds, hs], width > 0), acc, width)
+        if stride > 1:
+            target[...] = res.reshape(target.shape)
+    if xd is not None:
+        gk = gk[:, ::-1, ::-1, ::-1].transpose(0, 4, 1, 2, 3)
+    return gx.transpose(4, 0, 1, 2, 3), gk
 
 
 # ---------------------------------------------------------------------------
@@ -1213,12 +1238,32 @@ def batch_norm(x, gamma, beta, training: bool, stats: RunningStats | None = None
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     xd = x.data
+    y, mu, inv, scale = _bn_forward(xd, gamma.data, beta.data, training, stats, eps, momentum)
+    rx, rg, rb = x._tape, gamma._tape, beta._tape
+    # x-hat feeds gamma's gradient and, in training mode, the input's.
+    xd = xd if rg.requires_grad or (training and rx.requires_grad) else None
+
+    def backward_fn(g):
+        grads = _bn_grads(g, xd, mu, inv, scale, training,
+                          rx.requires_grad, rg.requires_grad, rb.requires_grad)
+        for record, grad in zip((rx, rg, rb), grads):
+            if grad is not None:
+                record._accum(grad)
+
+    return _node(y, (rx, rg, rb), backward_fn, (6 if training else 3) * y.size)
+
+
+def _bn_forward(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray, training: bool,
+                stats: RunningStats | None, eps: float, momentum: float):
+    """``batch_norm``'s output y = (x − μ)·scale + β, scale = inv·γ, and its
+    μ, inv = 1/sqrt(var + eps) and scale, each shaped (1, C, 1, ...);
+    updates ``stats`` in training mode."""
     if xd.ndim < 2:
         raise ShapeError(f"batch_norm input must have a channel axis, got {xd.shape}")
     C = xd.shape[1]
-    if gamma.data.shape != (C,) or beta.data.shape != (C,):
+    if gamma.shape != (C,) or beta.shape != (C,):
         raise ShapeError(
-            f"batch_norm: gamma/beta shapes {gamma.data.shape}/{beta.data.shape} "
+            f"batch_norm: gamma/beta shapes {gamma.shape}/{beta.shape} "
             f"do not match {C} channels"
         )
     axes = (0,) + tuple(range(2, xd.ndim))
@@ -1242,35 +1287,93 @@ def batch_norm(x, gamma, beta, training: bool, stats: RunningStats | None = None
         mu = stats.mean.reshape(bshape).astype(xd.dtype)
         inv = (1.0 / np.sqrt(stats.var + eps)).reshape(bshape).astype(xd.dtype)
         y = xd - mu
-    scale = inv * gamma.data.reshape(bshape)
+    scale = inv * gamma.reshape(bshape)
     y *= scale
-    y += beta.data.reshape(bshape)
-    rx, rg, rb = x._tape, gamma._tape, beta._tape
-    size = xd.size
-    # x-hat feeds gamma's gradient and, in training mode, the input's.
-    xd = xd if rg.requires_grad or (training and rx.requires_grad) else None
+    y += beta.reshape(bshape)
+    return y, mu, inv, scale
 
-    def backward_fn(g):
-        if xd is not None:
-            xhat = xd - mu
-            xhat *= inv
-            gxhat = (g * xhat).sum(axis=axes, keepdims=True)
-            if rg.requires_grad:
-                rg._accum(gxhat.reshape(C))
-        if rb.requires_grad:
-            rb._accum(g.sum(axis=axes).reshape(C))
-        if not rx.requires_grad:
-            return
-        if not training:
-            rx._accum(g * scale)
-            return
+
+def _bn_grads(g: np.ndarray, xd, mu, inv, scale, training: bool, on_x: bool,
+              on_gamma: bool, on_beta: bool):
+    """``batch_norm``'s (gx, gγ, gβ) for the output gradient ``g``, each None
+    where its flag is off. ``xd``, the input, is read only for gγ and, in
+    training mode, gx; elsewhere it may be None."""
+    C = g.shape[1]
+    axes = (0,) + tuple(range(2, g.ndim))
+    gx = ggamma = gbeta = None
+    if on_gamma or (training and on_x):
+        xhat = xd - mu
+        xhat *= inv
+        gxhat = (g * xhat).sum(axis=axes, keepdims=True)
+        if on_gamma:
+            ggamma = gxhat.reshape(C)
+    if on_beta:
+        gbeta = g.sum(axis=axes).reshape(C)
+    if on_x and not training:
+        gx = g * scale
+    elif on_x:
         gx = g - g.mean(axis=axes, keepdims=True)
-        xhat *= gxhat * (C / size)
+        xhat *= gxhat * (C / g.size)
         gx -= xhat
         gx *= scale
-        rx._accum(gx)
+    return gx, ggamma, gbeta
 
-    return _node(y, (rx, rg, rb), backward_fn, (6 if training else 3) * size)
+
+def bn_relu_conv3d(x, gamma, beta, kernel, training: bool,
+                   stats: RunningStats | None = None, eps: float = 1e-5,
+                   momentum: float = 0.1, stride: int = 1, pad: int = 0) -> Tensor:
+    """conv3d(relu(batch_norm(x)), kernel): the middle of a residual block.
+
+    ``x``, ``gamma``, ``beta``, ``training``, ``stats``, ``eps`` and
+    ``momentum`` are as in ``batch_norm``, whose running-stat update happens
+    once, here in forward; ``kernel``, ``stride`` and ``pad`` as in
+    ``conv3d``. One tape node whose closure keeps ``x``, μ, inv·γ and β per
+    channel and the kernel, not h = relu(batch_norm(x)): backward recomputes h
+    with one scale, shift and max per element (Chen et al. 2016), then takes
+    the kernel gradient from h, gh from the kernel as ``conv3d`` does, and
+    batch norm's gradients, as ``batch_norm`` does, from gh·[h > 0]. A
+    gradient whose input is untracked is skipped: with only ``x`` tracked in
+    evaluation mode (``grad_cam``) backward is gh·[h > 0]·inv·γ. The kernel
+    is kept unless it alone is tracked. Output and gradients equal those of
+    the batch_norm, relu and conv3d chain it replaces bit for bit, and so do
+    its ``count_ops`` units: the chain's (6 or 3) + 1 per element of ``x``
+    plus the conv's multiply-adds.
+    """
+    x, gamma, beta, kernel = (_as_tensor(t) for t in (x, gamma, beta, kernel))
+    xd, w = x.data, kernel.data
+    x_shape, k_shape = xd.shape, w.shape
+    out_ext = _conv_extents(x_shape, k_shape, stride, pad)
+    h, mu, inv, scale = _bn_forward(xd, gamma.data, beta.data, training, stats, eps, momentum)
+    out_data = _conv3d_forward(np.maximum(h, 0, out=h), w, stride, pad, out_ext)
+    del h
+    shift = beta.data.reshape(mu.shape)
+    macs = (7 if training else 4) * xd.size + math.prod(k_shape[1:]) * out_data.size
+    records = rx, rg, rb, rk = x._tape, gamma._tape, beta._tape, kernel._tape
+    on_x, on_g, on_b, on_k = (r.requires_grad for r in records)
+    on_bn = on_x or on_g or on_b  # batch norm's gradients, which read gh
+    w = w if on_bn else None
+
+    def backward_fn(g):
+        h = xd - mu
+        h *= scale
+        h += shift
+        if on_k:  # [h > 0] alone needs no max
+            np.maximum(h, 0, out=h)
+        gh, gk = _conv3d_grads(g, h if on_k else None, w, x_shape, k_shape, stride, pad)
+        if gk is not None:
+            rk._accum(gk)
+        if not on_bn:
+            return
+        # Into h's buffer, which is laid out as x: gh may be a batch-last view.
+        gh = np.multiply(gh, h > 0, out=h)
+        del h
+        grads = _bn_grads(gh, xd, mu, inv, scale, training, on_x, on_g, on_b)
+        del gh
+        for record, grad in zip((rx, rg, rb), grads):
+            if grad is not None:
+                record._accum(grad)
+
+    return _node(out_data, records, backward_fn, macs)
 
 
 # ---------------------------------------------------------------------------

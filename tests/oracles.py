@@ -201,6 +201,15 @@ def batch_norm_chain(x, gamma, beta, training: bool, stats=None, eps: float = 1e
     return T.add(T.mul(xhat, T.reshape(gamma, bshape)), T.reshape(beta, bshape))
 
 
+def bn_relu_conv_chain(x, gamma, beta, kernel, training: bool, stats=None,
+                       stride: int = 1, pad: int = 0):
+    """``batch_norm`` -> ``relu`` -> ``conv3d`` nodes, the chain
+    ``tensor.bn_relu_conv3d`` replaces; ``stats`` updates in training mode
+    as ``batch_norm`` updates it."""
+    from volformer import tensor as T
+    h = T.relu(T.batch_norm(x, gamma, beta, training, stats))
+    return T.conv3d(h, kernel, stride, pad)
+
 
 def softmax_chain(x, axis: int = -1):
     """Softmax as shift -> exp -> sum -> divide nodes, the shift detached."""

@@ -138,6 +138,11 @@ def test_01_gradients_match_finite_differences(conv_gather):
     dn_in = _t64(rng, 2, 1, 3, 3, 3)
     cases.append((lambda: _scalarize(DataNormLayer().forward(dn_in),
                                      np.random.default_rng(23)), [dn_in]))
+    brng = np.random.default_rng(26)  # its own draws, as arng above
+    br_x, br_g = _t64(brng, 2, 2, 3, 3, 3), _t64(brng, 2, positive=True)
+    br_b, br_k = _t64(brng, 2), _t64(brng, 3, 2, 3, 3, 3)
+    cases.append((lambda: _scalarize(T.bn_relu_conv3d(br_x, br_g, br_b, br_k, True, pad=1),
+                                     np.random.default_rng(27)), [br_x, br_g, br_b, br_k]))
 
     for f, tensors in cases:
         worst = max(worst, _check(f, tensors, tol_prim))

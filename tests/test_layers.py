@@ -144,6 +144,30 @@ def test_residual_block_gradient():
     check_grads(lambda: T.tensor_sum(T.mul(block.forward(x, True), w)), tracked, tol=2e-4)
 
 
+@pytest.mark.parametrize("out_channels,stride,kept", [(8, 1, 3), (16, 2, 4)],
+                         ids=["identity", "projection"])
+def test_residual_block_keeps_c1_not_its_inner_activation(out_channels, stride, kept):
+    """A training forward keeps arrays of h's size for c1 = conv1(x),
+    c2 = conv2(h), the block output and, with a projection, the projection
+    conv's output, and no copy of h = relu(bn1(c1)) itself: one fewer than
+    when conv2 kept h. A warm-up forward fills the convs' index cache."""
+    rng = np.random.default_rng(47)
+    block = L.ResidualConvBlock(8, out_channels, stride, rng)
+    x = Tensor(rng.normal(size=(2, 8, 16, 16, 16)).astype(np.float32))
+    block.forward(x, training=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = block.forward(x, training=True)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    h_bytes = y.data.nbytes
+    assert retained <= kept * h_bytes + h_bytes // 2, retained / h_bytes
+    T.backward(T.tensor_sum(y))
+    assert all(t.grad is not None for _, t in block.params())
+
+
 # ---------------------------------------------------------------------------
 # shallow global attention
 

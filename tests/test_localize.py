@@ -311,6 +311,18 @@ def test_load_map_missing_sidecar(tmp_path):
         load_map(tmp_path / "m.vfv")
 
 
+@pytest.mark.parametrize("sidecar", ['{"layer": "stem", "target_cl', '{"target_class": 0}',
+                                     '{"layer": "stem"}', '[0]'],
+                         ids=["corrupt", "no-layer", "no-class", "not-an-object"])
+def test_load_map_unreadable_sidecar_is_data_error(tmp_path, sidecar):
+    from volformer.data import write_volume
+
+    write_volume(tmp_path / "m.vfv", np.zeros((2, 2, 2), dtype=np.float32))
+    (tmp_path / "m.vfv.json").write_text(sidecar)
+    with pytest.raises(DataError, match="unreadable sidecar"):
+        load_map(tmp_path / "m.vfv")
+
+
 def test_validate_rejects_out_of_range():
     with pytest.raises(DataError):
         ActivationMap(np.full((2, 2, 2), 1.5, dtype=np.float32), "stem", 0).validate()

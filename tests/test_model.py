@@ -372,8 +372,13 @@ def test_checkpoint_rejects_mismatched_model(tmp_path):
 
 
 def test_checkpoint_refuses_to_save_an_integer_array(tmp_path):
+    """Refused before the file is opened, so a float32 record ahead of the
+    int64 one leaves no partial file under the final name."""
+    path = tmp_path / "int.vfck"
     with pytest.raises(CheckpointError, match="'w' has unsupported dtype int64"):
-        M.save_checkpoint(tmp_path / "int.vfck", {}, [("w", np.arange(3, dtype=np.int64))])
+        M.save_checkpoint(path, {}, [("v", np.ones(3, dtype=np.float32)),
+                                     ("w", np.arange(3, dtype=np.int64))])
+    assert not path.exists()
 
 
 def _raw_checkpoint(path, meta: bytes, tensors=()):

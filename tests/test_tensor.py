@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (batch_norm_chain, conv3d_loops, msa_chain, numeric_grad, rel_error,
-                     residual_mlp_chain, softmax_chain)
+from oracles import (batch_norm_chain, bn_relu_conv_chain, conv3d_loops, msa_chain,
+                     numeric_grad, rel_error, residual_mlp_chain, softmax_chain)
 from volformer.errors import ShapeError, StateError
 from volformer import tensor as T
 from volformer.layers import cross_entropy_logits
@@ -403,6 +403,56 @@ def test_residual_attention_shape_errors_name_every_shape():
                  (z, w, o, 3), (z, w, o, 0)):
         with pytest.raises(ShapeError, match=r"z \(.*qkv \(.*out_proj \(.*heads"):
             T.residual_attention(*args)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval", "grad_cam"])
+def test_bn_relu_conv3d_matches_the_chain(mode, conv_gather):
+    """The single node against ``bn_relu_conv_chain``, on both conv gather
+    paths: in training mode with every input tracked, in evaluation mode
+    with every input tracked, and in evaluation mode with only the input
+    tracked, as ``grad_cam`` runs. The float32 output and running stats
+    equal the chain's bit for bit; in float64 so do the output and stats,
+    the gradients agree to 1e-12 and ``count_ops`` matches."""
+    rng = np.random.default_rng(46)
+    arrays = [rng.normal(0.5, 2.0, size=(2, 3, 4, 5, 4)), rng.uniform(0.5, 1.5, size=3),
+              rng.normal(size=3), rng.normal(size=(4, 3, 3, 3, 3))]
+    mean, var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+    g = rng.normal(size=(2, 4, 4, 5, 4))
+    training = mode == "train"
+    tracked = (True, False, False, False) if mode == "grad_cam" else (True,) * 4
+    for dtype in (np.float32, np.float64):
+        results = []
+        for fn in (T.bn_relu_conv3d, bn_relu_conv_chain):
+            leaves = [Tensor(a.astype(dtype), requires_grad=on)
+                      for a, on in zip(arrays, tracked)]
+            stats = (T.RunningStats() if training
+                     else T.RunningStats(mean.copy(), var.copy()))
+            with T.count_ops() as ops:
+                y = fn(*leaves, training, stats, stride=1, pad=1)
+            if dtype == np.float64:
+                T.backward(T.tensor_sum(T.mul(y, Tensor(g))))
+            results.append(([y.data, stats.mean, stats.var], [t.grad for t in leaves],
+                            ops.macs))
+        (got, got_grads, got_macs), (want, want_grads, want_macs) = results
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert got_macs == want_macs
+        for name, a, b, on in zip(("x", "gamma", "beta", "kernel"), got_grads, want_grads,
+                                  tracked):
+            if dtype == np.float32 or not on:
+                assert a is None and b is None, (mode, name)
+            else:
+                assert rel_error(a, b) < 1e-12, (mode, name)
+
+
+def test_bn_relu_conv3d_shape_error_leaves_the_stats_alone():
+    """A kernel that does not fit raises ``ShapeError`` and leaves the
+    running stats as they were."""
+    stats = T.RunningStats()
+    x, gamma, beta = Tensor(np.ones((1, 2, 3, 3, 3))), Tensor(np.ones(2)), Tensor(np.zeros(2))
+    with pytest.raises(ShapeError, match="channels"):
+        T.bn_relu_conv3d(x, gamma, beta, Tensor(np.ones((2, 3, 3, 3, 3))), True, stats)
+    assert not stats.initialized()
 
 
 GRAD_CONV3D_CASES = [
@@ -1046,6 +1096,10 @@ PRIMITIVES = {
                            [(2, 3, 4), (4, 12), (4, 4)], 6 * (4 * 16 + 4) + 2 * 2 * 9 * (2 * 2 + 5)),
     "conv3d": (lambda x, k: T.conv3d(x, k, 1, 1), [(1, 2, 4, 4, 4), (3, 2, 3, 3, 3)],
                3 * 2 * 27 * 64),
+    # the chain's: 6 units (batch norm) + 1 (relu) per element of x, plus the conv
+    "bn_relu_conv3d": (lambda x, g, b, k: T.bn_relu_conv3d(x, g, b, k, True, pad=1),
+                       [(1, 2, 4, 4, 4), (2,), (2,), (3, 2, 3, 3, 3)],
+                       7 * 128 + 3 * 2 * 27 * 64),
     # 6 units per element of x in training mode and 3 in evaluation mode
     "batch_norm_train": (lambda x, g, b: T.batch_norm(x, g, b, True),
                          [(2, 3, 2, 2, 2), (3,), (3,)], 6 * 48),
