@@ -493,7 +493,7 @@ def save_checkpoint(path, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> N
     """Write a checkpoint, one record at a time; an array of a dtype the
     format lacks is refused before the file is opened."""
     for name, arr in arrays:
-        if np.asarray(arr).dtype not in _DTYPE_CODES:
+        if arr.dtype not in _DTYPE_CODES:
             raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     header = struct.pack(f"<II{len(meta_bytes)}sI", CHECKPOINT_VERSION, len(meta_bytes),
