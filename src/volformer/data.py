@@ -164,6 +164,8 @@ class SyntheticSpec(Section):
             raise ConfigError("fc_parcels must be >= 2 when with_fc is set")
         if self.with_pheno and self.pheno_dim < 1:
             raise ConfigError("pheno_dim must be >= 1 when with_pheno is set")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -177,10 +177,12 @@ class SGABlock(Module):
     count N; no NxN structure is ever materialized. The channel-mixing output
     projection starts at zero so that stage is the identity at init.
 
-    Each stage is one ``T.residual_mlp`` node, token mixing over the (B, C, N)
-    transpose of the tokens and channel mixing over the transpose of that
-    result, so a training forward keeps the token-mixed tokens and the
-    output, no hidden layer or layout copy.
+    The block is one ``T.token_channel_mixing`` node: token mixing is a
+    residual MLP over the (B, C, N) transpose of the tokens and channel
+    mixing one over the transpose of that result. Its closure keeps the
+    input, a view of the stage's ReLU output that the graph keeps anyway,
+    and the weights, so a training forward keeps only the output; backward
+    recomputes the token-mixed tokens.
 
     Token-mixing weights are sized to N, so the block only accepts the token
     count it was built for.
@@ -204,11 +206,9 @@ class SGABlock(Module):
             np.zeros((channels, hidden_c), dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        x = _token_batch(self, x)
-        mixed = T.residual_mlp(T.transpose(x, (0, 2, 1)), T.transpose(self.w_spatial_in),
-                               T.transpose(self.w_spatial_out))
-        return T.residual_mlp(T.transpose(mixed, (0, 2, 1)), T.transpose(self.w_channel_in),
-                              T.transpose(self.w_channel_out))
+        return T.token_channel_mixing(_token_batch(self, x), self.w_spatial_in,
+                                      self.w_spatial_out, self.w_channel_in,
+                                      self.w_channel_out)
 
 
 class DGABlock(Module):
@@ -222,11 +222,12 @@ class DGABlock(Module):
     concatenated and projected back to C by a zero-initialized matrix, so
     z1 == z0 exactly at init. No layer normalization anywhere.
 
-    Each stage is one tape node that keeps its input, not its intermediates:
-    ``T.residual_attention`` keeps z0 and recomputes q, k, v and the masks in
-    backward, and ``T.residual_mlp`` keeps z1 and recomputes the hidden layer.
-    Their outputs equal those of the primitive chains they replace bit for
-    bit (FF's output bias is added before the residual, as the chain does).
+    The block is one ``T.attention_block`` node whose closure keeps the
+    input, a view of the stage's ReLU output, the positional embedding and
+    the weights, so a training forward keeps only the output: backward
+    recomputes z0, q, k, v, the masks and z1 once. Its output and gradients
+    equal those of the primitive chains it replaces bit for bit (FF's output
+    bias is added before the residual, as the chain does).
     """
 
     def __init__(self, tokens: int, channels: int, heads: int = 8,
@@ -257,9 +258,9 @@ class DGABlock(Module):
         self.ff_b_out = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        z0 = T.add(_token_batch(self, x), self.pos_embed)
-        z1 = T.residual_attention(z0, self.qkv, self.out_proj, self.heads)
-        return T.residual_mlp(z1, self.ff_w_in, self.ff_w_out, self.ff_b_in, self.ff_b_out)
+        return T.attention_block(_token_batch(self, x), self.pos_embed, self.qkv,
+                                 self.out_proj, self.heads, self.ff_w_in, self.ff_b_in,
+                                 self.ff_w_out, self.ff_b_out)
 
 
 class MLP(Module):

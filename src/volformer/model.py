@@ -166,6 +166,20 @@ class ModelConfig(Section):
             raise ConfigError(f"every stage needs at least one block, got {self.stage_blocks}")
         if any(c < 1 for c in self.stage_channels):
             raise ConfigError(f"stage channels must be positive, got {self.stage_channels}")
+        # Written so that NaN fails each comparison too.
+        for name, ok, rule in (
+                ("stem_channels", self.stem_channels is None or self.stem_channels >= 1,
+                 "positive or null"),
+                ("sga_spatial_hidden", self.sga_spatial_hidden >= 1, "positive"),
+                ("sga_channel_expand", self.sga_channel_expand >= 1, "positive"),
+                ("dga_heads", self.dga_heads >= 1, "positive"),
+                ("dga_ff_expand", self.dga_ff_expand >= 1, "positive"),
+                ("dga_pos_std", self.dga_pos_std >= 0, ">= 0"),
+                ("data_norm_eps", self.data_norm_eps >= 0, ">= 0"),
+                ("bn_eps", self.bn_eps > 0, "positive"),
+                ("bn_momentum", 0 < self.bn_momentum <= 1, "in (0, 1]")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         for i, kind in enumerate(self.attention_plan):
             if kind not in ATTENTION_KINDS:
                 raise ConfigError(

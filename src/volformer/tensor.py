@@ -17,19 +17,24 @@ across multiple uses of the same tensor. The sweep consumes the graph: a
 record drops its closure and parents once its closure has run. Held tensors
 keep their ``.grad``; a second sweep that reaches a consumed node is a
 ``StateError``. ``batch_norm``, ``softmax``, ``residual_mlp``,
-``residual_attention`` and ``bn_relu_conv3d`` are single nodes with
-closed-form backwards; their docstrings give the formulas and their
-``count_ops`` units. ``residual_mlp`` keeps its input, not its hidden layer,
-and recomputes that with one GEMM in backward. ``residual_attention`` keeps
-its input, not q, k, v, the softmax masks or the concatenated heads, and
-recomputes them in backward with one projection GEMM, the batched score GEMMs
-and the softmax. ``bn_relu_conv3d`` (batch norm, ReLU, then a conv) keeps its
-input, not the ReLU's output h, and recomputes h in backward with one scale,
-shift and max per element; it computes with the array-level helpers of
-``batch_norm`` (``_bn_forward``, ``_bn_grads``) and ``conv3d``
-(``_conv3d_forward``, ``_conv3d_grads``), so each formula has one copy.
-A batched operand times a matrix, in ``matmul``, ``residual_mlp`` and
-``residual_attention``, is one GEMM over the folded leading axes.
+``residual_attention``, ``token_channel_mixing``, ``attention_block`` and
+``bn_relu_conv3d`` are single nodes with closed-form backwards; their
+docstrings give the formulas and their ``count_ops`` units. ``residual_mlp``
+keeps its input, not its hidden layer, and recomputes that with one GEMM in
+backward. ``residual_attention`` keeps its input, not q, k, v, the softmax
+masks or the concatenated heads, and recomputes them in backward with one
+projection GEMM, the batched score GEMMs and the softmax. The two global
+attention blocks are one node each that keeps only its input and weights:
+``token_channel_mixing`` (an SGA block, two residual MLPs) recomputes its
+token-mixed tokens, and ``attention_block`` (a DGA block) z0 = x + pos, q,
+k, v, the masks and z1, once per backward. ``bn_relu_conv3d`` (batch norm,
+ReLU, then a conv) keeps its input, not the ReLU's output h, and recomputes h
+in backward with one scale, shift and max per element. The fused nodes
+compute with array-level helpers shared with the nodes they fuse (``_bn_*``,
+``_conv3d_*``, ``_mlp_*``, ``_attend``, ``_attention_*``), so each formula
+has one copy, and backward calls them directly rather than sweeping a
+sub-graph. A batched operand times a matrix, in ``matmul`` and the MLP and
+attention nodes, is one GEMM over the folded leading axes.
 
 ``conv3d`` is im2col plus GEMM that never holds a whole patch matrix (after
 Anderson et al. 2017 and Dukhan 2019): ``_patch_chunks`` gathers it in runs
@@ -238,7 +243,11 @@ def _node(data, parents, backward_fn, macs=0) -> Tensor:
     - ``residual_mlp``: the input and the weights (never the hidden layer),
       unless only the output bias is tracked;
     - ``residual_attention``: the input and the weights (never q, k, v, the
-      masks or the concatenated heads).
+      masks or the concatenated heads);
+    - ``token_channel_mixing``: the input and the weights (never the
+      token-mixed tokens, a hidden layer or a layout copy);
+    - ``attention_block``: the input, ``pos`` and the weights (never z0, z1,
+      q, k, v, the masks or the hidden layer);
     - ``bn_relu_conv3d``: the input, batch norm's per-channel μ, inv,
       inv·γ and β (never h = relu(batch_norm(x))), and the kernel unless it
       alone is tracked.
@@ -1030,6 +1039,55 @@ def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
     return gx
 
 
+def _feed(records, grads) -> None:
+    """Add each gradient that is not None to its record."""
+    for record, grad in zip(records, grads):
+        if grad is not None:
+            record._accum(grad)
+
+
+def _mlp_hidden(rows: np.ndarray, w1: np.ndarray, b1) -> np.ndarray:
+    """relu(rows @ w1 + b1), the hidden layer of ``residual_mlp``."""
+    h = rows @ w1
+    if b1 is not None:
+        h += b1
+    return np.maximum(h, 0, out=h)
+
+
+def _mlp_forward(rows: np.ndarray, w1: np.ndarray, w2: np.ndarray, b1=None, b2=None):
+    """``residual_mlp`` over a (M, K) matrix of rows: rows + (relu(rows @ w1
+    + b1) @ w2 + b2), and its ``count_ops`` units."""
+    y = _mlp_hidden(rows, w1, b1) @ w2
+    if b2 is not None:
+        y += b2
+    y += rows
+    K, H = w1.shape
+    return y, rows.shape[0] * (2 * K * H + H + K + (b1 is not None) * H
+                               + (b2 is not None) * K)
+
+
+def _mlp_grads(g2: np.ndarray, rows: np.ndarray, w1, w2, b1, on_x: bool, on_w1: bool,
+               on_w2: bool, on_b1: bool):
+    """``residual_mlp``'s (gx, gw1, gw2, gb1) for the output gradient ``g2``
+    of ``rows``, both (M, K), each None where its flag is off. The hidden
+    layer is recomputed here; gb2 = Σ g2 is the caller's."""
+    h = _mlp_hidden(rows, w1, b1)
+    gw2 = h.T @ g2 if on_w2 else None
+    gx = gw1 = gb1 = None
+    if on_x or on_w1 or on_b1:
+        gh = g2 @ w2.T
+        gh *= h > 0
+        del h
+        if on_b1:
+            gb1 = gh.sum(axis=0)
+        if on_w1:
+            gw1 = rows.T @ gh
+        if on_x:
+            gx = gh @ w1.T
+            gx += g2
+    return gx, gw1, gw2, gb1
+
+
 def residual_mlp(x, w1, w2, b1=None, b2=None) -> Tensor:
     """y = x + (relu(x @ w1 + b1) @ w2 + b2) over the last axis of ``x``.
 
@@ -1058,19 +1116,8 @@ def residual_mlp(x, w1, w2, b1=None, b2=None) -> Tensor:
             f"b1 {None if b1d is None else b1d.shape} and "
             f"b2 {None if b2d is None else b2d.shape} do not chain as "
             f"(..., K), (K, H), (H, K), (H,), (K,)")
-
-    def hidden(rows):
-        h = rows @ w1d
-        if b1d is not None:
-            h += b1d
-        return np.maximum(h, 0, out=h)
-
-    rows = _fold(xd)  # a copy where x is a transposed view: backward folds again
-    y = hidden(rows) @ w2d
-    if b2d is not None:
-        y += b2d
-    y += rows
-    macs = rows.shape[0] * (2 * K * H + H + K + (b1d is not None) * H + (b2d is not None) * K)
+    # _fold copies where x is a transposed view: backward folds again
+    y, macs = _mlp_forward(_fold(xd), w1d, w2d, b1d, b2d)
     tapes = [None if t is None else t._tape for t in (x, w1, w2, b1, b2)]
     rx, r1, r2, rb1, rb2 = tapes
     on_x, on_w1, on_w2, on_b1, on_b2 = (t is not None and t.requires_grad
@@ -1084,26 +1131,136 @@ def residual_mlp(x, w1, w2, b1=None, b2=None) -> Tensor:
             rb2._accum(g2.sum(axis=0))
         if xd is None:
             return
-        rows = _fold(xd)
-        h = hidden(rows)
-        if on_w2:
-            r2._accum(h.T @ g2)
-        if not (on_x or on_w1 or on_b1):
-            return
-        gh = g2 @ w2d.T
-        gh *= h > 0
-        del h
-        if on_b1:
-            rb1._accum(gh.sum(axis=0))
-        if on_w1:
-            r1._accum(rows.T @ gh)
-        if on_x:
-            gx = gh @ w1d.T
-            gx += g2
-            rx._accum(gx.reshape(rx.shape))
+        gx, gw1, gw2, gb1 = _mlp_grads(g2, _fold(xd), w1d, w2d, b1d,
+                                       on_x, on_w1, on_w2, on_b1)
+        _feed((rx, r1, r2, rb1), (None if gx is None else gx.reshape(rx.shape), gw1, gw2, gb1))
 
     return _node(y.reshape(x.data.shape), [r for r in tapes if r is not None], backward_fn,
                  macs)
+
+
+def token_channel_mixing(x, w_spatial_in, w_spatial_out, w_channel_in,
+                         w_channel_out) -> Tensor:
+    """An ``SGABlock``: token mixing, then channel mixing, both residual.
+
+    ``x`` is (B, N, C) tokens; the weights are laid out as the block holds
+    them, ``w_spatial_in`` (Hs, N), ``w_spatial_out`` (N, Hs),
+    ``w_channel_in`` (Hc, C) and ``w_channel_out`` (C, Hc). Token mixing is
+    ``residual_mlp`` over the (B, C, N) transpose of ``x`` with the spatial
+    weights transposed, m = xᵀ + relu(xᵀ w_spatial_inᵀ) w_spatial_outᵀ;
+    channel mixing is ``residual_mlp`` over mᵀ with the channel weights
+    transposed. One tape node whose closure keeps ``x`` and the weights,
+    not the token-mixed tokens m or either hidden layer: backward
+    recomputes m with ``_mlp_forward``, once, and then takes both stages'
+    gradients as ``residual_mlp`` does, skipping each one whose input is
+    untracked (m's gradient too, where ``x`` and the spatial weights are
+    untracked). Output, gradients and ``count_ops`` units equal those of
+    the two ``residual_mlp`` nodes and transposes it replaces bit for bit.
+    """
+    tensors = [_as_tensor(t) for t in (x, w_spatial_in, w_spatial_out, w_channel_in,
+                                       w_channel_out)]
+    xd, si, so, ci, co = (t.data for t in tensors)
+    B, N, C = xd.shape if xd.ndim == 3 else (-1, -1, -1)
+    hs = si.shape[0] if si.ndim == 2 else -1
+    hc = ci.shape[0] if ci.ndim == 2 else -1
+    if (C < 0 or si.shape != (hs, N) or so.shape != (N, hs) or ci.shape != (hc, C)
+            or co.shape != (C, hc)):
+        raise ShapeError(
+            f"token_channel_mixing: x {xd.shape}, w_spatial_in {si.shape}, "
+            f"w_spatial_out {so.shape}, w_channel_in {ci.shape} and w_channel_out "
+            f"{co.shape} do not chain as (B, N, C), (Hs, N), (N, Hs), (Hc, C), (C, Hc)")
+
+    def swapped(a, n):
+        """The rows of (B, n, ·) data ``a`` with its last two axes swapped:
+        channel columns of tokens (n = N) or token rows of columns (n = C)."""
+        return _fold(a.reshape(B, n, -1).transpose(0, 2, 1))
+
+    rows = swapped(xd, N)  # a view where x is a (B, C, N) transpose
+    mixed, token_macs = _mlp_forward(rows, si.T, so.T)
+    y, channel_macs = _mlp_forward(swapped(mixed, C), ci.T, co.T)
+    records = rx, rsi, rso, rci, rco = tuple(t._tape for t in tensors)
+    on_x, on_si, on_so, on_ci, on_co = (r.requires_grad for r in records)
+    on_m = on_x or on_si or on_so  # whether the chain's m was tracked
+
+    def backward_fn(g):
+        rows = swapped(xd, N)
+        mixed = _mlp_forward(rows, si.T, so.T)[0]
+        gm, gci, gco, _ = _mlp_grads(_fold(g), swapped(mixed, C), ci.T, co.T, None,
+                                     on_m, on_ci, on_co, False)
+        del mixed
+        _feed((rci, rco), (None if gci is None else gci.T, None if gco is None else gco.T))
+        if gm is None:
+            return
+        gx, gsi, gso, _ = _mlp_grads(swapped(gm, N), rows, si.T, so.T, None,
+                                     on_x, on_si, on_so, False)
+        _feed((rx, rsi, rso), (None if gx is None else gx.reshape(B, C, N).transpose(0, 2, 1),
+                               None if gsi is None else gsi.T,
+                               None if gso is None else gso.T))
+
+    return _node(y.reshape(B, N, C), records, backward_fn, token_macs + channel_macs)
+
+
+def _attend(zd: np.ndarray, wd: np.ndarray, heads: int):
+    """q, k, v and the masks of multi-head self-attention over (B, N, C)
+    tokens with the (C, 3C) projection ``wd``, each (B, heads, N, ·), in
+    the order of the matmul, narrow, scale and softmax chain."""
+    B, N, C = zd.shape
+    hd = C // heads
+    lin = (_fold(zd) @ wd).reshape(B, N, heads, 3 * hd).transpose(0, 2, 1, 3)
+    q, k, v = (lin[..., i * hd:(i + 1) * hd] for i in range(3))
+    s = np.matmul(q, k.swapaxes(-1, -2))
+    s *= 1.0 / math.sqrt(hd)
+    return q, k, v, _softmax(s, -1)
+
+
+def _merge(heads_out: np.ndarray) -> np.ndarray:
+    """(B, heads, N, hd) head outputs as (B·N, C) rows, heads concatenated."""
+    B, heads, N, hd = heads_out.shape
+    return heads_out.transpose(0, 2, 1, 3).reshape(B * N, heads * hd)
+
+
+def _attention_forward(zd: np.ndarray, wd: np.ndarray, od: np.ndarray, heads: int):
+    """``residual_attention``'s y = z + MSA(z), with the q, k, v and masks
+    of ``_attend`` and the merged heads; and its ``count_ops`` units."""
+    B, N, C = zd.shape
+    q, k, v, masks = _attend(zd, wd, heads)
+    merged = _merge(np.matmul(masks, v))
+    y = (merged @ od).reshape(B, N, C)
+    y += zd
+    macs = B * N * (4 * C * C + C) + B * heads * N * N * (2 * (C // heads) + 5)
+    return y, (q, k, v, masks, merged), macs
+
+
+def _attention_grads(g: np.ndarray, zd: np.ndarray, wd, od, q, k, v, masks, merged,
+                     on_z: bool, on_w: bool, on_o: bool):
+    """``residual_attention``'s (gz, gqkv, gout_proj) for the output gradient
+    ``g`` of tokens ``zd``, each None where its flag is off, from the q, k,
+    v and masks of ``_attend`` and the merged heads (None: recomputed where
+    gout_proj needs them)."""
+    B, heads, N, hd = q.shape
+    C = heads * hd
+    g2 = _fold(g)
+    gz = gw = gout = None
+    if on_o:
+        gout = (_merge(np.matmul(masks, v)) if merged is None else merged).T @ g2
+    if not (on_z or on_w):
+        return gz, gw, gout
+    go = (g2 @ od.T).reshape(B, N, heads, hd).transpose(0, 2, 1, 3)
+    gs = _softmax_grad(np.matmul(go, v.swapaxes(-1, -2)), masks, -1)
+    gs *= 1.0 / math.sqrt(hd)
+    glin = np.empty((B, N, heads, 3 * hd), gs.dtype)
+    glin[..., 2 * hd:] = np.matmul(masks.swapaxes(-1, -2), go).transpose(0, 2, 1, 3)
+    del go
+    glin[..., :hd] = np.matmul(gs, k).transpose(0, 2, 1, 3)
+    glin[..., hd:2 * hd] = np.matmul(q.swapaxes(-1, -2), gs).transpose(0, 3, 1, 2)
+    del gs
+    glin = glin.reshape(B * N, 3 * C)
+    if on_w:
+        gw = _fold(zd).T @ glin
+    if on_z:
+        gz = (glin @ wd.T).reshape(B, N, C)
+        gz += g
+    return gz, gw, gout
 
 
 def residual_attention(z, qkv, out_proj, heads: int) -> Tensor:
@@ -1127,61 +1284,87 @@ def residual_attention(z, qkv, out_proj, heads: int) -> Tensor:
     """
     z, qkv, out_proj = _as_tensor(z), _as_tensor(qkv), _as_tensor(out_proj)
     zd, wd, od = z.data, qkv.data, out_proj.data
-    B, N, C = zd.shape if zd.ndim == 3 else (-1, -1, -1)
+    C = zd.shape[2] if zd.ndim == 3 else -1
     if (C < 0 or heads < 1 or C % heads or wd.shape != (C, 3 * C)
             or od.shape != (C, C)):
         raise ShapeError(
             f"residual_attention: z {zd.shape}, qkv {wd.shape}, out_proj {od.shape} "
             f"and {heads} heads do not chain as (B, N, C), (C, 3C), (C, C) with C "
             f"a multiple of heads")
-    hd = C // heads
-    scale = 1.0 / math.sqrt(hd)
-
-    def attend():
-        """q, k, v and the masks, each (B, heads, N, ·), in the order of
-        the matmul, narrow, scale and softmax chain."""
-        lin = (_fold(zd) @ wd).reshape(B, N, heads, 3 * hd).transpose(0, 2, 1, 3)
-        q, k, v = (lin[..., i * hd:(i + 1) * hd] for i in range(3))
-        s = np.matmul(q, k.swapaxes(-1, -2))
-        s *= scale
-        return q, k, v, _softmax(s, -1)
-
-    def merge(heads_out):
-        """(B, heads, N, hd) head outputs as (B·N, C) rows, heads concatenated."""
-        return heads_out.transpose(0, 2, 1, 3).reshape(B * N, C)
-
-    q, k, v, masks = attend()
-    y = (merge(np.matmul(masks, v)) @ od).reshape(B, N, C)
-    y += zd
-    macs = B * N * (4 * C * C + C) + B * heads * N * N * (2 * hd + 5)
-    rz, rw, ro = z._tape, qkv._tape, out_proj._tape
-    on_z, on_w, on_o = rz.requires_grad, rw.requires_grad, ro.requires_grad
+    y, _, macs = _attention_forward(zd, wd, od, heads)
+    records = tuple(t._tape for t in (z, qkv, out_proj))
+    on = tuple(r.requires_grad for r in records)
 
     def backward_fn(g):
-        q, k, v, masks = attend()
-        g2 = _fold(g)
-        if on_o:
-            ro._accum(merge(np.matmul(masks, v)).T @ g2)
-        if not (on_z or on_w):
-            return
-        go = (g2 @ od.T).reshape(B, N, heads, hd).transpose(0, 2, 1, 3)
-        gs = _softmax_grad(np.matmul(go, v.swapaxes(-1, -2)), masks, -1)
-        gs *= scale
-        glin = np.empty((B, N, heads, 3 * hd), gs.dtype)
-        glin[..., 2 * hd:] = np.matmul(masks.swapaxes(-1, -2), go).transpose(0, 2, 1, 3)
-        del masks, go, v
-        glin[..., :hd] = np.matmul(gs, k).transpose(0, 2, 1, 3)
-        glin[..., hd:2 * hd] = np.matmul(q.swapaxes(-1, -2), gs).transpose(0, 3, 1, 2)
-        del gs, q, k
-        glin = glin.reshape(B * N, 3 * C)
-        if on_w:
-            rw._accum(_fold(zd).T @ glin)
-        if on_z:
-            gz = (glin @ wd.T).reshape(B, N, C)
-            gz += g
-            rz._accum(gz)
+        # grad_cam's z alone computes no merged heads
+        _feed(records, _attention_grads(g, zd, wd, od, *_attend(zd, wd, heads), None, *on))
 
-    return _node(y, (rz, rw, ro), backward_fn, macs)
+    return _node(y, records, backward_fn, macs)
+
+
+def attention_block(x, pos, qkv, out_proj, heads: int, ff_w_in, ff_b_in, ff_w_out,
+                    ff_b_out) -> Tensor:
+    """A ``DGABlock``: z0 = x + pos, z1 = z0 + MSA(z0), y = z1 + FF(z1).
+
+    ``x`` is (B, N, C) tokens and ``pos`` (N, C); ``qkv``, ``out_proj`` and
+    ``heads`` are as in ``residual_attention``, which z1 is, and FF(z1) =
+    relu(z1 @ ff_w_in + ff_b_in) @ ff_w_out + ff_b_out, with ``ff_w_in``
+    (C, H), ``ff_b_in`` (H,), ``ff_w_out`` (H, C) and ``ff_b_out`` (C,), as
+    in ``residual_mlp``. One tape node whose closure keeps ``x``, ``pos`` and
+    the weights, not z0, z1, q, k, v, the masks or the hidden layer:
+    backward recomputes z0, then q, k, v, the masks and z1 with
+    ``_attention_forward``, once, and takes the feed-forward's gradients
+    (``_mlp_grads``) and then self-attention's (``_attention_grads``) from
+    them; gx = gz0 and gpos = Σ gz0 over the batch. Each gradient whose
+    input is untracked is skipped, and with only ``ff_b_out`` tracked
+    nothing is recomputed. Output, gradients and ``count_ops`` units equal
+    those of the add, ``residual_attention`` and ``residual_mlp`` nodes it
+    replaces bit for bit.
+    """
+    tensors = [_as_tensor(t) for t in (x, pos, qkv, out_proj, ff_w_in, ff_b_in, ff_w_out,
+                                       ff_b_out)]
+    xd, pd, wd, od, f1, fb1, f2, fb2 = (t.data for t in tensors)
+    B, N, C = xd.shape if xd.ndim == 3 else (-1, -1, -1)
+    H = f1.shape[-1] if f1.ndim == 2 else -1
+    if (C < 0 or heads < 1 or C % heads or pd.shape != (N, C) or wd.shape != (C, 3 * C)
+            or od.shape != (C, C) or f1.shape != (C, H) or fb1.shape != (H,)
+            or f2.shape != (H, C) or fb2.shape != (C,)):
+        raise ShapeError(
+            f"attention_block: x {xd.shape}, pos {pd.shape}, qkv {wd.shape}, out_proj "
+            f"{od.shape}, {heads} heads, ff_w_in {f1.shape}, ff_b_in {fb1.shape}, "
+            f"ff_w_out {f2.shape} and ff_b_out {fb2.shape} do not chain as (B, N, C), "
+            f"(N, C), (C, 3C), (C, C), heads dividing C, (C, H), (H,), (H, C), (C,)")
+    z0 = xd + pd
+    z1, _, attention_macs = _attention_forward(z0, wd, od, heads)
+    y, ff_macs = _mlp_forward(_fold(z1), f1, f2, fb1, fb2)
+    macs = z0.size + attention_macs + ff_macs
+    records = rx, rp, rw, ro, r1, rb1, r2, rb2 = tuple(t._tape for t in tensors)
+    on_x, on_p, on_w, on_o, on_1, on_b1, on_2, on_b2 = (r.requires_grad for r in records)
+    on_z0 = on_x or on_p  # whether the chain's z0 and z1 were tracked
+    on_z1 = on_z0 or on_w or on_o
+
+    def backward_fn(g):
+        g2 = _fold(g)
+        if on_b2:
+            rb2._accum(g2.sum(axis=0))
+        if not (on_z1 or on_1 or on_2 or on_b1):
+            return
+        z0 = xd + pd
+        z1, attended, _ = _attention_forward(z0, wd, od, heads)
+        gz1, g1, gw2, gb1 = _mlp_grads(g2, _fold(z1), f1, f2, fb1, on_z1, on_1, on_2, on_b1)
+        del z1
+        _feed((r1, r2, rb1), (g1, gw2, gb1))
+        if gz1 is None:
+            return
+        gz0, gw, gout = _attention_grads(gz1.reshape(B, N, C), z0, wd, od, *attended,
+                                         on_z0, on_w, on_o)
+        _feed((rw, ro), (gw, gout))
+        if on_x:
+            rx._accum(gz0)
+        if on_p:
+            rp._accum(_unbroadcast(gz0, rp.shape))
+
+    return _node(y.reshape(B, N, C), records, backward_fn, macs)
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:
@@ -1244,11 +1427,8 @@ def batch_norm(x, gamma, beta, training: bool, stats: RunningStats | None = None
     xd = xd if rg.requires_grad or (training and rx.requires_grad) else None
 
     def backward_fn(g):
-        grads = _bn_grads(g, xd, mu, inv, scale, training,
-                          rx.requires_grad, rg.requires_grad, rb.requires_grad)
-        for record, grad in zip((rx, rg, rb), grads):
-            if grad is not None:
-                record._accum(grad)
+        _feed((rx, rg, rb), _bn_grads(g, xd, mu, inv, scale, training,
+                                      rx.requires_grad, rg.requires_grad, rb.requires_grad))
 
     return _node(y, (rx, rg, rb), backward_fn, (6 if training else 3) * y.size)
 
@@ -1369,9 +1549,7 @@ def bn_relu_conv3d(x, gamma, beta, kernel, training: bool,
         del h
         grads = _bn_grads(gh, xd, mu, inv, scale, training, on_x, on_g, on_b)
         del gh
-        for record, grad in zip((rx, rg, rb), grads):
-            if grad is not None:
-                record._accum(grad)
+        _feed((rx, rg, rb), grads)
 
     return _node(out_data, records, backward_fn, macs)
 

@@ -57,6 +57,8 @@ class TrainConfig(Section):
                               f"{self.beta1}/{self.beta2}")
         if self.eps <= 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:

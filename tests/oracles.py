@@ -228,6 +228,17 @@ def residual_mlp_chain(x, w1, w2, b1=None, b2=None):
     return T.add(x, y if b2 is None else T.add(y, b2))
 
 
+def sga_chain(block, x):
+    """An ``SGABlock``'s token then channel mixing as two ``residual_mlp``
+    nodes over transposes, the chain ``tensor.token_channel_mixing``
+    replaces."""
+    from volformer import tensor as T
+    mixed = T.residual_mlp(T.transpose(x, (0, 2, 1)), T.transpose(block.w_spatial_in),
+                           T.transpose(block.w_spatial_out))
+    return T.residual_mlp(T.transpose(mixed, (0, 2, 1)), T.transpose(block.w_channel_in),
+                          T.transpose(block.w_channel_out))
+
+
 def msa_chain(block, z, return_masks: bool = False):
     """Multi-head self-attention of a ``DGABlock`` (its ``qkv``, ``out_proj``
     and ``heads``) over (B, N, C) tokens, without the residual, as matmul ->

@@ -144,6 +144,17 @@ def test_01_gradients_match_finite_differences(conv_gather):
     cases.append((lambda: _scalarize(T.bn_relu_conv3d(br_x, br_g, br_b, br_k, True, pad=1),
                                      np.random.default_rng(27)), [br_x, br_g, br_b, br_k]))
 
+    srng = np.random.default_rng(28)  # its own draws, as arng above
+    sx, s_si, s_so = _t64(srng, 2, 3, 4), _t64(srng, 5, 3), _t64(srng, 3, 5)
+    s_ci, s_co = _t64(srng, 6, 4), _t64(srng, 4, 6)
+    cases.append((lambda: _scalarize(T.token_channel_mixing(sx, s_si, s_so, s_ci, s_co),
+                                     np.random.default_rng(29)), [sx, s_si, s_so, s_ci, s_co]))
+    drng = np.random.default_rng(30)
+    dga_in = [_t64(drng, *shape) for shape in
+              ((2, 3, 4), (3, 4), (4, 12), (4, 4), (4, 5), (5,), (5, 4), (4,))]
+    cases.append((lambda: _scalarize(T.attention_block(*dga_in[:4], 2, *dga_in[4:]),
+                                     np.random.default_rng(31)), dga_in))
+
     for f, tensors in cases:
         worst = max(worst, _check(f, tensors, tol_prim))
 

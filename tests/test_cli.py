@@ -375,6 +375,51 @@ def test_cv_label_outside_model_classes_exit_2(three_class_manifest, workdir, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dga_heads", 0), ("sga_spatial_hidden", 0), ("sga_channel_expand", 0),
+    ("dga_ff_expand", 0), ("stem_channels", 0), ("dga_pos_std", -1),
+    ("data_norm_eps", -1), ("bn_eps", 0), ("bn_momentum", 2)])
+def test_cv_refuses_block_settings_that_cannot_build_or_train_exit_2(workdir, tmp_path,
+                                                                     capsys, field, value):
+    """Each value made ``cv`` fail mid-run (a traceback or exit 4) or train
+    without complaint; it is refused at the boundary, naming the field,
+    before any file is written."""
+    model = dict(MODEL, attention_plan=["S", "S", "D", "D"], **{field: value})
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg_path.write_text(json.dumps({"model": model, "train": TRAIN,
+                                    "split": {"mode": "kfold", "k": 3}}))
+    rc = main(["cv", "--config", str(cfg_path),
+               "--data", str(workdir / "data" / "manifest.csv"), "--out", str(out)])
+    assert rc == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_cv_refuses_a_negative_seed_exit_2(workdir, tmp_path, capsys, where):
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg_path.write_text(json.dumps({
+        "model": MODEL, "train": dict(TRAIN, seed=-1 if where == "config" else 0),
+        "split": {"mode": "kfold", "k": 3}}))
+    rc = main(["cv", "--config", str(cfg_path),
+               "--data", str(workdir / "data" / "manifest.csv"), "--out", str(out)]
+              + (["--seed", "-3"] if where == "flag" else []))
+    assert rc == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["spec", "flag"])
+def test_gen_refuses_a_negative_seed_exit_2(tmp_path, capsys, where):
+    spec_path, out = tmp_path / "spec.json", tmp_path / "out"
+    spec_path.write_text(json.dumps(dict(SPEC, seed=-2 if where == "spec" else 7)))
+    rc = main(["gen", "--spec", str(spec_path), "--out", str(out)]
+              + (["--seed", "-2"] if where == "flag" else []))
+    assert rc == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_cv_rejects_non_positive_jobs_exit_2(workdir, tmp_path, capsys, jobs):
     out = tmp_path / "o"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (dga_loops, feed_forward_chain, msa_chain, numeric_grad, rel_error,
-                     sga_loops)
+                     sga_chain, sga_loops)
 from volformer import layers as L
 from volformer import tensor as T
 from volformer.errors import ShapeError
@@ -217,10 +217,11 @@ def test_sga_gradient():
     check_grads(lambda: T.tensor_sum(T.mul(block.forward(x), w)), tracked, tol=1e-4)
 
 
-def test_sga_forward_retains_at_most_twice_its_input():
-    """A training forward keeps its token-mixed tokens and its output, each
-    the size of its input, and no hidden layer or layout copy (5.1x its
-    input, 5.4x here, when the hidden layers were kept)."""
+def test_sga_forward_retains_its_output_alone():
+    """A training forward keeps the block's output and nothing else: its
+    node keeps the input, which the caller holds, and not the token-mixed
+    tokens (one more input-sized array when each stage was a node), a
+    hidden layer or a layout copy."""
     rng = np.random.default_rng(39)
     block = L.SGABlock(216, 32, 64, 2, rng)
     x = Tensor(rng.normal(size=(4, 216, 32)).astype(np.float32), requires_grad=True)
@@ -232,9 +233,44 @@ def test_sga_forward_retains_at_most_twice_its_input():
     finally:
         tracemalloc.stop()
     assert y.requires_grad
-    assert retained <= 2 * x.data.nbytes + 8192, retained / x.data.nbytes
+    assert retained <= y.data.nbytes + 8192, retained / y.data.nbytes
     T.backward(T.tensor_sum(y))
     assert all(t.grad is not None for _, t in block.params())
+
+
+def _tracking(mode, x, params):
+    """Track ``x`` and ``params`` as a step does in training ("all"),
+    ``grad_cam`` does ("input") or with ``x`` left untracked ("weights")."""
+    x.requires_grad = mode != "weights"
+    for p in params:
+        p.requires_grad = mode != "input"
+        p.grad = None
+
+
+@pytest.mark.parametrize("mode", ["all", "input", "weights"])
+def test_sga_forward_and_gradients_equal_the_chains_bit_for_bit(mode):
+    """float32, every weight random, tokens the (B, N, C) transpose of a
+    (B, C, N) array as the encoder makes them: the block's node against its
+    two ``residual_mlp`` stages (``oracles.sga_chain``), output and every
+    input and parameter gradient compared exactly, None where untracked."""
+    rng = np.random.default_rng(48)
+    block = random_sga(12, 8, 6, rng, dtype=np.float32)
+    base = rng.normal(size=(3, 8, 12)).astype(np.float32)
+    g = Tensor(rng.normal(size=(3, 12, 8)).astype(np.float32))
+    params = [t for _, t in block.params()]
+    results = []
+    for fn in (block.forward, lambda x: sga_chain(block, x)):
+        leaf = Tensor(base)
+        _tracking(mode, leaf, params)
+        y = fn(T.transpose(leaf, (0, 2, 1)))
+        T.backward(T.tensor_sum(T.mul(y, g)))
+        results.append([y.data, leaf.grad] + [t.grad for t in params])
+    for got, want in zip(*results):
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want)
+    assert (results[0][1] is None) == (mode == "weights")
 
 
 def test_sga_cost_grows_linearly_with_tokens():
@@ -289,28 +325,57 @@ def test_dga_msa_is_zero_at_init_so_z1_equals_z0():
 
 
 def test_dga_forward_and_gradients_equal_the_chains_bit_for_bit():
-    """float32, every weight random: the block's two nodes against
+    """float32, every weight random: the block's node against
     z1 = z0 + MSA(z0), z2 = z1 + FF(z1) as primitive chains, output and every
-    parameter and input gradient compared exactly."""
+    parameter and input gradient compared exactly, with everything tracked
+    (training), only the input (as ``grad_cam`` runs) or only the
+    parameters."""
     rng = np.random.default_rng(44)
     block = random_dga(9, 8, 2, rng, dtype=np.float32)
     x = rng.normal(size=(3, 9, 8)).astype(np.float32)
     g = Tensor(rng.normal(size=(3, 9, 8)).astype(np.float32))
+    params = [t for _, t in block.params()]
 
     def chain(xt):
         z0 = T.add(xt, block.pos_embed)
         z1 = T.add(z0, msa_chain(block, z0))
         return T.add(z1, feed_forward_chain(block, z1))
 
-    results = []
-    for fn in (block.forward, chain):
-        xt = Tensor(x, requires_grad=True)
-        T.zero_grads([t for _, t in block.params()])
-        y = fn(xt)
-        T.backward(T.tensor_sum(T.mul(y, g)))
-        results.append([y.data, xt.grad] + [t.grad for _, t in block.params()])
-    for got, want in zip(*results):
-        np.testing.assert_array_equal(got, want)
+    for mode in ("all", "input", "weights"):
+        results = []
+        for fn in (block.forward, chain):
+            xt = Tensor(x)
+            _tracking(mode, xt, params)
+            y = fn(xt)
+            T.backward(T.tensor_sum(T.mul(y, g)))
+            results.append([y.data, xt.grad] + [t.grad for t in params])
+        for got, want in zip(*results):
+            if want is None:
+                assert got is None, mode
+            else:
+                np.testing.assert_array_equal(got, want)
+        assert (results[0][1] is None) == (mode == "weights")
+
+
+def test_dga_forward_retains_its_output_alone():
+    """A training forward keeps the block's output and nothing else: its
+    node keeps the input, which the caller holds, and not z0 = x + pos or
+    z1 (two more input-sized arrays when each stage was a node), q, k, v,
+    the masks or the feed-forward's hidden layer."""
+    rng = np.random.default_rng(49)
+    block = L.DGABlock(216, 32, 4, 4, 0.02, rng)
+    x = Tensor(rng.normal(size=(4, 216, 32)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = block.forward(x)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad
+    assert retained <= y.data.nbytes + 8192, retained / y.data.nbytes
+    T.backward(T.tensor_sum(y))
+    assert all(t.grad is not None for _, t in block.params())
 
 
 def test_dga_mask_rows_sum_to_one_even_for_extreme_inputs():

@@ -405,6 +405,26 @@ def test_residual_attention_shape_errors_name_every_shape():
             T.residual_attention(*args)
 
 
+def test_attention_block_nodes_shape_errors_name_every_shape():
+    """Both block nodes refuse operands that do not chain and name each
+    operand's shape."""
+    x = Tensor(np.zeros((2, 3, 4)))
+    sga = [Tensor(np.zeros(s)) for s in ((5, 3), (3, 5), (6, 4), (4, 6))]
+    for i, bad in ((0, (5, 4)), (1, (3, 6)), (2, (6, 3)), (3, (6, 4))):
+        args = sga[:i] + [Tensor(np.zeros(bad))] + sga[i + 1:]
+        with pytest.raises(ShapeError, match=r"x \(2, 3, 4\), w_spatial_in .*w_channel_out"):
+            T.token_channel_mixing(x, *args)
+    dga = [Tensor(np.zeros(s)) for s in ((3, 4), (4, 12), (4, 4), (4, 5), (5,), (5, 4), (4,))]
+    for i, bad in ((0, (2, 4)), (1, (4, 8)), (2, (4, 5)), (3, (5, 5)), (4, (4,)),
+                   (5, (4, 5)), (6, (5,))):
+        args = dga[:i] + [Tensor(np.zeros(bad))] + dga[i + 1:]
+        with pytest.raises(ShapeError, match=r"x \(2, 3, 4\), pos .*ff_b_out"):
+            T.attention_block(x, *args[:3], 2, *args[3:])
+    for heads in (0, 3):
+        with pytest.raises(ShapeError, match=f"{heads} heads"):
+            T.attention_block(x, *dga[:3], heads, *dga[3:])
+
+
 @pytest.mark.parametrize("mode", ["train", "eval", "grad_cam"])
 def test_bn_relu_conv3d_matches_the_chain(mode, conv_gather):
     """The single node against ``bn_relu_conv_chain``, on both conv gather
@@ -1094,6 +1114,17 @@ PRIMITIVES = {
     # for the score and value GEMMs, the scale and the softmax
     "residual_attention": (lambda z, w, o: T.residual_attention(z, w, o, 2),
                            [(2, 3, 4), (4, 12), (4, 4)], 6 * (4 * 16 + 4) + 2 * 2 * 9 * (2 * 2 + 5)),
+    # the two residual_mlp nodes it replaces: B*C channel columns of 2*N*Hs + Hs + N
+    # and B*N token rows of 2*C*Hc + Hc + C
+    "token_channel_mixing": (T.token_channel_mixing,
+                             [(2, 3, 4), (5, 3), (3, 5), (6, 4), (4, 6)],
+                             8 * (2 * 3 * 5 + 5 + 3) + 6 * (2 * 4 * 6 + 6 + 4)),
+    # the add (B*N*C), residual_attention and residual_mlp nodes it replaces
+    "attention_block": (lambda x, p, w, o, a, b, c, d: T.attention_block(x, p, w, o, 2,
+                                                                         a, b, c, d),
+                        [(2, 3, 4), (3, 4), (4, 12), (4, 4), (4, 5), (5,), (5, 4), (4,)],
+                        24 + 6 * (4 * 16 + 4) + 2 * 2 * 9 * (2 * 2 + 5)
+                        + 6 * (2 * 4 * 5 + 5 + 4 + 5 + 4)),
     "conv3d": (lambda x, k: T.conv3d(x, k, 1, 1), [(1, 2, 4, 4, 4), (3, 2, 3, 3, 3)],
                3 * 2 * 27 * 64),
     # the chain's: 6 units (batch norm) + 1 (relu) per element of x, plus the conv
