@@ -326,6 +326,11 @@ def cmd_audit(args) -> int:
     with _map_model(args) as net:
         localize.resolve_layer(net, 0, args.layer)  # the layer; class 0 always exists
         spec = data.SyntheticSpec.from_dict(_read_json(args.spec))
+        extent = tuple(net.cfg.input_extent)
+        for c, center in enumerate(spec.blob_centers):
+            if any(not 0 <= x < e for x, e in zip(center, extent)):
+                raise ConfigError(f"class {c} blob center {center} lies outside the "
+                                  f"model's input extent {extent}")
         resolved = {"command": "audit",
                     "ckpt": str(args.ckpt), "manifest": str(args.manifest),
                     "layer": args.layer, "fraction": args.fraction,

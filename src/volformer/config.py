@@ -4,7 +4,9 @@ so the package import applies the cap before numpy loads."""
 
 from __future__ import annotations
 
+import json
 import os
+import typing
 from dataclasses import fields, replace
 
 from .errors import ConfigError
@@ -34,6 +36,23 @@ def _tuples(value):
     return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value, its lists made tuples, has the declared type
+    ``hint``: an int passes for a float, a bool only for a bool, and each
+    tuple element and ``| None`` is checked."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_conforms, value, args))
+    if args:  # a union such as int | None
+        return any(_conforms(value, a) for a in args)
+    types = (int, float) if hint is float else hint
+    return isinstance(value, types) and isinstance(value, bool) == (hint is bool)
+
+
 def _plain(value):
     if isinstance(value, Section):
         return value.to_dict()
@@ -53,16 +72,20 @@ class Section:
     @classmethod
     def from_dict(cls, doc, base=None):
         """Build and validate the section from a JSON object: unknown keys are
-        rejected, lists become tuples, missing keys keep ``base``'s (or ``cls()``'s)."""
+        rejected, lists become tuples, each value must have its field's
+        declared type, and missing keys keep ``base``'s (or ``cls()``'s)."""
         if not isinstance(doc, dict):
             raise ConfigError(f"{cls.what} must be an object, got {type(doc).__name__}")
-        unknown = set(doc) - {f.name for f in fields(cls)}
+        declared = {f.name: f.type for f in fields(cls)}
+        unknown = set(doc) - set(declared)
         if unknown:
             raise ConfigError(f"unknown {cls.what} keys: {sorted(unknown)}")
-        try:
-            obj = replace(cls() if base is None else base,
-                          **{k: _tuples(v) for k, v in doc.items()})
-        except TypeError as err:
-            raise ConfigError(str(err)) from None
+        hints = typing.get_type_hints(cls)
+        values = {k: _tuples(v) for k, v in doc.items()}
+        for name, value in values.items():
+            if not _conforms(value, hints[name]):
+                raise ConfigError(f"{cls.what} field {name!r} must be {declared[name]}, "
+                                  f"got {json.dumps(doc[name])}")
+        obj = replace(cls() if base is None else base, **values)
         obj.validate()
         return obj

@@ -517,6 +517,8 @@ def save_checkpoint(path, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> N
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a checkpoint's metadata and named arrays; a tensor holding NaN or
+    ±inf is refused like a corrupt one."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -545,7 +547,10 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         dtype = _CODE_DTYPES[code]
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         payload = reader.payload(nbytes, f"tensor {name!r} payload")
-        arrays[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {name!r} holds non-finite values")
+        arrays[name] = arr.copy()
     reader.finish()
     return meta, arrays
 

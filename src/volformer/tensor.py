@@ -16,25 +16,23 @@ each node's closure fires exactly once and gradients accumulate additively
 across multiple uses of the same tensor. The sweep consumes the graph: a
 record drops its closure and parents once its closure has run. Held tensors
 keep their ``.grad``; a second sweep that reaches a consumed node is a
-``StateError``. ``batch_norm``, ``softmax``, ``residual_mlp``,
-``residual_attention``, ``token_channel_mixing``, ``attention_block`` and
-``bn_relu_conv3d`` are single nodes with closed-form backwards; their
-docstrings give the formulas and their ``count_ops`` units. ``residual_mlp``
-keeps its input, not its hidden layer, and recomputes that with one GEMM in
-backward. ``residual_attention`` keeps its input, not q, k, v, the softmax
-masks or the concatenated heads, and recomputes them in backward with one
-projection GEMM, the batched score GEMMs and the softmax. The two global
-attention blocks are one node each that keeps only its input and weights:
-``token_channel_mixing`` (an SGA block, two residual MLPs) recomputes its
-token-mixed tokens, and ``attention_block`` (a DGA block) z0 = x + pos, q,
-k, v, the masks and z1, once per backward. ``bn_relu_conv3d`` (batch norm,
-ReLU, then a conv) keeps its input, not the ReLU's output h, and recomputes h
-in backward with one scale, shift and max per element. The fused nodes
-compute with array-level helpers shared with the nodes they fuse (``_bn_*``,
-``_conv3d_*``, ``_mlp_*``, ``_attend``, ``_attention_*``), so each formula
-has one copy, and backward calls them directly rather than sweeping a
-sub-graph. A batched operand times a matrix, in ``matmul`` and the MLP and
-attention nodes, is one GEMM over the folded leading axes.
+``StateError``. ``batch_norm``, ``softmax``, ``token_channel_mixing``,
+``attention_block`` and ``bn_relu_conv3d`` are single nodes with closed-form
+backwards; their docstrings give the formulas and their ``count_ops`` units.
+The two global attention blocks are one node each that keeps only its input
+and weights: ``token_channel_mixing`` (an SGA block, two residual MLPs)
+recomputes its token-mixed tokens and hidden layers, and ``attention_block``
+(a DGA block) z0 = x + pos, q, k, v, the softmax masks, the concatenated
+heads, z1 and the feed-forward's hidden layer, once per backward.
+``bn_relu_conv3d`` (batch norm, ReLU, then a conv) keeps its input, not the
+ReLU's output h, and recomputes h in backward with one scale, shift and max
+per element. The fused nodes compute with array-level helpers: ``_bn_*`` and
+``_conv3d_*``, shared with ``batch_norm`` and ``conv3d``; ``_mlp_*`` (a
+residual MLP), ``_attend``, ``_merge`` and ``_attention_*`` (residual
+multi-head self-attention), whose docstrings give the layouts and backward
+formulas. So each formula has one copy, and backward calls the helpers
+directly rather than sweeping a sub-graph. A batched operand times a matrix,
+in ``matmul`` and the block nodes, is one GEMM over the folded leading axes.
 
 ``conv3d`` is im2col plus GEMM that never holds a whole patch matrix (after
 Anderson et al. 2017 and Dukhan 2019): ``_patch_chunks`` gathers it in runs
@@ -240,10 +238,6 @@ def _node(data, parents, backward_fn, macs=0) -> Tensor:
       ``softmax``: the output; ``log``: the input;
     - ``batch_norm``: the input, only if ``gamma`` or, in training mode,
       the input is tracked;
-    - ``residual_mlp``: the input and the weights (never the hidden layer),
-      unless only the output bias is tracked;
-    - ``residual_attention``: the input and the weights (never q, k, v, the
-      masks or the concatenated heads);
     - ``token_channel_mixing``: the input and the weights (never the
       token-mixed tokens, a hidden layer or a layout copy);
     - ``attention_block``: the input, ``pos`` and the weights (never z0, z1,
@@ -1026,7 +1020,7 @@ def softmax(x, axis: int = -1) -> Tensor:
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     """exp(x − max) normalized along ``axis``: the forward of ``softmax`` and
-    of the masks in ``residual_attention``."""
+    of the masks in ``_attend``."""
     y = np.exp(x - x.max(axis=axis, keepdims=True))
     y /= y.sum(axis=axis, keepdims=True)
     return y
@@ -1047,7 +1041,7 @@ def _feed(records, grads) -> None:
 
 
 def _mlp_hidden(rows: np.ndarray, w1: np.ndarray, b1) -> np.ndarray:
-    """relu(rows @ w1 + b1), the hidden layer of ``residual_mlp``."""
+    """relu(rows @ w1 + b1), the hidden layer of ``_mlp_forward``."""
     h = rows @ w1
     if b1 is not None:
         h += b1
@@ -1055,8 +1049,11 @@ def _mlp_hidden(rows: np.ndarray, w1: np.ndarray, b1) -> np.ndarray:
 
 
 def _mlp_forward(rows: np.ndarray, w1: np.ndarray, w2: np.ndarray, b1=None, b2=None):
-    """``residual_mlp`` over a (M, K) matrix of rows: rows + (relu(rows @ w1
-    + b1) @ w2 + b2), and its ``count_ops`` units."""
+    """A residual MLP over a (M, K) matrix of rows, rows + (relu(rows @ w1
+    + b1) @ w2 + b2), each layer one GEMM, with ``w1`` (K, H), ``w2`` (H, K)
+    and the optional biases (H,) and (K,); and its ``count_ops`` units, what
+    the matmul, bias, relu and residual-add chain counts: per row 2·K·H
+    multiply-adds plus H + K, and one more per bias entry."""
     y = _mlp_hidden(rows, w1, b1) @ w2
     if b2 is not None:
         y += b2
@@ -1068,9 +1065,12 @@ def _mlp_forward(rows: np.ndarray, w1: np.ndarray, w2: np.ndarray, b1=None, b2=N
 
 def _mlp_grads(g2: np.ndarray, rows: np.ndarray, w1, w2, b1, on_x: bool, on_w1: bool,
                on_w2: bool, on_b1: bool):
-    """``residual_mlp``'s (gx, gw1, gw2, gb1) for the output gradient ``g2``
-    of ``rows``, both (M, K), each None where its flag is off. The hidden
-    layer is recomputed here; gb2 = Σ g2 is the caller's."""
+    """``_mlp_forward``'s (gx, gw1, gw2, gb1) for the output gradient ``g2``
+    of ``rows``, both (M, K), each None where its flag is off. No caller
+    keeps the hidden layer: it is recomputed here, h = relu(rows @ w1 + b1)
+    with one GEMM (Chen et al. 2016). Then with gh = (g2 @ w2ᵀ)·[h > 0],
+    gx = g2 + gh @ w1ᵀ, gw1 = rowsᵀ gh, gb1 = Σ gh and gw2 = hᵀ g2;
+    gb2 = Σ g2 is the caller's."""
     h = _mlp_hidden(rows, w1, b1)
     gw2 = h.T @ g2 if on_w2 else None
     gx = gw1 = gb1 = None
@@ -1088,57 +1088,6 @@ def _mlp_grads(g2: np.ndarray, rows: np.ndarray, w1, w2, b1, on_x: bool, on_w1: 
     return gx, gw1, gw2, gb1
 
 
-def residual_mlp(x, w1, w2, b1=None, b2=None) -> Tensor:
-    """y = x + (relu(x @ w1 + b1) @ w2 + b2) over the last axis of ``x``.
-
-    ``x`` is (..., K), ``w1`` (K, H), ``w2`` (H, K) and the optional biases
-    (H,) and (K,); each layer is one GEMM over the leading axes of ``x``
-    folded into its rows. One tape node whose closure keeps ``x`` and the
-    weights but not the hidden layer: backward recomputes
-    h = relu(x @ w1 + b1) with one GEMM (Chen et al. 2016), then with
-    gh = (g @ w2ᵀ)·[h > 0] takes gx = g + gh @ w1ᵀ, gw1 = xᵀ gh,
-    gb1 = Σ gh, gw2 = hᵀ g and gb2 = Σ g. ``x`` is kept unless only ``b2``
-    is tracked. ``count_ops``: what the matmul, bias, relu and residual-add
-    chain it replaces counts, per row 2·K·H multiply-adds plus H + K, and
-    one more per bias entry.
-    """
-    x, w1, w2 = _as_tensor(x), _as_tensor(w1), _as_tensor(w2)
-    b1, b2 = (None if b is None else _as_tensor(b) for b in (b1, b2))
-    xd, w1d, w2d = x.data, w1.data, w2.data
-    b1d, b2d = (None if b is None else b.data for b in (b1, b2))
-    K = xd.shape[-1] if xd.ndim else -1
-    H = w1d.shape[-1] if w1d.ndim == 2 else -1
-    if (w1d.shape != (K, H) or w2d.shape != (H, K)
-            or (b1d is not None and b1d.shape != (H,))
-            or (b2d is not None and b2d.shape != (K,))):
-        raise ShapeError(
-            f"residual_mlp: x {xd.shape}, w1 {w1d.shape}, w2 {w2d.shape}, "
-            f"b1 {None if b1d is None else b1d.shape} and "
-            f"b2 {None if b2d is None else b2d.shape} do not chain as "
-            f"(..., K), (K, H), (H, K), (H,), (K,)")
-    # _fold copies where x is a transposed view: backward folds again
-    y, macs = _mlp_forward(_fold(xd), w1d, w2d, b1d, b2d)
-    tapes = [None if t is None else t._tape for t in (x, w1, w2, b1, b2)]
-    rx, r1, r2, rb1, rb2 = tapes
-    on_x, on_w1, on_w2, on_b1, on_b2 = (t is not None and t.requires_grad
-                                        for t in (x, w1, w2, b1, b2))
-    # Every gradient but b2's reads the hidden layer, recomputed from x.
-    xd = xd if on_x or on_w1 or on_w2 or on_b1 else None
-
-    def backward_fn(g):
-        g2 = _fold(g)
-        if on_b2:
-            rb2._accum(g2.sum(axis=0))
-        if xd is None:
-            return
-        gx, gw1, gw2, gb1 = _mlp_grads(g2, _fold(xd), w1d, w2d, b1d,
-                                       on_x, on_w1, on_w2, on_b1)
-        _feed((rx, r1, r2, rb1), (None if gx is None else gx.reshape(rx.shape), gw1, gw2, gb1))
-
-    return _node(y.reshape(x.data.shape), [r for r in tapes if r is not None], backward_fn,
-                 macs)
-
-
 def token_channel_mixing(x, w_spatial_in, w_spatial_out, w_channel_in,
                          w_channel_out) -> Tensor:
     """An ``SGABlock``: token mixing, then channel mixing, both residual.
@@ -1146,16 +1095,16 @@ def token_channel_mixing(x, w_spatial_in, w_spatial_out, w_channel_in,
     ``x`` is (B, N, C) tokens; the weights are laid out as the block holds
     them, ``w_spatial_in`` (Hs, N), ``w_spatial_out`` (N, Hs),
     ``w_channel_in`` (Hc, C) and ``w_channel_out`` (C, Hc). Token mixing is
-    ``residual_mlp`` over the (B, C, N) transpose of ``x`` with the spatial
-    weights transposed, m = xᵀ + relu(xᵀ w_spatial_inᵀ) w_spatial_outᵀ;
-    channel mixing is ``residual_mlp`` over mᵀ with the channel weights
-    transposed. One tape node whose closure keeps ``x`` and the weights,
-    not the token-mixed tokens m or either hidden layer: backward
-    recomputes m with ``_mlp_forward``, once, and then takes both stages'
-    gradients as ``residual_mlp`` does, skipping each one whose input is
+    the residual MLP of ``_mlp_forward`` over the (B, C, N) transpose of
+    ``x`` with the spatial weights transposed,
+    m = xᵀ + relu(xᵀ w_spatial_inᵀ) w_spatial_outᵀ; channel mixing is the
+    same over mᵀ with the channel weights transposed. One tape node whose
+    closure keeps ``x`` and the weights, not the token-mixed tokens m or
+    either hidden layer: backward recomputes m, once, and then takes both
+    stages' gradients with ``_mlp_grads``, skipping each one whose input is
     untracked (m's gradient too, where ``x`` and the spatial weights are
     untracked). Output, gradients and ``count_ops`` units equal those of
-    the two ``residual_mlp`` nodes and transposes it replaces bit for bit.
+    the transpose, matmul, relu and add chain it replaces bit for bit.
     """
     tensors = [_as_tensor(t) for t in (x, w_spatial_in, w_spatial_out, w_channel_in,
                                        w_channel_out)]
@@ -1203,7 +1152,10 @@ def token_channel_mixing(x, w_spatial_in, w_spatial_out, w_channel_in,
 def _attend(zd: np.ndarray, wd: np.ndarray, heads: int):
     """q, k, v and the masks of multi-head self-attention over (B, N, C)
     tokens with the (C, 3C) projection ``wd``, each (B, heads, N, ·), in
-    the order of the matmul, narrow, scale and softmax chain."""
+    the order of the matmul, narrow, scale and softmax chain. C is a
+    multiple of ``heads`` and hd = C / heads: head i's q, k and v are
+    columns [3·hd·i, 3·hd·(i+1)) of z @ wd, in that order, and its mask is
+    m = softmax(q kᵀ / √hd) over the keys."""
     B, N, C = zd.shape
     hd = C // heads
     lin = (_fold(zd) @ wd).reshape(B, N, heads, 3 * hd).transpose(0, 2, 1, 3)
@@ -1214,14 +1166,19 @@ def _attend(zd: np.ndarray, wd: np.ndarray, heads: int):
 
 
 def _merge(heads_out: np.ndarray) -> np.ndarray:
-    """(B, heads, N, hd) head outputs as (B·N, C) rows, heads concatenated."""
+    """(B, heads, N, hd) head outputs m v as (B·N, C) rows, heads
+    concatenated, the input of the output projection."""
     B, heads, N, hd = heads_out.shape
     return heads_out.transpose(0, 2, 1, 3).reshape(B * N, heads * hd)
 
 
 def _attention_forward(zd: np.ndarray, wd: np.ndarray, od: np.ndarray, heads: int):
-    """``residual_attention``'s y = z + MSA(z), with the q, k, v and masks
-    of ``_attend`` and the merged heads; and its ``count_ops`` units."""
+    """y = z + MSA(z) over (B, N, C) tokens: the merged heads of ``_attend``
+    projected by the (C, C) ``od``, plus the residual. Also returns the q,
+    k, v and masks of ``_attend`` and the merged heads, which
+    ``_attention_grads`` reads, and the ``count_ops`` units of the matmul,
+    scale, softmax and residual-add chain: B·N·(4C² + C) plus
+    B·heads·N²·(2·hd + 5)."""
     B, N, C = zd.shape
     q, k, v, masks = _attend(zd, wd, heads)
     merged = _merge(np.matmul(masks, v))
@@ -1233,16 +1190,20 @@ def _attention_forward(zd: np.ndarray, wd: np.ndarray, od: np.ndarray, heads: in
 
 def _attention_grads(g: np.ndarray, zd: np.ndarray, wd, od, q, k, v, masks, merged,
                      on_z: bool, on_w: bool, on_o: bool):
-    """``residual_attention``'s (gz, gqkv, gout_proj) for the output gradient
+    """``_attention_forward``'s (gz, gqkv, gout_proj) for the output gradient
     ``g`` of tokens ``zd``, each None where its flag is off, from the q, k,
-    v and masks of ``_attend`` and the merged heads (None: recomputed where
-    gout_proj needs them)."""
+    v, masks and merged heads it returned; a caller recomputes those rather
+    than keeping them, as FlashAttention does (Dao et al. 2022). Per head,
+    with go = g out_projᵀ for that head and gs = softmax_grad(go vᵀ) / √hd:
+    gq = gs k, gk = gsᵀ q, gv = mᵀ go, gz = g + [gq gk gv] qkvᵀ,
+    gqkv = zᵀ [gq gk gv] and gout_proj = mergedᵀ g. ``out_proj``'s alone
+    needs no softmax backward."""
     B, heads, N, hd = q.shape
     C = heads * hd
     g2 = _fold(g)
     gz = gw = gout = None
     if on_o:
-        gout = (_merge(np.matmul(masks, v)) if merged is None else merged).T @ g2
+        gout = merged.T @ g2
     if not (on_z or on_w):
         return gz, gw, gout
     go = (g2 @ od.T).reshape(B, N, heads, hd).transpose(0, 2, 1, 3)
@@ -1263,63 +1224,25 @@ def _attention_grads(g: np.ndarray, zd: np.ndarray, wd, od, q, k, v, masks, merg
     return gz, gw, gout
 
 
-def residual_attention(z, qkv, out_proj, heads: int) -> Tensor:
-    """y = z + MSA(z): multi-head self-attention over the tokens of ``z``.
-
-    ``z`` is (B, N, C), ``qkv`` (C, 3C) and ``out_proj`` (C, C), with C a
-    multiple of ``heads`` and hd = C / heads. Head i's q, k and v are columns
-    [3·hd·i, 3·hd·(i+1)) of z @ qkv, in that order; its mask is
-    m = softmax(q kᵀ / √hd) over the keys and its output m v. The heads'
-    outputs, concatenated, are projected by ``out_proj``. One tape node whose
-    closure keeps ``z`` and the weights but not q, k, v, the (B, heads, N, N)
-    masks or the concatenated heads: backward recomputes them with one GEMM of
-    z, the batched score GEMMs and the softmax (as FlashAttention does, Dao et
-    al. 2022). Then, per head, with go = (g out_projᵀ) for that head and
-    gs = softmax_grad(go vᵀ) / √hd, it takes gq = gs k, gk = gsᵀ q,
-    gv = mᵀ go, gz = g + [gq gk gv] qkvᵀ, gqkv = zᵀ [gq gk gv] and
-    gout_proj = headsᵀ g. A gradient whose input is untracked is skipped;
-    ``out_proj``'s alone needs no softmax backward. ``count_ops``: what the
-    matmul, scale, softmax and residual-add chain it replaces counts,
-    B·N·(4C² + C) plus B·heads·N²·(2·hd + 5).
-    """
-    z, qkv, out_proj = _as_tensor(z), _as_tensor(qkv), _as_tensor(out_proj)
-    zd, wd, od = z.data, qkv.data, out_proj.data
-    C = zd.shape[2] if zd.ndim == 3 else -1
-    if (C < 0 or heads < 1 or C % heads or wd.shape != (C, 3 * C)
-            or od.shape != (C, C)):
-        raise ShapeError(
-            f"residual_attention: z {zd.shape}, qkv {wd.shape}, out_proj {od.shape} "
-            f"and {heads} heads do not chain as (B, N, C), (C, 3C), (C, C) with C "
-            f"a multiple of heads")
-    y, _, macs = _attention_forward(zd, wd, od, heads)
-    records = tuple(t._tape for t in (z, qkv, out_proj))
-    on = tuple(r.requires_grad for r in records)
-
-    def backward_fn(g):
-        # grad_cam's z alone computes no merged heads
-        _feed(records, _attention_grads(g, zd, wd, od, *_attend(zd, wd, heads), None, *on))
-
-    return _node(y, records, backward_fn, macs)
-
-
 def attention_block(x, pos, qkv, out_proj, heads: int, ff_w_in, ff_b_in, ff_w_out,
                     ff_b_out) -> Tensor:
     """A ``DGABlock``: z0 = x + pos, z1 = z0 + MSA(z0), y = z1 + FF(z1).
 
-    ``x`` is (B, N, C) tokens and ``pos`` (N, C); ``qkv``, ``out_proj`` and
-    ``heads`` are as in ``residual_attention``, which z1 is, and FF(z1) =
-    relu(z1 @ ff_w_in + ff_b_in) @ ff_w_out + ff_b_out, with ``ff_w_in``
-    (C, H), ``ff_b_in`` (H,), ``ff_w_out`` (H, C) and ``ff_b_out`` (C,), as
-    in ``residual_mlp``. One tape node whose closure keeps ``x``, ``pos`` and
-    the weights, not z0, z1, q, k, v, the masks or the hidden layer:
-    backward recomputes z0, then q, k, v, the masks and z1 with
-    ``_attention_forward``, once, and takes the feed-forward's gradients
-    (``_mlp_grads``) and then self-attention's (``_attention_grads``) from
-    them; gx = gz0 and gpos = Σ gz0 over the batch. Each gradient whose
-    input is untracked is skipped, and with only ``ff_b_out`` tracked
-    nothing is recomputed. Output, gradients and ``count_ops`` units equal
-    those of the add, ``residual_attention`` and ``residual_mlp`` nodes it
-    replaces bit for bit.
+    ``x`` is (B, N, C) tokens and ``pos`` (N, C); ``qkv`` (C, 3C),
+    ``out_proj`` (C, C) and ``heads`` lay out self-attention as ``_attend``
+    says, and FF(z1) = relu(z1 @ ff_w_in + ff_b_in) @ ff_w_out + ff_b_out,
+    with ``ff_w_in`` (C, H), ``ff_b_in`` (H,), ``ff_w_out`` (H, C) and
+    ``ff_b_out`` (C,), the residual MLP of ``_mlp_forward``. One tape node
+    whose closure keeps ``x``, ``pos`` and the weights, not z0, z1, q, k, v,
+    the masks or the hidden layer: backward recomputes z0, then q, k, v,
+    the masks and z1 with ``_attention_forward``, once, and takes the
+    feed-forward's gradients (``_mlp_grads``) and then self-attention's
+    (``_attention_grads``) from them; gx = gz0 and gpos = Σ gz0 over the
+    batch. Each gradient whose input is untracked is skipped, and with only
+    ``ff_b_out`` tracked nothing is recomputed. Output, gradients and
+    ``count_ops`` units equal those of the add, self-attention and
+    feed-forward chains it replaces bit for bit: B·N·C for z0 plus
+    ``_attention_forward``'s and ``_mlp_forward``'s units.
     """
     tensors = [_as_tensor(t) for t in (x, pos, qkv, out_proj, ff_w_in, ff_b_in, ff_w_out,
                                        ff_b_out)]

@@ -219,8 +219,9 @@ def softmax_chain(x, axis: int = -1):
 
 
 def residual_mlp_chain(x, w1, w2, b1=None, b2=None):
-    """The residual MLP as matmul -> bias -> relu -> matmul -> bias -> add
-    nodes, the chain ``tensor.residual_mlp`` replaces."""
+    """The residual MLP x + (relu(x @ w1 + b1) @ w2 + b2) as matmul -> bias
+    -> relu -> matmul -> bias -> add nodes: each stage of an ``SGABlock``
+    and a ``DGABlock``'s feed-forward with its residual."""
     from volformer import tensor as T
     h = T.matmul(x, w1)
     h = T.relu(h if b1 is None else T.add(h, b1))
@@ -229,21 +230,20 @@ def residual_mlp_chain(x, w1, w2, b1=None, b2=None):
 
 
 def sga_chain(block, x):
-    """An ``SGABlock``'s token then channel mixing as two ``residual_mlp``
-    nodes over transposes, the chain ``tensor.token_channel_mixing``
-    replaces."""
+    """An ``SGABlock``'s token then channel mixing as two
+    ``residual_mlp_chain`` stages over transposes, the chain
+    ``tensor.token_channel_mixing`` replaces."""
     from volformer import tensor as T
-    mixed = T.residual_mlp(T.transpose(x, (0, 2, 1)), T.transpose(block.w_spatial_in),
-                           T.transpose(block.w_spatial_out))
-    return T.residual_mlp(T.transpose(mixed, (0, 2, 1)), T.transpose(block.w_channel_in),
-                          T.transpose(block.w_channel_out))
+    mixed = residual_mlp_chain(T.transpose(x, (0, 2, 1)), T.transpose(block.w_spatial_in),
+                               T.transpose(block.w_spatial_out))
+    return residual_mlp_chain(T.transpose(mixed, (0, 2, 1)), T.transpose(block.w_channel_in),
+                              T.transpose(block.w_channel_out))
 
 
 def msa_chain(block, z, return_masks: bool = False):
     """Multi-head self-attention of a ``DGABlock`` (its ``qkv``, ``out_proj``
     and ``heads``) over (B, N, C) tokens, without the residual, as matmul ->
-    narrow -> scale -> softmax -> matmul nodes: the chain
-    ``tensor.residual_attention`` replaces. With ``return_masks`` also
+    narrow -> scale -> softmax -> matmul nodes. With ``return_masks`` also
     returns the (B, heads, N, N) masks."""
     from volformer import tensor as T
     b, n, c = z.shape
@@ -258,9 +258,12 @@ def msa_chain(block, z, return_masks: bool = False):
     return (out, masks) if return_masks else out
 
 
-def feed_forward_chain(block, z):
-    """A ``DGABlock``'s token-wise two-layer ReLU MLP as matmul -> bias ->
-    relu -> matmul -> bias nodes; the residual is the caller's."""
+def dga_chain(block, x):
+    """A ``DGABlock`` over (B, N, C) tokens as primitive chains,
+    z0 = x + pos, z1 = z0 + ``msa_chain``(z0) and z1's
+    ``residual_mlp_chain`` feed-forward: the chain
+    ``tensor.attention_block`` replaces."""
     from volformer import tensor as T
-    hidden = T.relu(T.add(T.matmul(z, block.ff_w_in), block.ff_b_in))
-    return T.add(T.matmul(hidden, block.ff_w_out), block.ff_b_out)
+    z0 = T.add(x, block.pos_embed)
+    z1 = T.add(z0, msa_chain(block, z0))
+    return residual_mlp_chain(z1, block.ff_w_in, block.ff_w_out, block.ff_b_in, block.ff_b_out)

@@ -395,6 +395,46 @@ def test_cv_refuses_block_settings_that_cannot_build_or_train_exit_2(workdir, tm
     assert not out.exists()
 
 
+SECTION_NAMES = {"synthetic": "synthetic spec", "model": "model config",
+                 "train": "train config", "split": "split config"}
+
+
+@pytest.mark.parametrize("command, section, field, value", [
+    ("gen", "synthetic", "seed", 1.5), ("gen", "synthetic", "volumes_per_subject", 2.0),
+    ("gen", "synthetic", "volume_extent", "abc"), ("gen", "synthetic", "with_fc", "yes"),
+    ("cost", "model", "dga_heads", "4"), ("cost", "model", "stage_channels", 8),
+    ("cost", "model", "mlp_hidden", None),
+    ("cv", "train", "batch_size", 4.0), ("cv", "split", "k", 2.0),
+    ("cv", "model", "class_count", 2.0), ("cv", "split", "k", "2"),
+    ("cv", "train", "lr", "0.001"), ("cv", "train", "epochs", True),
+    ("cv", "model", "use_data_norm", "no"), ("cv", "split", "train_sites", "site00"),
+])
+def test_config_values_of_the_wrong_type_exit_2(workdir, tmp_path, capsys, command, section,
+                                                field, value):
+    """Each value made its command fail with a traceback, fail midway with
+    exit 3 or 4 (leaving an echo that blocked the corrected rerun), or run
+    on a coerced setting. It is refused against its field's declared type,
+    naming the section and the field, before any file is written."""
+    out = tmp_path / "o"
+    if command == "gen":
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(SPEC, **{field: value})))
+        argv = ["gen", "--spec", str(path), "--out", str(out)]
+    else:
+        doc = {"model": MODEL, "train": TRAIN, "split": {"mode": "kfold", "k": 3}}
+        doc[section] = dict(doc[section], **{field: value})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        argv = ["cost", "--config", str(path)] if command == "cost" else [
+            "cv", "--config", str(path), "--data", str(workdir / "data" / "manifest.csv"),
+            "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{SECTION_NAMES[section]} field {field!r} must be" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["config", "flag"])
 def test_cv_refuses_a_negative_seed_exit_2(workdir, tmp_path, capsys, where):
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "o"
@@ -771,6 +811,25 @@ def test_audit_checks_every_label_before_any_map(three_class_manifest, workdir, 
     subject = next(r for r in load_manifest(three_class_manifest) if r.label == 2).subject_id
     assert repr(subject) in err and "label 2" in err, err
     assert all(w in err for w in words), err
+    assert not out.exists()
+
+
+def test_audit_checks_blob_centers_against_the_model_extent_before_any_map(
+        workdir, tmp_path, monkeypatch, capsys):
+    """A spec drawn for larger volumes than the model takes: its class 1
+    center lies outside the model's 8^3 maps, which made the hit lookup
+    raise ``IndexError`` after mapping."""
+    spec = dict(SPEC, volume_extent=[16, 16, 16], blob_centers=[[2, 2, 2], [12, 12, 12]])
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    monkeypatch.setattr("volformer.localize.grad_cam", None)  # any map would raise
+    out = tmp_path / "audit"
+    capsys.readouterr()
+    rc = main(["audit", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
+               "--manifest", str(workdir / "data" / "manifest.csv"),
+               "--spec", str(tmp_path / "spec.json"), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "class 1 blob center (12, 12, 12)" in err and "(8, 8, 8)" in err, err
     assert not out.exists()
 
 

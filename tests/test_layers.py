@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (dga_loops, feed_forward_chain, msa_chain, numeric_grad, rel_error,
-                     sga_chain, sga_loops)
+from oracles import (dga_chain, dga_loops, msa_chain, numeric_grad, rel_error,
+                     residual_mlp_chain, sga_chain, sga_loops)
 from volformer import layers as L
 from volformer import tensor as T
 from volformer.errors import ShapeError
@@ -251,7 +251,7 @@ def _tracking(mode, x, params):
 def test_sga_forward_and_gradients_equal_the_chains_bit_for_bit(mode):
     """float32, every weight random, tokens the (B, N, C) transpose of a
     (B, C, N) array as the encoder makes them: the block's node against its
-    two ``residual_mlp`` stages (``oracles.sga_chain``), output and every
+    two residual MLP chains (``oracles.sga_chain``), output and every
     input and parameter gradient compared exactly, None where untracked."""
     rng = np.random.default_rng(48)
     block = random_sga(12, 8, 6, rng, dtype=np.float32)
@@ -317,10 +317,11 @@ def test_dga_msa_is_zero_at_init_so_z1_equals_z0():
     x = Tensor(rng.normal(size=(1, 5, 8)).astype(np.float32))
     z0 = T.add(x, block.pos_embed)
     assert np.all(msa_chain(block, z0).data == 0.0)
-    z1 = T.residual_attention(z0, block.qkv, block.out_proj, block.heads)
+    z1 = T.add(z0, msa_chain(block, z0))
     assert np.array_equal(z1.data, z0.data)
     out = block.forward(x).data
-    want = T.add(z0, feed_forward_chain(block, z0)).data
+    want = residual_mlp_chain(z0, block.ff_w_in, block.ff_w_out, block.ff_b_in,
+                              block.ff_b_out).data
     assert np.array_equal(out, want)
 
 
@@ -335,15 +336,9 @@ def test_dga_forward_and_gradients_equal_the_chains_bit_for_bit():
     x = rng.normal(size=(3, 9, 8)).astype(np.float32)
     g = Tensor(rng.normal(size=(3, 9, 8)).astype(np.float32))
     params = [t for _, t in block.params()]
-
-    def chain(xt):
-        z0 = T.add(xt, block.pos_embed)
-        z1 = T.add(z0, msa_chain(block, z0))
-        return T.add(z1, feed_forward_chain(block, z1))
-
     for mode in ("all", "input", "weights"):
         results = []
-        for fn in (block.forward, chain):
+        for fn in (block.forward, lambda xt: dga_chain(block, xt)):
             xt = Tensor(x)
             _tracking(mode, xt, params)
             y = fn(xt)
@@ -479,7 +474,11 @@ def test_unbatched_inputs_are_rejected_naming_their_shape():
         (lambda x: T.matmul(x, Tensor(np.zeros((4, 3)))), (4,)),
         (sga.forward, (6, 4)),
         (dga.forward, (6, 4)),
-        (lambda z: T.residual_attention(z, dga.qkv, dga.out_proj, dga.heads), (6, 4)),
+        (lambda x: T.token_channel_mixing(x, sga.w_spatial_in, sga.w_spatial_out,
+                                          sga.w_channel_in, sga.w_channel_out), (6, 4)),
+        (lambda x: T.attention_block(x, dga.pos_embed, dga.qkv, dga.out_proj, dga.heads,
+                                     dga.ff_w_in, dga.ff_b_in, dga.ff_w_out, dga.ff_b_out),
+         (6, 4)),
         (L.DataNormLayer().forward, (4, 5, 4)),
     ]
     for call, shape in calls:

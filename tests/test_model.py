@@ -399,6 +399,13 @@ def _edited_state(path, edit):
     M.save_checkpoint(path, meta, list(arrays.items()))
 
 
+def _poison(name: str, value: float):
+    """A tensor-dict edit that sets the first entry of ``name`` to ``value``."""
+    def edit(arrays):
+        arrays[name].flat[0] = value
+    return edit
+
+
 @pytest.mark.parametrize("write, message", [
     pytest.param(lambda p: _raw_checkpoint(p, b"{not json"),
                  "corrupt checkpoint metadata", id="metadata-not-json"),
@@ -412,6 +419,13 @@ def _edited_state(path, edit):
                  "running stats for 'encoder.stem_bn' are incomplete", id="running-var"),
     pytest.param(lambda p: _edited_state(p, lambda a: a.update(bogus=np.zeros(1))),
                  "unknown tensors: ['bogus']", id="unknown-tensor"),
+    # a non-finite weight made localize and audit fail later, on the map's scaling
+    pytest.param(lambda p: _edited_state(p, _poison("encoder.stem.weight", np.nan)),
+                 "tensor 'encoder.stem.weight' holds non-finite values",
+                 id="non-finite-parameter"),
+    pytest.param(lambda p: _edited_state(p, _poison("encoder.stem_bn.running_var", np.inf)),
+                 "tensor 'encoder.stem_bn.running_var' holds non-finite values",
+                 id="non-finite-running-stat"),
 ])
 def test_checkpoint_refusals_exit_5(tmp_path, capsys, write, message):
     ckpt = tmp_path / "bad.vfck"

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (batch_norm_chain, bn_relu_conv_chain, conv3d_loops, msa_chain,
-                     numeric_grad, rel_error, residual_mlp_chain, softmax_chain)
+from oracles import (batch_norm_chain, bn_relu_conv_chain, conv3d_loops, dga_chain,
+                     numeric_grad, rel_error, sga_chain, softmax_chain)
 from volformer.errors import ShapeError, StateError
 from volformer import tensor as T
 from volformer.layers import cross_entropy_logits
@@ -279,130 +279,97 @@ def test_batched_matmul_weight_gradient_forms_no_per_batch_stack():
     np.testing.assert_allclose(b.grad, a.data.sum(axis=(0, 1))[:, None].repeat(64, 1))
 
 
-def test_residual_mlp_matches_the_chain():
-    """The single-node residual MLP against the primitive chain in
-    ``oracles``: output and the input, weight and bias gradients, float64,
-    1e-12, with and without biases, over a transposed-view input, with every
-    input tracked and with x (as in an eval forward from an untracked
-    volume), each weight or bias, all parameters (as in ``grad_cam``) or all
-    but the output bias untracked; ``count_ops`` as the chain's."""
+SGA_NAMES = ("x", "w_spatial_in", "w_spatial_out", "w_channel_in", "w_channel_out")
+DGA_NAMES = ("x", "pos_embed", "qkv", "out_proj", "ff_w_in", "ff_b_in", "ff_w_out", "ff_b_out")
+
+
+def _assert_node_matches_chain(node, chain, names, arrays, g, tracked):
+    """Run ``node`` and ``chain`` on fresh float64 leaves built from
+    ``arrays`` (the first one transposed into a (B, N, C) view), each leaf
+    tracked only if its name is in ``tracked``. The outputs and the tracked
+    leaves' gradients agree to 1e-12, the untracked ones get none, and
+    ``count_ops`` units are equal."""
+    results = []
+    for fn in (node, chain):
+        leaves = [t64(arrays[n], requires_grad=n in tracked) for n in names]
+        with T.count_ops() as ops:
+            y = fn(T.transpose(leaves[0], (0, 2, 1)), leaves[1:])
+        if y.requires_grad:
+            T.backward(T.tensor_sum(T.mul(y, Tensor(g))))
+        results.append(([y.data] + [t.grad for t in leaves], ops.macs))
+    (got, got_macs), (want, want_macs) = results
+    assert got_macs == want_macs
+    for name, a, b in zip(("y",) + names, got, want):
+        if name != "y" and name not in tracked:
+            assert a is None and b is None, (tracked, name)
+        else:
+            assert rel_error(a, b) < 1e-12, (tracked, name)
+
+
+def test_token_channel_mixing_matches_the_chain():
+    """The SGA block node against ``oracles.sga_chain``, two residual MLP
+    chains over transposes, over a transposed-view input: with every input
+    tracked and with x (as in an eval forward from an untracked volume),
+    each weight, all weights (as in ``grad_cam``), the token stage (so the
+    token-mixed tokens are untracked) or all but the last weight
+    untracked."""
     rng = np.random.default_rng(42)
-    K, H = 5, 7
-    base = rng.normal(size=(3, K, 4))  # x is its (3, 4, K) transpose
-    arrays = {"x": base, "w1": rng.normal(size=(K, H)), "w2": rng.normal(size=(H, K)),
-              "b1": rng.normal(size=H), "b2": rng.normal(size=K)}
-    g = rng.normal(size=(3, 4, K))
-    for names, untracked in itertools.product(
-            (("x", "w1", "w2", "b1", "b2"), ("x", "w1", "w2")),
-            ((), ("x",), ("w1",), ("w2",), ("b1",), ("b2",), ("w1", "w2", "b1", "b2"),
-             ("x", "w1", "w2", "b1"))):
-        results = []
-        for fn in (T.residual_mlp, residual_mlp_chain):
-            leaves = [t64(arrays[n], requires_grad=n not in untracked) for n in names]
-            with T.count_ops() as ops:
-                y = fn(T.transpose(leaves[0], (0, 2, 1)), *leaves[1:])
-            if y.requires_grad:  # not without biases and with x and weights untracked
-                T.backward(T.tensor_sum(T.mul(y, Tensor(g))))
-            results.append(([y.data] + [t.grad for t in leaves], ops.macs))
-        (got, got_macs), (want, want_macs) = results
-        assert got_macs == want_macs
-        for name, a, b in zip(("y",) + names, got, want):
-            if b is None or name in untracked:
-                assert a is None and b is None, (names, untracked, name)
-            else:
-                assert rel_error(a, b) < 1e-12, (names, untracked, name)
+    B, N, C, hs, hc = 3, 4, 5, 7, 6
+    shapes = ((B, C, N), (hs, N), (N, hs), (hc, C), (C, hc))  # x is its (B, N, C) transpose
+    arrays = {n: rng.normal(size=s) for n, s in zip(SGA_NAMES, shapes)}
+    g = rng.normal(size=(B, N, C))
+    weights = SGA_NAMES[1:]
+    for untracked in ((), ("x",), *((w,) for w in weights), weights, SGA_NAMES[:3],
+                      SGA_NAMES[:4]):
+        _assert_node_matches_chain(
+            lambda x, w: T.token_channel_mixing(x, *w),
+            lambda x, w: sga_chain(SimpleNamespace(**dict(zip(weights, w))), x),
+            SGA_NAMES, arrays, g, set(SGA_NAMES) - set(untracked))
 
 
-def test_residual_mlp_keeps_its_input_not_its_hidden_layer():
-    """With every input tracked the node keeps x and the weights: the graph
-    retains the output alone (x is held by the caller), not the 4x wider
-    hidden layer."""
-    rng = np.random.default_rng(43)
-    x = Tensor(rng.normal(size=(2, 64, 16)).astype(np.float32), requires_grad=True)
-    w1, w2 = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
-              for s in ((16, 64), (64, 16)))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        y = T.residual_mlp(x, w1, w2)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert retained <= x.data.nbytes + 4096, retained
-    T.backward(T.tensor_sum(y))
-    assert all(t.grad is not None for t in (x, w1, w2))
-
-
-def test_residual_mlp_shape_errors_name_every_shape():
-    x = Tensor(np.zeros((2, 4)))
-    w1, w2 = Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 4)))
-    for args in ((x, w2, w1), (x, w1, w1), (x, w1, w2, Tensor(np.zeros(4))),
-                 (x, w1, w2, None, Tensor(np.zeros(3)))):
-        with pytest.raises(ShapeError, match=r"w1 \("):
-            T.residual_mlp(*args)
-
-
-def test_residual_attention_matches_the_chain():
-    """The single-node residual attention against z + ``msa_chain``: output
-    and the z, qkv and out_proj gradients, float64, 1e-12, for B = 1 and 3
-    over a transposed-view z, with everything tracked, the weights untracked
-    (as in ``grad_cam``), z untracked, or only out_proj tracked;
-    ``count_ops`` as the chain's."""
+def test_attention_block_matches_the_chain():
+    """The DGA block node against ``oracles.dga_chain``, z0 = x + pos, then
+    z0 + ``msa_chain``(z0), then a residual MLP chain, for B = 1 and 3 over
+    a transposed-view x: with everything tracked, x alone (as ``grad_cam``
+    runs), the weights alone, only out_proj (no softmax backward), only the
+    output bias (nothing recomputed), only the feed-forward's input bias,
+    or pos and qkv."""
     rng = np.random.default_rng(44)
-    N, C, heads = 5, 6, 3
+    N, C, heads, H = 5, 6, 3, 8
+    weights = DGA_NAMES[1:]
     for batch in (1, 3):
-        base = rng.normal(size=(batch, C, N))  # z is its (batch, N, C) transpose
-        w, o = rng.normal(size=(C, 3 * C)), rng.normal(size=(C, C))
+        shapes = ((batch, C, N), (N, C), (C, 3 * C), (C, C), (C, H), (H,), (H, C), (C,))
+        arrays = {n: rng.normal(size=s) for n, s in zip(DGA_NAMES, shapes)}
         g = rng.normal(size=(batch, N, C))
-        for tracked in (("z", "qkv", "out_proj"), ("z",), ("qkv", "out_proj"), ("out_proj",)):
-            results = []
-            for chain in (False, True):
-                leaves = [t64(a, requires_grad=n in tracked)
-                          for n, a in (("z", base), ("qkv", w), ("out_proj", o))]
-                z = T.transpose(leaves[0], (0, 2, 1))
-                with T.count_ops() as ops:
-                    if chain:
-                        block = SimpleNamespace(qkv=leaves[1], out_proj=leaves[2], heads=heads)
-                        y = T.add(z, msa_chain(block, z))
-                    else:
-                        y = T.residual_attention(z, leaves[1], leaves[2], heads)
-                T.backward(T.tensor_sum(T.mul(y, Tensor(g))))
-                results.append(([y.data] + [t.grad for t in leaves], ops.macs))
-            (got, got_macs), (want, want_macs) = results
-            assert got_macs == want_macs
-            for name, a, b in zip(("y", "z", "qkv", "out_proj"), got, want):
-                if name != "y" and name not in tracked:
-                    assert a is None and b is None, (batch, tracked, name)
-                else:
-                    assert rel_error(a, b) < 1e-12, (batch, tracked, name)
+        for tracked in (DGA_NAMES, ("x",), weights, ("out_proj",), ("ff_b_out",),
+                        ("ff_b_in",), ("pos_embed", "qkv")):
+            _assert_node_matches_chain(
+                lambda x, w: T.attention_block(x, *w[:3], heads, *w[3:]),
+                lambda x, w: dga_chain(SimpleNamespace(heads=heads, **dict(zip(weights, w))),
+                                       x),
+                DGA_NAMES, arrays, g, tracked)
 
 
-def test_residual_attention_keeps_its_input_not_q_k_v_or_masks():
-    """A full-preset stage-3 shape (B=1, 576 tokens, 256 channels, 8 heads),
-    everything tracked: the node retains its output alone (z and the weights
-    are the caller's), not q, k and v (0.6 MiB each) or the 10 MiB of masks."""
+def test_attention_block_keeps_its_input_not_q_k_v_or_masks():
+    """A full-preset stage-3 shape (B=1, 576 tokens, 256 channels, 8 heads,
+    feed-forward width 1024), everything tracked: the node retains its
+    output alone (x and the weights are the caller's), not z0 or z1, q, k
+    and v (0.6 MiB each), the 10 MiB of masks or the hidden layer."""
     rng = np.random.default_rng(45)
-    z = Tensor(rng.normal(size=(1, 576, 256)).astype(np.float32), requires_grad=True)
-    w, o = (Tensor((0.05 * rng.normal(size=s)).astype(np.float32), requires_grad=True)
-            for s in ((256, 768), (256, 256)))
+    x = Tensor(rng.normal(size=(1, 576, 256)).astype(np.float32), requires_grad=True)
+    weights = [Tensor((0.05 * rng.normal(size=s)).astype(np.float32), requires_grad=True)
+               for s in ((576, 256), (256, 768), (256, 256), (256, 1024), (1024,),
+                         (1024, 256), (256,))]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        y = T.residual_attention(z, w, o, 8)
+        y = T.attention_block(x, *weights[:3], 8, *weights[3:])
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert retained <= y.data.nbytes + 4096, retained
     T.backward(T.tensor_sum(y))
-    assert all(t.grad is not None for t in (z, w, o))
-
-
-def test_residual_attention_shape_errors_name_every_shape():
-    z, w, o = (Tensor(np.zeros(s)) for s in ((2, 3, 4), (4, 12), (4, 4)))
-    for args in ((Tensor(np.zeros((3, 4))), w, o, 2), (z, o, o, 2), (z, w, w, 2),
-                 (z, w, o, 3), (z, w, o, 0)):
-        with pytest.raises(ShapeError, match=r"z \(.*qkv \(.*out_proj \(.*heads"):
-            T.residual_attention(*args)
+    assert all(t.grad is not None for t in [x] + weights)
 
 
 def test_attention_block_nodes_shape_errors_name_every_shape():
@@ -1107,19 +1074,14 @@ PRIMITIVES = {
     "softmax": (lambda a: T.softmax(a, -1), [(2, 3)], 4 * 6),
     "matmul": (T.matmul, [(3, 4), (4, 5)], 3 * 4 * 5),
     "matmul_folded": (T.matmul, [(2, 3, 4), (4, 5)], 2 * 3 * 4 * 5),
-    # per row of x: 2*K*H multiply-adds, H (relu), K (residual), H + K (biases)
-    "residual_mlp": (T.residual_mlp, [(2, 3, 4), (4, 5), (5, 4), (5,), (4,)],
-                     6 * (2 * 4 * 5 + 5 + 4 + 5 + 4)),
-    # B*N*(4C^2 + C) for the projections and residual, B*heads*N^2*(2hd + 5)
-    # for the score and value GEMMs, the scale and the softmax
-    "residual_attention": (lambda z, w, o: T.residual_attention(z, w, o, 2),
-                           [(2, 3, 4), (4, 12), (4, 4)], 6 * (4 * 16 + 4) + 2 * 2 * 9 * (2 * 2 + 5)),
-    # the two residual_mlp nodes it replaces: B*C channel columns of 2*N*Hs + Hs + N
-    # and B*N token rows of 2*C*Hc + Hc + C
+    # two residual MLPs, per row 2*K*H multiply-adds, H (relu) and K (residual):
+    # B*C channel columns of 2*N*Hs + Hs + N and B*N token rows of 2*C*Hc + Hc + C
     "token_channel_mixing": (T.token_channel_mixing,
                              [(2, 3, 4), (5, 3), (3, 5), (6, 4), (4, 6)],
                              8 * (2 * 3 * 5 + 5 + 3) + 6 * (2 * 4 * 6 + 6 + 4)),
-    # the add (B*N*C), residual_attention and residual_mlp nodes it replaces
+    # z0 = x + pos (B*N*C); B*N*(4C^2 + C) for the projections and residual and
+    # B*heads*N^2*(2hd + 5) for the score and value GEMMs, the scale and the softmax;
+    # the feed-forward's B*N rows of 2*C*H + H + C plus H + C for the biases
     "attention_block": (lambda x, p, w, o, a, b, c, d: T.attention_block(x, p, w, o, 2,
                                                                          a, b, c, d),
                         [(2, 3, 4), (3, 4), (4, 12), (4, 4), (4, 5), (5,), (5, 4), (4,)],
