@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import re
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -390,6 +391,61 @@ def test_attention_block_nodes_shape_errors_name_every_shape():
     for heads in (0, 3):
         with pytest.raises(ShapeError, match=f"{heads} heads"):
             T.attention_block(x, *dga[:3], heads, *dga[3:])
+
+
+def test_residual_mlp_keeps_its_input_not_its_hidden_layer():
+    """The SGA block node's two residual MLPs, hidden layers 4x wider than
+    their inputs, everything tracked: the graph retains the output alone
+    (x and the weights are the caller's), not either hidden layer or the
+    token-mixed tokens."""
+    rng = np.random.default_rng(43)
+    x = Tensor(rng.normal(size=(2, 64, 16)).astype(np.float32), requires_grad=True)
+    weights = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+               for s in ((256, 64), (64, 256), (64, 16), (16, 64))]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = T.token_channel_mixing(x, *weights)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= y.data.nbytes + 4096, retained
+    T.backward(T.tensor_sum(y))
+    assert all(t.grad is not None for t in [x] + weights)
+
+
+def test_residual_mlp_shape_errors_name_every_shape():
+    """A residual-MLP operand that does not chain, in either block node, is
+    refused with a message naming every operand's shape, the bad one
+    included."""
+    x = Tensor(np.zeros((2, 3, 4)))
+    sga = [Tensor(np.zeros(s)) for s in ((5, 3), (3, 5), (6, 4), (4, 6))]
+    for i, bad in ((0, (5, 2)), (1, (2, 5)), (2, (6, 5)), (3, (5, 6))):
+        args = sga[:i] + [Tensor(np.zeros(bad))] + sga[i + 1:]
+        shapes = [a.data.shape for a in args]
+        with pytest.raises(ShapeError, match=re.escape(
+                "w_spatial_in {}, w_spatial_out {}, w_channel_in {} and "
+                "w_channel_out {}".format(*shapes))):
+            T.token_channel_mixing(x, *args)
+    attention = [Tensor(np.zeros(s)) for s in ((3, 4), (4, 12), (4, 4))]
+    ff = [Tensor(np.zeros(s)) for s in ((4, 5), (5,), (5, 4), (4,))]
+    for i, bad in ((0, (3, 5)), (1, (6,)), (2, (4, 4)), (3, (5,))):
+        args = ff[:i] + [Tensor(np.zeros(bad))] + ff[i + 1:]
+        shapes = [a.data.shape for a in args]
+        with pytest.raises(ShapeError, match=re.escape(
+                "ff_w_in {}, ff_b_in {}, ff_w_out {} and ff_b_out {}".format(*shapes))):
+            T.attention_block(x, *attention, 2, *args)
+
+
+def test_residual_attention_shape_errors_name_every_shape():
+    """The DGA block node refuses an unbatched x and attention operands that
+    do not chain, naming x, qkv, out_proj and the head count."""
+    x, pos, w, o = (Tensor(np.zeros(s)) for s in ((2, 3, 4), (3, 4), (4, 12), (4, 4)))
+    ff = [Tensor(np.zeros(s)) for s in ((4, 5), (5,), (5, 4), (4,))]
+    for args in ((Tensor(np.zeros((3, 4))), pos, w, o, 2), (x, pos, o, o, 2),
+                 (x, pos, w, w, 2), (x, pos, w, o, 3), (x, pos, w, o, 0)):
+        with pytest.raises(ShapeError, match=r"x \(.*qkv \(.*out_proj \(.*heads"):
+            T.attention_block(*args, *ff)
 
 
 @pytest.mark.parametrize("mode", ["train", "eval", "grad_cam"])
