@@ -29,7 +29,7 @@ import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -94,24 +94,12 @@ class RunConfig(Section):
     documented defaults; unknown section names are rejected.
     """
 
-    model: model.ModelConfig
-    train: train.TrainConfig
-    synthetic: data.SyntheticSpec | None
-    split: SplitSpec
+    what = "run config"
 
-    @classmethod
-    def from_dict(cls, doc) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"run config must be an object, got {type(doc).__name__}")
-        unknown = set(doc) - {"model", "train", "synthetic", "split"}
-        if unknown:
-            raise ConfigError(f"unknown run config sections: {sorted(unknown)}")
-        synthetic = doc.get("synthetic")
-        return cls(model=model.ModelConfig.from_dict(doc.get("model", {})),
-                   train=train.TrainConfig.from_dict(doc.get("train", {})),
-                   synthetic=None if synthetic is None
-                   else data.SyntheticSpec.from_dict(synthetic),
-                   split=SplitSpec.from_dict(doc.get("split", {})))
+    model: model.ModelConfig = field(default_factory=model.ModelConfig)
+    train: train.TrainConfig = field(default_factory=train.TrainConfig)
+    synthetic: data.SyntheticSpec | None = None
+    split: SplitSpec = field(default_factory=SplitSpec)
 
 
 def _read_json(path) -> dict:
@@ -178,7 +166,7 @@ def _check_extents(records, model_cfg) -> None:
     label outside the model's classes, or a volume or vector whose size
     differs from the model's, is a ``ConfigError``."""
     _check_labels(records, model_cfg.class_count, "the model's class_count")
-    want = tuple(model_cfg.input_extent)
+    want = model_cfg.input_extent
     for rec in records:
         extents = [(f"volume {i}", s.volume.shape) for i, s in enumerate(rec.fmri_volumes)]
         inputs = model_cfg.branch_inputs(rec)
@@ -208,7 +196,6 @@ def cmd_gen(args) -> int:
     spec = data.SyntheticSpec.from_dict(_read_json(args.spec))
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-        spec.validate()
     out = Path(args.out)
     echo = _check_resolved(out, {"command": "gen", "synthetic": spec.to_dict()}, args.force)
     records = data.generate_synthetic(spec)
@@ -240,7 +227,6 @@ def cmd_cv(args) -> int:
     cfg = load_run_config(args.config)
     if args.seed is not None:
         cfg.train = replace(cfg.train, seed=args.seed)
-        cfg.train.validate()
     out = Path(args.out)
     resolved = {"command": "cv", **cfg.to_dict(),
                 "data": str(args.data) if args.data else None}
@@ -326,7 +312,7 @@ def cmd_audit(args) -> int:
     with _map_model(args) as net:
         localize.resolve_layer(net, 0, args.layer)  # the layer; class 0 always exists
         spec = data.SyntheticSpec.from_dict(_read_json(args.spec))
-        extent = tuple(net.cfg.input_extent)
+        extent = net.cfg.input_extent
         for c, center in enumerate(spec.blob_centers):
             if any(not 0 <= x < e for x, e in zip(center, extent)):
                 raise ConfigError(f"class {c} blob center {center} lies outside the "
@@ -392,7 +378,6 @@ def cmd_cost(args) -> int:
     rows = []
     for plan in ATTENTION_PLANS:
         cfg = replace(base, attention_plan=model.parse_attention_plan(plan))
-        cfg.validate()
         report = model.estimate_cost(cfg)
         rows.append([plan, report.flops, report.peak_activation_bytes,
                      report.parameter_count])

@@ -4,6 +4,7 @@ so the package import applies the cap before numpy loads."""
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import typing
@@ -36,10 +37,22 @@ def _tuples(value):
     return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
+_hints = functools.cache(typing.get_type_hints)  # per section class
+
+
+def _parse(value, hint):
+    """A JSON value as its field's value: an object for a field typed as a
+    section builds that section, and lists become tuples."""
+    for t in (hint, *typing.get_args(hint)):
+        if isinstance(t, type) and issubclass(t, Section) and value is not None:
+            return t.from_dict(value)
+    return _tuples(value)
+
+
 def _conforms(value, hint) -> bool:
-    """Whether a JSON value, its lists made tuples, has the declared type
-    ``hint``: an int passes for a float, a bool only for a bool, and each
-    tuple element and ``| None`` is checked."""
+    """Whether ``value`` has the declared type ``hint``: an int passes for a
+    float, a bool only for a bool, and each tuple element and ``| None`` is
+    checked."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, tuple):
@@ -60,10 +73,23 @@ def _plain(value):
 
 
 class Section:
-    """JSON codec of a dataclass configuration section; ``what`` names the
-    section in errors."""
+    """JSON codec of a dataclass configuration section, which is checked when
+    built, from JSON or Python alike; ``what`` names the section in errors."""
 
     what = "config section"
+
+    def __post_init__(self):
+        """Check every field against its declared type, then ``validate``."""
+        hints = _hints(type(self))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _conforms(value, hints[f.name]):
+                raise ConfigError(f"{self.what} field {f.name!r} must be {f.type}, "
+                                  f"got {json.dumps(value, default=repr)}")
+        self.validate()
+
+    def validate(self) -> None:
+        """Cross-field and range rules; raise ``ConfigError`` naming the field."""
 
     def to_dict(self) -> dict:
         """JSON-ready fields: nested sections as objects, tuples as lists."""
@@ -71,21 +97,14 @@ class Section:
 
     @classmethod
     def from_dict(cls, doc, base=None):
-        """Build and validate the section from a JSON object: unknown keys are
-        rejected, lists become tuples, each value must have its field's
-        declared type, and missing keys keep ``base``'s (or ``cls()``'s)."""
+        """Build the section from a JSON object: unknown keys are rejected,
+        a section field takes its own object, lists become tuples, and
+        missing keys keep ``base``'s (or ``cls()``'s) values."""
         if not isinstance(doc, dict):
             raise ConfigError(f"{cls.what} must be an object, got {type(doc).__name__}")
-        declared = {f.name: f.type for f in fields(cls)}
-        unknown = set(doc) - set(declared)
+        hints = _hints(cls)
+        unknown = set(doc) - set(hints)
         if unknown:
             raise ConfigError(f"unknown {cls.what} keys: {sorted(unknown)}")
-        hints = typing.get_type_hints(cls)
-        values = {k: _tuples(v) for k, v in doc.items()}
-        for name, value in values.items():
-            if not _conforms(value, hints[name]):
-                raise ConfigError(f"{cls.what} field {name!r} must be {declared[name]}, "
-                                  f"got {json.dumps(doc[name])}")
-        obj = replace(cls() if base is None else base, **values)
-        obj.validate()
-        return obj
+        values = {k: _parse(v, hints[k]) for k, v in doc.items()}
+        return replace(cls() if base is None else base, **values)

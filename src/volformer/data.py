@@ -134,7 +134,7 @@ class SyntheticSpec(Section):
         if self.site_count < 1 or self.class_count < 2:
             raise ConfigError(
                 f"need >=1 site and >=2 classes, got {self.site_count}/{self.class_count}")
-        if len(self.volume_extent) != 3 or any(e < 2 for e in self.volume_extent):
+        if any(e < 2 for e in self.volume_extent):
             raise ConfigError(f"volume_extent must be three extents >= 2, got "
                               f"{self.volume_extent}")
         if len(self.blob_centers) != self.class_count:
@@ -455,7 +455,6 @@ def _smooth_noise(rng: np.random.Generator, spec: SyntheticSpec) -> np.ndarray:
 def generate_synthetic(spec: SyntheticSpec) -> list[SubjectRecord]:
     """Deterministic multi-site cohort with a planted class-specific blob; a
     volume that overflows float32 (a huge ``blob_amplitude``) is a DataError."""
-    spec.validate()
     affines = _site_affines(spec)
     records: list[SubjectRecord] = []
     jitter_sigma = spec.jitter_fraction * spec.noise_sigma

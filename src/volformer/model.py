@@ -158,7 +158,7 @@ class ModelConfig(Section):
             if len(tup) != n:
                 raise ConfigError(
                     f"{name} has {len(tup)} entries but stage_channels has {n}")
-        if len(self.input_extent) != 3 or any(e < 1 for e in self.input_extent):
+        if any(e < 1 for e in self.input_extent):
             raise ConfigError(f"input_extent must be three positive ints, got {self.input_extent}")
         if any(s not in (1, 2) for s in self.stage_strides):
             raise ConfigError(f"stage strides must be 1 or 2, got {self.stage_strides}")
@@ -190,7 +190,7 @@ class ModelConfig(Section):
                     f"by {self.dga_heads} heads")
         if self.class_count < 2:
             raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
-        if len(self.mlp_hidden) != 2 or any(h < 1 for h in self.mlp_hidden):
+        if any(h < 1 for h in self.mlp_hidden):
             raise ConfigError(f"mlp_hidden must be two positive widths, got {self.mlp_hidden}")
         for b, shape in self.branch_shapes().items():
             if shape[0] < 1:  # a vector branch's width; an sMRI volume's is 1
@@ -220,7 +220,6 @@ class VolumeEncoder(Module):
     """Volume to pooled feature vector: data norm, stem, stages, attention, pool."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32):
-        cfg.validate()
         self.cfg = cfg
         self.dtype = dtype
         stem_ch = cfg.resolved_stem_channels()
@@ -258,7 +257,7 @@ class VolumeEncoder(Module):
         self.out_channels = in_ch
 
     def _check_input(self, x: Tensor) -> None:
-        if x.ndim != 5 or x.shape[1] != 1 or tuple(x.shape[2:]) != tuple(self.cfg.input_extent):
+        if x.ndim != 5 or x.shape[1] != 1 or x.shape[2:] != self.cfg.input_extent:
             raise ShapeError(
                 f"encoder expects (B, 1, {', '.join(map(str, self.cfg.input_extent))}) "
                 f"input, got {tuple(x.shape)}; pad volumes to the model extent first")
@@ -407,7 +406,6 @@ def estimate_cost(cfg: ModelConfig) -> CostReport:
     MACs; conv, matmul-style mixing, and attention contractions are. Each
     enabled branch adds a row named after it: a second encoder, or an MLP.
     """
-    cfg.validate()
     macs = 0
     params = 0
     peak = 0

@@ -175,7 +175,6 @@ def train_fold(model, train_records: list[SubjectRecord], cfg: TrainConfig
     A batch with a non-finite gradient leaves parameters and batch-norm running
     statistics as they were; an epoch of only such batches raises
     ``FloatingPointError``."""
-    cfg.validate()
     items = _items(train_records, model.cfg)
     if not items:
         raise DataError("training set contains no volumes")
@@ -357,7 +356,6 @@ def cross_validate(records: list[SubjectRecord], model_factory, cfg: TrainConfig
     right after its evaluation; the results it saw come back without their
     model.
     """
-    cfg.validate()
     if plan is None:
         plan = plan_folds(records, k=k, seed=cfg.seed)
     tasks = []

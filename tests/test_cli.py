@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from volformer.cli import RunConfig, SplitSpec, build_parser, main
-from volformer.data import load_manifest, read_volume, write_volume
+from volformer.data import SyntheticSpec, load_manifest, read_volume, write_volume
 from volformer.errors import ConfigError
 from volformer.model import BrainFormer, ModelConfig, forward_volume, load_model, save_model
 from volformer.train import TrainConfig
@@ -121,6 +122,30 @@ def test_split_spec_validation():
         SplitSpec.from_dict({"mode": "loocv"})
     with pytest.raises(ConfigError, match="unknown split"):
         SplitSpec.from_dict({"folds": 5})
+
+
+@pytest.mark.parametrize("make, field, value, message", [
+    (ModelConfig.desk, "dga_heads", "4", "model config field 'dga_heads' must be int"),
+    (ModelConfig.desk, "dga_heads", 0, "dga_heads must be positive"),
+    (TrainConfig, "lr", "0.001", "train config field 'lr' must be float"),
+    (TrainConfig, "batch_size", 0, "batch_size must be >= 1"),
+    (SyntheticSpec, "volume_extent", (16, 18), "synthetic spec field 'volume_extent'"),
+    (SyntheticSpec, "seed", -1, "seed must be >= 0"),
+    (SplitSpec, "train_sites", "site00", "split config field 'train_sites' must be"),
+    (SplitSpec, "mode", "loocv", "split mode must be"),
+    (RunConfig, "train", ModelConfig.desk(), "run config field 'train' must be"),
+    (RunConfig, "synthetic", {"seed": 1}, "run config field 'synthetic' must be"),
+])
+@pytest.mark.parametrize("how", ["constructor", "replace"])
+def test_sections_are_checked_when_built(make, field, value, message, how):
+    """A section cannot exist with a value of the wrong type or out of range,
+    whether built directly or copied with ``dataclasses.replace``."""
+    with pytest.raises(ConfigError) as err:
+        if how == "constructor":
+            make(**{field: value})
+        else:
+            dataclasses.replace(make(), **{field: value})
+    assert message in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -326,9 +326,8 @@ def test_spec_rejects_unknown_key():
 
 
 def test_spec_rejects_center_outside_volume():
-    spec = SyntheticSpec(blob_centers=((5, 6, 5), (10, 18, 10)))
     with pytest.raises(ConfigError) as err:
-        spec.validate()
+        SyntheticSpec(blob_centers=((5, 6, 5), (10, 18, 10)))
     assert "center" in str(err.value)
 
 
