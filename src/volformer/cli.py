@@ -71,7 +71,7 @@ class SplitSpec(Section):
     def validate(self) -> None:
         if self.mode == "kfold":
             if self.k < 2:
-                raise ConfigError(f"kfold split needs k >= 2, got {self.k}")
+                raise ConfigError(f"k must be >= 2 for a kfold split, got {self.k}")
         elif self.mode == "site_holdout":
             if not self.train_sites or not self.test_sites:
                 raise ConfigError(

@@ -131,12 +131,24 @@ class SyntheticSpec(Section):
     seed: int = 0
 
     def validate(self) -> None:
-        if self.site_count < 1 or self.class_count < 2:
-            raise ConfigError(
-                f"need >=1 site and >=2 classes, got {self.site_count}/{self.class_count}")
-        if any(e < 2 for e in self.volume_extent):
-            raise ConfigError(f"volume_extent must be three extents >= 2, got "
-                              f"{self.volume_extent}")
+        # Written so that NaN fails each comparison too.
+        for name, ok, rule in (
+                ("site_count", self.site_count >= 1, ">= 1"),
+                ("class_count", self.class_count >= 2, ">= 2"),
+                ("volume_extent", all(e >= 2 for e in self.volume_extent), ">= 2 each"),
+                ("blob_amplitude", self.blob_amplitude > 0, "> 0"),
+                ("blob_radius", all(r > 0 for r in self.blob_radius), "> 0 each"),
+                ("noise_sigma", self.noise_sigma >= 0, ">= 0"),
+                ("smoothness", self.smoothness >= 0, ">= 0"),
+                ("jitter_fraction", self.jitter_fraction >= 0, ">= 0"),
+                ("gain_range", 0 < self.gain_range[0] <= self.gain_range[1],
+                 "positive and ordered"),
+                ("offset_range", self.offset_range[0] <= self.offset_range[1], "ordered"),
+                ("subjects_per_class_per_site", self.subjects_per_class_per_site >= 1, ">= 1"),
+                ("volumes_per_subject", self.volumes_per_subject >= 1, ">= 1"),
+                ("seed", self.seed >= 0, ">= 0")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if len(self.blob_centers) != self.class_count:
             raise ConfigError(
                 f"{self.class_count} classes need {self.class_count} blob centers, "
@@ -147,25 +159,10 @@ class SyntheticSpec(Section):
             if any(not 0 <= x < e for x, e in zip(center, self.volume_extent)):
                 raise ConfigError(
                     f"class {c} blob center {center} outside volume {self.volume_extent}")
-        if self.blob_amplitude <= 0:
-            raise ConfigError(f"blob amplitude must be > 0, got {self.blob_amplitude}")
-        if any(r <= 0 for r in self.blob_radius):
-            raise ConfigError(f"blob radius must be > 0, got {self.blob_radius}")
-        if self.noise_sigma < 0 or self.smoothness < 0 or self.jitter_fraction < 0:
-            raise ConfigError("noise sigma, smoothness and jitter must be >= 0")
-        if not (0 < self.gain_range[0] <= self.gain_range[1]):
-            raise ConfigError(f"gain range must be positive and ordered, got "
-                              f"{self.gain_range}")
-        if self.offset_range[0] > self.offset_range[1]:
-            raise ConfigError(f"offset range is reversed: {self.offset_range}")
-        if self.subjects_per_class_per_site < 1 or self.volumes_per_subject < 1:
-            raise ConfigError("need >=1 subject per class per site and >=1 volume each")
         if self.with_fc and self.fc_parcels < 2:
             raise ConfigError("fc_parcels must be >= 2 when with_fc is set")
         if self.with_pheno and self.pheno_dim < 1:
             raise ConfigError("pheno_dim must be >= 1 when with_pheno is set")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------

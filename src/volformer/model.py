@@ -161,11 +161,11 @@ class ModelConfig(Section):
         if any(e < 1 for e in self.input_extent):
             raise ConfigError(f"input_extent must be three positive ints, got {self.input_extent}")
         if any(s not in (1, 2) for s in self.stage_strides):
-            raise ConfigError(f"stage strides must be 1 or 2, got {self.stage_strides}")
+            raise ConfigError(f"stage_strides must be 1 or 2 each, got {self.stage_strides}")
         if any(b < 1 for b in self.stage_blocks):
-            raise ConfigError(f"every stage needs at least one block, got {self.stage_blocks}")
+            raise ConfigError(f"stage_blocks must be >= 1 each, got {self.stage_blocks}")
         if any(c < 1 for c in self.stage_channels):
-            raise ConfigError(f"stage channels must be positive, got {self.stage_channels}")
+            raise ConfigError(f"stage_channels must be positive, got {self.stage_channels}")
         # Written so that NaN fails each comparison too.
         for name, ok, rule in (
                 ("stem_channels", self.stem_channels is None or self.stem_channels >= 1,

@@ -50,13 +50,14 @@ class TrainConfig(Section):
         if not 1 <= self.lr_drop_epoch <= self.epochs:
             raise ConfigError(
                 f"lr_drop_epoch {self.lr_drop_epoch} outside 1..{self.epochs}")
-        if self.lr <= 0 or self.lr_drop_factor <= 0:
-            raise ConfigError("lr and lr_drop_factor must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError(f"betas must sit in [0, 1), got "
-                              f"{self.beta1}/{self.beta2}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
+        # Written so that NaN fails each comparison too.
+        for name, ok, rule in (("lr", self.lr > 0, "positive"),
+                               ("lr_drop_factor", self.lr_drop_factor > 0, "positive"),
+                               ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                               ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                               ("eps", self.eps > 0, "positive")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -111,7 +112,7 @@ def test_run_config_applies_desk_preset_geometry():
 
 
 def test_split_spec_validation():
-    with pytest.raises(ConfigError, match="k >= 2"):
+    with pytest.raises(ConfigError, match="k must be >= 2"):
         SplitSpec.from_dict({"mode": "kfold", "k": 1})
     with pytest.raises(ConfigError, match="non-empty"):
         SplitSpec.from_dict({"mode": "site_holdout", "train_sites": ["a"]})
@@ -457,6 +458,34 @@ def test_config_values_of_the_wrong_type_exit_2(workdir, tmp_path, capsys, comma
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"{SECTION_NAMES[section]} field {field!r} must be" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("synthetic", "site_count", 0), ("synthetic", "class_count", 1),
+    ("synthetic", "blob_amplitude", 0.0), ("synthetic", "noise_sigma", -1.0),
+    ("synthetic", "smoothness", -0.5), ("synthetic", "jitter_fraction", -1.0),
+    ("synthetic", "gain_range", [0.0, 2.0]), ("synthetic", "offset_range", [1.0, -1.0]),
+    ("synthetic", "subjects_per_class_per_site", 0), ("synthetic", "volumes_per_subject", 0),
+    ("train", "beta1", 1.0), ("train", "beta2", -0.1), ("train", "lr", 0.0),
+    ("train", "lr_drop_factor", -10.0), ("model", "stage_strides", [1, 3, 2, 1]),
+    ("model", "stage_blocks", [1, 0, 1, 1]), ("model", "stage_channels", [4, 0, 8, 8]),
+    ("split", "k", 1),
+])
+def test_config_values_out_of_range_exit_2_naming_the_field(tmp_path, capsys, section,
+                                                             field, value):
+    """Each refusal named a group of fields or none ("need >=1 site and >=2
+    classes", "lr and lr_drop_factor must be positive"); it names the one
+    JSON key at fault and its value, before any file is written."""
+    doc = {"model": MODEL, "train": TRAIN, "synthetic": SPEC,
+           "split": {"mode": "kfold", "k": 3}}
+    doc[section] = dict(doc[section], **{field: value})
+    path, out = tmp_path / "cfg.json", tmp_path / "o"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["cv", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"\b{field} must be .*, got ", err), err
     assert not out.exists()
 
 
