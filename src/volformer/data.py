@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 import zlib
@@ -277,7 +278,7 @@ def read_volume(path) -> np.ndarray:
     shape = reader.unpack(f"{rank}I", "extents")
     if any(e < 1 for e in shape):
         raise ParseError(f"non-positive extent in {shape}", 8)
-    payload = reader.payload(4 * int(np.prod(shape, dtype=np.int64)), "payload")
+    payload = reader.payload(4 * math.prod(shape), "payload")  # Python ints: no wrap
     reader.finish()
     arr = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
     return _require_finite(arr, f"volume file {path}")

@@ -17,6 +17,7 @@ u32 CRC32 of the payload.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
@@ -533,17 +534,26 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         meta = json.loads(reader.take(meta_len, "metadata").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"corrupt checkpoint metadata: {err}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(
+            f"checkpoint metadata must be a JSON object, got {type(meta).__name__}")
     count, = reader.unpack("I", "tensor count")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len, = reader.unpack("H", "tensor name length")
-        name = reader.take(name_len, "tensor name").decode("utf-8")
+        at = reader.offset
+        try:
+            name = reader.take(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("tensor name is not valid UTF-8", at) from None
+        if name in arrays:
+            raise CheckpointError(f"duplicate tensor {name!r}", at)
         code, ndim = reader.unpack("BB", "tensor header")
         if code not in _CODE_DTYPES:
             raise CheckpointError(f"tensor {name!r}: unknown dtype code {code}")
         shape = reader.unpack(f"{ndim}I", "tensor shape")
         dtype = _CODE_DTYPES[code]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize  # Python ints: no int64 wrap
         payload = reader.payload(nbytes, f"tensor {name!r} payload")
         arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
         if not np.isfinite(arr).all():
@@ -569,7 +579,11 @@ def load_model(path):
     meta, arrays = load_checkpoint(path)
     if "config" not in meta:
         raise CheckpointError("checkpoint metadata is missing the model config")
-    model = BrainFormer(ModelConfig.from_dict(meta["config"]))
+    try:
+        cfg = ModelConfig.from_dict(meta["config"])
+    except ConfigError as err:
+        raise CheckpointError(f"checkpoint {path} stores an invalid {err}") from None
+    model = BrainFormer(cfg)
     load_state(model, arrays)
     return model, meta
 

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +18,11 @@ import numpy as np
 import pytest
 
 from volformer.cli import RunConfig, SplitSpec, build_parser, main
-from volformer.data import SyntheticSpec, load_manifest, read_volume, write_volume
+from volformer.data import (SyntheticSpec, load_manifest, read_volume, write_container,
+                            write_volume)
 from volformer.errors import ConfigError
-from volformer.model import BrainFormer, ModelConfig, forward_volume, load_model, save_model
+from volformer.model import (BrainFormer, ModelConfig, forward_volume, load_checkpoint, load_model,
+                             save_checkpoint, save_model)
 from volformer.train import TrainConfig
 
 SPEC = {
@@ -770,6 +773,42 @@ def test_localize_v1_checkpoint_exit_5(workdir, tmp_path, capsys):
     assert rc == 5
     err = capsys.readouterr().err
     assert "version 1" in err and "retrain" in err
+
+
+def test_localize_volume_whose_extents_wrap_int64_exit_3(workdir, tmp_path, capsys):
+    """Four extents of 65536 multiply to 2**64, which wrapped to an empty
+    payload; with its CRC the file read as valid and failed the reshape with
+    a traceback."""
+    volume = tmp_path / "wrap.vfv"
+    write_container(volume, b"VFV1", struct.pack("<5I", 4, *(65536,) * 4), [(b"", b"")])
+    out = tmp_path / "o"
+    capsys.readouterr()
+    rc = main(["localize", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
+               "--volume", str(volume), "--class", "0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3 and "volume file truncated while reading payload" in err, err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["localize", "audit"])
+@pytest.mark.parametrize("value, message", [
+    ("4", "model config field 'dga_heads' must be int"), (0, "dga_heads must be positive")])
+def test_checkpoint_with_an_invalid_stored_config_exit_5(workdir, tmp_path, capsys, command,
+                                                         value, message):
+    """The stored config's ConfigError escaped as exit 2, a configuration
+    error that never named the checkpoint."""
+    meta, arrays = load_checkpoint(workdir / "run" / "fold0.ckpt")
+    meta["config"]["dga_heads"] = value
+    ckpt, out = tmp_path / "bad.ckpt", tmp_path / "o"
+    save_checkpoint(ckpt, meta, list(arrays.items()))
+    args = {"localize": ["--volume", str(_first_volume(workdir)), "--class", "0"],
+            "audit": ["--manifest", str(workdir / "data" / "manifest.csv"),
+                      "--spec", str(workdir / "spec.json")]}[command]
+    capsys.readouterr()
+    rc = main([command, "--ckpt", str(ckpt), "--out", str(out), *args])
+    err = capsys.readouterr().err
+    assert rc == 5 and str(ckpt) in err and message in err, err
+    assert not out.exists()
 
 
 def test_localize_unknown_layer_exit_2(workdir, tmp_path, capsys):

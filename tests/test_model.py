@@ -382,21 +382,24 @@ def test_checkpoint_refuses_to_save_an_integer_array(tmp_path):
 
 
 def _raw_checkpoint(path, meta: bytes, tensors=()):
-    """A checkpoint container holding ``meta`` verbatim and ``(name, dtype
-    code, array)`` tensors, so a test can write what ``save_checkpoint`` refuses."""
+    """A checkpoint container holding ``meta`` verbatim and ``(name bytes,
+    dtype code, shape, payload)`` tensors, so a test can write what
+    ``save_checkpoint`` refuses or cannot express."""
     header = struct.pack(f"<II{len(meta)}sI", M.CHECKPOINT_VERSION, len(meta), meta,
                          len(tensors))
     write_container(path, M.CHECKPOINT_MAGIC, header, [
-        (struct.pack(f"<H{len(name)}sBB{a.ndim}I", len(name), name.encode(), code,
-                     a.ndim, *a.shape), a.tobytes()) for name, code, a in tensors])
+        (struct.pack(f"<H{len(name)}sBB{len(shape)}I", len(name), name, code,
+                     len(shape), *shape), payload) for name, code, shape, payload in tensors])
 
 
-def _edited_state(path, edit):
-    """Save a desk model's checkpoint with ``edit`` applied to its tensor dict."""
+def _edited_state(path, edit, extra=()):
+    """Save a desk model's checkpoint with ``edit``, if any, applied to its
+    tensor dict and the ``(name, array)`` records ``extra`` appended."""
     M.save_model(trained_desk_model()[0], path)
     meta, arrays = M.load_checkpoint(path)
-    edit(arrays)
-    M.save_checkpoint(path, meta, list(arrays.items()))
+    if edit:
+        edit(arrays)
+    M.save_checkpoint(path, meta, [*arrays.items(), *extra])
 
 
 def _poison(name: str, value: float):
@@ -409,8 +412,19 @@ def _poison(name: str, value: float):
 @pytest.mark.parametrize("write, message", [
     pytest.param(lambda p: _raw_checkpoint(p, b"{not json"),
                  "corrupt checkpoint metadata", id="metadata-not-json"),
-    pytest.param(lambda p: _raw_checkpoint(p, b"{}", [("w", 7, np.zeros(2))]),
+    pytest.param(lambda p: _raw_checkpoint(p, b"{}", [(b"w", 7, (2,), bytes(16))]),
                  "tensor 'w': unknown dtype code 7", id="dtype-code"),
+    # the four extents multiply to 2**64, which wrapped to an empty payload
+    pytest.param(lambda p: _raw_checkpoint(p, b"{}", [(b"w", 0, (65536,) * 4, b"")]),
+                 "checkpoint truncated while reading tensor 'w' payload", id="extents-wrap"),
+    pytest.param(lambda p: _raw_checkpoint(p, b"{}", [(b"\xff\xfe", 0, (1,), bytes(4))]),
+                 "tensor name is not valid UTF-8", id="name-not-utf8"),
+    pytest.param(lambda p: _raw_checkpoint(p, b'"config"'),
+                 "checkpoint metadata must be a JSON object, got str", id="metadata-string"),
+    # the last record won: an appended all-zero stem kernel zeroed the stem
+    pytest.param(lambda p: _edited_state(p, None, [("encoder.stem.weight",
+                                                    np.zeros((8, 1, 7, 7, 7), np.float32))]),
+                 "duplicate tensor 'encoder.stem.weight'", id="duplicate-tensor"),
     pytest.param(lambda p: M.save_checkpoint(p, {"kind": "brainformer"}, []),
                  "metadata is missing the model config", id="no-config"),
     pytest.param(lambda p: _edited_state(p, lambda a: a.pop("encoder.stem.weight")),
