@@ -582,7 +582,8 @@ def load_model(path):
     try:
         cfg = ModelConfig.from_dict(meta["config"])
     except ConfigError as err:
-        raise CheckpointError(f"checkpoint {path} stores an invalid {err}") from None
+        raise CheckpointError(
+            f"checkpoint {path} stores an invalid model config: {err}") from None
     model = BrainFormer(cfg)
     load_state(model, arrays)
     return model, meta
