@@ -109,11 +109,7 @@ class ModelConfig(Section):
     # -- derived values -------------------------------------------------
 
     def resolved_stem_channels(self) -> int:
-        if self.stem_channels is not None:
-            return self.stem_channels
-        if not self.stage_channels:
-            raise ConfigError("zero-stage config requires explicit stem_channels")
-        return self.stage_channels[0]
+        return self.stem_channels or self.stage_channels[0]
 
     def feature_channels(self) -> int:
         return self.stage_channels[-1] if self.stage_channels else self.resolved_stem_channels()
@@ -198,8 +194,8 @@ class ModelConfig(Section):
                 raise ConfigError(f"{b}_input_dim must be positive when use_{b} is set")
         if self.scale_preset not in ("full", "desk"):
             raise ConfigError(f"unknown scale_preset {self.scale_preset!r}")
-        if not self.stage_channels:
-            self.resolved_stem_channels()
+        if not self.stage_channels and self.stem_channels is None:
+            raise ConfigError("zero-stage config requires explicit stem_channels")
 
     @classmethod
     def from_dict(cls, doc) -> "ModelConfig":

@@ -57,6 +57,8 @@ def test_config_validation_errors():
         ModelConfig.desk(dga_heads=5).validate()
     with pytest.raises(ConfigError):
         ModelConfig.desk(class_count=1).validate()
+    with pytest.raises(ConfigError, match="zero-stage config requires explicit stem_channels"):
+        ModelConfig(stage_channels=(), stage_blocks=(), stage_strides=(), attention_plan=())
 
 
 def test_parse_attention_plan():
