@@ -1,7 +1,8 @@
 """Volume I/O, artifact writes, manifests, padding, FC extraction, folds, synthetic data.
 
-Volume files are a little-endian container: magic ``VFV1``, u32 rank, u32
-extents, raw float32 row-major payload, trailing u32 CRC32 of the payload.
+Volume files are a little-endian container: magic ``VFV2``, u32 rank, u32
+extents, raw float32 row-major payload, and a trailing u32 CRC32 of every
+byte before it; a ``VFV1`` file is refused with a request to regenerate it.
 Manifests are CSV with header ``subject_id,site_id,label,modality,path,
 pheno_0..pheno_m``; volume paths are relative to the manifest's directory,
 ``modality`` is ``fmri``, ``smri`` or ``fc``, and empty phenotype cells are
@@ -25,7 +26,7 @@ import numpy as np
 from .config import Section
 from .errors import ConfigError, DataError, ParseError, PlanError
 
-VOLUME_MAGIC = b"VFV1"
+VOLUME_MAGIC = b"VFV2"
 MAX_RANK = 8
 
 
@@ -199,52 +200,64 @@ def write_json(path, doc) -> None:
         tmp.write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def write_container(path, magic: bytes, header: bytes, records) -> None:
-    """Write ``magic``, ``header``, then per ``(prefix, payload)`` record the
-    prefix, the payload and the payload's u32 CRC32."""
+def write_container(path, magic: bytes, parts) -> None:
+    """Write ``magic``, each byte string of ``parts`` in turn, then a u32 CRC32
+    of every byte before it, kept running so nothing is joined in memory."""
     with open(path, "wb") as fh:
         fh.write(magic)
-        fh.write(header)
-        for prefix, payload in records:
-            fh.write(prefix)
-            fh.write(payload)
-            fh.write(struct.pack("<I", zlib.crc32(payload)))
+        crc = zlib.crc32(magic)
+        for part in parts:
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 class ContainerReader:
-    """Bounds-checked little-endian reader over one container file's bytes.
+    """Bounds-checked little-endian reader over one container file, read whole.
 
-    Checks the magic on construction. Every fault raises ``error(message,
-    byte_offset)``, so each format keeps its own exception type.
+    The trailing u32 CRC32 ends the data for ``take`` and ``finish``.
+    Construction checks the format's identity, then that CRC, before any other
+    field is read, so a damaged byte anywhere reads as corrupt while an older
+    file is still named as one: a magic in ``retired``, or a u32 ``version``
+    other than the current one, is refused with ``remedy``. Every fault raises
+    ``error(message, byte_offset)``, so each format keeps its own exception type.
     """
 
-    def __init__(self, blob: bytes, magic: bytes, error, label: str):
-        self.blob, self.offset, self.error, self.label = blob, 0, error, label
-        got = self.take(len(magic), "magic")
+    def __init__(self, path, magic: bytes, error, label: str, remedy: str,
+                 version: int | None = None, retired: tuple[bytes, ...] = ()):
+        self.error, self.label, self.offset = error, label, 0
+        try:
+            with open(path, "rb") as fh:
+                self.blob = memoryview(fh.read())
+        except OSError as err:
+            raise error(f"cannot read {label} {path}: {err}") from None
+        self.end = len(self.blob) - 4
+        got = bytes(self.take(len(magic), "magic"))
+        if got in retired:
+            raise error(f"{label} format {got.decode()} is no longer read; {remedy}", 0)
         if got != magic:
             raise error(f"bad {label} magic {got!r}", 0)
+        if version is not None:
+            got, = self.unpack("I", "version")
+            if got != version:
+                raise error(f"unsupported {label} version {got}; this build reads "
+                            f"version {version} only, so {remedy}", len(magic))
+        stored, = struct.unpack_from("<I", self.blob, self.end)
+        if zlib.crc32(self.blob[:self.end]) != stored:
+            raise error(f"{label} checksum mismatch", self.end)
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.offset + n > len(self.blob):
+    def take(self, n: int, what: str) -> memoryview:
+        if self.offset + n > self.end:
             raise self.error(f"{self.label} truncated while reading {what}", self.offset)
         self.offset += n
         return self.blob[self.offset - n:self.offset]
 
     def unpack(self, fmt: str, what: str) -> tuple:
-        fmt = "<" + fmt
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-    def payload(self, n: int, what: str) -> bytes:
-        """``n`` payload bytes followed by their u32 CRC32, which must match."""
-        data = self.take(n, what)
-        stored, = self.unpack("I", f"{what} checksum")
-        if zlib.crc32(data) != stored:
-            raise self.error(f"{what} checksum mismatch", self.offset - 4)
-        return data
+        return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt), what))
 
     def finish(self) -> None:
-        if self.offset != len(self.blob):
-            raise self.error(f"{len(self.blob) - self.offset} trailing bytes after "
+        if self.offset != self.end:
+            raise self.error(f"{self.end - self.offset} trailing bytes after "
                              f"the {self.label} payload", self.offset)
 
 
@@ -252,8 +265,8 @@ def write_volume(path, array: np.ndarray) -> None:
     arr = np.ascontiguousarray(np.asarray(array, dtype=np.float32))
     if arr.ndim < 1 or arr.ndim > MAX_RANK:
         raise DataError(f"volume rank {arr.ndim} outside 1..{MAX_RANK}")
-    header = struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
-    write_container(path, VOLUME_MAGIC, header, [(b"", arr.tobytes())])
+    write_container(path, VOLUME_MAGIC,
+                    [struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()])
 
 
 def _require_finite(arr: np.ndarray, source: str) -> np.ndarray:
@@ -266,19 +279,15 @@ def _require_finite(arr: np.ndarray, source: str) -> np.ndarray:
 
 
 def read_volume(path) -> np.ndarray:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as err:
-        raise DataError(f"cannot read volume file {path}: {err}") from None
-    reader = ContainerReader(blob, VOLUME_MAGIC, ParseError, "volume file")
+    reader = ContainerReader(path, VOLUME_MAGIC, ParseError, "volume file",
+                             "regenerate the volume", retired=(b"VFV1",))
     rank, = reader.unpack("I", "rank")
     if not 1 <= rank <= MAX_RANK:
         raise ParseError(f"volume rank {rank} outside 1..{MAX_RANK}", 4)
     shape = reader.unpack(f"{rank}I", "extents")
     if any(e < 1 for e in shape):
         raise ParseError(f"non-positive extent in {shape}", 8)
-    payload = reader.payload(4 * math.prod(shape), "payload")  # Python ints: no wrap
+    payload = reader.take(4 * math.prod(shape), "payload")  # Python ints: no wrap
     reader.finish()
     arr = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
     return _require_finite(arr, f"volume file {path}")

@@ -8,10 +8,10 @@ ending in softmax. Optional sMRI, connectivity and phenotype branches
 (``BRANCHES``) add features before the linear classifier.
 
 Checkpoints are a little-endian container: magic ``VFCK``, u32 format
-version (2), u32 metadata length + UTF-8 JSON metadata (config echo), u32
-tensor count, then per tensor: u16 name length + name, u8 dtype
-code (0 = float32, 1 = float64), u8 rank, u32 extents, raw row-major payload,
-u32 CRC32 of the payload.
+version (3; older ones are refused), u32 metadata length + UTF-8 JSON
+metadata (config echo), u32 tensor count, then per tensor: u16 name length +
+name, u8 dtype code (0 = float32, 1 = float64), u8 rank, u32 extents, raw
+row-major payload; last, a u32 CRC32 of every byte before it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .layers import (
 from .tensor import Tensor, kaiming_uniform
 
 CHECKPOINT_MAGIC = b"VFCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {code: dtype for dtype, code in _DTYPE_CODES.items()}
 
@@ -490,44 +490,40 @@ def _state_entries(model) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def _tensor_record(name: str, arr: np.ndarray) -> tuple[bytes, bytes]:
-    arr = np.ascontiguousarray(arr)
-    name_bytes = name.encode("utf-8")
-    prefix = struct.pack(f"<H{len(name_bytes)}sBB{arr.ndim}I", len(name_bytes), name_bytes,
-                         _DTYPE_CODES[arr.dtype], arr.ndim, *arr.shape)
-    return prefix, arr.tobytes()
+def _checkpoint_parts(meta: dict, arrays: list[tuple[str, np.ndarray]]):
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    yield struct.pack(f"<II{len(meta_bytes)}sI", CHECKPOINT_VERSION, len(meta_bytes),
+                      meta_bytes, len(arrays))
+    for name, arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        name_bytes = name.encode("utf-8")
+        yield struct.pack(f"<H{len(name_bytes)}sBB{arr.ndim}I", len(name_bytes), name_bytes,
+                          _DTYPE_CODES[arr.dtype], arr.ndim, *arr.shape)
+        yield arr.tobytes()
 
 
 def save_checkpoint(path, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
     """Write a checkpoint, one record at a time; an array of a dtype the
-    format lacks is refused before the file is opened."""
+    format lacks, or a name given twice, is refused before the file is opened."""
+    seen = set()
     for name, arr in arrays:
         if arr.dtype not in _DTYPE_CODES:
             raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    header = struct.pack(f"<II{len(meta_bytes)}sI", CHECKPOINT_VERSION, len(meta_bytes),
-                         meta_bytes, len(arrays))
-    write_container(path, CHECKPOINT_MAGIC, header,
-                    (_tensor_record(name, arr) for name, arr in arrays))
+        if name in seen:
+            raise CheckpointError(f"duplicate tensor {name!r}")
+        seen.add(name)
+    write_container(path, CHECKPOINT_MAGIC, _checkpoint_parts(meta, arrays))
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a checkpoint's metadata and named arrays; a tensor holding NaN or
     ±inf is refused like a corrupt one."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as err:
-        raise CheckpointError(f"cannot read checkpoint {path}: {err}") from None
-    reader = ContainerReader(blob, CHECKPOINT_MAGIC, CheckpointError, "checkpoint")
-    version, = reader.unpack("I", "version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version}; this build reads version "
-            f"{CHECKPOINT_VERSION} only, so retrain the model to get a current checkpoint")
+    reader = ContainerReader(path, CHECKPOINT_MAGIC, CheckpointError, "checkpoint",
+                             "retrain the model to get a current checkpoint",
+                             version=CHECKPOINT_VERSION)
     meta_len, = reader.unpack("I", "metadata length")
     try:
-        meta = json.loads(reader.take(meta_len, "metadata").decode("utf-8"))
+        meta = json.loads(str(reader.take(meta_len, "metadata"), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"corrupt checkpoint metadata: {err}") from None
     if not isinstance(meta, dict):
@@ -539,7 +535,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         name_len, = reader.unpack("H", "tensor name length")
         at = reader.offset
         try:
-            name = reader.take(name_len, "tensor name").decode("utf-8")
+            name = str(reader.take(name_len, "tensor name"), "utf-8")
         except UnicodeDecodeError:
             raise CheckpointError("tensor name is not valid UTF-8", at) from None
         if name in arrays:
@@ -550,23 +546,17 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         shape = reader.unpack(f"{ndim}I", "tensor shape")
         dtype = _CODE_DTYPES[code]
         nbytes = math.prod(shape) * dtype.itemsize  # Python ints: no int64 wrap
-        payload = reader.payload(nbytes, f"tensor {name!r} payload")
-        arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        payload = reader.take(nbytes, f"tensor {name!r} payload")
+        arr = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
         if not np.isfinite(arr).all():
             raise CheckpointError(f"tensor {name!r} holds non-finite values")
-        arrays[name] = arr.copy()
+        arrays[name] = arr
     reader.finish()
     return meta, arrays
 
 
 def save_model(model, path, extra_meta: dict | None = None) -> None:
-    meta = {
-        "kind": "brainformer",
-        "config": model.cfg.to_dict(),
-        "format": "volformer-checkpoint",
-    }
-    if extra_meta:
-        meta.update(extra_meta)
+    meta = {"config": model.cfg.to_dict(), **(extra_meta or {})}
     save_checkpoint(path, meta, _state_entries(model))
 
 

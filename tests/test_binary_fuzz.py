@@ -3,9 +3,10 @@
 A valid desk ``.vfv`` volume and a valid ``.ckpt`` checkpoint are truncated
 at every header field boundary, get single-bit flips in their header and
 metadata bytes, and have their rank and extents rewritten. ``localize`` runs
-in-process on each case and must map it (exit 0) or refuse it with a
-documented code (3 data, 5 checkpoint), never with a traceback, and a refusal
-must leave its output directory empty.
+in-process on each case. A CRC32 covers every stored byte of both formats, so
+every case must be refused with the code of the file it mutates (3 for a
+volume, 5 for a checkpoint), never with a traceback, and must leave its output
+directory empty.
 """
 
 import math
@@ -51,15 +52,16 @@ def _volume_cases(blob: bytes, rng) -> dict[str, bytes]:
                     (65536,) * 4, (2**32 - 1,) * 3, (2**31, 2**31, 4)]:
         header = struct.pack(f"<I{len(extents)}I", len(extents), *extents)
         cases[f"rank {len(extents)} extents {extents}"] = blob[:4] + header + payload
-        if math.prod(extents) >= 2**62:  # also with an empty payload and its CRC
+        if math.prod(extents) >= 2**62:  # also with an empty payload
             cases[f"extents {extents}, no payload"] = blob[:4] + header + bytes(4)
     cases["rank 2**32 - 1"] = blob[:4] + struct.pack("<I", 2**32 - 1) + blob[8:]
     return cases
 
 
 def _checkpoint_fields(blob: bytes) -> tuple[list[int], range, int]:
-    """Offsets at which each header field and each field of the first two
-    tensor records start; the metadata's byte range; the first record's offset."""
+    """Offsets at which each header field, each field of the first two tensor
+    records and the trailing CRC start; the metadata's byte range; the first
+    record's offset."""
     meta_len, = struct.unpack_from("<I", blob, 8)
     at = 12 + meta_len
     bounds = [0, 4, 8, 12, at]  # magic, version, metadata length, metadata, tensor count
@@ -69,11 +71,11 @@ def _checkpoint_fields(blob: bytes) -> tuple[list[int], range, int]:
         code, ndim = blob[at + 2 + name_len], blob[at + 3 + name_len]
         shape = struct.unpack_from(f"<{ndim}I", blob, at + 4 + name_len)
         payload = at + 4 + name_len + 4 * ndim
-        # name length, name, dtype code, rank, extents, payload and its CRC
+        # name length, name, dtype code, rank, extents, payload
         bounds += [at, at + 2, at + 2 + name_len, at + 3 + name_len, at + 4 + name_len,
-                   payload, payload + ITEMSIZE[code] * math.prod(shape)]
-        at = bounds[-1] + 4
-    return bounds, range(12, 12 + meta_len), first
+                   payload]
+        at = payload + ITEMSIZE[code] * math.prod(shape)
+    return bounds + [len(blob) - 4], range(12, 12 + meta_len), first
 
 
 def _checkpoint_cases(blob: bytes, rng) -> dict[str, bytes]:
@@ -98,6 +100,7 @@ def _checkpoint_cases(blob: bytes, rng) -> dict[str, bytes]:
 
 def _run_cases(root, cases: dict[str, bytes], kind: str, capsys) -> list[str]:
     """Run ``localize`` on each mutated file; describe every case that broke the rules."""
+    code = 5 if kind == "ckpt" else 3
     bad = []
     for i, (name, blob) in enumerate(cases.items()):
         path, out = root / f"case{i}.{kind}", root / f"out_{kind}{i}"
@@ -113,7 +116,7 @@ def _run_cases(root, cases: dict[str, bytes], kind: str, capsys) -> list[str]:
             continue
         err = capsys.readouterr().err
         left = sorted(p.name for p in out.rglob("*")) if out.exists() else []
-        if rc not in (0, 3, 5) or "Traceback" in err or (rc and left):
+        if rc != code or "Traceback" in err or left:
             bad.append(f"{name}: exit {rc}, files {left}, stderr {err.strip()!r}")
     return bad
 
@@ -127,7 +130,7 @@ def test_valid_inputs_map(valid, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a flipped config may warn
 @pytest.mark.parametrize("kind", ["vfv", "ckpt"])
-def test_mutated_inputs_exit_0_3_or_5_without_a_traceback(valid, capsys, kind):
+def test_mutated_inputs_are_refused_without_a_traceback(valid, capsys, kind):
     rng = np.random.default_rng(SEED)
     if kind == "vfv":
         cases = _volume_cases((valid / "volume.vfv").read_bytes(), rng)

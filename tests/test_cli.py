@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from volformer.cli import RunConfig, SplitSpec, build_parser, main
-from volformer.data import (SyntheticSpec, load_manifest, read_volume, write_container,
-                            write_volume)
+from volformer.data import (VOLUME_MAGIC, SyntheticSpec, load_manifest, read_volume,
+                            write_container, write_volume)
 from volformer.errors import ConfigError
 from volformer.model import (BrainFormer, ModelConfig, forward_volume, load_checkpoint, load_model,
                              save_checkpoint, save_model)
@@ -631,20 +631,24 @@ def test_interrupted_checkpoint_write_leaves_no_file(workdir, tmp_path, monkeypa
     from volformer.cli import _write_fold
     from volformer.train import TrainHistory
     model, _ = load_model(workdir / "run" / "fold0.ckpt")
-    record = volformer.model._tensor_record
-    written = []
+    write = volformer.model.write_container
+    written, on_disk = [], []
 
-    def fail_third(name, arr):
-        written.append(name)
-        if len(written) == 3:
-            raise OSError("simulated disk full")
-        return record(name, arr)
+    def fail_third(parts):
+        """Pass the header and two tensor records, then fail on the third."""
+        for part in parts:
+            written.append(part)
+            if len(written) == 6:
+                on_disk.extend(sorted(p.name for p in tmp_path.iterdir()))
+                raise OSError("simulated disk full")
+            yield part
 
-    monkeypatch.setattr(volformer.model, "_tensor_record", fail_third)
+    monkeypatch.setattr(volformer.model, "write_container",
+                        lambda path, magic, parts: write(path, magic, fail_third(parts)))
     result = SimpleNamespace(fold=0, model=model, history=TrainHistory())
     with pytest.raises(OSError, match="disk full"):
         _write_fold(tmp_path, 0, result)
-    assert len(written) == 3
+    assert len(written) == 6 and "fold0.ckpt.tmp" in on_disk  # failed mid-write
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fold0_history.csv"]
 
 
@@ -777,17 +781,21 @@ def test_localize_v1_checkpoint_exit_5(workdir, tmp_path, capsys):
 
 def test_localize_volume_whose_extents_wrap_int64_exit_3(workdir, tmp_path, capsys):
     """Four extents of 65536 multiply to 2**64, which wrapped to an empty
-    payload; with its CRC the file read as valid and failed the reshape with
-    a traceback."""
+    payload; with a valid CRC the file read as valid and failed the reshape
+    with a traceback."""
     volume = tmp_path / "wrap.vfv"
-    write_container(volume, b"VFV1", struct.pack("<5I", 4, *(65536,) * 4), [(b"", b"")])
-    out = tmp_path / "o"
-    capsys.readouterr()
-    rc = main(["localize", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
-               "--volume", str(volume), "--class", "0", "--out", str(out)])
-    err = capsys.readouterr().err
-    assert rc == 3 and "volume file truncated while reading payload" in err, err
-    assert "Traceback" not in err and not out.exists()
+    header = struct.pack("<5I", 4, *(65536,) * 4)
+    write_container(volume, VOLUME_MAGIC, [header])
+    for blob, message in [(volume.read_bytes(), "volume file truncated while reading payload"),
+                          (VOLUME_MAGIC + header + bytes(4), "volume file checksum mismatch")]:
+        volume.write_bytes(blob)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        rc = main(["localize", "--ckpt", str(workdir / "run" / "fold0.ckpt"),
+                   "--volume", str(volume), "--class", "0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3 and message in err, err
+        assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["localize", "audit"])

@@ -10,11 +10,13 @@ import pytest
 
 from volformer.cli import main
 from volformer.data import (FoldPlan, SubjectRecord, SyntheticSpec, VolumeSample,
-                            compute_fc, generate_synthetic, load_manifest,
-                            load_volume, pad_volume, plan_folds, read_volume,
-                            write_csv, write_dataset, write_json, write_volume)
+                            VOLUME_MAGIC, compute_fc, generate_synthetic,
+                            load_manifest, load_volume, pad_volume, plan_folds,
+                            read_volume, write_container, write_csv, write_dataset,
+                            write_json, write_volume)
 from volformer.errors import ConfigError, DataError, ParseError, PlanError
 from volformer.layers import DataNormLayer
+from volformer.model import BrainFormer, ModelConfig, save_model
 from volformer.tensor import Tensor
 
 from oracles import classify_by_blob_mean, pearson_loops
@@ -66,24 +68,57 @@ def test_volume_bad_magic_offset_zero(tmp_path):
     assert "magic" in str(err.value)
 
 
+def _volume_header(shape) -> bytes:
+    return struct.pack(f"<I{len(shape)}I", len(shape), *shape)
+
+
+def _assert_checksum_mismatch(path, blob: bytes):
+    path.write_bytes(blob)
+    with pytest.raises(ParseError, match="checksum mismatch"):
+        read_volume(path)
+
+
 def test_volume_truncation_reports_offset(tmp_path):
+    """A payload cut short under a valid CRC reaches the truncation check; the
+    same cut made to a written file breaks its CRC first."""
     arr = np.ones((4, 4, 4), dtype=np.float32)
     path = tmp_path / "t.vfv"
-    write_volume(path, arr)
-    blob = path.read_bytes()
-    path.write_bytes(blob[: len(blob) - 10])
+    write_container(path, VOLUME_MAGIC, [_volume_header(arr.shape), arr.tobytes()[:-10]])
     with pytest.raises(ParseError) as err:
         read_volume(path)
     assert "truncated" in str(err.value)
     assert "byte offset" in str(err.value)
+    write_volume(path, arr)
+    _assert_checksum_mismatch(path, path.read_bytes()[:-10])
 
 
 def test_volume_rank_overflow(tmp_path):
     path = tmp_path / "r.vfv"
-    path.write_bytes(b"VFV1" + struct.pack("<I", 9))
+    write_container(path, VOLUME_MAGIC, [struct.pack("<I", 9)])
     with pytest.raises(ParseError) as err:
         read_volume(path)
     assert err.value.offset == 4
+    _assert_checksum_mismatch(path, VOLUME_MAGIC + struct.pack("<II", 9, 0))
+
+
+def test_volume_format_1_asks_to_regenerate(tmp_path, capsys):
+    """A ``VFV1`` file (per-payload CRC, header unchecked) is named as the old
+    format, not as corrupt, and exits 3."""
+    arr = np.ones((2, 3, 4), dtype=np.float32).tobytes()
+    path = tmp_path / "old.vfv"
+    path.write_bytes(b"VFV1" + _volume_header((2, 3, 4)) + arr
+                     + struct.pack("<I", zlib.crc32(arr)))
+    with pytest.raises(ParseError, match="volume file format VFV1 is no longer read; "
+                                         "regenerate the volume") as err:
+        read_volume(path)
+    assert err.value.offset == 0
+    ckpt = tmp_path / "model.ckpt"
+    save_model(BrainFormer(ModelConfig.desk(), seed=0), ckpt)
+    capsys.readouterr()
+    rc = main(["localize", "--ckpt", str(ckpt), "--volume", str(path),
+               "--class", "0", "--out", str(tmp_path / "map")])
+    err = capsys.readouterr().err
+    assert rc == 3 and "regenerate the volume" in err and "Traceback" not in err, err
 
 
 def test_volume_checksum_mismatch(tmp_path):
@@ -101,11 +136,12 @@ def test_volume_checksum_mismatch(tmp_path):
 def test_volume_trailing_bytes_rejected(tmp_path):
     arr = np.ones((2, 2, 2), dtype=np.float32)
     path = tmp_path / "x.vfv"
-    write_volume(path, arr)
-    path.write_bytes(path.read_bytes() + b"\x00\x01")
+    write_container(path, VOLUME_MAGIC, [_volume_header(arr.shape), arr.tobytes(), b"\x00\x01"])
     with pytest.raises(ParseError) as err:
         read_volume(path)
     assert "trailing" in str(err.value)
+    write_volume(path, arr)
+    _assert_checksum_mismatch(path, path.read_bytes() + b"\x00\x01")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

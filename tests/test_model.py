@@ -244,7 +244,7 @@ def test_checkpoint_round_trip_bit_identical_forward(tmp_path):
     M.save_model(model, path, extra_meta={"note": "round-trip"})
     loaded, meta = M.load_model(path)
     assert meta["note"] == "round-trip"
-    assert meta["kind"] == "brainformer"
+    assert path.read_bytes()[:8] == b"VFCK" + struct.pack("<I", 3)  # magic and version
     x = desk_batch(rng, 3)
     with T.no_grad():
         a = model.forward_logits(x, training=False).data
@@ -383,25 +383,34 @@ def test_checkpoint_refuses_to_save_an_integer_array(tmp_path):
     assert not path.exists()
 
 
+def test_checkpoint_refuses_to_save_a_name_twice(tmp_path):
+    """Refused before the file is opened, like an unsupported dtype."""
+    path = tmp_path / "twice.vfck"
+    with pytest.raises(CheckpointError, match="duplicate tensor 'w'"):
+        M.save_checkpoint(path, {}, [("w", np.ones(3, dtype=np.float32)),
+                                     ("v", np.ones(3, dtype=np.float32)),
+                                     ("w", np.zeros(3, dtype=np.float32))])
+    assert not path.exists()
+
+
 def _raw_checkpoint(path, meta: bytes, tensors=()):
-    """A checkpoint container holding ``meta`` verbatim and ``(name bytes,
-    dtype code, shape, payload)`` tensors, so a test can write what
-    ``save_checkpoint`` refuses or cannot express."""
-    header = struct.pack(f"<II{len(meta)}sI", M.CHECKPOINT_VERSION, len(meta), meta,
-                         len(tensors))
-    write_container(path, M.CHECKPOINT_MAGIC, header, [
-        (struct.pack(f"<H{len(name)}sBB{len(shape)}I", len(name), name, code,
-                     len(shape), *shape), payload) for name, code, shape, payload in tensors])
+    """A checkpoint container, sealed with a valid CRC, holding ``meta``
+    verbatim and ``(name bytes, dtype code, shape, payload)`` tensors, so a
+    test can write what ``save_checkpoint`` refuses or cannot express."""
+    parts = [struct.pack(f"<II{len(meta)}sI", M.CHECKPOINT_VERSION, len(meta), meta,
+                         len(tensors))]
+    for name, code, shape, payload in tensors:
+        parts += [struct.pack(f"<H{len(name)}sBB{len(shape)}I", len(name), name, code,
+                              len(shape), *shape), payload]
+    write_container(path, M.CHECKPOINT_MAGIC, parts)
 
 
-def _edited_state(path, edit, extra=()):
-    """Save a desk model's checkpoint with ``edit``, if any, applied to its
-    tensor dict and the ``(name, array)`` records ``extra`` appended."""
+def _edited_state(path, edit):
+    """Save a desk model's checkpoint with ``edit`` applied to its tensor dict."""
     M.save_model(trained_desk_model()[0], path)
     meta, arrays = M.load_checkpoint(path)
-    if edit:
-        edit(arrays)
-    M.save_checkpoint(path, meta, [*arrays.items(), *extra])
+    edit(arrays)
+    M.save_checkpoint(path, meta, list(arrays.items()))
 
 
 def _poison(name: str, value: float):
@@ -424,8 +433,8 @@ def _poison(name: str, value: float):
     pytest.param(lambda p: _raw_checkpoint(p, b'"config"'),
                  "checkpoint metadata must be a JSON object, got str", id="metadata-string"),
     # the last record won: an appended all-zero stem kernel zeroed the stem
-    pytest.param(lambda p: _edited_state(p, None, [("encoder.stem.weight",
-                                                    np.zeros((8, 1, 7, 7, 7), np.float32))]),
+    pytest.param(lambda p: _raw_checkpoint(p, b"{}", [(b"encoder.stem.weight", 0, (1,),
+                                                       bytes(4))] * 2),
                  "duplicate tensor 'encoder.stem.weight'", id="duplicate-tensor"),
     pytest.param(lambda p: M.save_checkpoint(p, {"kind": "brainformer"}, []),
                  "metadata is missing the model config", id="no-config"),
@@ -456,3 +465,7 @@ def test_checkpoint_refusals_exit_5(tmp_path, capsys, write, message):
                "--out", str(tmp_path / "map")])
     err = capsys.readouterr().err
     assert rc == 5 and message in err and "Traceback" not in err, err
+    # the same file cut by one byte fails its CRC before any field is parsed
+    ckpt.write_bytes(ckpt.read_bytes()[:-1])
+    with pytest.raises(CheckpointError, match="checkpoint checksum mismatch"):
+        M.load_checkpoint(ckpt)
