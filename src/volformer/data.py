@@ -106,7 +106,9 @@ class SyntheticSpec(Section):
     site applies an affine intensity transform gain*v + offset whose
     parameters are spread evenly across the configured ranges. Subjects with
     the same class and index at different sites share the underlying volume,
-    so site pairs differ only by the affine map.
+    each volume's jitter and the sMRI noise, each under the site's affine
+    map, and have identical FC and phenotype vectors, so site pairs differ
+    only by the affine map.
     """
 
     what = "synthetic spec"
@@ -461,51 +463,56 @@ def _smooth_noise(rng: np.random.Generator, spec: SyntheticSpec) -> np.ndarray:
 
 def generate_synthetic(spec: SyntheticSpec) -> list[SubjectRecord]:
     """Deterministic multi-site cohort with a planted class-specific blob; a
-    volume that overflows float32 (a huge ``blob_amplitude``) is a DataError."""
+    volume that overflows float32 (a huge ``blob_amplitude``) is a DataError.
+
+    No random stream is keyed by site, so each subject's noise is drawn once
+    and every site maps the same float64 values through its affine; the
+    records come out site-major."""
     affines = _site_affines(spec)
-    records: list[SubjectRecord] = []
+    by_site: list[list[SubjectRecord]] = [[] for _ in affines]
     jitter_sigma = spec.jitter_fraction * spec.noise_sigma
-    for site in range(spec.site_count):
-        gain, offset = affines[site]
-        site_id = f"site{site:02d}"
-        for label in range(spec.class_count):
-            blob = _blob(spec, label)
-            for idx in range(spec.subjects_per_class_per_site):
-                subject_id = f"s{site:02d}c{label}n{idx:03d}"
-                base_rng = np.random.default_rng((spec.seed, label, idx, 0))
-                underlying = _smooth_noise(base_rng, spec) + blob
-                volumes = []
-                for vol in range(spec.volumes_per_subject):
-                    vol_rng = np.random.default_rng((spec.seed, label, idx, 1, vol))
-                    jitter = (vol_rng.normal(0.0, jitter_sigma, size=spec.volume_extent)
-                              if jitter_sigma > 0 else 0.0)
-                    raw = gain * (underlying + jitter) + offset
-                    arr = _require_finite(raw.astype(np.float32),
-                                         f"synthetic volume {vol} of subject {subject_id}")
-                    volumes.append(VolumeSample(
-                        subject_id, site_id, label, "fmri", arr,
+
+    def at_sites(records: list[SubjectRecord], shared: np.ndarray, what: str):
+        """Yield each site's record with ``shared`` under that site's affine map."""
+        for rec, (gain, offset) in zip(records, affines):
+            yield rec, _require_finite((gain * shared + offset).astype(np.float32),
+                                       f"synthetic {what} of subject {rec.subject_id}")
+
+    for label in range(spec.class_count):
+        blob = _blob(spec, label)
+        for idx in range(spec.subjects_per_class_per_site):
+            key = (spec.seed, label, idx)
+            records = [SubjectRecord(f"s{site:02d}c{label}n{idx:03d}", f"site{site:02d}",
+                                     label) for site in range(spec.site_count)]
+            underlying = _smooth_noise(np.random.default_rng((*key, 0)), spec) + blob
+            for vol in range(spec.volumes_per_subject):
+                vol_rng = np.random.default_rng((*key, 1, vol))
+                jitter = (vol_rng.normal(0.0, jitter_sigma, size=spec.volume_extent)
+                          if jitter_sigma > 0 else 0.0)
+                for rec, arr in at_sites(records, underlying + jitter, f"volume {vol}"):
+                    rec.fmri_volumes.append(VolumeSample(
+                        rec.subject_id, rec.site_id, label, "fmri", arr,
                         degenerate=bool(arr.max() == arr.min())))
-                record = SubjectRecord(subject_id, site_id, label, volumes)
-                if spec.with_smri:
-                    smri_rng = np.random.default_rng((spec.seed, label, idx, 2))
-                    raw = gain * _smooth_noise(smri_rng, spec) + offset
-                    arr = _require_finite(raw.astype(np.float32),
-                                         f"synthetic sMRI volume of subject {subject_id}")
-                    record.smri = VolumeSample(subject_id, site_id, label, "smri", arr)
-                if spec.with_fc:
-                    fc_rng = np.random.default_rng((spec.seed, label, idx, 3))
-                    fc, _ = _pearson(fc_rng.normal(size=(24, spec.fc_parcels)))
-                    record.fc_vector = fc.reshape(-1)
+            if spec.with_smri:
+                noise = _smooth_noise(np.random.default_rng((*key, 2)), spec)
+                for rec, arr in at_sites(records, noise, "sMRI volume"):
+                    rec.smri = VolumeSample(rec.subject_id, rec.site_id, label, "smri", arr)
+            if spec.with_fc:
+                fc, _ = _pearson(np.random.default_rng((*key, 3)).normal(
+                    size=(24, spec.fc_parcels)))
+            if spec.with_pheno:
+                values = np.random.default_rng((*key, 4)).normal(size=spec.pheno_dim)
+                if spec.pheno_signal > 0:
+                    values[0] += (label - (spec.class_count - 1) / 2.0) * spec.pheno_signal
+            for rec, site_records in zip(records, by_site):
+                if spec.with_fc:  # a copy per site: no two records share an array
+                    rec.fc_vector = fc.reshape(-1).copy()
                 if spec.with_pheno:
-                    ph_rng = np.random.default_rng((spec.seed, label, idx, 4))
-                    values = ph_rng.normal(size=spec.pheno_dim)
-                    if spec.pheno_signal > 0:
-                        values[0] += (label - (spec.class_count - 1) / 2.0) * spec.pheno_signal
-                    record.phenotype = values.astype(np.float32)
-                    record.pheno_mask = np.ones(spec.pheno_dim, dtype=np.float32)
-                record.validate()
-                records.append(record)
-    return records
+                    rec.phenotype = values.astype(np.float32)
+                    rec.pheno_mask = np.ones(spec.pheno_dim, dtype=np.float32)
+                rec.validate()
+                site_records.append(rec)
+    return [rec for site_records in by_site for rec in site_records]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 
+from volformer.data import (SubjectRecord, VolumeSample, _blob, _pearson,
+                            _require_finite, _site_affines, _smooth_noise)
+
 
 def numeric_grad(f, tensors, h: float = 1e-5):
     """Central-difference gradient of the scalar ``f()`` wrt each tensor.
@@ -267,3 +270,53 @@ def dga_chain(block, x):
     z0 = T.add(x, block.pos_embed)
     z1 = T.add(z0, msa_chain(block, z0))
     return residual_mlp_chain(z1, block.ff_w_in, block.ff_w_out, block.ff_b_in, block.ff_b_out)
+
+
+def synthetic_reference(spec) -> list:
+    """The synthetic cohort by the direct route: site by site, each subject's
+    noise is drawn and filtered again for every site. ``data.generate_synthetic``
+    draws it once per subject and must match this byte for byte."""
+    affines = _site_affines(spec)
+    records: list[SubjectRecord] = []
+    jitter_sigma = spec.jitter_fraction * spec.noise_sigma
+    for site in range(spec.site_count):
+        gain, offset = affines[site]
+        site_id = f"site{site:02d}"
+        for label in range(spec.class_count):
+            blob = _blob(spec, label)
+            for idx in range(spec.subjects_per_class_per_site):
+                subject_id = f"s{site:02d}c{label}n{idx:03d}"
+                base_rng = np.random.default_rng((spec.seed, label, idx, 0))
+                underlying = _smooth_noise(base_rng, spec) + blob
+                volumes = []
+                for vol in range(spec.volumes_per_subject):
+                    vol_rng = np.random.default_rng((spec.seed, label, idx, 1, vol))
+                    jitter = (vol_rng.normal(0.0, jitter_sigma, size=spec.volume_extent)
+                              if jitter_sigma > 0 else 0.0)
+                    raw = gain * (underlying + jitter) + offset
+                    arr = _require_finite(raw.astype(np.float32),
+                                         f"synthetic volume {vol} of subject {subject_id}")
+                    volumes.append(VolumeSample(
+                        subject_id, site_id, label, "fmri", arr,
+                        degenerate=bool(arr.max() == arr.min())))
+                record = SubjectRecord(subject_id, site_id, label, volumes)
+                if spec.with_smri:
+                    smri_rng = np.random.default_rng((spec.seed, label, idx, 2))
+                    raw = gain * _smooth_noise(smri_rng, spec) + offset
+                    arr = _require_finite(raw.astype(np.float32),
+                                         f"synthetic sMRI volume of subject {subject_id}")
+                    record.smri = VolumeSample(subject_id, site_id, label, "smri", arr)
+                if spec.with_fc:
+                    fc_rng = np.random.default_rng((spec.seed, label, idx, 3))
+                    fc, _ = _pearson(fc_rng.normal(size=(24, spec.fc_parcels)))
+                    record.fc_vector = fc.reshape(-1)
+                if spec.with_pheno:
+                    ph_rng = np.random.default_rng((spec.seed, label, idx, 4))
+                    values = ph_rng.normal(size=spec.pheno_dim)
+                    if spec.pheno_signal > 0:
+                        values[0] += (label - (spec.class_count - 1) / 2.0) * spec.pheno_signal
+                    record.phenotype = values.astype(np.float32)
+                    record.pheno_mask = np.ones(spec.pheno_dim, dtype=np.float32)
+                record.validate()
+                records.append(record)
+    return records

@@ -7,10 +7,19 @@ in-process on each case. A CRC32 covers every stored byte of both formats, so
 every case must be refused with the code of the file it mutates (3 for a
 volume, 5 for a checkpoint), never with a traceback, and must leave its output
 directory empty.
+
+The checksum alone would stop nearly every case, so each structural rewrite
+(the volume's rank and extents; the first checkpoint tensor's name bytes,
+dtype code, rank and extents) and each sampled metadata flip also runs
+resealed, with a valid trailing CRC, to reach the parse checks behind it. A
+resealed (D, H, W) volume that parses but has other extents does not fit the
+model, so its code is the checkpoint's 5 (``cli._map_model``); a resealed
+metadata flip may exit 0, since it can spell another valid config.
 """
 
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -43,18 +52,34 @@ def _flip(blob: bytes, at: int, rng) -> bytes:
     return bytes(out)
 
 
-def _volume_cases(blob: bytes, rng) -> dict[str, bytes]:
-    cases = {f"truncated at {n}": blob[:n]
+def _reseal(blob: bytes) -> bytes:
+    """``blob`` with its last four bytes replaced by a CRC32 of the rest."""
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
+
+
+def _volume_cases(blob: bytes, rng) -> dict[str, tuple[bytes, set[int]]]:
+    """Each case's bytes and the exit codes that may refuse it."""
+    cases = {f"truncated at {n}": (blob[:n], {3})
              for n in (0, 4, 8, 12, 16, VOLUME_HEADER, len(blob) - 4, len(blob) - 1)}
-    cases.update({f"bit flip in byte {i}": _flip(blob, i, rng) for i in range(VOLUME_HEADER)})
+    cases.update({f"bit flip in byte {i}": (_flip(blob, i, rng), {3})
+                  for i in range(VOLUME_HEADER)})
     payload = blob[VOLUME_HEADER:]
     for extents in [(), (0, 18, 16), (18, 16, 16), (16, 288), (1, 16, 18, 16), (1,) * 9,
                     (65536,) * 4, (2**32 - 1,) * 3, (2**31, 2**31, 4)]:
         header = struct.pack(f"<I{len(extents)}I", len(extents), *extents)
-        cases[f"rank {len(extents)} extents {extents}"] = blob[:4] + header + payload
+        name = f"rank {len(extents)} extents {extents}"
+        cases[name] = (blob[:4] + header + payload, {3})
+        other_volume = (len(extents) == 3 and min(extents) >= 1
+                        and 4 * math.prod(extents) == len(payload) - 4)
+        cases[f"resealed {name}"] = (_reseal(blob[:4] + header + payload),
+                                     {5 if other_volume else 3})
         if math.prod(extents) >= 2**62:  # also with an empty payload
-            cases[f"extents {extents}, no payload"] = blob[:4] + header + bytes(4)
-    cases["rank 2**32 - 1"] = blob[:4] + struct.pack("<I", 2**32 - 1) + blob[8:]
+            empty = blob[:4] + header + bytes(4)
+            cases[f"extents {extents}, no payload"] = (empty, {3})
+            cases[f"resealed extents {extents}, no payload"] = (_reseal(empty), {3})
+    wide = blob[:4] + struct.pack("<I", 2**32 - 1) + blob[8:]
+    cases["rank 2**32 - 1"] = (wide, {3})
+    cases["resealed rank 2**32 - 1"] = (_reseal(wide), {3})
     return cases
 
 
@@ -78,31 +103,42 @@ def _checkpoint_fields(blob: bytes) -> tuple[list[int], range, int]:
     return bounds + [len(blob) - 4], range(12, 12 + meta_len), first
 
 
-def _checkpoint_cases(blob: bytes, rng) -> dict[str, bytes]:
+def _checkpoint_cases(blob: bytes, rng) -> dict[str, tuple[bytes, set[int]]]:
+    """Each case's bytes and the exit codes that may refuse it."""
     bounds, meta, first = _checkpoint_fields(blob)
-    cases = {f"truncated at {n}": blob[:n] for n in bounds}
+    cases = {f"truncated at {n}": (blob[:n], {5}) for n in bounds}
     name_len, = struct.unpack_from("<H", blob, first)
     rank_at = first + 3 + name_len
     header = [*range(12), *range(meta.stop, rank_at + 1 + 4 * blob[rank_at])]
-    sampled = rng.choice(meta, size=48, replace=False)
-    for i in sorted({*header, *sampled.tolist()}):
-        cases[f"bit flip in byte {i}"] = _flip(blob, i, rng)
+    sampled = rng.choice(meta, size=48, replace=False).tolist()
+    resealed = {*sampled, *range(first + 2, rank_at)}  # metadata, name bytes, dtype code
+    for i in sorted({*header, *sampled}):
+        flipped = _flip(blob, i, rng)
+        cases[f"bit flip in byte {i}"] = (flipped, {5})
+        if i in resealed:
+            cases[f"resealed bit flip in byte {i}"] = (
+                _reseal(flipped), {0, 5} if i in meta else {5})
     ndim = blob[rank_at]
     extents_at, rest = rank_at + 1, rank_at + 1 + 4 * ndim
     for rank in (0, 1, ndim - 1, ndim + 1, 255):
-        cases[f"first tensor rank {rank}"] = blob[:rank_at] + bytes([rank]) + blob[rank_at + 1:]
+        ranked = blob[:rank_at] + bytes([rank]) + blob[rank_at + 1:]
+        cases[f"first tensor rank {rank}"] = (ranked, {5})
+        cases[f"resealed first tensor rank {rank}"] = (_reseal(ranked), {5})
     shape = struct.unpack_from(f"<{ndim}I", blob, extents_at)
     for extents in [shape[::-1], (0,) + shape[1:], (65536,) * ndim, (2**32 - 1,) * ndim]:
-        packed = struct.pack(f"<{ndim}I", *extents)
-        cases[f"first tensor extents {extents}"] = blob[:extents_at] + packed + blob[rest:]
+        packed = blob[:extents_at] + struct.pack(f"<{ndim}I", *extents) + blob[rest:]
+        cases[f"first tensor extents {extents}"] = (packed, {5})
+        cases[f"resealed first tensor extents {extents}"] = (_reseal(packed), {5})
     return cases
 
 
-def _run_cases(root, cases: dict[str, bytes], kind: str, capsys) -> list[str]:
-    """Run ``localize`` on each mutated file; describe every case that broke the rules."""
-    code = 5 if kind == "ckpt" else 3
+def _run_cases(root, cases: dict[str, tuple[bytes, set[int]]], kind: str,
+               capsys) -> list[str]:
+    """Run ``localize`` on each mutated file; describe every case that broke the rules:
+    an exit code outside its set, a traceback, a file left by a refusal, or a
+    resealed case refused by its checksum."""
     bad = []
-    for i, (name, blob) in enumerate(cases.items()):
+    for i, (name, (blob, codes)) in enumerate(cases.items()):
         path, out = root / f"case{i}.{kind}", root / f"out_{kind}{i}"
         path.write_bytes(blob)
         ckpt, volume = (path, root / "volume.vfv") if kind == "ckpt" else (
@@ -116,7 +152,8 @@ def _run_cases(root, cases: dict[str, bytes], kind: str, capsys) -> list[str]:
             continue
         err = capsys.readouterr().err
         left = sorted(p.name for p in out.rglob("*")) if out.exists() else []
-        if rc != code or "Traceback" in err or left:
+        if (rc not in codes or "Traceback" in err or (rc and left)
+                or (name.startswith("resealed") and "checksum mismatch" in err)):
             bad.append(f"{name}: exit {rc}, files {left}, stderr {err.strip()!r}")
     return bad
 

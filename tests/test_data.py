@@ -19,7 +19,7 @@ from volformer.layers import DataNormLayer
 from volformer.model import BrainFormer, ModelConfig, save_model
 from volformer.tensor import Tensor
 
-from oracles import classify_by_blob_mean, pearson_loops
+from oracles import classify_by_blob_mean, pearson_loops, synthetic_reference
 
 
 def _norm(arr):
@@ -473,6 +473,45 @@ def test_generate_optional_modalities():
     mean0 = np.mean([r.phenotype[0] for r in recs if r.label == 0])
     mean1 = np.mean([r.phenotype[0] for r in recs if r.label == 1])
     assert mean1 - mean0 > 1.0
+
+
+def _arrays(rec: SubjectRecord) -> dict[str, np.ndarray]:
+    """Every array a record holds, by name."""
+    arrays = {f"fmri{i}": v.volume for i, v in enumerate(rec.fmri_volumes)}
+    if rec.smri is not None:
+        arrays["smri"] = rec.smri.volume
+    for name in ("fc_vector", "phenotype", "pheno_mask"):
+        if getattr(rec, name) is not None:
+            arrays[name] = getattr(rec, name)
+    return arrays
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(SyntheticSpec(), id="default"),
+    pytest.param(SyntheticSpec(site_count=3, with_smri=True, with_fc=True, with_pheno=True,
+                               pheno_signal=0.5), id="3-site-all-modalities"),
+    pytest.param(SyntheticSpec(site_count=1, jitter_fraction=0.0), id="1-site-no-jitter"),
+    pytest.param(SyntheticSpec(noise_sigma=0.0, class_count=3,
+                               blob_centers=((4, 4, 4), (11, 13, 11), (8, 9, 8)),
+                               blob_radius=(2.0, 2.0, 2.0)), id="noiseless-3-class"),
+])
+def test_generate_matches_the_per_site_reference(spec):
+    """Drawing each subject's noise once for all sites changes no output byte,
+    and every record still owns its arrays (callers edit them in place)."""
+    got, want = generate_synthetic(spec), synthetic_reference(spec)
+    assert ([(r.subject_id, r.site_id, r.label) for r in got]
+            == [(r.subject_id, r.site_id, r.label) for r in want])
+    for a, b in zip(got, want):
+        assert ([v.degenerate for v in a.fmri_volumes]
+                == [v.degenerate for v in b.fmri_volumes])
+        xs, ys = _arrays(a), _arrays(b)
+        assert xs.keys() == ys.keys()
+        for name, x in xs.items():
+            y = ys[name]
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    owned = [arr for rec in got for arr in _arrays(rec).values()]
+    for i, x in enumerate(owned):
+        assert not any(np.shares_memory(x, y) for y in owned[i + 1:])
 
 
 # ---------------------------------------------------------------------------
