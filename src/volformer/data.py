@@ -36,12 +36,13 @@ MAX_RANK = 8
 
 @dataclass
 class VolumeSample:
+    """One volume of a subject; ``degenerate`` marks a constant volume."""
     subject_id: str
     site_id: str
     label: int
     modality: str
     volume: np.ndarray
-    degenerate: bool = False
+    degenerate: bool = field(init=False)
 
     def __post_init__(self):
         if self.modality not in ("fmri", "smri"):
@@ -50,6 +51,7 @@ class VolumeSample:
             raise DataError(f"volume extents must be positive, got {self.volume.shape}")
         if self.label < 0:
             raise DataError(f"label must be a class index, got {self.label}")
+        self.degenerate = bool(self.volume.max() == self.volume.min())
 
 
 @dataclass
@@ -297,9 +299,7 @@ def read_volume(path) -> np.ndarray:
 
 def load_volume(path, subject_id: str = "", site_id: str = "", label: int = 0,
                 modality: str = "fmri") -> VolumeSample:
-    arr = read_volume(path)
-    degenerate = bool(arr.max() == arr.min())
-    return VolumeSample(subject_id, site_id, label, modality, arr, degenerate)
+    return VolumeSample(subject_id, site_id, label, modality, read_volume(path))
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +491,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SubjectRecord]:
                           if jitter_sigma > 0 else 0.0)
                 for rec, arr in at_sites(records, underlying + jitter, f"volume {vol}"):
                     rec.fmri_volumes.append(VolumeSample(
-                        rec.subject_id, rec.site_id, label, "fmri", arr,
-                        degenerate=bool(arr.max() == arr.min())))
+                        rec.subject_id, rec.site_id, label, "fmri", arr))
             if spec.with_smri:
                 noise = _smooth_noise(np.random.default_rng((*key, 2)), spec)
                 for rec, arr in at_sites(records, noise, "sMRI volume"):

@@ -131,11 +131,16 @@ class _Tape:
         self.shape = shape
         self.dtype = dtype
 
-    def _accum(self, g: np.ndarray) -> None:
+    def _accum(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` to the gradient. ``fresh`` says the caller's closure has
+        just built ``g`` and holds it nowhere else, so a first gradient of
+        this record's shape and dtype is kept as it is."""
         if self.grad is not None:
             self.grad += g
-        # A copy, never ``g`` itself: g may be another node's gradient or a
-        # read-only broadcast view, and later uses add in place.
+        elif fresh and g.shape == self.shape and g.dtype == self.dtype:
+            self.grad = g
+        # Otherwise a copy, never ``g`` itself: g may be another node's
+        # gradient or a read-only broadcast view, and later uses add in place.
         elif g.shape == self.shape:
             self.grad = np.array(g, dtype=self.dtype)
         else:
@@ -249,6 +254,16 @@ def _node(data, parents, backward_fn, macs=0) -> Tensor:
     It never captures a ``Tensor`` or the result's record: a result ->
     closure -> result cycle keeps each finished graph alive until the
     cyclic GC runs.
+
+    A closure that builds a gradient held nowhere else hands it over
+    (``_Tape._accum``'s ``fresh``): the record keeps it as its first
+    gradient without a copy. These are ``relu``'s g·[y > 0], ``conv3d``'s
+    input and kernel gradients, and the gradients of ``batch_norm``,
+    ``bn_relu_conv3d``, ``token_channel_mixing`` and ``attention_block``
+    (through ``_feed``; not the latter's ``pos`` gradient). Every other
+    first gradient is copied, among them the pass-through ones of ``add``,
+    ``sub``, the shape ops and ``tensor_sum``, so no two records' ``.grad``
+    share memory.
     """
     for counter in _counters:
         counter.macs += int(macs)
@@ -364,7 +379,7 @@ def relu(a) -> Tensor:
     ra = a._tape
 
     def backward_fn(g):
-        ra._accum(g * (y > 0))
+        ra._accum(g * (y > 0), fresh=True)
 
     return _node(y, (ra,), backward_fn, y.size)
 
@@ -886,12 +901,7 @@ def conv3d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     w = w if rx.requires_grad else None
 
     def backward_fn(g):
-        gx, gk = _conv3d_grads(g, xd, w, x_shape, k_shape, stride, pad)
-        if gx is not None:
-            rx._accum(gx)
-        del gx  # before the kernel gradient's copy, which may reuse its memory
-        if gk is not None:
-            rk._accum(gk)
+        _feed((rx, rk), _conv3d_grads(g, xd, w, x_shape, k_shape, stride, pad))
 
     return _node(out_data, (rx, rk), backward_fn,
                  math.prod(k_shape[1:]) * out_data.size)
@@ -1021,9 +1031,32 @@ def softmax(x, axis: int = -1) -> Tensor:
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     """exp(x − max) normalized along ``axis``: the forward of ``softmax`` and
     of the masks in ``_attend``."""
-    y = np.exp(x - x.max(axis=axis, keepdims=True))
+    y = np.exp(x - _row_max(x, axis))
     y /= y.sum(axis=axis, keepdims=True)
     return y
+
+
+# numpy's max along a short last axis pays per row: on a desk B=16 stage-3
+# mask array, (16, 8, 12, 12) float32, it took 118 us, against 21 us for a
+# loop of np.maximum over the 12 columns. The loop's fixed cost loses below
+# _SHORT_ROW_MIN_SIZE elements: a B=1 mask array took 8.5 us with x.max and
+# 12.7 us looped (one thread, Xeon).
+_SHORT_ROW = 32
+_SHORT_ROW_MIN_SIZE = 4096
+
+
+def _row_max(x: np.ndarray, axis: int) -> np.ndarray:
+    """``x.max(axis=axis, keepdims=True)``; a last axis of at most
+    ``_SHORT_ROW`` entries in an array of at least ``_SHORT_ROW_MIN_SIZE``
+    is taken column by column. Bit for bit, NaN included, but for the sign
+    of a zero maximum, which x − max does not see."""
+    if (axis % x.ndim != x.ndim - 1 or x.shape[-1] > _SHORT_ROW
+            or x.size < _SHORT_ROW_MIN_SIZE):
+        return x.max(axis=axis, keepdims=True)
+    top = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(top, x[..., j:j + 1], out=top)
+    return top
 
 
 def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
@@ -1034,10 +1067,11 @@ def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _feed(records, grads) -> None:
-    """Add each gradient that is not None to its record."""
+    """Hand each gradient that is not None to its record: each is fresh, built
+    by the calling closure and held nowhere else."""
     for record, grad in zip(records, grads):
         if grad is not None:
-            record._accum(grad)
+            record._accum(grad, fresh=True)
 
 
 def _mlp_hidden(rows: np.ndarray, w1: np.ndarray, b1) -> np.ndarray:
@@ -1269,7 +1303,7 @@ def attention_block(x, pos, qkv, out_proj, heads: int, ff_w_in, ff_b_in, ff_w_ou
     def backward_fn(g):
         g2 = _fold(g)
         if on_b2:
-            rb2._accum(g2.sum(axis=0))
+            rb2._accum(g2.sum(axis=0), fresh=True)
         if not (on_z1 or on_1 or on_2 or on_b1):
             return
         z0 = xd + pd
@@ -1283,7 +1317,7 @@ def attention_block(x, pos, qkv, out_proj, heads: int, ff_w_in, ff_b_in, ff_w_ou
                                          on_z0, on_w, on_o)
         _feed((rw, ro), (gw, gout))
         if on_x:
-            rx._accum(gz0)
+            rx._accum(gz0, fresh=True)
         if on_p:
             rp._accum(_unbroadcast(gz0, rp.shape))
 
@@ -1338,7 +1372,10 @@ def batch_norm(x, gamma, beta, training: bool, stats: RunningStats | None = None
     closure keeps ``x``'s array and per-channel vectors and recomputes
     x̂ = (x − μ)·inv. Training backward is the closed form
     gx = inv·γ·(g − mean g − x̂·mean(g·x̂)); in evaluation mode μ and inv are
-    constants and gx = g·inv·γ; in both gγ = Σ g·x̂ and gβ = Σ g.
+    constants and gx = g·inv·γ; in both gγ = Σ g·x̂ and gβ = Σ g. Each
+    per-channel sum is one ``einsum`` contraction (``_channel_sum``): Σx for
+    μ, Σ(x − μ)² for var, Σ g·x̂ and Σg, the last shared by gβ and the
+    training gx; none forms a squared or product temporary.
     ``count_ops``: 6 units per element of ``x`` in training mode (mean,
     center, square, variance sum, scale, shift), 3 in evaluation mode.
     """
@@ -1350,8 +1387,9 @@ def batch_norm(x, gamma, beta, training: bool, stats: RunningStats | None = None
     xd = xd if rg.requires_grad or (training and rx.requires_grad) else None
 
     def backward_fn(g):
-        _feed((rx, rg, rb), _bn_grads(g, xd, mu, inv, scale, training,
-                                      rx.requires_grad, rg.requires_grad, rb.requires_grad))
+        _feed((rx, rg, rb), _bn_grads(g, None if xd is None else xd - mu, inv, scale,
+                                      training, rx.requires_grad, rg.requires_grad,
+                                      rb.requires_grad))
 
     return _node(y, (rx, rg, rb), backward_fn, (6 if training else 3) * y.size)
 
@@ -1369,14 +1407,16 @@ def _bn_forward(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray, training: b
             f"batch_norm: gamma/beta shapes {gamma.shape}/{beta.shape} "
             f"do not match {C} channels"
         )
-    axes = (0,) + tuple(range(2, xd.ndim))
     bshape = (1, C) + (1,) * (xd.ndim - 2)
     if training:
         if xd.shape[0] < 1:
             raise ShapeError("batch_norm training mode requires a non-empty batch")
-        mu = xd.mean(axis=axes, keepdims=True)
+        n = xd.shape[0] * math.prod(xd.shape[2:])
+        # Each division makes an array of its own, not a view of a (C,) one,
+        # which would keep a second array object alive with the closure.
+        mu = _channel_sum(xd).reshape(bshape) / n
         y = xd - mu
-        var = np.square(y).mean(axis=axes, keepdims=True)
+        var = _channel_sum(y, y).reshape(bshape) / n
         if stats is not None:
             stats.update(mu.reshape(C).astype(np.float64),
                          var.reshape(C).astype(np.float64), momentum)
@@ -1396,30 +1436,38 @@ def _bn_forward(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray, training: b
     return y, mu, inv, scale
 
 
-def _bn_grads(g: np.ndarray, xd, mu, inv, scale, training: bool, on_x: bool,
+def _bn_grads(g: np.ndarray, centered, inv, scale, training: bool, on_x: bool,
               on_gamma: bool, on_beta: bool):
     """``batch_norm``'s (gx, gγ, gβ) for the output gradient ``g``, each None
-    where its flag is off. ``xd``, the input, is read only for gγ and, in
-    training mode, gx; elsewhere it may be None."""
-    C = g.shape[1]
-    axes = (0,) + tuple(range(2, g.ndim))
-    gx = ggamma = gbeta = None
+    where its flag is off. ``centered``, the input minus μ, is read only for
+    gγ and, in training mode, gx, and is overwritten with x̂ there; elsewhere
+    it may be None."""
+    gx = gxhat = gsum = None
     if on_gamma or (training and on_x):
-        xhat = xd - mu
+        xhat = centered
         xhat *= inv
-        gxhat = (g * xhat).sum(axis=axes, keepdims=True)
-        if on_gamma:
-            ggamma = gxhat.reshape(C)
-    if on_beta:
-        gbeta = g.sum(axis=axes).reshape(C)
+        gxhat = _channel_sum(g, xhat)
+    if on_beta or (training and on_x):
+        gsum = _channel_sum(g)
     if on_x and not training:
         gx = g * scale
     elif on_x:
-        gx = g - g.mean(axis=axes, keepdims=True)
-        xhat *= gxhat * (C / g.size)
+        n = g.shape[0] * math.prod(g.shape[2:])
+        gx = g - (gsum / n).reshape(inv.shape)
+        xhat *= (gxhat / n).reshape(inv.shape)
         gx -= xhat
         gx *= scale
-    return gx, ggamma, gbeta
+    return gx, gxhat if on_gamma else None, gsum if on_beta else None
+
+
+def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """The (C,) sums of ``a``, or of a·b, over every axis but axis 1, as one
+    ``einsum`` contraction: no product temporary, and no copy of an array
+    whose layout is not C-contiguous."""
+    axes = "bcdefghijk"[:a.ndim]
+    if b is None:
+        return np.einsum(f"{axes}->c", a)
+    return np.einsum(f"{axes},{axes}->c", a, b)
 
 
 def bn_relu_conv3d(x, gamma, beta, kernel, training: bool,
@@ -1434,13 +1482,14 @@ def bn_relu_conv3d(x, gamma, beta, kernel, training: bool,
     channel and the kernel, not h = relu(batch_norm(x)): backward recomputes h
     with one scale, shift and max per element (Chen et al. 2016), then takes
     the kernel gradient from h, gh from the kernel as ``conv3d`` does, and
-    batch norm's gradients, as ``batch_norm`` does, from gh·[h > 0]. A
-    gradient whose input is untracked is skipped: with only ``x`` tracked in
-    evaluation mode (``grad_cam``) backward is gh·[h > 0]·inv·γ. The kernel
-    is kept unless it alone is tracked. Output and gradients equal those of
-    the batch_norm, relu and conv3d chain it replaces bit for bit, and so do
-    its ``count_ops`` units: the chain's (6 or 3) + 1 per element of ``x``
-    plus the conv's multiply-adds.
+    batch norm's gradients, as ``batch_norm`` does, from gh·[h > 0]; h and,
+    where those gradients read it, x̂ come from one x − μ. A gradient whose
+    input is untracked is skipped: with only ``x`` tracked in evaluation
+    mode (``grad_cam``) backward is gh·[h > 0]·inv·γ. The kernel is kept
+    unless it alone is tracked. Output and gradients equal those of the
+    batch_norm, relu and conv3d chain it replaces bit for bit, and so do its
+    ``count_ops`` units: the chain's (6 or 3) + 1 per element of ``x`` plus
+    the conv's multiply-adds.
     """
     x, gamma, beta, kernel = (_as_tensor(t) for t in (x, gamma, beta, kernel))
     xd, w = x.data, kernel.data
@@ -1457,21 +1506,23 @@ def bn_relu_conv3d(x, gamma, beta, kernel, training: bool,
     w = w if on_bn else None
 
     def backward_fn(g):
-        h = xd - mu
-        h *= scale
+        on_xhat = on_g or (training and on_x)  # batch norm's gradients that read x − μ
+        centered = xd - mu
+        h = centered * scale if on_xhat else np.multiply(centered, scale, out=centered)
         h += shift
         if on_k:  # [h > 0] alone needs no max
             np.maximum(h, 0, out=h)
         gh, gk = _conv3d_grads(g, h if on_k else None, w, x_shape, k_shape, stride, pad)
         if gk is not None:
-            rk._accum(gk)
+            rk._accum(gk, fresh=True)
         if not on_bn:
             return
         # Into h's buffer, which is laid out as x: gh may be a batch-last view.
         gh = np.multiply(gh, h > 0, out=h)
         del h
-        grads = _bn_grads(gh, xd, mu, inv, scale, training, on_x, on_g, on_b)
-        del gh
+        grads = _bn_grads(gh, centered if on_xhat else None, inv, scale, training,
+                          on_x, on_g, on_b)
+        del gh, centered
         _feed((rx, rg, rb), grads)
 
     return _node(out_data, records, backward_fn, macs)

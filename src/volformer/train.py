@@ -278,14 +278,19 @@ def _precision_recall(confusion: np.ndarray) -> dict:
             "recall": [h / n if n else 0.0 for h, n in zip(hits, row)]}
 
 
-def evaluate(model, test_records: list[SubjectRecord]) -> MetricReport:
-    """Volume-level metrics plus subject-level mean-probability voting."""
+def evaluate(model, test_records: list[SubjectRecord], batch_size: int = 16) -> MetricReport:
+    """Volume-level metrics plus subject-level mean-probability voting.
+
+    The volumes of all subjects are forwarded in batches of ``batch_size``
+    in canonical per-subject order (``_items``), so a batch may span
+    subjects; each subject then votes with its own rows."""
     class_count = model.cfg.class_count
     confusion = np.zeros((class_count, class_count), dtype=np.int64)
     excluded: list[str] = []
     ties = 0
     subj_correct = 0
-    subj_total = 0
+    items: list[_Item] = []
+    voters: list[tuple[SubjectRecord, int]] = []
     for rec in sorted(test_records, key=lambda r: r.subject_id):
         sub_items = _items([rec], model.cfg)
         if not sub_items:
@@ -293,12 +298,19 @@ def evaluate(model, test_records: list[SubjectRecord]) -> MetricReport:
             log.warning("subject %s has no volumes; excluded from evaluation",
                         rec.subject_id)
             continue
-        volumes, labels, extras = _stack(sub_items)
-        probs = model.forward_probs(volumes, **extras).data
-        preds = np.argmax(probs, axis=-1)
-        for y, p in zip(labels, preds):
-            confusion[y, p] += 1
-        mean_prob = probs.mean(axis=0)
+        voters.append((rec, len(sub_items)))
+        items += sub_items
+    batches = []
+    for start in range(0, len(items), batch_size):
+        volumes, _, extras = _stack(items[start:start + batch_size])
+        batches.append(model.forward_probs(volumes, **extras).data)
+    probs = np.concatenate(batches) if batches else np.zeros((0, class_count))
+    for it, p in zip(items, np.argmax(probs, axis=-1)):
+        confusion[it.label, p] += 1
+    start = 0
+    for rec, count in voters:
+        mean_prob = probs[start:start + count].mean(axis=0)
+        start += count
         top = mean_prob.max()
         if int((mean_prob == top).sum()) > 1:
             ties += 1
@@ -306,14 +318,13 @@ def evaluate(model, test_records: list[SubjectRecord]) -> MetricReport:
                      "lowest class index", rec.subject_id, top)
         subj_pred = int(np.argmax(mean_prob))
         subj_correct += subj_pred == rec.label
-        subj_total += 1
     volume_total = int(confusion.sum())
     volume_acc = float(np.trace(confusion)) / volume_total if volume_total else 0.0
     return MetricReport(
         volume_accuracy=volume_acc,
-        subject_accuracy=subj_correct / subj_total if subj_total else 0.0,
+        subject_accuracy=subj_correct / len(voters) if voters else 0.0,
         **_precision_recall(confusion), confusion=confusion,
-        volume_count=volume_total, subject_count=subj_total,
+        volume_count=volume_total, subject_count=len(voters),
         excluded_subjects=excluded, tie_count=ties)
 
 
@@ -334,7 +345,7 @@ def _run_fold(task) -> FoldResult:
     fold, train_recs, test_recs, model_factory, cfg, on_fold = task
     model = model_factory(fold)
     history = train_fold(model, train_recs, cfg)
-    report = evaluate(model, test_recs)
+    report = evaluate(model, test_recs, batch_size=cfg.batch_size)
     result = FoldResult(fold, model, history, report)
     if on_fold is not None:
         on_fold(result)

@@ -13,6 +13,7 @@ import numpy as np
 
 from volformer.data import (SubjectRecord, VolumeSample, _blob, _pearson,
                             _require_finite, _site_affines, _smooth_noise)
+from volformer.train import MetricReport, _items, _precision_recall, _stack
 
 
 def numeric_grad(f, tensors, h: float = 1e-5):
@@ -296,9 +297,7 @@ def synthetic_reference(spec) -> list:
                     raw = gain * (underlying + jitter) + offset
                     arr = _require_finite(raw.astype(np.float32),
                                          f"synthetic volume {vol} of subject {subject_id}")
-                    volumes.append(VolumeSample(
-                        subject_id, site_id, label, "fmri", arr,
-                        degenerate=bool(arr.max() == arr.min())))
+                    volumes.append(VolumeSample(subject_id, site_id, label, "fmri", arr))
                 record = SubjectRecord(subject_id, site_id, label, volumes)
                 if spec.with_smri:
                     smri_rng = np.random.default_rng((spec.seed, label, idx, 2))
@@ -320,3 +319,37 @@ def synthetic_reference(spec) -> list:
                 record.validate()
                 records.append(record)
     return records
+
+
+def evaluate_reference(model, test_records) -> tuple:
+    """``train.evaluate`` by the direct route: one forward per subject, over
+    that subject's volumes alone. Returns the report and each voting
+    subject's predicted class, by subject id. ``train.evaluate`` batches
+    volumes across subjects and must give the same report."""
+    class_count = model.cfg.class_count
+    confusion = np.zeros((class_count, class_count), dtype=np.int64)
+    excluded: list[str] = []
+    votes: dict[str, int] = {}
+    ties = 0
+    subj_correct = 0
+    for rec in sorted(test_records, key=lambda r: r.subject_id):
+        sub_items = _items([rec], model.cfg)
+        if not sub_items:
+            excluded.append(rec.subject_id)
+            continue
+        volumes, labels, extras = _stack(sub_items)
+        probs = model.forward_probs(volumes, **extras).data
+        for y, p in zip(labels, np.argmax(probs, axis=-1)):
+            confusion[y, p] += 1
+        mean_prob = probs.mean(axis=0)
+        ties += int((mean_prob == mean_prob.max()).sum()) > 1
+        votes[rec.subject_id] = int(np.argmax(mean_prob))
+        subj_correct += votes[rec.subject_id] == rec.label
+    volume_total = int(confusion.sum())
+    report = MetricReport(
+        volume_accuracy=float(np.trace(confusion)) / volume_total if volume_total else 0.0,
+        subject_accuracy=subj_correct / len(votes) if votes else 0.0,
+        **_precision_recall(confusion), confusion=confusion,
+        volume_count=volume_total, subject_count=len(votes),
+        excluded_subjects=excluded, tie_count=ties)
+    return report, votes

@@ -547,6 +547,20 @@ def test_manifest_round_trips_smri_and_fc(tmp_path):
         assert np.allclose(got.fc_vector, orig.fc_vector, atol=1e-7)
 
 
+def test_degenerate_flags_survive_the_round_trip(tmp_path):
+    """Noiseless sMRI is constant: flagged in memory as after a reload. The
+    fMRI volumes carry their class blob, so neither copy flags them."""
+    spec = SyntheticSpec(noise_sigma=0.0, with_smri=True, site_count=1,
+                         subjects_per_class_per_site=1, volumes_per_subject=1)
+    recs = generate_synthetic(spec)
+    back = load_manifest(write_dataset(recs, tmp_path))
+
+    def flags(records):
+        return [(r.smri.degenerate, [v.degenerate for v in r.fmri_volumes]) for r in records]
+
+    assert flags(recs) == flags(back) == [(True, [False])] * 2
+
+
 def test_manifest_missing_pheno_cells_become_mask(tmp_path):
     spec = SyntheticSpec(subjects_per_class_per_site=1, volumes_per_subject=1,
                          with_pheno=True, pheno_dim=3)

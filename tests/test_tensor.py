@@ -198,7 +198,9 @@ def _norm_cases():
 @pytest.mark.parametrize("mode", ["train", "eval"])
 def test_fused_batch_norm_matches_composite_chain(mode):
     """The single-node batch norm against the primitive chain in ``oracles``:
-    outputs and every input, gamma and beta gradient, float64, 1e-12.
+    outputs and every input, gamma and beta gradient, float64, 1e-12. Each
+    case runs twice: with the output gradient C-contiguous, then arriving
+    through a transpose node as a transposed, not C-contiguous, view.
 
     Where few elements share a mean, the training-mode input gradient nearly
     or exactly cancels (two elements standardize to +-1 whatever their
@@ -213,17 +215,46 @@ def test_fused_batch_norm_matches_composite_chain(mode):
         axes = (0,) + tuple(range(2, len(shape)))
         var = x.var(axis=axes) if mode == "train" else stats.var
         y_scale = gamma.max() / np.sqrt(var.min() + 1e-5)
-        results = []
-        for norm in (T.batch_norm, batch_norm_chain):
-            ins = [t64(x.copy()), t64(gamma), t64(beta)]
-            y = norm(*ins, mode == "train", stats)
-            T.backward(T.tensor_sum(T.mul(y, Tensor(w))))
-            results.append([y.data] + [t.grad for t in ins])
         floors = [0.0, np.abs(w).max() * y_scale, 0.0, 0.0]
-        for got, want, floor in zip(*results, floors):
-            err = np.abs(got - want).max()
-            assert err <= 1e-12 * max(np.abs(want).max(), np.abs(got).max(), floor), \
-                (mode, shape, err)
+        for transposed in (False, True):
+            results = []
+            for norm in (T.batch_norm, batch_norm_chain):
+                ins = [t64(x.copy()), t64(gamma), t64(beta)]
+                y = norm(*ins, mode == "train", stats)
+                if transposed:
+                    T.backward(T.tensor_sum(T.mul(T.transpose(y), Tensor(w.T))))
+                else:
+                    T.backward(T.tensor_sum(T.mul(y, Tensor(w))))
+                results.append([y.data] + [t.grad for t in ins])
+            for got, want, floor in zip(*results, floors):
+                err = np.abs(got - want).max()
+                assert err <= 1e-12 * max(np.abs(want).max(), np.abs(got).max(), floor), \
+                    (mode, shape, transposed, err)
+
+
+@pytest.mark.parametrize("shape, mean", [((16, 8, 8, 9, 8), 2.0), ((2, 4, 32, 36, 32), 2.0),
+                                         ((16, 8, 8, 9, 8), 50.0)])
+def test_float32_batch_norm_training_tracks_float64(shape, mean):
+    """Training-mode batch norm in float32 against float64: output, input,
+    gamma and beta gradients and running statistics, each within 1e-5 of the
+    largest float64 magnitude. (16, 8, 8, 9, 8) is desk stage 1 at B=16;
+    (2, 4, 32, 36, 32) sums 73,728 elements per channel in float32. Inputs
+    are N(mean, 3²): at mean 50 the variance as E[x²] − μ² would be off by
+    about 8e-5."""
+    rng = np.random.default_rng(27)
+    x = rng.normal(mean, 3.0, size=shape)
+    gamma, beta = rng.uniform(0.5, 1.5, size=shape[1]), rng.normal(size=shape[1])
+    w = rng.normal(size=shape)
+    results = []
+    for dtype in (np.float32, np.float64):
+        stats = T.RunningStats()
+        ins = [Tensor(a.astype(dtype), requires_grad=True) for a in (x, gamma, beta)]
+        y = T.batch_norm(*ins, True, stats)
+        T.backward(T.tensor_sum(T.mul(y, Tensor(w.astype(dtype)))))
+        results.append([y.data] + [t.grad for t in ins] + [stats.mean, stats.var])
+    for name, got, want in zip(("y", "gx", "ggamma", "gbeta", "mean", "var"), *results):
+        err = np.abs(got - want).max()
+        assert err <= 1e-5 * np.abs(want).max(), (name, err)
 
 
 def test_batch_norm_retains_at_most_twice_its_input():
@@ -361,6 +392,10 @@ def test_attention_block_keeps_its_input_not_q_k_v_or_masks():
     weights = [Tensor((0.05 * rng.normal(size=s)).astype(np.float32), requires_grad=True)
                for s in ((576, 256), (256, 768), (256, 256), (256, 1024), (1024,),
                          (1024, 256), (256,))]
+    # A first, untraced call makes the one-time small allocations a call can
+    # make (a few KB, more or less after other tests in the same process),
+    # so the traced call measures only what the node keeps.
+    T.attention_block(x, *weights[:3], 8, *weights[3:])
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -1072,6 +1107,54 @@ def test_accumulating_a_smaller_gradient_broadcasts_a_copy():
     assert record.grad.flags.writeable and record.grad.dtype == np.float64
 
 
+def test_a_fresh_first_gradient_is_kept_and_any_other_copied():
+    """``fresh`` hands an array over only where it already has the record's
+    shape and dtype; a second gradient adds into the first."""
+    record = t64(np.zeros((2, 3)))._tape
+    g = np.ones((2, 3))
+    record._accum(g, fresh=True)
+    assert record.grad is g
+    record._accum(np.ones((2, 3)), fresh=True)
+    assert record.grad is g and np.array_equal(g, np.full((2, 3), 2.0))
+    for other in (np.ones((2, 3), np.float32), np.ones(3)):
+        record = t64(np.zeros((2, 3)))._tape
+        record._accum(other, fresh=True)
+        assert record.grad.dtype == np.float64 and record.grad.shape == (2, 3)
+        assert not np.shares_memory(record.grad, other)
+
+
+def _records(root) -> list:
+    """Every tape record reachable from ``root``, leaves included."""
+    seen, stack = {}, [root]
+    while stack:
+        record = stack.pop()
+        if id(record) not in seen:
+            seen[id(record)] = record
+            stack.extend(record.parents)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_no_two_gradients_share_memory_after_a_desk_backward(training):
+    """A desk B=2 ``forward_trace`` (S-S-D-D) and backward: the gradients
+    closures hand over and the ones pass-through nodes copy leave no two
+    records' ``.grad`` sharing memory, the held activations' included."""
+    rng = np.random.default_rng(46)
+    model = BrainFormer(ModelConfig.desk(), seed=0)
+    x = Tensor(rng.normal(size=(2, 1, 16, 18, 16)).astype(np.float32))
+    if not training:  # running statistics for evaluation mode
+        model.forward_logits(x, training=True)
+        x.requires_grad = True  # as grad_cam tracks the volume
+    logits, trace = model.forward_trace(x, training=training)
+    records = _records(logits._tape)
+    T.backward(cross_entropy_logits(logits, np.array([0, 1])))
+    assert all(t.grad is not None for t in trace.values())
+    grads = [r.grad for r in records if r.grad is not None]
+    assert len(grads) > 100
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, h) for h in grads[i + 1:]), i
+
+
 def test_item_requires_one_element():
     assert Tensor([[3.5]]).item() == 3.5
     with pytest.raises(ShapeError, match="one-element"):
@@ -1345,6 +1428,34 @@ def test_fused_softmax_matches_composite_chain(axis):
             results.append((y.data, xt.grad))
         for got, want in zip(*results):
             assert rel_error(got, want) < 1e-12, (shape, axis)
+
+
+def test_short_row_max_equals_numpy_max_bit_for_bit():
+    """``_row_max`` against ``x.max``: last axes of 1-32 entries in arrays
+    just below and at or above 4,096 elements (x.max below, the column loop
+    above), with a NaN row in each; and the (16, 8, 12, 12) desk mask shape
+    by either name of its last axis. A row of signed zeros may peak at
+    either zero, which x − max does not see: ``_softmax`` stays bit for
+    bit."""
+    rng = np.random.default_rng(31)
+    cases = [(rng.normal(size=(16, 8, 12, 12)).astype(np.float32), axis) for axis in (-1, 3)]
+    for n in range(1, 33):
+        for rows in ((T._SHORT_ROW_MIN_SIZE - 1) // n, -(-T._SHORT_ROW_MIN_SIZE // n)):
+            x = rng.normal(size=(rows, n)).astype(np.float32)
+            x[rows // 2, rng.integers(n)] = np.nan
+            x[1] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+            cases.append((x, -1))
+    sides = set()
+    for x, axis in cases:
+        got, want = T._row_max(x, axis), x.max(axis=axis, keepdims=True)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        bits = np.not_equal(got.view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(got, want, equal_nan=True) and not np.any(bits & (want != 0))
+        softmax = np.exp(x - want)
+        softmax /= softmax.sum(axis=axis, keepdims=True)
+        assert np.array_equal(T._softmax(x, axis).view(np.uint32), softmax.view(np.uint32))
+        sides.add(x.size >= T._SHORT_ROW_MIN_SIZE)
+    assert sides == {False, True}
 
 
 def test_softmax_extreme_logits_stay_normalized():

@@ -11,7 +11,7 @@ from volformer.tensor import Tensor
 from volformer.train import (Adam, MetricReport, TrainConfig, cross_validate, evaluate,
                              lr_at, train_fold)
 
-from oracles import adam_trajectory
+from oracles import adam_trajectory, evaluate_reference
 
 
 def _tiny_spec(**overrides):
@@ -397,6 +397,61 @@ def test_evaluate_single_volume_subjects_match_volume_level():
                for i in range(8)]
     report = evaluate(_Stub(lambda b: np.tile([0.7, 0.3], (len(b), 1))), records)
     assert report.volume_accuracy == report.subject_accuracy
+
+
+class _Recorder:
+    """A model's ``forward_probs``, each batch's rows kept in call order."""
+
+    def __init__(self, model):
+        self.cfg, self.model, self.rows = model.cfg, model, []
+
+    def forward_probs(self, volumes, **extras):
+        out = self.model.forward_probs(volumes, **extras)
+        self.rows.append(out.data)
+        return out
+
+
+def _level_rule(batch):
+    """Row by row, so a batch gives what each volume alone gives: class 1
+    with each volume's mean level as its probability."""
+    level = batch.mean(axis=(1, 2, 3, 4)).astype(np.float64)
+    return np.stack([1.0 - level, level], axis=1)
+
+
+@pytest.mark.parametrize("batch_size", [1, 5, 16])
+def test_batched_evaluate_matches_the_per_subject_reference(batch_size):
+    """Volumes forwarded in batches across subjects give the per-subject
+    loop's report, votes, ties and exclusions, with probabilities within
+    1e-5, each case with a subject that has no volumes: a trained model on
+    17 volumes (not a multiple of 5 or 16), and a stub on 11 volumes whose
+    levels give two exact ties and votes that change if any row goes to the
+    wrong subject."""
+    records = generate_synthetic(_tiny_spec())
+    del records[2].fmri_volumes[0]
+    records.append(SubjectRecord("s00c1n999", "site00", 1))
+    model = _tiny_model(seed=3)
+    train_fold(model, records, TrainConfig(epochs=1, batch_size=6, lr_drop_epoch=1))
+    levels = {"a": ([0.25, 0.75], 0), "b": ([0.875], 1), "c": ([0.125, 0.25, 0.75], 1),
+              "d": ([], 0), "e": ([0.625, 0.625], 0), "f": ([0.375, 0.625], 1),
+              "g": ([0.375], 0)}
+    stub_records = [_record_with([np.full((2, 2, 2), v) for v in vs], label, sid)
+                    for sid, (vs, label) in levels.items()]
+    for case_model, recs in ((model, records), (_Stub(_level_rule), stub_records)):
+        got_model, want_model = _Recorder(case_model), _Recorder(case_model)
+        report = evaluate(got_model, recs, batch_size=batch_size)
+        want, votes = evaluate_reference(want_model, recs)
+        assert report.to_dict() == want.to_dict()
+        got_p, want_p = np.concatenate(got_model.rows), np.concatenate(want_model.rows)
+        assert got_p.shape == want_p.shape and np.abs(got_p - want_p).max() <= 1e-5
+        total = len(want_p)
+        assert ([len(b) for b in got_model.rows]
+                == [min(batch_size, total - s) for s in range(0, total, batch_size)])
+        # Each subject labelled with its reference vote: all voted as the reference.
+        relabelled = [SubjectRecord(r.subject_id, r.site_id, votes.get(r.subject_id, 0),
+                                    r.fmri_volumes) for r in recs]
+        assert evaluate(case_model, relabelled, batch_size=batch_size).subject_accuracy == 1.0
+    assert votes == {"a": 0, "b": 1, "c": 0, "e": 1, "f": 0, "g": 0}
+    assert want.tie_count == 2 and want.excluded_subjects == ["d"]
 
 
 # ---------------------------------------------------------------------------
