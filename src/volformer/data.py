@@ -36,22 +36,8 @@ MAX_RANK = 8
 
 @dataclass
 class VolumeSample:
-    """One volume of a subject; ``degenerate`` marks a constant volume."""
-    subject_id: str
-    site_id: str
-    label: int
-    modality: str
+    """One fMRI or sMRI volume; its record holds the subject, site and label."""
     volume: np.ndarray
-    degenerate: bool = field(init=False)
-
-    def __post_init__(self):
-        if self.modality not in ("fmri", "smri"):
-            raise DataError(f"unknown modality {self.modality!r}")
-        if self.volume.size == 0 or any(e < 1 for e in self.volume.shape):
-            raise DataError(f"volume extents must be positive, got {self.volume.shape}")
-        if self.label < 0:
-            raise DataError(f"label must be a class index, got {self.label}")
-        self.degenerate = bool(self.volume.max() == self.volume.min())
 
 
 @dataclass
@@ -66,11 +52,6 @@ class SubjectRecord:
     pheno_mask: np.ndarray | None = None
 
     def validate(self) -> None:
-        for s in self.fmri_volumes:
-            if s.subject_id != self.subject_id or s.label != self.label:
-                raise DataError(
-                    f"volume of subject {s.subject_id!r} (label {s.label}) filed "
-                    f"under subject {self.subject_id!r} (label {self.label})")
         for name, vector in (("fc", self.fc_vector), ("phenotype", self.phenotype)):
             if vector is not None and not np.isfinite(vector).all():
                 raise DataError(f"{name} entries for {self.subject_id!r} are non-finite")
@@ -297,11 +278,6 @@ def read_volume(path) -> np.ndarray:
     return _require_finite(arr, f"volume file {path}")
 
 
-def load_volume(path, subject_id: str = "", site_id: str = "", label: int = 0,
-                modality: str = "fmri") -> VolumeSample:
-    return VolumeSample(subject_id, site_id, label, modality, read_volume(path))
-
-
 # ---------------------------------------------------------------------------
 # padding
 
@@ -490,12 +466,11 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SubjectRecord]:
                 jitter = (vol_rng.normal(0.0, jitter_sigma, size=spec.volume_extent)
                           if jitter_sigma > 0 else 0.0)
                 for rec, arr in at_sites(records, underlying + jitter, f"volume {vol}"):
-                    rec.fmri_volumes.append(VolumeSample(
-                        rec.subject_id, rec.site_id, label, "fmri", arr))
+                    rec.fmri_volumes.append(VolumeSample(arr))
             if spec.with_smri:
                 noise = _smooth_noise(np.random.default_rng((*key, 2)), spec)
                 for rec, arr in at_sites(records, noise, "sMRI volume"):
-                    rec.smri = VolumeSample(rec.subject_id, rec.site_id, label, "smri", arr)
+                    rec.smri = VolumeSample(arr)
             if spec.with_fc:
                 fc, _ = _pearson(np.random.default_rng((*key, 3)).normal(
                     size=(24, spec.fc_parcels)))
@@ -592,6 +567,9 @@ def load_manifest(manifest_path) -> list[SubjectRecord]:
             except ValueError:
                 raise DataError(
                     f"manifest line {lineno}: label {label_text!r} is not an int") from None
+            if label < 0:
+                raise DataError(f"manifest line {lineno}: label {label} is negative; "
+                                f"a label is a class index, 0 or more")
             rec = by_subject.get(subject_id)
             if rec is None:
                 rec = SubjectRecord(subject_id, site_id, label)
@@ -602,12 +580,10 @@ def load_manifest(manifest_path) -> list[SubjectRecord]:
                     f"manifest line {lineno}: subject {subject_id!r} changes "
                     f"label/site mid-manifest")
             full = base / rel_path
-            if modality in ("fmri", "smri"):
-                sample = load_volume(full, subject_id, site_id, label, modality)
-                if modality == "fmri":
-                    rec.fmri_volumes.append(sample)
-                else:
-                    rec.smri = sample
+            if modality == "fmri":
+                rec.fmri_volumes.append(VolumeSample(read_volume(full)))
+            elif modality == "smri":
+                rec.smri = VolumeSample(read_volume(full))
             elif modality == "fc":
                 fc = read_volume(full)
                 if fc.ndim != 2 or fc.shape[0] != fc.shape[1]:

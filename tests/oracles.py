@@ -297,14 +297,14 @@ def synthetic_reference(spec) -> list:
                     raw = gain * (underlying + jitter) + offset
                     arr = _require_finite(raw.astype(np.float32),
                                          f"synthetic volume {vol} of subject {subject_id}")
-                    volumes.append(VolumeSample(subject_id, site_id, label, "fmri", arr))
+                    volumes.append(VolumeSample(arr))
                 record = SubjectRecord(subject_id, site_id, label, volumes)
                 if spec.with_smri:
                     smri_rng = np.random.default_rng((spec.seed, label, idx, 2))
                     raw = gain * _smooth_noise(smri_rng, spec) + offset
                     arr = _require_finite(raw.astype(np.float32),
                                          f"synthetic sMRI volume of subject {subject_id}")
-                    record.smri = VolumeSample(subject_id, site_id, label, "smri", arr)
+                    record.smri = VolumeSample(arr)
                 if spec.with_fc:
                     fc_rng = np.random.default_rng((spec.seed, label, idx, 3))
                     fc, _ = _pearson(fc_rng.normal(size=(24, spec.fc_parcels)))

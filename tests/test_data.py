@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from volformer.cli import main
-from volformer.data import (FoldPlan, SubjectRecord, SyntheticSpec, VolumeSample,
-                            VOLUME_MAGIC, compute_fc, generate_synthetic,
-                            load_manifest, load_volume, pad_volume, plan_folds,
-                            read_volume, write_container, write_csv, write_dataset,
-                            write_json, write_volume)
+from volformer.data import (FoldPlan, SubjectRecord, SyntheticSpec, VOLUME_MAGIC,
+                            compute_fc, generate_synthetic, load_manifest, pad_volume,
+                            plan_folds, read_volume, write_container, write_csv,
+                            write_dataset, write_json, write_volume)
 from volformer.errors import ConfigError, DataError, ParseError, PlanError
 from volformer.layers import DataNormLayer
 from volformer.model import BrainFormer, ModelConfig, save_model
@@ -156,14 +155,16 @@ def test_volume_with_non_finite_voxel_is_data_error(tmp_path, bad):
     assert str(path) in str(err.value)
 
 
-def test_load_volume_flags_constant_input(tmp_path):
+def _constant(arr: np.ndarray) -> bool:
+    return bool(arr.max() == arr.min())
+
+
+def test_read_volume_keeps_a_constant_volume_constant(tmp_path):
     path = tmp_path / "flat.vfv"
     write_volume(path, np.full((4, 4, 4), 2.5, dtype=np.float32))
-    sample = load_volume(path, "s0", "siteA", 1)
-    assert sample.degenerate
-    assert sample.subject_id == "s0" and sample.label == 1
+    assert _constant(read_volume(path))
     write_volume(path, np.arange(8, dtype=np.float32).reshape(2, 2, 2))
-    assert not load_volume(path).degenerate
+    assert not _constant(read_volume(path))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +463,7 @@ def test_generate_optional_modalities():
                          with_pheno=True, pheno_dim=3, pheno_signal=2.0)
     recs = generate_synthetic(spec)
     for rec in recs:
-        assert rec.smri.modality == "smri"
+        assert rec.smri.volume.shape == spec.volume_extent
         assert rec.fc_vector.shape == (25,)
         fc = rec.fc_vector.reshape(5, 5)
         assert np.allclose(np.diag(fc), 1.0)
@@ -502,8 +503,6 @@ def test_generate_matches_the_per_site_reference(spec):
     assert ([(r.subject_id, r.site_id, r.label) for r in got]
             == [(r.subject_id, r.site_id, r.label) for r in want])
     for a, b in zip(got, want):
-        assert ([v.degenerate for v in a.fmri_volumes]
-                == [v.degenerate for v in b.fmri_volumes])
         xs, ys = _arrays(a), _arrays(b)
         assert xs.keys() == ys.keys()
         for name, x in xs.items():
@@ -547,18 +546,23 @@ def test_manifest_round_trips_smri_and_fc(tmp_path):
         assert np.allclose(got.fc_vector, orig.fc_vector, atol=1e-7)
 
 
-def test_degenerate_flags_survive_the_round_trip(tmp_path):
-    """Noiseless sMRI is constant: flagged in memory as after a reload. The
-    fMRI volumes carry their class blob, so neither copy flags them."""
+def test_constant_volumes_stay_constant_through_the_round_trip(tmp_path):
+    """Noiseless sMRI is constant in memory, after a manifest reload and read
+    back from its file. The fMRI volumes carry their class blob, so no copy of
+    them is constant."""
     spec = SyntheticSpec(noise_sigma=0.0, with_smri=True, site_count=1,
                          subjects_per_class_per_site=1, volumes_per_subject=1)
     recs = generate_synthetic(spec)
     back = load_manifest(write_dataset(recs, tmp_path))
 
-    def flags(records):
-        return [(r.smri.degenerate, [v.degenerate for v in r.fmri_volumes]) for r in records]
+    def constant(records):
+        return [(_constant(r.smri.volume), [_constant(v.volume) for v in r.fmri_volumes])
+                for r in records]
 
-    assert flags(recs) == flags(back) == [(True, [False])] * 2
+    assert constant(recs) == constant(back) == [(True, [False])] * 2
+    files = [(read_volume(tmp_path / "volumes" / f"{r.subject_id}_smri.vfv"),
+              read_volume(tmp_path / "volumes" / f"{r.subject_id}_fmri00.vfv")) for r in recs]
+    assert [(_constant(smri), _constant(fmri)) for smri, fmri in files] == [(True, False)] * 2
 
 
 def test_manifest_missing_pheno_cells_become_mask(tmp_path):
@@ -656,6 +660,10 @@ HEADER = "subject_id,site_id,label,modality,path"
                  id="short-row"),
     pytest.param(f"{HEADER}\ns0,a,zero,fmri,v.vfv\n",
                  "line 2: label 'zero' is not an int", id="label"),
+    pytest.param(f"{HEADER}\ns0,a,-1,fmri,v.vfv\n",
+                 "line 2: label -1 is negative", id="negative-label"),
+    pytest.param(f"{HEADER}\ns0,a,-1,fc,square.vfv\n",
+                 "line 2: label -1 is negative", id="negative-label-fc-only"),
     pytest.param(f"{HEADER}\ns0,a,0,fc,fc.vfv\n",
                  "square matrix, got shape (2, 3)", id="fc-not-square"),
     pytest.param(f"{HEADER},pheno_0\ns0,a,0,fmri,v.vfv,abc\n",
@@ -664,6 +672,7 @@ HEADER = "subject_id,site_id,label,modality,path"
 def test_manifest_refusals_exit_3(tmp_path, capsys, text, message):
     write_volume(tmp_path / "v.vfv", np.ones((4, 4, 4), dtype=np.float32))
     write_volume(tmp_path / "fc.vfv", np.zeros((2, 3), dtype=np.float32))
+    write_volume(tmp_path / "square.vfv", np.eye(3, dtype=np.float32))
     manifest = tmp_path / "manifest.csv"
     manifest.write_text(text)
     with pytest.raises(DataError) as err:
@@ -708,10 +717,3 @@ def test_interrupted_csv_and_json_writes_leave_no_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         write_json(tmp_path / "t.json", {"a": list(range(10))})
     assert list(tmp_path.iterdir()) == []
-
-
-def test_volume_sample_validation():
-    with pytest.raises(DataError):
-        VolumeSample("s", "a", 0, "meg", np.ones((2, 2, 2), dtype=np.float32))
-    with pytest.raises(DataError):
-        VolumeSample("s", "a", -1, "fmri", np.ones((2, 2, 2), dtype=np.float32))

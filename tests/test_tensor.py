@@ -233,14 +233,16 @@ def test_fused_batch_norm_matches_composite_chain(mode):
 
 
 @pytest.mark.parametrize("shape, mean", [((16, 8, 8, 9, 8), 2.0), ((2, 4, 32, 36, 32), 2.0),
-                                         ((16, 8, 8, 9, 8), 50.0)])
+                                         ((16, 8, 8, 9, 8), 50.0),
+                                         ((16, 2, 32, 36, 32), 50.0)])
 def test_float32_batch_norm_training_tracks_float64(shape, mean):
     """Training-mode batch norm in float32 against float64: output, input,
     gamma and beta gradients and running statistics, each within 1e-5 of the
     largest float64 magnitude. (16, 8, 8, 9, 8) is desk stage 1 at B=16;
-    (2, 4, 32, 36, 32) sums 73,728 elements per channel in float32. Inputs
-    are N(mean, 3²): at mean 50 the variance as E[x²] − μ² would be off by
-    about 8e-5."""
+    (2, 4, 32, 36, 32) sums 73,728 elements per channel in float32, and
+    (16, 2, 32, 36, 32) sums 589,824, the full preset's stage-1 channel
+    length at B=16. Inputs are N(mean, 3²): at mean 50 the variance as
+    E[x²] − μ² would be off by about 8e-5."""
     rng = np.random.default_rng(27)
     x = rng.normal(mean, 3.0, size=shape)
     gamma, beta = rng.uniform(0.5, 1.5, size=shape[1]), rng.normal(size=shape[1])

@@ -323,8 +323,7 @@ def test_history_csv(tmp_path):
 
 
 def _record_with(volumes, label, sid, site="s"):
-    samples = [VolumeSample(sid, site, label, "fmri",
-                            np.asarray(v, dtype=np.float32)) for v in volumes]
+    samples = [VolumeSample(np.asarray(v, dtype=np.float32)) for v in volumes]
     return SubjectRecord(sid, site, label, samples)
 
 
