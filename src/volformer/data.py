@@ -535,6 +535,13 @@ def write_dataset(records: list[SubjectRecord], out_dir) -> Path:
 
 
 def load_manifest(manifest_path) -> list[SubjectRecord]:
+    """The subject records of a manifest, in first-appearance order.
+
+    Each row's path is relative to the manifest's directory. A file may be
+    listed once (paths compared after resolving them) and a subject may have
+    one ``smri`` and one ``fc`` row: a file under two subjects could sit on
+    both sides of a fold. Every refusal is a ``DataError`` naming its line.
+    """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise DataError(f"manifest not found: {manifest_path}")
@@ -555,6 +562,8 @@ def load_manifest(manifest_path) -> list[SubjectRecord]:
                 raise DataError(f"phenotype columns must be pheno_0..; got {name!r}")
         order: list[str] = []
         by_subject: dict[str, SubjectRecord] = {}
+        path_line: dict[Path, int] = {}
+        single_line: dict[tuple[str, str], int] = {}  # a subject's smri or fc row
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -580,6 +589,15 @@ def load_manifest(manifest_path) -> list[SubjectRecord]:
                     f"manifest line {lineno}: subject {subject_id!r} changes "
                     f"label/site mid-manifest")
             full = base / rel_path
+            first = path_line.setdefault(full.resolve(), lineno)
+            if first != lineno:
+                raise DataError(f"manifest line {lineno}: path {rel_path!r} names the same "
+                                f"file as line {first}")
+            if modality in ("smri", "fc"):
+                first = single_line.setdefault((subject_id, modality), lineno)
+                if first != lineno:
+                    raise DataError(f"manifest line {lineno}: subject {subject_id!r} has a "
+                                    f"second {modality} row; the first is line {first}")
             if modality == "fmri":
                 rec.fmri_volumes.append(VolumeSample(read_volume(full)))
             elif modality == "smri":

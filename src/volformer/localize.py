@@ -103,7 +103,7 @@ def grad_cam(model, volume, target_class: int, layer: str | None = None
     arr = np.asarray(volume.data if isinstance(volume, Tensor) else volume)
     if arr.ndim != 3:
         raise DataError(f"expected a (D, H, W) volume, got shape {arr.shape}")
-    params = [p for _, p in model.params()]
+    params = model.tensors
     x = Tensor(arr[None, None], requires_grad=True)
     # The map needs activation gradients only: with the parameters untracked
     # the sweep computes no kernel gradient, and the tracked input records

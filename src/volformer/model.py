@@ -317,7 +317,8 @@ class BrainFormer(Module):
     ``VolumeEncoder`` (sMRI) or ``MLP`` (a vector), and ``forward_logits``
     takes each one's batch as the keyword argument of that name. The
     branches' features follow the trunk's, ``cfg.feature_width()`` in all;
-    a bias-free linear head maps them to class logits.
+    a bias-free linear head maps them to class logits. ``tensors`` holds the
+    parameter tensors in ``params()`` order, listed once at construction.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
@@ -333,6 +334,8 @@ class BrainFormer(Module):
         self.classifier_weight = Tensor(
             kaiming_uniform((cfg.class_count, feat), feat, rng, dtype),
             requires_grad=True)
+        # The tree is fixed from here on, and load_state assigns only .data.
+        self.tensors = tuple(t for _, t in self.params())
 
     def forward_logits(self, volumes, training: bool, trace: dict | None = None,
                        smri=None, fc=None, pheno=None) -> Tensor:

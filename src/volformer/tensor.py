@@ -241,14 +241,17 @@ def _node(data, parents, backward_fn, macs=0) -> Tensor:
       operand was tracked when the node was made;
     - ``div``: the divisor and the output; ``exp``, ``sqrt``, ``relu`` and
       ``softmax``: the output; ``log``: the input;
-    - ``batch_norm``: the input, only if ``gamma`` or, in training mode,
-      the input is tracked;
+    - ``batch_norm``: μ, inv and γ's array, and the input only if ``gamma``
+      or, in training mode, the input is tracked; in evaluation mode μ and
+      inv are the running stats' cached constants, so the input is the one
+      array the call made that it keeps;
     - ``token_channel_mixing``: the input and the weights (never the
       token-mixed tokens, a hidden layer or a layout copy);
     - ``attention_block``: the input, ``pos`` and the weights (never z0, z1,
       q, k, v, the masks or the hidden layer);
-    - ``bn_relu_conv3d``: the input, batch norm's per-channel μ, inv,
-      inv·γ and β (never h = relu(batch_norm(x))), and the kernel unless it
+    - ``bn_relu_conv3d``: the input, batch norm's μ and inv (cached as in
+      ``batch_norm`` in evaluation mode), the arrays of γ and β (never inv·γ,
+      a view of β or h = relu(batch_norm(x))), and the kernel unless it
       alone is tracked.
 
     It never captures a ``Tensor`` or the result's record: a result ->
@@ -1338,15 +1341,21 @@ class RunningStats:
     Starts uninitialized; the first training batch seeds the averages with
     its own statistics and later batches blend in with the configured
     momentum. Evaluation before any training batch is a state error.
-    ``update`` replaces ``mean`` and ``var`` rather than writing into them,
-    so a caller that keeps the old arrays can put them back.
+    ``mean`` and ``var`` are replaced, never written in place: ``update``
+    assigns new arrays, so a caller that keeps the old ones can put them
+    back, and so does a checkpoint load. ``eval_constants`` caches
+    evaluation mode's μ and inv = 1/sqrt(var + eps), one entry, against the
+    identity of the two arrays, holding them so that an id cannot be reused;
+    assigning either one drops the entry, and writing into one in place
+    would leave it stale.
     """
 
-    __slots__ = ("mean", "var")
+    __slots__ = ("mean", "var", "_cache")
 
     def __init__(self, mean=None, var=None):
         self.mean = mean
         self.var = var
+        self._cache = None
 
     def initialized(self) -> bool:
         return self.mean is not None
@@ -1359,6 +1368,19 @@ class RunningStats:
             self.mean = (1.0 - momentum) * self.mean + momentum * batch_mean
             self.var = (1.0 - momentum) * self.var + momentum * batch_var
 
+    def eval_constants(self, eps: float, dtype, bshape) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only μ and inv = 1/sqrt(var + eps) as ``dtype`` arrays of
+        shape ``bshape`` = (1, C, 1, ...) for the current ``mean`` and
+        ``var``; rebuilt when any of the five differs from the last call."""
+        mean, var, key = self.mean, self.var, (eps, dtype, bshape)
+        cache = self._cache
+        if cache is None or cache[0] is not mean or cache[1] is not var or cache[2] != key:
+            mu = mean.reshape(bshape).astype(dtype)
+            inv = (1.0 / np.sqrt(var + eps)).reshape(bshape).astype(dtype)
+            mu.flags.writeable = inv.flags.writeable = False
+            cache = self._cache = mean, var, key, mu, inv
+        return cache[3], cache[4]
+
 
 def batch_norm(x, gamma, beta, training: bool, stats: RunningStats | None = None,
                eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
@@ -1369,36 +1391,43 @@ def batch_norm(x, gamma, beta, training: bool, stats: RunningStats | None = None
     evaluation mode requires previously accumulated ``stats``.
 
     One tape node, y = (x − μ)·inv·γ + β with inv = 1/sqrt(var + eps). Its
-    closure keeps ``x``'s array and per-channel vectors and recomputes
-    x̂ = (x − μ)·inv. Training backward is the closed form
-    gx = inv·γ·(g − mean g − x̂·mean(g·x̂)); in evaluation mode μ and inv are
-    constants and gx = g·inv·γ; in both gγ = Σ g·x̂ and gβ = Σ g. Each
-    per-channel sum is one ``einsum`` contraction (``_channel_sum``): Σx for
-    μ, Σ(x − μ)² for var, Σ g·x̂ and Σg, the last shared by gβ and the
+    closure keeps ``x``'s array, μ, inv and γ's array, and backward
+    recomputes x̂ = (x − μ)·inv and inv·γ. In evaluation mode μ and inv are
+    ``stats.eval_constants``, built once per running-stat arrays, so an
+    evaluation node keeps no per-channel array of its own. Training backward
+    is the closed form gx = inv·γ·(g − mean g − x̂·mean(g·x̂)); in evaluation
+    mode μ and inv are constants and gx = g·inv·γ; in both gγ = Σ g·x̂ and
+    gβ = Σ g. Each per-channel sum is one ``einsum`` contraction
+    (``_channel_sum``): Σx for μ, Σ(x − μ) for the residual that corrects it
+    (the corrected two-pass algorithm, so float32 holds at an input mean far
+    from 0), Σ(x − μ)² for var, Σ g·x̂ and Σg, the last shared by gβ and the
     training gx; none forms a squared or product temporary.
     ``count_ops``: 6 units per element of ``x`` in training mode (mean,
-    center, square, variance sum, scale, shift), 3 in evaluation mode.
+    center, square, variance sum, scale, shift; the mean's residual sum is
+    not counted), 3 in evaluation mode.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     xd = x.data
-    y, mu, inv, scale = _bn_forward(xd, gamma.data, beta.data, training, stats, eps, momentum)
+    gd = gamma.data
+    y, mu, inv = _bn_forward(xd, gd, beta.data, training, stats, eps, momentum)
     rx, rg, rb = x._tape, gamma._tape, beta._tape
     # x-hat feeds gamma's gradient and, in training mode, the input's.
     xd = xd if rg.requires_grad or (training and rx.requires_grad) else None
 
     def backward_fn(g):
-        _feed((rx, rg, rb), _bn_grads(g, None if xd is None else xd - mu, inv, scale,
-                                      training, rx.requires_grad, rg.requires_grad,
-                                      rb.requires_grad))
+        _feed((rx, rg, rb), _bn_grads(g, None if xd is None else xd - mu, inv,
+                                      inv * gd.reshape(inv.shape), training,
+                                      rx.requires_grad, rg.requires_grad, rb.requires_grad))
 
     return _node(y, (rx, rg, rb), backward_fn, (6 if training else 3) * y.size)
 
 
 def _bn_forward(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray, training: bool,
                 stats: RunningStats | None, eps: float, momentum: float):
-    """``batch_norm``'s output y = (x − μ)·scale + β, scale = inv·γ, and its
-    μ, inv = 1/sqrt(var + eps) and scale, each shaped (1, C, 1, ...);
-    updates ``stats`` in training mode."""
+    """``batch_norm``'s output y = (x − μ)·inv·γ + β and its μ and
+    inv = 1/sqrt(var + eps), each shaped (1, C, 1, ...); updates ``stats`` in
+    training mode. Evaluation mode's μ and inv are the read-only arrays that
+    ``stats`` caches."""
     if xd.ndim < 2:
         raise ShapeError(f"batch_norm input must have a channel axis, got {xd.shape}")
     C = xd.shape[1]
@@ -1416,24 +1445,34 @@ def _bn_forward(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray, training: b
         # which would keep a second array object alive with the closure.
         mu = _channel_sum(xd).reshape(bshape) / n
         y = xd - mu
-        var = _channel_sum(y, y).reshape(bshape) / n
+        # The corrected two-pass algorithm (Chan, Golub & LeVeque 1983): the
+        # mean r of x − μ is the float32 sum's error in μ, which would shift
+        # every x̂ by r/σ at an input mean far from 0. μ takes r; y keeps it,
+        # and the shift below subtracts it with the scale, so no second pass
+        # over x − μ is made: the output is that of x − (μ + r) to rounding,
+        # and backward recomputes x − μ from the corrected μ.
+        # Σ(y − r)² = Σy² − n·r².
+        r = _channel_sum(y).reshape(bshape) / n
+        var = _channel_sum(y, y).reshape(bshape) / n - r * r
+        mu += r
         if stats is not None:
             stats.update(mu.reshape(C).astype(np.float64),
                          var.reshape(C).astype(np.float64), momentum)
         inv = 1.0 / np.sqrt(var + eps)
-    else:
-        if stats is None or not stats.initialized():
-            raise StateError(
-                "batch_norm evaluation mode requires running statistics; "
-                "train at least one batch first"
-            )
-        mu = stats.mean.reshape(bshape).astype(xd.dtype)
-        inv = (1.0 / np.sqrt(stats.var + eps)).reshape(bshape).astype(xd.dtype)
-        y = xd - mu
-    scale = inv * gamma.reshape(bshape)
-    y *= scale
+        scale = inv * gamma.reshape(bshape)
+        y *= scale
+        y += beta.reshape(bshape) - r * scale
+        return y, mu, inv
+    if stats is None or not stats.initialized():
+        raise StateError(
+            "batch_norm evaluation mode requires running statistics; "
+            "train at least one batch first"
+        )
+    mu, inv = stats.eval_constants(eps, xd.dtype, bshape)
+    y = xd - mu
+    y *= inv * gamma.reshape(bshape)
     y += beta.reshape(bshape)
-    return y, mu, inv, scale
+    return y, mu, inv
 
 
 def _bn_grads(g: np.ndarray, centered, inv, scale, training: bool, on_x: bool,
@@ -1478,9 +1517,10 @@ def bn_relu_conv3d(x, gamma, beta, kernel, training: bool,
     ``x``, ``gamma``, ``beta``, ``training``, ``stats``, ``eps`` and
     ``momentum`` are as in ``batch_norm``, whose running-stat update happens
     once, here in forward; ``kernel``, ``stride`` and ``pad`` as in
-    ``conv3d``. One tape node whose closure keeps ``x``, μ, inv·γ and β per
-    channel and the kernel, not h = relu(batch_norm(x)): backward recomputes h
-    with one scale, shift and max per element (Chen et al. 2016), then takes
+    ``conv3d``. One tape node whose closure keeps ``x``, μ and inv (in
+    evaluation mode the ones ``stats`` caches), the arrays of γ and β and the
+    kernel, not h = relu(batch_norm(x)): backward rebuilds inv·γ, recomputes
+    h with one scale, shift and max per element (Chen et al. 2016), then takes
     the kernel gradient from h, gh from the kernel as ``conv3d`` does, and
     batch norm's gradients, as ``batch_norm`` does, from gh·[h > 0]; h and,
     where those gradients read it, x̂ come from one x − μ. A gradient whose
@@ -1495,10 +1535,10 @@ def bn_relu_conv3d(x, gamma, beta, kernel, training: bool,
     xd, w = x.data, kernel.data
     x_shape, k_shape = xd.shape, w.shape
     out_ext = _conv_extents(x_shape, k_shape, stride, pad)
-    h, mu, inv, scale = _bn_forward(xd, gamma.data, beta.data, training, stats, eps, momentum)
+    gd, bd = gamma.data, beta.data
+    h, mu, inv = _bn_forward(xd, gd, bd, training, stats, eps, momentum)
     out_data = _conv3d_forward(np.maximum(h, 0, out=h), w, stride, pad, out_ext)
     del h
-    shift = beta.data.reshape(mu.shape)
     macs = (7 if training else 4) * xd.size + math.prod(k_shape[1:]) * out_data.size
     records = rx, rg, rb, rk = x._tape, gamma._tape, beta._tape, kernel._tape
     on_x, on_g, on_b, on_k = (r.requires_grad for r in records)
@@ -1508,8 +1548,9 @@ def bn_relu_conv3d(x, gamma, beta, kernel, training: bool,
     def backward_fn(g):
         on_xhat = on_g or (training and on_x)  # batch norm's gradients that read x − μ
         centered = xd - mu
+        scale = inv * gd.reshape(inv.shape)
         h = centered * scale if on_xhat else np.multiply(centered, scale, out=centered)
-        h += shift
+        h += bd.reshape(inv.shape)
         if on_k:  # [h > 0] alone needs no max
             np.maximum(h, 0, out=h)
         gh, gk = _conv3d_grads(g, h if on_k else None, w, x_shape, k_shape, stride, pad)

@@ -668,11 +668,23 @@ HEADER = "subject_id,site_id,label,modality,path"
                  "square matrix, got shape (2, 3)", id="fc-not-square"),
     pytest.param(f"{HEADER},pheno_0\ns0,a,0,fmri,v.vfv,abc\n",
                  "line 2: bad phenotype cell 'abc'", id="pheno-cell"),
+    pytest.param(f"{HEADER}\ns0,a,0,fmri,v.vfv\ns1,a,1,fmri,sub/../v.vfv\n",
+                 "line 3: path 'sub/../v.vfv' names the same file as line 2",
+                 id="one-file-two-subjects"),
+    pytest.param(f"{HEADER}\ns0,a,0,smri,v.vfv\ns0,a,0,smri,w.vfv\n",
+                 "line 3: subject 's0' has a second smri row; the first is line 2",
+                 id="second-smri-row"),
+    pytest.param(f"{HEADER}\ns0,a,0,fc,square.vfv\ns0,a,0,fmri,v.vfv\ns0,a,0,fc,eye.vfv\n",
+                 "line 4: subject 's0' has a second fc row; the first is line 2",
+                 id="second-fc-row"),
 ])
 def test_manifest_refusals_exit_3(tmp_path, capsys, text, message):
+    (tmp_path / "sub").mkdir()
     write_volume(tmp_path / "v.vfv", np.ones((4, 4, 4), dtype=np.float32))
+    write_volume(tmp_path / "w.vfv", np.ones((4, 4, 4), dtype=np.float32))
     write_volume(tmp_path / "fc.vfv", np.zeros((2, 3), dtype=np.float32))
     write_volume(tmp_path / "square.vfv", np.eye(3, dtype=np.float32))
+    write_volume(tmp_path / "eye.vfv", np.eye(3, dtype=np.float32))
     manifest = tmp_path / "manifest.csv"
     manifest.write_text(text)
     with pytest.raises(DataError) as err:

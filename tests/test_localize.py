@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from volformer import model as M
 from volformer import tensor as T
 from volformer.data import SyntheticSpec, generate_synthetic
 from volformer.errors import ConfigError, DataError, StateError
@@ -185,6 +186,45 @@ def test_map_leaves_parameters_tracked_and_without_grads(monkeypatch):
     with pytest.raises(RuntimeError, match="forward failed"):
         grad_cam(model, _volume(), 1)
     assert all(p.requires_grad and p.grad is None for p in params)
+
+
+def test_map_restores_each_parameter_flag(monkeypatch):
+    """Mixed ``requires_grad`` flags come back as they were, after a map and
+    after a failed one; ``model.tensors`` is ``params()`` in order, also
+    after ``load_state``, which assigns only ``.data``."""
+    model = _ready_model(seed=8)
+    params = [p for _, p in model.params()]
+    assert [id(p) for p in model.tensors] == [id(p) for p in params]
+    M.load_state(model, dict(M._state_entries(_ready_model(seed=9))))
+    assert [id(p) for p in model.tensors] == [id(p) for p in params]
+    flags = [i % 3 != 0 for i in range(len(params))]
+    for p, flag in zip(params, flags):
+        p.requires_grad = flag
+    grad_cam(model, _volume(), 1)
+    assert [p.requires_grad for p in params] == flags
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("forward failed")
+
+    monkeypatch.setattr(model, "forward_trace", boom)
+    with pytest.raises(RuntimeError, match="forward failed"):
+        grad_cam(model, _volume(), 1)
+    assert [p.requires_grad for p in params] == flags
+
+
+def test_cold_and_warm_cache_maps_are_byte_equal():
+    """The first map of a model, which builds its batch-norm constants and,
+    with the patch-index cache cleared, its conv indices, and a second map
+    that reads them all."""
+    model = _ready_model(seed=10)
+    assert all(layer.stats._cache is None for _, layer in model.norm_layers())
+    T._patch_index.cache_clear()
+    v = _volume()
+    cold = grad_cam(model, v, 1, layer="stage1")
+    assert all(layer.stats._cache is not None for _, layer in model.norm_layers())
+    warm = grad_cam(model, v, 1, layer="stage1")
+    assert cold.volume.tobytes() == warm.volume.tobytes()
+    assert cold.probs.tobytes() == warm.probs.tobytes()
 
 
 def test_map_sweep_stops_at_the_mapped_layer(monkeypatch):

@@ -272,6 +272,24 @@ def test_branched_checkpoint_round_trip_bit_identical(tmp_path):
     assert np.array_equal(a, b)
 
 
+def test_load_state_with_new_running_stats_moves_eval_logits():
+    """Two models of one seed whose batch-norm statistics come from
+    different batches: after ``load_state`` of the second's arrays, the
+    first, its cached evaluation constants warm, gives the second's
+    evaluation logits byte for byte."""
+    rng = np.random.default_rng(44)
+    a, b = M.BrainFormer(ModelConfig.desk(), seed=3), M.BrainFormer(ModelConfig.desk(), seed=3)
+    a.forward_logits(desk_batch(rng, 2), training=True)
+    b.forward_logits(desk_batch(rng, 2) * 2.0 + 1.0, training=True)
+    x = desk_batch(rng, 1)
+    with T.no_grad():
+        before = a.forward_logits(x, training=False).data
+        want = b.forward_logits(x, training=False).data
+        assert not np.array_equal(before, want)
+        M.load_state(a, dict(M._state_entries(b)))
+        assert a.forward_logits(x, training=False).data.tobytes() == want.tobytes()
+
+
 def _hand_written_tree(cfg):
     """Parameter and norm-layer names by the rules each layer once listed by
     hand, for a model built from ``cfg``."""

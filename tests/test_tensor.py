@@ -234,7 +234,9 @@ def test_fused_batch_norm_matches_composite_chain(mode):
 
 @pytest.mark.parametrize("shape, mean", [((16, 8, 8, 9, 8), 2.0), ((2, 4, 32, 36, 32), 2.0),
                                          ((16, 8, 8, 9, 8), 50.0),
-                                         ((16, 2, 32, 36, 32), 50.0)])
+                                         ((16, 2, 32, 36, 32), 50.0),
+                                         ((2, 4, 32, 36, 32), 50.0),
+                                         ((2, 4, 32, 36, 32), 100.0)])
 def test_float32_batch_norm_training_tracks_float64(shape, mean):
     """Training-mode batch norm in float32 against float64: output, input,
     gamma and beta gradients and running statistics, each within 1e-5 of the
@@ -242,7 +244,9 @@ def test_float32_batch_norm_training_tracks_float64(shape, mean):
     (2, 4, 32, 36, 32) sums 73,728 elements per channel in float32, and
     (16, 2, 32, 36, 32) sums 589,824, the full preset's stage-1 channel
     length at B=16. Inputs are N(mean, 3²): at mean 50 the variance as
-    E[x²] − μ² would be off by about 8e-5."""
+    E[x²] − μ² would be off by about 8e-5. Without the residual pass over
+    x − μ, the float32 sum's error in μ put gγ of (2, 4, 32, 36, 32) at
+    1.4e-5 (mean 50) and 2.3e-5 (mean 100)."""
     rng = np.random.default_rng(27)
     x = rng.normal(mean, 3.0, size=shape)
     gamma, beta = rng.uniform(0.5, 1.5, size=shape[1]), rng.normal(size=shape[1])
@@ -1498,6 +1502,76 @@ def test_batch_norm_running_stats_and_eval():
     want = (x2 - stats.mean.reshape(1, 2, 1, 1, 1)) / np.sqrt(
         stats.var.reshape(1, 2, 1, 1, 1) + 1e-5)
     assert np.allclose(y, want, atol=1e-5)
+
+
+def _eval_bn(fused, x, gamma, beta, kernel, stats):
+    """Evaluation-mode ``batch_norm``, or ``bn_relu_conv3d`` with ``kernel``."""
+    if fused:
+        return T.bn_relu_conv3d(x, gamma, beta, kernel, False, stats, pad=1)
+    return T.batch_norm(x, gamma, beta, False, stats)
+
+
+@pytest.mark.parametrize("fused", [False, True], ids=["batch_norm", "bn_relu_conv3d"])
+def test_eval_batch_norm_follows_replaced_running_stats(fused):
+    """Evaluation output after ``update``, after an assignment of new arrays
+    (as ``load_state`` makes) and after the old arrays are put back (as a
+    skipped training batch does): byte-equal to a cold ``RunningStats``
+    holding the same arrays, and a call on warm constants to a cold one."""
+    rng = np.random.default_rng(41)
+    x = Tensor(rng.normal(size=(2, 3, 4, 5, 4)).astype(np.float32))
+    gamma = Tensor(rng.uniform(0.5, 1.5, size=3).astype(np.float32))
+    beta = Tensor(rng.normal(size=3).astype(np.float32))
+    kernel = Tensor(rng.normal(size=(2, 3, 3, 3, 3)).astype(np.float32))
+    stats = T.RunningStats(rng.normal(size=3), rng.uniform(0.5, 2.0, size=3))
+    saved = stats.mean, stats.var
+
+    def check():
+        got = _eval_bn(fused, x, gamma, beta, kernel, stats).data
+        warm = _eval_bn(fused, x, gamma, beta, kernel, stats).data
+        cold = _eval_bn(fused, x, gamma, beta, kernel, T.RunningStats(stats.mean, stats.var))
+        assert got.tobytes() == warm.tobytes() == cold.data.tobytes()
+        return got
+
+    first = check()
+    stats.update(rng.normal(size=3), rng.uniform(0.5, 2.0, size=3), 0.5)
+    assert not np.array_equal(check(), first)
+    stats.mean = rng.normal(size=3)
+    stats.var = rng.uniform(0.5, 2.0, size=3)
+    assert not np.array_equal(check(), first)
+    stats.mean, stats.var = saved
+    assert check().tobytes() == first.tobytes()
+
+
+def _closure_arrays(t: Tensor) -> list:
+    return [c.cell_contents for c in t._tape.backward.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+
+
+@pytest.mark.parametrize("fused", [False, True], ids=["batch_norm", "bn_relu_conv3d"])
+@pytest.mark.parametrize("tracked", ["input", "all"])
+def test_batch_norm_node_keeps_no_array_of_its_own_but_the_input(fused, tracked):
+    """An evaluation node's closure holds, of the arrays its call made, at
+    most its input: every other array is a parameter's or a running-stat constant,
+    checked by identity. A training node holds its input, μ and inv."""
+    rng = np.random.default_rng(42)
+    on = tracked == "all"
+    x = Tensor(rng.normal(size=(2, 3, 4, 5, 4)).astype(np.float32), requires_grad=True)
+    gamma = Tensor(rng.uniform(0.5, 1.5, size=3).astype(np.float32), requires_grad=on)
+    beta = Tensor(rng.normal(size=3).astype(np.float32), requires_grad=on)
+    kernel = Tensor(rng.normal(size=(2, 3, 3, 3, 3)).astype(np.float32), requires_grad=on)
+    stats = T.RunningStats(rng.normal(size=3), rng.uniform(0.5, 2.0, size=3))
+    owned = {id(t.data) for t in (gamma, beta, kernel)}
+    owned |= {id(a) for a in stats.eval_constants(1e-5, x.dtype, (1, 3, 1, 1, 1))}
+    y = _eval_bn(fused, x, gamma, beta, kernel, stats)
+    # batch_norm's node with only the input tracked needs not even that.
+    assert all(a is x.data for a in _closure_arrays(y) if id(a) not in owned)
+    if fused:
+        y = T.bn_relu_conv3d(x, gamma, beta, kernel, True, stats, pad=1)
+    else:
+        y = T.batch_norm(x, gamma, beta, True, stats)
+    made = [a for a in _closure_arrays(y) if id(a) not in owned]
+    assert len(made) == 3 and id(x.data) in {id(a) for a in made}
+    assert sorted(a.size for a in made) == [3, 3, x.data.size]
 
 
 def test_batch_norm_eval_without_stats_is_state_error():
