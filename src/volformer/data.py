@@ -539,8 +539,9 @@ def load_manifest(manifest_path) -> list[SubjectRecord]:
 
     Each row's path is relative to the manifest's directory. A file may be
     listed once (paths compared after resolving them) and a subject may have
-    one ``smri`` and one ``fc`` row: a file under two subjects could sit on
-    both sides of a fold. Every refusal is a ``DataError`` naming its line.
+    one ``smri`` row, one ``fc`` row and one row of phenotype cells: a file
+    under two subjects could sit on both sides of a fold, and a second row
+    would replace the first. Every refusal is a ``DataError`` naming its line.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -563,7 +564,7 @@ def load_manifest(manifest_path) -> list[SubjectRecord]:
         order: list[str] = []
         by_subject: dict[str, SubjectRecord] = {}
         path_line: dict[Path, int] = {}
-        single_line: dict[tuple[str, str], int] = {}  # a subject's smri or fc row
+        single_line: dict[tuple[str, str], int] = {}  # a subject's smri, fc or phenotype row
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -613,6 +614,10 @@ def load_manifest(manifest_path) -> list[SubjectRecord]:
                 raise DataError(f"manifest line {lineno}: unknown modality {modality!r}")
             cells = row[5:]
             if any(c.strip() for c in cells):
+                first = single_line.setdefault((subject_id, "phenotype"), lineno)
+                if first != lineno:
+                    raise DataError(f"manifest line {lineno}: subject {subject_id!r} has "
+                                    f"phenotype cells on a second row; the first is line {first}")
                 values = np.zeros(len(cells), dtype=np.float32)
                 mask = np.zeros(len(cells), dtype=np.float32)
                 for i, cell in enumerate(cells):

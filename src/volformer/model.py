@@ -402,9 +402,11 @@ def estimate_cost(cfg: ModelConfig) -> CostReport:
 
     Counts are per single input volume (batch 1). The activation figure is
     the largest single live tensor any layer produces, including attention
-    masks. Elementwise work (ReLU, BN, pooling, data norm) is not counted as
-    MACs; conv, matmul-style mixing, and attention contractions are. Each
-    enabled branch adds a row named after it: a second encoder, or an MLP.
+    masks. MACs are contraction multiply-adds (convs, matmuls, attention
+    GEMMs), the unit of ``tensor.count_ops``: a batch-B forward counts B
+    times each row. Elementwise work (ReLU, BN, softmax, pooling, data norm)
+    is not counted. Each enabled branch adds a row named after it: a second
+    encoder, or an MLP.
     """
     macs = 0
     params = 0

@@ -1,9 +1,9 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The graph is define-by-run: every primitive returns through ``_node``, which
-tallies its work for ``count_ops`` and links the output's tape record back to
-its tracked inputs' records with a closure mapping the output gradient to
-input gradient contributions. Only inputs tracked when the node is made are
+charges its contraction multiply-adds to ``count_ops`` and links the output's
+tape record back to its tracked inputs' records with a closure mapping the
+output gradient to input gradient contributions. Only inputs tracked when the node is made are
 linked, so ``backward`` never walks an untracked parameter or a wrapped
 constant. A ``Tensor`` is its ``data`` plus a ``_Tape`` record
 holding the gradient, the parent records and the closure; the record never
@@ -18,7 +18,7 @@ record drops its closure and parents once its closure has run. Held tensors
 keep their ``.grad``; a second sweep that reaches a consumed node is a
 ``StateError``. ``batch_norm``, ``softmax``, ``token_channel_mixing``,
 ``attention_block`` and ``bn_relu_conv3d`` are single nodes with closed-form
-backwards; their docstrings give the formulas and their ``count_ops`` units.
+backwards; their docstrings give the formulas and the multiply-adds they count.
 The two global attention blocks are one node each that keeps only its input
 and weights: ``token_channel_mixing`` (an SGA block, two residual MLPs)
 recomputes its token-mixed tokens and hidden layers, and ``attention_block``
@@ -88,11 +88,11 @@ def no_grad():
 
 
 class OpCounter:
-    """Running tally of scalar operations executed by primitive kernels.
+    """Running tally of the contraction multiply-adds primitive kernels ran.
 
-    ``macs`` counts multiply-accumulates for contractions (matmul, conv) and
-    one unit per element for pointwise/reduction kernels, so it measures the
-    work a primitive actually performed rather than an analytic prediction.
+    ``macs`` counts the multiply-adds of ``matmul``, ``conv3d`` and the GEMMs
+    inside the fused nodes, the unit of ``model.estimate_cost``; pointwise,
+    reduction, softmax and batch-norm work is not counted.
     """
 
     def __init__(self) -> None:
@@ -104,7 +104,8 @@ _counters: list[OpCounter] = []
 
 @contextmanager
 def count_ops():
-    """Yield an :class:`OpCounter` collecting primitive work in the block."""
+    """Yield an :class:`OpCounter` collecting the contraction multiply-adds
+    of every node made in the block."""
     counter = OpCounter()
     _counters.append(counter)
     try:
@@ -224,13 +225,14 @@ def _as_tensor(x) -> Tensor:
 def _node(data, parents, backward_fn, macs=0) -> Tensor:
     """Wrap a primitive's result array as a tape node.
 
-    ``parents`` are the inputs' ``_Tape`` records. ``macs`` is added to
-    every open ``count_ops`` counter, under ``no_grad`` too. The result
-    joins the tape only while recording is on and some parent is tracked;
-    otherwise it is a constant with ``_backward is None`` and
-    ``_parents == ()``. A node lists only the parents that were tracked when
-    it was made, so ``backward`` never walks a parameter the caller left
-    untracked or a wrapped constant.
+    ``parents`` are the inputs' ``_Tape`` records. ``macs``, the node's
+    contraction multiply-adds (none for a pointwise, reduction, shape,
+    softmax or batch-norm node), is added to every open ``count_ops``
+    counter, under ``no_grad`` too. The result joins the tape only while
+    recording is on and some parent is tracked; otherwise it is a constant
+    with ``_backward is None`` and ``_parents == ()``. A node lists only the
+    parents that were tracked when it was made, so ``backward`` never walks
+    a parameter the caller left untracked or a wrapped constant.
 
     ``backward_fn(g)`` adds the output gradient's contributions to the
     tracked parents' records. It captures those records and only the arrays
@@ -269,7 +271,7 @@ def _node(data, parents, backward_fn, macs=0) -> Tensor:
     share memory.
     """
     for counter in _counters:
-        counter.macs += int(macs)
+        counter.macs += macs
     out = Tensor(data)
     if _grad_enabled:
         tracked = ()
@@ -312,7 +314,7 @@ def add(a, b) -> Tensor:
         if rb.requires_grad:
             rb._accum(_unbroadcast(g, rb.shape))
 
-    return _node(y, (ra, rb), backward_fn, y.size)
+    return _node(y, (ra, rb), backward_fn)
 
 
 def sub(a, b) -> Tensor:
@@ -326,7 +328,7 @@ def sub(a, b) -> Tensor:
         if rb.requires_grad:
             rb._accum(_unbroadcast(-g, rb.shape))
 
-    return _node(y, (ra, rb), backward_fn, y.size)
+    return _node(y, (ra, rb), backward_fn)
 
 
 def mul(a, b) -> Tensor:
@@ -343,7 +345,7 @@ def mul(a, b) -> Tensor:
         if ad is not None:
             rb._accum(_unbroadcast(g * ad, rb.shape))
 
-    return _node(y, (ra, rb), backward_fn, y.size)
+    return _node(y, (ra, rb), backward_fn)
 
 
 def div(a, b) -> Tensor:
@@ -358,7 +360,7 @@ def div(a, b) -> Tensor:
         if rb.requires_grad:
             rb._accum(_unbroadcast(-g * y / bd, rb.shape))
 
-    return _node(y, (ra, rb), backward_fn, y.size)
+    return _node(y, (ra, rb), backward_fn)
 
 
 def neg(a) -> Tensor:
@@ -369,7 +371,7 @@ def neg(a) -> Tensor:
     def backward_fn(g):
         ra._accum(-g)
 
-    return _node(y, (ra,), backward_fn, y.size)
+    return _node(y, (ra,), backward_fn)
 
 
 def relu(a) -> Tensor:
@@ -384,7 +386,7 @@ def relu(a) -> Tensor:
     def backward_fn(g):
         ra._accum(g * (y > 0), fresh=True)
 
-    return _node(y, (ra,), backward_fn, y.size)
+    return _node(y, (ra,), backward_fn)
 
 
 def exp(a) -> Tensor:
@@ -395,7 +397,7 @@ def exp(a) -> Tensor:
     def backward_fn(g):
         ra._accum(g * y)
 
-    return _node(y, (ra,), backward_fn, y.size)
+    return _node(y, (ra,), backward_fn)
 
 
 def log(a) -> Tensor:
@@ -407,7 +409,7 @@ def log(a) -> Tensor:
     def backward_fn(g):
         ra._accum(g / ad)
 
-    return _node(y, (ra,), backward_fn, y.size)
+    return _node(y, (ra,), backward_fn)
 
 
 def sqrt(a) -> Tensor:
@@ -423,7 +425,7 @@ def sqrt(a) -> Tensor:
     def backward_fn(g):
         ra._accum(g * 0.5 / np.maximum(y, guard))
 
-    return _node(y, (ra,), backward_fn, y.size)
+    return _node(y, (ra,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +542,7 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
             g = g.reshape([1 if i in axes else n for i, n in enumerate(ra.shape)])
         ra._accum(np.broadcast_to(g, ra.shape))
 
-    return _node(a.data.sum(axis=axes, keepdims=keepdims), (ra,), backward_fn, a.data.size)
+    return _node(a.data.sum(axis=axes, keepdims=keepdims), (ra,), backward_fn)
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -1018,8 +1020,8 @@ def softmax(x, axis: int = -1) -> Tensor:
 
     Subtracting the per-row maximum leaves both the value and the gradient
     unchanged because the map is shift invariant. One tape node that keeps
-    only its output y, with gx = y·(g − Σ g·y) along ``axis``. ``count_ops``:
-    4 units per element (shift, exponential, sum, divide).
+    only its output y, with gx = y·(g − Σ g·y) along ``axis``. It counts no
+    multiply-adds.
     """
     x = _as_tensor(x)
     y = _softmax(x.data, axis)
@@ -1028,7 +1030,7 @@ def softmax(x, axis: int = -1) -> Tensor:
     def backward_fn(g):
         rx._accum(_softmax_grad(g, y, axis))
 
-    return _node(y, (rx,), backward_fn, 4 * y.size)
+    return _node(y, (rx,), backward_fn)
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -1088,16 +1090,12 @@ def _mlp_hidden(rows: np.ndarray, w1: np.ndarray, b1) -> np.ndarray:
 def _mlp_forward(rows: np.ndarray, w1: np.ndarray, w2: np.ndarray, b1=None, b2=None):
     """A residual MLP over a (M, K) matrix of rows, rows + (relu(rows @ w1
     + b1) @ w2 + b2), each layer one GEMM, with ``w1`` (K, H), ``w2`` (H, K)
-    and the optional biases (H,) and (K,); and its ``count_ops`` units, what
-    the matmul, bias, relu and residual-add chain counts: per row 2·K·H
-    multiply-adds plus H + K, and one more per bias entry."""
+    and the optional biases (H,) and (K,)."""
     y = _mlp_hidden(rows, w1, b1) @ w2
     if b2 is not None:
         y += b2
     y += rows
-    K, H = w1.shape
-    return y, rows.shape[0] * (2 * K * H + H + K + (b1 is not None) * H
-                               + (b2 is not None) * K)
+    return y
 
 
 def _mlp_grads(g2: np.ndarray, rows: np.ndarray, w1, w2, b1, on_x: bool, on_w1: bool,
@@ -1140,8 +1138,9 @@ def token_channel_mixing(x, w_spatial_in, w_spatial_out, w_channel_in,
     either hidden layer: backward recomputes m, once, and then takes both
     stages' gradients with ``_mlp_grads``, skipping each one whose input is
     untracked (m's gradient too, where ``x`` and the spatial weights are
-    untracked). Output, gradients and ``count_ops`` units equal those of
-    the transpose, matmul, relu and add chain it replaces bit for bit.
+    untracked). Output, gradients and the GEMMs' multiply-adds it counts,
+    2·B·N·C·(Hs + Hc), equal those of the transpose, matmul, relu and add
+    chain it replaces bit for bit.
     """
     tensors = [_as_tensor(t) for t in (x, w_spatial_in, w_spatial_out, w_channel_in,
                                        w_channel_out)]
@@ -1162,15 +1161,15 @@ def token_channel_mixing(x, w_spatial_in, w_spatial_out, w_channel_in,
         return _fold(a.reshape(B, n, -1).transpose(0, 2, 1))
 
     rows = swapped(xd, N)  # a view where x is a (B, C, N) transpose
-    mixed, token_macs = _mlp_forward(rows, si.T, so.T)
-    y, channel_macs = _mlp_forward(swapped(mixed, C), ci.T, co.T)
+    mixed = _mlp_forward(rows, si.T, so.T)
+    y = _mlp_forward(swapped(mixed, C), ci.T, co.T)
     records = rx, rsi, rso, rci, rco = tuple(t._tape for t in tensors)
     on_x, on_si, on_so, on_ci, on_co = (r.requires_grad for r in records)
     on_m = on_x or on_si or on_so  # whether the chain's m was tracked
 
     def backward_fn(g):
         rows = swapped(xd, N)
-        mixed = _mlp_forward(rows, si.T, so.T)[0]
+        mixed = _mlp_forward(rows, si.T, so.T)
         gm, gci, gco, _ = _mlp_grads(_fold(g), swapped(mixed, C), ci.T, co.T, None,
                                      on_m, on_ci, on_co, False)
         del mixed
@@ -1183,7 +1182,7 @@ def token_channel_mixing(x, w_spatial_in, w_spatial_out, w_channel_in,
                                None if gsi is None else gsi.T,
                                None if gso is None else gso.T))
 
-    return _node(y.reshape(B, N, C), records, backward_fn, token_macs + channel_macs)
+    return _node(y.reshape(B, N, C), records, backward_fn, 2 * B * N * C * (hs + hc))
 
 
 def _attend(zd: np.ndarray, wd: np.ndarray, heads: int):
@@ -1213,16 +1212,12 @@ def _attention_forward(zd: np.ndarray, wd: np.ndarray, od: np.ndarray, heads: in
     """y = z + MSA(z) over (B, N, C) tokens: the merged heads of ``_attend``
     projected by the (C, C) ``od``, plus the residual. Also returns the q,
     k, v and masks of ``_attend`` and the merged heads, which
-    ``_attention_grads`` reads, and the ``count_ops`` units of the matmul,
-    scale, softmax and residual-add chain: B·N·(4C² + C) plus
-    B·heads·N²·(2·hd + 5)."""
-    B, N, C = zd.shape
+    ``_attention_grads`` reads."""
     q, k, v, masks = _attend(zd, wd, heads)
     merged = _merge(np.matmul(masks, v))
-    y = (merged @ od).reshape(B, N, C)
+    y = (merged @ od).reshape(zd.shape)
     y += zd
-    macs = B * N * (4 * C * C + C) + B * heads * N * N * (2 * (C // heads) + 5)
-    return y, (q, k, v, masks, merged), macs
+    return y, (q, k, v, masks, merged)
 
 
 def _attention_grads(g: np.ndarray, zd: np.ndarray, wd, od, q, k, v, masks, merged,
@@ -1276,10 +1271,11 @@ def attention_block(x, pos, qkv, out_proj, heads: int, ff_w_in, ff_b_in, ff_w_ou
     feed-forward's gradients (``_mlp_grads``) and then self-attention's
     (``_attention_grads``) from them; gx = gz0 and gpos = Σ gz0 over the
     batch. Each gradient whose input is untracked is skipped, and with only
-    ``ff_b_out`` tracked nothing is recomputed. Output, gradients and
-    ``count_ops`` units equal those of the add, self-attention and
-    feed-forward chains it replaces bit for bit: B·N·C for z0 plus
-    ``_attention_forward``'s and ``_mlp_forward``'s units.
+    ``ff_b_out`` tracked nothing is recomputed. Output, gradients and the
+    GEMMs' multiply-adds it counts, 2·B·N·C·(2C + N + H) for the
+    projections, the scores and weighted sum, and the feed-forward, equal
+    those of the add, self-attention and feed-forward chains it replaces bit
+    for bit.
     """
     tensors = [_as_tensor(t) for t in (x, pos, qkv, out_proj, ff_w_in, ff_b_in, ff_w_out,
                                        ff_b_out)]
@@ -1294,10 +1290,8 @@ def attention_block(x, pos, qkv, out_proj, heads: int, ff_w_in, ff_b_in, ff_w_ou
             f"{od.shape}, {heads} heads, ff_w_in {f1.shape}, ff_b_in {fb1.shape}, "
             f"ff_w_out {f2.shape} and ff_b_out {fb2.shape} do not chain as (B, N, C), "
             f"(N, C), (C, 3C), (C, C), heads dividing C, (C, H), (H,), (H, C), (C,)")
-    z0 = xd + pd
-    z1, _, attention_macs = _attention_forward(z0, wd, od, heads)
-    y, ff_macs = _mlp_forward(_fold(z1), f1, f2, fb1, fb2)
-    macs = z0.size + attention_macs + ff_macs
+    z1 = _attention_forward(xd + pd, wd, od, heads)[0]
+    y = _mlp_forward(_fold(z1), f1, f2, fb1, fb2)
     records = rx, rp, rw, ro, r1, rb1, r2, rb2 = tuple(t._tape for t in tensors)
     on_x, on_p, on_w, on_o, on_1, on_b1, on_2, on_b2 = (r.requires_grad for r in records)
     on_z0 = on_x or on_p  # whether the chain's z0 and z1 were tracked
@@ -1310,7 +1304,7 @@ def attention_block(x, pos, qkv, out_proj, heads: int, ff_w_in, ff_b_in, ff_w_ou
         if not (on_z1 or on_1 or on_2 or on_b1):
             return
         z0 = xd + pd
-        z1, attended, _ = _attention_forward(z0, wd, od, heads)
+        z1, attended = _attention_forward(z0, wd, od, heads)
         gz1, g1, gw2, gb1 = _mlp_grads(g2, _fold(z1), f1, f2, fb1, on_z1, on_1, on_2, on_b1)
         del z1
         _feed((r1, r2, rb1), (g1, gw2, gb1))
@@ -1324,7 +1318,7 @@ def attention_block(x, pos, qkv, out_proj, heads: int, ff_w_in, ff_b_in, ff_w_ou
         if on_p:
             rp._accum(_unbroadcast(gz0, rp.shape))
 
-    return _node(y.reshape(B, N, C), records, backward_fn, macs)
+    return _node(y.reshape(B, N, C), records, backward_fn, 2 * B * N * C * (2 * C + N + H))
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:
@@ -1401,10 +1395,8 @@ def batch_norm(x, gamma, beta, training: bool, stats: RunningStats | None = None
     (``_channel_sum``): Σx for μ, Σ(x − μ) for the residual that corrects it
     (the corrected two-pass algorithm, so float32 holds at an input mean far
     from 0), Σ(x − μ)² for var, Σ g·x̂ and Σg, the last shared by gβ and the
-    training gx; none forms a squared or product temporary.
-    ``count_ops``: 6 units per element of ``x`` in training mode (mean,
-    center, square, variance sum, scale, shift; the mean's residual sum is
-    not counted), 3 in evaluation mode.
+    training gx; none forms a squared or product temporary. It counts no
+    multiply-adds.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     xd = x.data
@@ -1419,7 +1411,7 @@ def batch_norm(x, gamma, beta, training: bool, stats: RunningStats | None = None
                                       inv * gd.reshape(inv.shape), training,
                                       rx.requires_grad, rg.requires_grad, rb.requires_grad))
 
-    return _node(y, (rx, rg, rb), backward_fn, (6 if training else 3) * y.size)
+    return _node(y, (rx, rg, rb), backward_fn)
 
 
 def _bn_forward(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray, training: bool,
@@ -1527,9 +1519,8 @@ def bn_relu_conv3d(x, gamma, beta, kernel, training: bool,
     input is untracked is skipped: with only ``x`` tracked in evaluation
     mode (``grad_cam``) backward is gh·[h > 0]·inv·γ. The kernel is kept
     unless it alone is tracked. Output and gradients equal those of the
-    batch_norm, relu and conv3d chain it replaces bit for bit, and so do its
-    ``count_ops`` units: the chain's (6 or 3) + 1 per element of ``x`` plus
-    the conv's multiply-adds.
+    batch_norm, relu and conv3d chain it replaces bit for bit. It counts the
+    conv's multiply-adds only.
     """
     x, gamma, beta, kernel = (_as_tensor(t) for t in (x, gamma, beta, kernel))
     xd, w = x.data, kernel.data
@@ -1539,7 +1530,6 @@ def bn_relu_conv3d(x, gamma, beta, kernel, training: bool,
     h, mu, inv = _bn_forward(xd, gd, bd, training, stats, eps, momentum)
     out_data = _conv3d_forward(np.maximum(h, 0, out=h), w, stride, pad, out_ext)
     del h
-    macs = (7 if training else 4) * xd.size + math.prod(k_shape[1:]) * out_data.size
     records = rx, rg, rb, rk = x._tape, gamma._tape, beta._tape, kernel._tape
     on_x, on_g, on_b, on_k = (r.requires_grad for r in records)
     on_bn = on_x or on_g or on_b  # batch norm's gradients, which read gh
@@ -1566,7 +1556,7 @@ def bn_relu_conv3d(x, gamma, beta, kernel, training: bool,
         del gh, centered
         _feed((rx, rg, rb), grads)
 
-    return _node(out_data, records, backward_fn, macs)
+    return _node(out_data, records, backward_fn, math.prod(k_shape[1:]) * out_data.size)
 
 
 # ---------------------------------------------------------------------------

@@ -677,6 +677,9 @@ HEADER = "subject_id,site_id,label,modality,path"
     pytest.param(f"{HEADER}\ns0,a,0,fc,square.vfv\ns0,a,0,fmri,v.vfv\ns0,a,0,fc,eye.vfv\n",
                  "line 4: subject 's0' has a second fc row; the first is line 2",
                  id="second-fc-row"),
+    pytest.param(f"{HEADER},pheno_0,pheno_1\ns0,a,0,fmri,v.vfv,1.0,2.0\ns0,a,0,fmri,w.vfv,5.0,\n",
+                 "line 3: subject 's0' has phenotype cells on a second row; the first is line 2",
+                 id="second-phenotype-row"),
 ])
 def test_manifest_refusals_exit_3(tmp_path, capsys, text, message):
     (tmp_path / "sub").mkdir()

@@ -8,7 +8,7 @@ import pytest
 
 from volformer import model as M
 from volformer import tensor as T
-from volformer.cli import main
+from volformer.cli import ATTENTION_PLANS, main
 from volformer.data import write_container, write_volume
 from volformer.errors import CheckpointError, ConfigError, DataError, ShapeError
 from volformer.model import ModelConfig
@@ -174,6 +174,71 @@ def test_cost_conv_flops_scale_with_voxels():
                                attention_plan=("none",) * 4)
     ratio = M.estimate_cost(doubled).flops / M.estimate_cost(base).flops
     assert 1.9 < ratio < 2.1
+
+
+def row_counter(model):
+    """Wrap each ``estimate_cost`` row's module ``forward``, on the instance,
+    in a nested ``count_ops``. The returned function runs one forward and
+    maps each row to the multiply-adds counted in its modules; the
+    classifier row is the total minus the rest."""
+    measured = {}
+
+    def wrap(module, row):
+        forward = module.forward
+
+        def counted(*args, **kwargs):
+            with T.count_ops() as ops:
+                out = forward(*args, **kwargs)
+            measured[row] = measured.get(row, 0) + ops.macs
+            return out
+
+        module.forward = counted
+
+    enc = model.encoder
+    if enc.data_norm is not None:
+        wrap(enc.data_norm, "data_norm")
+    wrap(enc.stem, "stem")
+    wrap(enc.stem_bn, "stem")
+    for i, blocks in enumerate(enc.stages):
+        for b, block in enumerate(blocks):
+            wrap(block, f"stage{i + 1}.block{b}")
+        if enc.attention[i] is not None:
+            wrap(enc.attention[i], f"stage{i + 1}.attn[{model.cfg.attention_plan[i]}]")
+    for name, branch in model.branches.items():
+        wrap(branch, name)
+
+    def run(volumes, training: bool, **extras) -> dict:
+        measured.clear()
+        with T.count_ops() as total:
+            model.forward_logits(volumes, training, **extras)
+        return {**measured, "classifier": total.macs - sum(measured.values())}
+
+    return run
+
+
+@pytest.mark.parametrize("cfg,batch", [
+    *[pytest.param(ModelConfig.desk(attention_plan=M.parse_attention_plan(plan)), 2, id=plan)
+      for plan in (*ATTENTION_PLANS, "S-none-D-none")],
+    pytest.param(ModelConfig.desk(use_smri=True, use_fc=True, use_pheno=True), 2,
+                 id="branches"),
+    pytest.param(ModelConfig.desk(), 3, id="B3"),
+    pytest.param(ModelConfig(input_extent=(16, 18, 16)), 1, id="full-widths"),
+])
+def test_measured_macs_equal_cost_rows(cfg, batch):
+    """Every ``estimate_cost`` row's MACs times the batch equal the
+    multiply-adds ``count_ops`` measures in that row's modules, in a training
+    and then an evaluation forward."""
+    rng = np.random.default_rng(53)
+    model = M.BrainFormer(cfg, seed=0)
+    extras = {name: rng.normal(size=(batch, *shape)).astype(np.float32)
+              for name, shape in cfg.branch_shapes().items()}
+    volumes = rng.normal(size=(batch, 1, *cfg.input_extent)).astype(np.float32)
+    want = {name: batch * macs for name, macs, _, _ in M.estimate_cost(cfg).per_layer}
+    count = row_counter(model)
+    for training in (True, False):
+        measured = count(volumes, training, **extras)
+        assert set(measured) <= set(want)
+        assert {name: measured.get(name, 0) for name in want} == want, training
 
 
 # ---------------------------------------------------------------------------
