@@ -244,17 +244,16 @@ def _node(data, parents, backward_fn, macs=0) -> Tensor:
     - ``div``: the divisor and the output; ``exp``, ``sqrt``, ``relu`` and
       ``softmax``: the output; ``log``: the input;
     - ``batch_norm``: μ, inv and γ's array, and the input only if ``gamma``
-      or, in training mode, the input is tracked; in evaluation mode μ and
-      inv are the running stats' cached constants, so the input is the one
-      array the call made that it keeps;
+      or ``beta`` or, in training mode, the input is tracked; in evaluation
+      mode μ and inv are the running stats' cached constants, so the input
+      is the one array the call made that it keeps;
     - ``token_channel_mixing``: the input and the weights (never the
       token-mixed tokens, a hidden layer or a layout copy);
     - ``attention_block``: the input, ``pos`` and the weights (never z0, z1,
       q, k, v, the masks or the hidden layer);
     - ``bn_relu_conv3d``: the input, batch norm's μ and inv (cached as in
       ``batch_norm`` in evaluation mode), the arrays of γ and β (never inv·γ,
-      a view of β or h = relu(batch_norm(x))), and the kernel unless it
-      alone is tracked.
+      a view of β or h = relu(batch_norm(x))), and the kernel.
 
     It never captures a ``Tensor`` or the result's record: a result ->
     closure -> result cycle keeps each finished graph alive until the
@@ -265,10 +264,9 @@ def _node(data, parents, backward_fn, macs=0) -> Tensor:
     gradient without a copy. These are ``relu``'s g·[y > 0], ``conv3d``'s
     input and kernel gradients, and the gradients of ``batch_norm``,
     ``bn_relu_conv3d``, ``token_channel_mixing`` and ``attention_block``
-    (through ``_feed``; not the latter's ``pos`` gradient). Every other
-    first gradient is copied, among them the pass-through ones of ``add``,
-    ``sub``, the shape ops and ``tensor_sum``, so no two records' ``.grad``
-    share memory.
+    (through ``_feed``). Every other first gradient is copied, among them
+    the pass-through ones of ``add``, ``sub``, the shape ops and
+    ``tensor_sum``, so no two records' ``.grad`` share memory.
     """
     for counter in _counters:
         counter.macs += macs
@@ -444,15 +442,14 @@ def reshape(a, shape) -> Tensor:
 
 def transpose(a, axes=None) -> Tensor:
     a = _as_tensor(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.data.ndim)))
-    axes = tuple(axes)
+    y = a.data.transpose(axes)  # numpy refuses repeated or out-of-range axes
+    axes = tuple(reversed(range(y.ndim))) if axes is None else _norm_axes(axes, y.ndim)
     ra = a._tape
 
     def backward_fn(g):
         ra._accum(g.transpose(sorted(range(len(axes)), key=axes.__getitem__)))
 
-    return _node(a.data.transpose(axes), (ra,), backward_fn)
+    return _node(y, (ra,), backward_fn)
 
 
 def concat(parts, axis: int = 0) -> Tensor:
@@ -1072,10 +1069,12 @@ def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _feed(records, grads) -> None:
-    """Hand each gradient that is not None to its record: each is fresh, built
-    by the calling closure and held nowhere else."""
+    """Hand each gradient that is not None to its record if that record is
+    tracked: each is fresh, built by the calling closure and held nowhere
+    else. A fused node takes the gradients of its parameters as one group,
+    so a parameter left untracked beside tracked ones gets no ``.grad``."""
     for record, grad in zip(records, grads):
-        if grad is not None:
+        if grad is not None and record.requires_grad:
             record._accum(grad, fresh=True)
 
 
@@ -1098,28 +1097,26 @@ def _mlp_forward(rows: np.ndarray, w1: np.ndarray, w2: np.ndarray, b1=None, b2=N
     return y
 
 
-def _mlp_grads(g2: np.ndarray, rows: np.ndarray, w1, w2, b1, on_x: bool, on_w1: bool,
-               on_w2: bool, on_b1: bool):
+def _mlp_grads(g2: np.ndarray, rows: np.ndarray, w1, w2, b1, on_x: bool, on_w: bool):
     """``_mlp_forward``'s (gx, gw1, gw2, gb1) for the output gradient ``g2``
-    of ``rows``, both (M, K), each None where its flag is off. No caller
+    of ``rows``, both (M, K): gx None where ``on_x`` is off, the weights'
+    None where ``on_w`` is off, and gb1 None without ``b1``. No caller
     keeps the hidden layer: it is recomputed here, h = relu(rows @ w1 + b1)
     with one GEMM (Chen et al. 2016). Then with gh = (g2 @ w2ᵀ)·[h > 0],
     gx = g2 + gh @ w1ᵀ, gw1 = rowsᵀ gh, gb1 = Σ gh and gw2 = hᵀ g2;
     gb2 = Σ g2 is the caller's."""
     h = _mlp_hidden(rows, w1, b1)
-    gw2 = h.T @ g2 if on_w2 else None
-    gx = gw1 = gb1 = None
-    if on_x or on_w1 or on_b1:
-        gh = g2 @ w2.T
-        gh *= h > 0
-        del h
-        if on_b1:
-            gb1 = gh.sum(axis=0)
-        if on_w1:
-            gw1 = rows.T @ gh
-        if on_x:
-            gx = gh @ w1.T
-            gx += g2
+    gx = gw1 = gw2 = gb1 = None
+    gh = g2 @ w2.T
+    gh *= h > 0
+    if on_w:
+        gw2 = h.T @ g2
+        gw1 = rows.T @ gh
+        gb1 = None if b1 is None else gh.sum(axis=0)
+    del h
+    if on_x:
+        gx = gh @ w1.T
+        gx += g2
     return gx, gw1, gw2, gb1
 
 
@@ -1136,11 +1133,11 @@ def token_channel_mixing(x, w_spatial_in, w_spatial_out, w_channel_in,
     same over mᵀ with the channel weights transposed. One tape node whose
     closure keeps ``x`` and the weights, not the token-mixed tokens m or
     either hidden layer: backward recomputes m, once, and then takes both
-    stages' gradients with ``_mlp_grads``, skipping each one whose input is
-    untracked (m's gradient too, where ``x`` and the spatial weights are
-    untracked). Output, gradients and the GEMMs' multiply-adds it counts,
-    2·B·N·C·(Hs + Hc), equal those of the transpose, matmul, relu and add
-    chain it replaces bit for bit.
+    stages' gradients with ``_mlp_grads`` for two groups, ``x`` and the four
+    weights, skipping a group whose inputs are all untracked. Output,
+    gradients and the GEMMs' multiply-adds it counts, 2·B·N·C·(Hs + Hc),
+    equal those of the transpose, matmul, relu and add chain it replaces
+    bit for bit.
     """
     tensors = [_as_tensor(t) for t in (x, w_spatial_in, w_spatial_out, w_channel_in,
                                        w_channel_out)]
@@ -1163,24 +1160,20 @@ def token_channel_mixing(x, w_spatial_in, w_spatial_out, w_channel_in,
     rows = swapped(xd, N)  # a view where x is a (B, C, N) transpose
     mixed = _mlp_forward(rows, si.T, so.T)
     y = _mlp_forward(swapped(mixed, C), ci.T, co.T)
-    records = rx, rsi, rso, rci, rco = tuple(t._tape for t in tensors)
-    on_x, on_si, on_so, on_ci, on_co = (r.requires_grad for r in records)
-    on_m = on_x or on_si or on_so  # whether the chain's m was tracked
+    records = rx, *rws = tuple(t._tape for t in tensors)
+    on_x, on_w = rx.requires_grad, any(r.requires_grad for r in rws)
 
     def backward_fn(g):
         rows = swapped(xd, N)
         mixed = _mlp_forward(rows, si.T, so.T)
         gm, gci, gco, _ = _mlp_grads(_fold(g), swapped(mixed, C), ci.T, co.T, None,
-                                     on_m, on_ci, on_co, False)
+                                     True, on_w)
         del mixed
-        _feed((rci, rco), (None if gci is None else gci.T, None if gco is None else gco.T))
-        if gm is None:
-            return
-        gx, gsi, gso, _ = _mlp_grads(swapped(gm, N), rows, si.T, so.T, None,
-                                     on_x, on_si, on_so, False)
-        _feed((rx, rsi, rso), (None if gx is None else gx.reshape(B, C, N).transpose(0, 2, 1),
-                               None if gsi is None else gsi.T,
-                               None if gso is None else gso.T))
+        gx, gsi, gso, _ = _mlp_grads(swapped(gm, N), rows, si.T, so.T, None, on_x, on_w)
+        if on_w:
+            _feed(rws, (gsi.T, gso.T, gci.T, gco.T))
+        if on_x:
+            rx._accum(gx.reshape(B, C, N).transpose(0, 2, 1), fresh=True)
 
     return _node(y.reshape(B, N, C), records, backward_fn, 2 * B * N * C * (hs + hc))
 
@@ -1221,23 +1214,21 @@ def _attention_forward(zd: np.ndarray, wd: np.ndarray, od: np.ndarray, heads: in
 
 
 def _attention_grads(g: np.ndarray, zd: np.ndarray, wd, od, q, k, v, masks, merged,
-                     on_z: bool, on_w: bool, on_o: bool):
+                     on_w: bool):
     """``_attention_forward``'s (gz, gqkv, gout_proj) for the output gradient
-    ``g`` of tokens ``zd``, each None where its flag is off, from the q, k,
-    v, masks and merged heads it returned; a caller recomputes those rather
-    than keeping them, as FlashAttention does (Dao et al. 2022). Per head,
-    with go = g out_projᵀ for that head and gs = softmax_grad(go vᵀ) / √hd:
-    gq = gs k, gk = gsᵀ q, gv = mᵀ go, gz = g + [gq gk gv] qkvᵀ,
-    gqkv = zᵀ [gq gk gv] and gout_proj = mergedᵀ g. ``out_proj``'s alone
-    needs no softmax backward."""
+    ``g`` of tokens ``zd``, the weights' None where ``on_w`` is off, from
+    the q, k, v, masks and merged heads it returned; a caller recomputes
+    those rather than keeping them, as FlashAttention does (Dao et al.
+    2022). Per head, with go = g out_projᵀ for that head and
+    gs = softmax_grad(go vᵀ) / √hd: gq = gs k, gk = gsᵀ q, gv = mᵀ go,
+    gz = g + [gq gk gv] qkvᵀ, gqkv = zᵀ [gq gk gv] and
+    gout_proj = mergedᵀ g."""
     B, heads, N, hd = q.shape
     C = heads * hd
     g2 = _fold(g)
-    gz = gw = gout = None
-    if on_o:
+    gw = gout = None
+    if on_w:
         gout = merged.T @ g2
-    if not (on_z or on_w):
-        return gz, gw, gout
     go = (g2 @ od.T).reshape(B, N, heads, hd).transpose(0, 2, 1, 3)
     gs = _softmax_grad(np.matmul(go, v.swapaxes(-1, -2)), masks, -1)
     gs *= 1.0 / math.sqrt(hd)
@@ -1250,9 +1241,8 @@ def _attention_grads(g: np.ndarray, zd: np.ndarray, wd, od, q, k, v, masks, merg
     glin = glin.reshape(B * N, 3 * C)
     if on_w:
         gw = _fold(zd).T @ glin
-    if on_z:
-        gz = (glin @ wd.T).reshape(B, N, C)
-        gz += g
+    gz = (glin @ wd.T).reshape(B, N, C)
+    gz += g
     return gz, gw, gout
 
 
@@ -1270,12 +1260,12 @@ def attention_block(x, pos, qkv, out_proj, heads: int, ff_w_in, ff_b_in, ff_w_ou
     the masks and z1 with ``_attention_forward``, once, and takes the
     feed-forward's gradients (``_mlp_grads``) and then self-attention's
     (``_attention_grads``) from them; gx = gz0 and gpos = Σ gz0 over the
-    batch. Each gradient whose input is untracked is skipped, and with only
-    ``ff_b_out`` tracked nothing is recomputed. Output, gradients and the
-    GEMMs' multiply-adds it counts, 2·B·N·C·(2C + N + H) for the
-    projections, the scores and weighted sum, and the feed-forward, equal
-    those of the add, self-attention and feed-forward chains it replaces bit
-    for bit.
+    batch. Gradients are taken for two groups, ``x`` and the parameters
+    (``pos`` and the seven weights), skipping a group whose inputs are all
+    untracked. Output, gradients and the GEMMs' multiply-adds it counts,
+    2·B·N·C·(2C + N + H) for the projections, the scores and weighted sum,
+    and the feed-forward, equal those of the add, self-attention and
+    feed-forward chains it replaces bit for bit.
     """
     tensors = [_as_tensor(t) for t in (x, pos, qkv, out_proj, ff_w_in, ff_b_in, ff_w_out,
                                        ff_b_out)]
@@ -1292,31 +1282,20 @@ def attention_block(x, pos, qkv, out_proj, heads: int, ff_w_in, ff_b_in, ff_w_ou
             f"(N, C), (C, 3C), (C, C), heads dividing C, (C, H), (H,), (H, C), (C,)")
     z1 = _attention_forward(xd + pd, wd, od, heads)[0]
     y = _mlp_forward(_fold(z1), f1, f2, fb1, fb2)
-    records = rx, rp, rw, ro, r1, rb1, r2, rb2 = tuple(t._tape for t in tensors)
-    on_x, on_p, on_w, on_o, on_1, on_b1, on_2, on_b2 = (r.requires_grad for r in records)
-    on_z0 = on_x or on_p  # whether the chain's z0 and z1 were tracked
-    on_z1 = on_z0 or on_w or on_o
+    records = rx, *rws = tuple(t._tape for t in tensors)
+    on_x, on_w = rx.requires_grad, any(r.requires_grad for r in rws)
 
     def backward_fn(g):
         g2 = _fold(g)
-        if on_b2:
-            rb2._accum(g2.sum(axis=0), fresh=True)
-        if not (on_z1 or on_1 or on_2 or on_b1):
-            return
         z0 = xd + pd
         z1, attended = _attention_forward(z0, wd, od, heads)
-        gz1, g1, gw2, gb1 = _mlp_grads(g2, _fold(z1), f1, f2, fb1, on_z1, on_1, on_2, on_b1)
+        gz1, g1, gw2, gb1 = _mlp_grads(g2, _fold(z1), f1, f2, fb1, True, on_w)
         del z1
-        _feed((r1, r2, rb1), (g1, gw2, gb1))
-        if gz1 is None:
-            return
-        gz0, gw, gout = _attention_grads(gz1.reshape(B, N, C), z0, wd, od, *attended,
-                                         on_z0, on_w, on_o)
-        _feed((rw, ro), (gw, gout))
+        gz0, gw, gout = _attention_grads(gz1.reshape(B, N, C), z0, wd, od, *attended, on_w)
+        if on_w:
+            _feed(rws, (gz0.sum(axis=0), gw, gout, g1, gb1, gw2, g2.sum(axis=0)))
         if on_x:
             rx._accum(gz0, fresh=True)
-        if on_p:
-            rp._accum(_unbroadcast(gz0, rp.shape))
 
     return _node(y.reshape(B, N, C), records, backward_fn, 2 * B * N * C * (2 * C + N + H))
 
@@ -1403,13 +1382,13 @@ def batch_norm(x, gamma, beta, training: bool, stats: RunningStats | None = None
     gd = gamma.data
     y, mu, inv = _bn_forward(xd, gd, beta.data, training, stats, eps, momentum)
     rx, rg, rb = x._tape, gamma._tape, beta._tape
-    # x-hat feeds gamma's gradient and, in training mode, the input's.
-    xd = xd if rg.requires_grad or (training and rx.requires_grad) else None
+    on_x, on_params = rx.requires_grad, rg.requires_grad or rb.requires_grad
+    # x-hat feeds the parameters' gradients and, in training mode, the input's.
+    xd = xd if on_params or (training and on_x) else None
 
     def backward_fn(g):
         _feed((rx, rg, rb), _bn_grads(g, None if xd is None else xd - mu, inv,
-                                      inv * gd.reshape(inv.shape), training,
-                                      rx.requires_grad, rg.requires_grad, rb.requires_grad))
+                                      inv * gd.reshape(inv.shape), training, on_x, on_params))
 
     return _node(y, (rx, rg, rb), backward_fn)
 
@@ -1468,17 +1447,17 @@ def _bn_forward(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray, training: b
 
 
 def _bn_grads(g: np.ndarray, centered, inv, scale, training: bool, on_x: bool,
-              on_gamma: bool, on_beta: bool):
-    """``batch_norm``'s (gx, gγ, gβ) for the output gradient ``g``, each None
-    where its flag is off. ``centered``, the input minus μ, is read only for
-    gγ and, in training mode, gx, and is overwritten with x̂ there; elsewhere
-    it may be None."""
+              on_params: bool):
+    """``batch_norm``'s (gx, gγ, gβ) for the output gradient ``g``: gx None
+    where ``on_x`` is off, gγ and gβ None where neither ``on_params`` nor,
+    in training mode, ``on_x`` needs them. ``centered``, the input minus μ,
+    is read only there, and is overwritten with x̂; elsewhere it may be
+    None."""
     gx = gxhat = gsum = None
-    if on_gamma or (training and on_x):
+    if on_params or (training and on_x):
         xhat = centered
         xhat *= inv
         gxhat = _channel_sum(g, xhat)
-    if on_beta or (training and on_x):
         gsum = _channel_sum(g)
     if on_x and not training:
         gx = g * scale
@@ -1488,7 +1467,7 @@ def _bn_grads(g: np.ndarray, centered, inv, scale, training: bool, on_x: bool,
         xhat *= (gxhat / n).reshape(inv.shape)
         gx -= xhat
         gx *= scale
-    return gx, gxhat if on_gamma else None, gsum if on_beta else None
+    return gx, gxhat, gsum
 
 
 def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -1515,12 +1494,12 @@ def bn_relu_conv3d(x, gamma, beta, kernel, training: bool,
     h with one scale, shift and max per element (Chen et al. 2016), then takes
     the kernel gradient from h, gh from the kernel as ``conv3d`` does, and
     batch norm's gradients, as ``batch_norm`` does, from gh·[h > 0]; h and,
-    where those gradients read it, x̂ come from one x − μ. A gradient whose
-    input is untracked is skipped: with only ``x`` tracked in evaluation
-    mode (``grad_cam``) backward is gh·[h > 0]·inv·γ. The kernel is kept
-    unless it alone is tracked. Output and gradients equal those of the
-    batch_norm, relu and conv3d chain it replaces bit for bit. It counts the
-    conv's multiply-adds only.
+    where those gradients read it, x̂ come from one x − μ. Gradients are
+    taken for two groups, ``x`` and the parameters (γ, β and the kernel),
+    skipping a group whose inputs are all untracked: with only ``x`` tracked
+    in evaluation mode (``grad_cam``) backward is gh·[h > 0]·inv·γ. Output
+    and gradients equal those of the batch_norm, relu and conv3d chain it
+    replaces bit for bit. It counts the conv's multiply-adds only.
     """
     x, gamma, beta, kernel = (_as_tensor(t) for t in (x, gamma, beta, kernel))
     xd, w = x.data, kernel.data
@@ -1530,31 +1509,25 @@ def bn_relu_conv3d(x, gamma, beta, kernel, training: bool,
     h, mu, inv = _bn_forward(xd, gd, bd, training, stats, eps, momentum)
     out_data = _conv3d_forward(np.maximum(h, 0, out=h), w, stride, pad, out_ext)
     del h
-    records = rx, rg, rb, rk = x._tape, gamma._tape, beta._tape, kernel._tape
-    on_x, on_g, on_b, on_k = (r.requires_grad for r in records)
-    on_bn = on_x or on_g or on_b  # batch norm's gradients, which read gh
-    w = w if on_bn else None
+    records = rx, *rps = x._tape, gamma._tape, beta._tape, kernel._tape
+    on_x, on_params = rx.requires_grad, any(r.requires_grad for r in rps)
 
     def backward_fn(g):
-        on_xhat = on_g or (training and on_x)  # batch norm's gradients that read x − μ
+        on_xhat = on_params or (training and on_x)  # batch norm's gradients that read x − μ
         centered = xd - mu
         scale = inv * gd.reshape(inv.shape)
         h = centered * scale if on_xhat else np.multiply(centered, scale, out=centered)
         h += bd.reshape(inv.shape)
-        if on_k:  # [h > 0] alone needs no max
+        if on_params:  # [h > 0] alone needs no max
             np.maximum(h, 0, out=h)
-        gh, gk = _conv3d_grads(g, h if on_k else None, w, x_shape, k_shape, stride, pad)
-        if gk is not None:
-            rk._accum(gk, fresh=True)
-        if not on_bn:
-            return
+        gh, gk = _conv3d_grads(g, h if on_params else None, w, x_shape, k_shape, stride, pad)
         # Into h's buffer, which is laid out as x: gh may be a batch-last view.
         gh = np.multiply(gh, h > 0, out=h)
         del h
-        grads = _bn_grads(gh, centered if on_xhat else None, inv, scale, training,
-                          on_x, on_g, on_b)
+        gx, ggamma, gbeta = _bn_grads(gh, centered if on_xhat else None, inv, scale,
+                                      training, on_x, on_params)
         del gh, centered
-        _feed((rx, rg, rb), grads)
+        _feed(records, (gx, ggamma, gbeta, gk))
 
     return _node(out_data, records, backward_fn, math.prod(k_shape[1:]) * out_data.size)
 

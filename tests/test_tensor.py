@@ -119,6 +119,12 @@ def test_grad_reductions_and_shapes():
     x = t64(rng.normal(size=(2, 3, 4)))
     check_grads(lambda: T.tensor_sum(T.mul(T.mean(x, (0, 2)), T.mean(x, (0, 2)))), [x])
     check_grads(lambda: T.tensor_sum(T.mul(T.transpose(T.reshape(x, (6, 4))), 2.0)), [x])
+    # Negative axes count from the end, as in numpy; the weights make a
+    # wrongly inverted permutation show even where the shapes agree.
+    for shape, axes in (((2, 3, 4), (0, -1, 1)), ((3, 3, 3), (-1, 0, 1))):
+        a = t64(rng.normal(size=shape))
+        w = rng.normal(size=np.transpose(a.data, axes).shape)
+        check_grads(lambda: T.tensor_sum(T.mul(T.transpose(a, axes), w)), [a])
 
 
 def test_grad_concat_narrow_select():
@@ -195,12 +201,21 @@ def _norm_cases():
         yield (B, C) + tuple(int(n) for n in rng.integers(1, 4, size=ndim - 2))
 
 
+# Which of (x, gamma, beta) a batch-norm parity case tracks: all, gamma
+# alone, beta alone, the parameters but not the input.
+BN_TRACKED = ((True, True, True), (False, True, False), (False, False, True),
+              (False, True, True))
+
+
 @pytest.mark.parametrize("mode", ["train", "eval"])
 def test_fused_batch_norm_matches_composite_chain(mode):
     """The single-node batch norm against the primitive chain in ``oracles``:
     outputs and every input, gamma and beta gradient, float64, 1e-12. Each
-    case runs twice: with the output gradient C-contiguous, then arriving
-    through a transpose node as a transposed, not C-contiguous, view.
+    case runs with every input tracked, with gamma alone, beta alone and the
+    parameters but not the input tracked, untracked leaves getting no
+    gradient; and each of those twice: with the output gradient
+    C-contiguous, then arriving through a transpose node as a transposed,
+    not C-contiguous, view.
 
     Where few elements share a mean, the training-mode input gradient nearly
     or exactly cancels (two elements standardize to +-1 whatever their
@@ -216,20 +231,23 @@ def test_fused_batch_norm_matches_composite_chain(mode):
         var = x.var(axis=axes) if mode == "train" else stats.var
         y_scale = gamma.max() / np.sqrt(var.min() + 1e-5)
         floors = [0.0, np.abs(w).max() * y_scale, 0.0, 0.0]
-        for transposed in (False, True):
+        for tracked, transposed in itertools.product(BN_TRACKED, (False, True)):
             results = []
             for norm in (T.batch_norm, batch_norm_chain):
-                ins = [t64(x.copy()), t64(gamma), t64(beta)]
+                ins = [t64(a, on) for a, on in zip((x.copy(), gamma, beta), tracked)]
                 y = norm(*ins, mode == "train", stats)
                 if transposed:
                     T.backward(T.tensor_sum(T.mul(T.transpose(y), Tensor(w.T))))
                 else:
                     T.backward(T.tensor_sum(T.mul(y, Tensor(w))))
                 results.append([y.data] + [t.grad for t in ins])
-            for got, want, floor in zip(*results, floors):
+            for got, want, floor, on in zip(*results, floors, (True,) + tracked):
+                if not on:
+                    assert got is None and want is None, (mode, shape, tracked)
+                    continue
                 err = np.abs(got - want).max()
                 assert err <= 1e-12 * max(np.abs(want).max(), np.abs(got).max(), floor), \
-                    (mode, shape, transposed, err)
+                    (mode, shape, tracked, transposed, err)
 
 
 @pytest.mark.parametrize("shape, mean", [((16, 8, 8, 9, 8), 2.0), ((2, 4, 32, 36, 32), 2.0),
@@ -369,9 +387,8 @@ def test_attention_block_matches_the_chain():
     """The DGA block node against ``oracles.dga_chain``, z0 = x + pos, then
     z0 + ``msa_chain``(z0), then a residual MLP chain, for B = 1 and 3 over
     a transposed-view x: with everything tracked, x alone (as ``grad_cam``
-    runs), the weights alone, only out_proj (no softmax backward), only the
-    output bias (nothing recomputed), only the feed-forward's input bias,
-    or pos and qkv."""
+    runs), the weights alone, only out_proj, only the output bias, only the
+    feed-forward's input bias, or pos and qkv."""
     rng = np.random.default_rng(44)
     N, C, heads, H = 5, 6, 3, 8
     weights = DGA_NAMES[1:]
@@ -489,22 +506,31 @@ def test_residual_attention_shape_errors_name_every_shape():
             T.attention_block(*args, *ff)
 
 
+# Which of (gamma, beta, kernel) a case with the input untracked tracks:
+# gamma alone, beta alone, the kernel alone, all three.
+BN_CONV_PARAMS = ((True, False, False), (False, True, False), (False, False, True),
+                  (True, True, True))
+
+
 @pytest.mark.parametrize("mode", ["train", "eval", "grad_cam"])
 def test_bn_relu_conv3d_matches_the_chain(mode, conv_gather):
     """The single node against ``bn_relu_conv_chain``, on both conv gather
-    paths: in training mode with every input tracked, in evaluation mode
-    with every input tracked, and in evaluation mode with only the input
+    paths: in training and in evaluation mode with every input tracked,
+    with gamma alone, beta alone, the kernel alone and the parameters but
+    not the input tracked, and in evaluation mode with only the input
     tracked, as ``grad_cam`` runs. The float32 output and running stats
     equal the chain's bit for bit; in float64 so do the output and stats,
-    the gradients agree to 1e-12 and ``count_ops`` matches."""
+    the tracked leaves' gradients agree to 1e-12, the untracked ones get
+    none, and ``count_ops`` matches."""
     rng = np.random.default_rng(46)
     arrays = [rng.normal(0.5, 2.0, size=(2, 3, 4, 5, 4)), rng.uniform(0.5, 1.5, size=3),
               rng.normal(size=3), rng.normal(size=(4, 3, 3, 3, 3))]
     mean, var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
     g = rng.normal(size=(2, 4, 4, 5, 4))
     training = mode == "train"
-    tracked = (True, False, False, False) if mode == "grad_cam" else (True,) * 4
-    for dtype in (np.float32, np.float64):
+    cases = ([(True, False, False, False)] if mode == "grad_cam"
+             else [(True,) * 4] + [(False, *on) for on in BN_CONV_PARAMS])
+    for tracked, dtype in itertools.product(cases, (np.float32, np.float64)):
         results = []
         for fn in (T.bn_relu_conv3d, bn_relu_conv_chain):
             leaves = [Tensor(a.astype(dtype), requires_grad=on)
@@ -524,9 +550,9 @@ def test_bn_relu_conv3d_matches_the_chain(mode, conv_gather):
         for name, a, b, on in zip(("x", "gamma", "beta", "kernel"), got_grads, want_grads,
                                   tracked):
             if dtype == np.float32 or not on:
-                assert a is None and b is None, (mode, name)
+                assert a is None and b is None, (mode, tracked, name)
             else:
-                assert rel_error(a, b) < 1e-12, (mode, name)
+                assert rel_error(a, b) < 1e-12, (mode, tracked, name)
 
 
 def test_bn_relu_conv3d_shape_error_leaves_the_stats_alone():
