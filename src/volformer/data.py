@@ -133,6 +133,7 @@ class SyntheticSpec(Section):
                 ("offset_range", self.offset_range[0] <= self.offset_range[1], "ordered"),
                 ("subjects_per_class_per_site", self.subjects_per_class_per_site >= 1, ">= 1"),
                 ("volumes_per_subject", self.volumes_per_subject >= 1, ">= 1"),
+                ("pheno_signal", self.pheno_signal >= 0, ">= 0"),
                 ("seed", self.seed >= 0, ">= 0")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")

@@ -172,6 +172,8 @@ class ModelConfig(Section):
                 ("dga_heads", self.dga_heads >= 1, "positive"),
                 ("dga_ff_expand", self.dga_ff_expand >= 1, "positive"),
                 ("dga_pos_std", self.dga_pos_std >= 0, ">= 0"),
+                ("dga_token_budget", self.dga_token_budget >= 1, "positive"),
+                ("mlp_out", self.mlp_out >= 1, "positive"),
                 ("data_norm_eps", self.data_norm_eps >= 0, ">= 0"),
                 ("bn_eps", self.bn_eps > 0, "positive"),
                 ("bn_momentum", 0 < self.bn_momentum <= 1, "in (0, 1]")):

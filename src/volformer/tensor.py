@@ -51,7 +51,9 @@ Its docstring has the details.
 The API is functional (``T.add(a, b)``, ``T.backward(loss)``); ``Tensor`` has
 no operators. ``conv3d`` and ``avg_pool_global`` take (B, C, D, H, W) maps and
 ``matmul`` rank >= 2 operands: one volume is a batch of one, as built by
-``model.forward_volume`` and ``localize.grad_cam``.
+``model.forward_volume`` and ``localize.grad_cam``. An axis argument is
+whatever the op's numpy counterpart takes and is refused as numpy refuses it;
+``narrow``, which has no numpy call to check its axis, raises ``ShapeError``.
 
 Arrays are float32 by default. float64 is supported end to end so
 finite-difference checks can run in double precision. Primitive kernels are
@@ -443,11 +445,13 @@ def reshape(a, shape) -> Tensor:
 def transpose(a, axes=None) -> Tensor:
     a = _as_tensor(a)
     y = a.data.transpose(axes)  # numpy refuses repeated or out-of-range axes
-    axes = tuple(reversed(range(y.ndim))) if axes is None else _norm_axes(axes, y.ndim)
     ra = a._tape
 
-    def backward_fn(g):
-        ra._accum(g.transpose(sorted(range(len(axes)), key=axes.__getitem__)))
+    def backward_fn(g):  # the node keeps only the caller's axes
+        inverse = None  # reversing the axes is its own inverse
+        if axes is not None:  # indexing arange counts the checked axes from the end
+            inverse = np.argsort(np.arange(g.ndim)[np.array(axes, int, ndmin=1)])
+        ra._accum(g.transpose(inverse))
 
     return _node(y, (ra,), backward_fn)
 
@@ -470,6 +474,8 @@ def concat(parts, axis: int = 0) -> Tensor:
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice of ``length`` entries along ``axis``."""
     a = _as_tensor(a)
+    if not -a.data.ndim <= axis < a.data.ndim:
+        raise ShapeError(f"narrow: axis {axis} is out of range for {a.data.ndim} dims")
     if start < 0 or length < 0 or start + length > a.data.shape[axis]:
         raise ShapeError(
             f"narrow: slice [{start}:{start + length}] exceeds extent "
@@ -521,32 +527,22 @@ def select_index(a, index) -> Tensor:
 # reductions
 
 
-def _norm_axes(axis, ndim: int):
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        return (axis % ndim,)
-    return tuple(a % ndim for a in axis)
-
-
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    axes = _norm_axes(axis, a.data.ndim)
     ra = a._tape
 
     def backward_fn(g):
-        if not keepdims:
-            g = g.reshape([1 if i in axes else n for i, n in enumerate(ra.shape)])
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
         ra._accum(np.broadcast_to(g, ra.shape))
 
-    return _node(a.data.sum(axis=axes, keepdims=keepdims), (ra,), backward_fn)
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (ra,), backward_fn)
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    axes = _norm_axes(axis, a.data.ndim)
-    count = math.prod(a.data.shape[i] for i in axes)
-    return mul(tensor_sum(a, axes, keepdims), 1.0 / count)
+    total = tensor_sum(a, axis, keepdims)
+    return mul(total, total.data.size / a.data.size)
 
 
 def avg_pool_global(a) -> Tensor:
@@ -1052,7 +1048,7 @@ def _row_max(x: np.ndarray, axis: int) -> np.ndarray:
     ``_SHORT_ROW`` entries in an array of at least ``_SHORT_ROW_MIN_SIZE``
     is taken column by column. Bit for bit, NaN included, but for the sign
     of a zero maximum, which x − max does not see."""
-    if (axis % x.ndim != x.ndim - 1 or x.shape[-1] > _SHORT_ROW
+    if (axis not in (-1, x.ndim - 1) or x.shape[-1] > _SHORT_ROW
             or x.size < _SHORT_ROW_MIN_SIZE):
         return x.max(axis=axis, keepdims=True)
     top = x[..., :1].copy()

@@ -473,6 +473,8 @@ def test_config_values_of_the_wrong_type_exit_2(workdir, tmp_path, capsys, comma
     ("train", "beta1", 1.0), ("train", "beta2", -0.1), ("train", "lr", 0.0),
     ("train", "lr_drop_factor", -10.0), ("model", "stage_strides", [1, 3, 2, 1]),
     ("model", "stage_blocks", [1, 0, 1, 1]), ("model", "stage_channels", [4, 0, 8, 8]),
+    ("model", "mlp_out", -1), ("model", "dga_token_budget", -5),
+    ("synthetic", "pheno_signal", -2.0), ("synthetic", "pheno_signal", float("nan")),
     ("split", "k", 1),
 ])
 def test_config_values_out_of_range_exit_2_naming_the_field(tmp_path, capsys, section,

@@ -125,6 +125,12 @@ def test_grad_reductions_and_shapes():
         a = t64(rng.normal(size=shape))
         w = rng.normal(size=np.transpose(a.data, axes).shape)
         check_grads(lambda: T.tensor_sum(T.mul(T.transpose(a, axes), w)), [a])
+    # Reductions over a negative axis, a tuple holding one, and every axis,
+    # with and without keepdims.
+    for op, axis, keepdims in itertools.product((T.tensor_sum, T.mean), (-1, (0, -2), None),
+                                                (False, True)):
+        w = rng.normal(size=x.data.sum(axis=axis, keepdims=keepdims).shape)
+        check_grads(lambda: T.tensor_sum(T.mul(op(x, axis, keepdims), w)), [x])
 
 
 def test_grad_concat_narrow_select():
@@ -673,6 +679,103 @@ def test_conv3d_retains_only_its_output():
     assert y.requires_grad
     # A patch matrix saved for backward would hold 27 copies of the input.
     assert retained <= y.data.nbytes + 8192, retained
+
+
+# ---------------------------------------------------------------------------
+# axis arguments against numpy
+
+
+def _np_mean(x, axis, keepdims):
+    # numpy's mean counts its items before it sums and reads a bool axis as
+    # an int there, so True on a 1-d array is an AxisError; the sum, like
+    # every other numpy reduction, raises TypeError for any bool axis.
+    x.sum(axis=axis)
+    return x.mean(axis=axis, keepdims=keepdims)
+
+
+def _np_softmax(x, axis):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _np_log_softmax(x, axis):
+    c = x - x.max(axis=axis, keepdims=True)
+    return c - np.log(np.exp(c).sum(axis=axis, keepdims=True))
+
+
+def _np_narrow(x, axis, start, length):
+    """``narrow``'s own rule: it has no numpy call that checks its axis."""
+    if not -x.ndim <= axis < x.ndim or start < 0 or length < 0 or start + length > x.shape[axis]:
+        raise ShapeError("narrow")
+    return np.take(x, np.arange(start, start + length), axis=int(axis))
+
+
+_INT_AXIS = st.one_of(st.integers(-6, 6), st.integers(-6, 6).map(np.int64), st.booleans())
+
+
+def _axes(ndim, none=False):
+    """An int, numpy integer or bool axis in -6..6, a tuple of ints there, or
+    a permutation of the ``ndim`` axes, each counted from either end; or None."""
+    permutation = st.tuples(st.permutations(range(ndim)), st.lists(
+        st.booleans(), min_size=ndim, max_size=ndim)).map(
+        lambda pn: tuple(a - ndim * neg for a, neg in zip(*pn)))
+    axes = _INT_AXIS | st.lists(st.integers(-6, 6), max_size=4).map(tuple) | permutation
+    return axes | st.none() if none else axes
+
+
+def _axes_or_none(ndim):
+    return _axes(ndim, none=True)
+
+
+_KEEPDIMS = st.tuples(st.booleans())
+# name: (tensor op, numpy counterpart, axis strategy for an input rank,
+# strategy of the arguments after the axis, forward compared byte for byte)
+_AXIS_OPS = {
+    "tensor_sum": (T.tensor_sum, lambda x, axis, keep: x.sum(axis=axis, keepdims=keep),
+                   _axes_or_none, _KEEPDIMS, True),
+    "mean": (T.mean, _np_mean, _axes_or_none, _KEEPDIMS, False),
+    "transpose": (T.transpose, lambda x, axes: x.transpose(axes), _axes_or_none,
+                  st.just(()), True),
+    "reshape": (T.reshape, lambda x, shape: x.reshape(shape), _axes, st.just(()), True),
+    "concat": (lambda x, axis: T.concat([x, x], axis), lambda x, axis: np.concatenate([x, x], axis),
+               _axes, st.just(()), True),
+    "softmax": (T.softmax, _np_softmax, _axes, st.just(()), False),
+    "log_softmax": (T.log_softmax, _np_log_softmax, _axes, st.just(()), False),
+    "narrow": (T.narrow, _np_narrow, lambda ndim: _INT_AXIS,
+               st.tuples(st.integers(-1, 4), st.integers(-1, 4)), True),
+}
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.data())
+def test_axis_arguments_follow_numpy(data):
+    """Each op refuses exactly when its numpy counterpart does, with the same
+    exception class, and its accepted forward is numpy's; ``narrow`` refuses
+    with ``ShapeError`` an axis outside [-ndim, ndim) or a slice outside the
+    extent. Small accepted cases also check their gradient."""
+    name = data.draw(st.sampled_from(sorted(_AXIS_OPS)), label="op")
+    ours, theirs, axes, rest, exact = _AXIS_OPS[name]
+    shape = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="shape")
+    axis = data.draw(axes(len(shape)), label="axis")
+    args = data.draw(rest, label="args")
+    rng = np.random.default_rng(len(shape))
+    x = rng.normal(size=shape)
+    try:
+        want = theirs(x, axis, *args)
+    except Exception as err:
+        with pytest.raises(Exception) as refused:
+            ours(t64(x), axis, *args)
+        assert type(refused.value) is type(err), (refused.value, err)
+        return
+    got = ours(t64(x), axis, *args).data
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if exact:
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+    if x.size <= 12:
+        xt, w = t64(x), rng.normal(size=want.shape)
+        check_grads(lambda: T.tensor_sum(T.mul(ours(xt, axis, *args), w)), [xt])
 
 
 # ---------------------------------------------------------------------------
