@@ -375,6 +375,9 @@ def cmd_cost(args) -> int:
         base = model.ModelConfig.desk()
     else:
         base = model.ModelConfig()
+    if len(base.stage_channels) != 4:
+        raise ConfigError(f"cost prices four-stage attention plans; the config has "
+                          f"{len(base.stage_channels)} stages")
     rows = []
     for plan in ATTENTION_PLANS:
         cfg = replace(base, attention_plan=model.parse_attention_plan(plan))

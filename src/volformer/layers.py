@@ -2,9 +2,10 @@
 
 Conventions:
   * every input carries a leading batch axis: volumetric features are
-    (B, C, D, H, W) and token matrices (B, N, C), with tokens = flattened
-    voxels and channels last. One volume is a batch of one; the single-volume
-    entry points are ``model.forward_volume`` and ``localize.grad_cam``;
+    (B, C, D, H, W) and attention tokens (B, C, N), the same map with its
+    N = D·H·W voxels flattened. One volume is a batch of one; the
+    single-volume entry points are ``model.forward_volume`` and
+    ``localize.grad_cam``;
   * every layer is a ``Module``: ``children()`` names its parameters
     (``Tensor``) and sublayers (``Module``), by default the attributes that
     hold one in assignment order, and ``params()`` / ``norm_layers()`` walk
@@ -159,15 +160,6 @@ class ResidualConvBlock(Module):
         return T.relu(T.add(h, shortcut))
 
 
-def _token_batch(block, x) -> Tensor:
-    """Check a (B, N, C) input against the N and C ``block`` was built for."""
-    x = T._as_tensor(x)
-    if x.ndim != 3 or x.shape[1:] != (block.tokens, block.channels):
-        raise ShapeError(f"attention block expects (B, N, C) = (B, {block.tokens}, "
-                         f"{block.channels}), got {x.shape}")
-    return x
-
-
 class SGABlock(Module):
     """Shallow global attention: token mixing then channel mixing, both residual.
 
@@ -177,15 +169,15 @@ class SGABlock(Module):
     count N; no NxN structure is ever materialized. The channel-mixing output
     projection starts at zero so that stage is the identity at init.
 
-    The block is one ``T.token_channel_mixing`` node: token mixing is a
-    residual MLP over the (B, C, N) transpose of the tokens and channel
-    mixing one over the transpose of that result. Its closure keeps the
+    The block is one ``T.token_channel_mixing`` node over (B, C, N) tokens:
+    token mixing is a residual MLP over their channel columns and channel
+    mixing one over the token rows of that result. Its closure keeps the
     input, a view of the stage's ReLU output that the graph keeps anyway,
     and the weights, so a training forward keeps only the output; backward
     recomputes the token-mixed tokens.
 
     Token-mixing weights are sized to N, so the block only accepts the token
-    count it was built for.
+    count it was built for; the node's ``ShapeError`` refuses any other.
     """
 
     def __init__(self, tokens: int, channels: int, spatial_hidden: int = 256,
@@ -193,8 +185,6 @@ class SGABlock(Module):
                  dtype=np.float32):
         rng = rng if rng is not None else np.random.default_rng(0)
         hidden_c = channel_expand * channels
-        self.tokens = tokens
-        self.channels = channels
         self.w_spatial_in = Tensor(
             kaiming_uniform((spatial_hidden, tokens), tokens, rng, dtype), requires_grad=True)
         self.w_spatial_out = Tensor(
@@ -206,9 +196,8 @@ class SGABlock(Module):
             np.zeros((channels, hidden_c), dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.token_channel_mixing(_token_batch(self, x), self.w_spatial_in,
-                                      self.w_spatial_out, self.w_channel_in,
-                                      self.w_channel_out)
+        return T.token_channel_mixing(x, self.w_spatial_in, self.w_spatial_out,
+                                      self.w_channel_in, self.w_channel_out)
 
 
 class DGABlock(Module):
@@ -222,12 +211,14 @@ class DGABlock(Module):
     concatenated and projected back to C by a zero-initialized matrix, so
     z1 == z0 exactly at init. No layer normalization anywhere.
 
-    The block is one ``T.attention_block`` node whose closure keeps the
-    input, a view of the stage's ReLU output, the positional embedding and
-    the weights, so a training forward keeps only the output: backward
-    recomputes z0, q, k, v, the masks and z1 once. Its output and gradients
-    equal those of the primitive chains it replaces bit for bit (FF's output
-    bias is added before the residual, as the chain does).
+    The block is one ``T.attention_block`` node over (B, C, N) tokens, as
+    ``SGABlock`` takes them; its (N, C) positional embedding fixes N. The
+    node's closure keeps the input, a view of the stage's ReLU output, the
+    positional embedding and the weights, so a training forward keeps only
+    the output: backward recomputes z0, q, k, v, the masks and z1 once. Its
+    output and gradients equal those of the primitive chains it replaces bit
+    for bit (FF's output bias is added before the residual, as the chain
+    does).
     """
 
     def __init__(self, tokens: int, channels: int, heads: int = 8,
@@ -236,8 +227,6 @@ class DGABlock(Module):
         rng = rng if rng is not None else np.random.default_rng(0)
         if channels % heads != 0:
             raise ShapeError(f"{channels} channels not divisible by {heads} heads")
-        self.tokens = tokens
-        self.channels = channels
         self.heads = heads
         self.head_dim = channels // heads
         self.pos_embed = Tensor(
@@ -258,9 +247,8 @@ class DGABlock(Module):
         self.ff_b_out = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.attention_block(_token_batch(self, x), self.pos_embed, self.qkv,
-                                 self.out_proj, self.heads, self.ff_w_in, self.ff_b_in,
-                                 self.ff_w_out, self.ff_b_out)
+        return T.attention_block(x, self.pos_embed, self.qkv, self.out_proj, self.heads,
+                                 self.ff_w_in, self.ff_b_in, self.ff_w_out, self.ff_b_out)
 
 
 class MLP(Module):

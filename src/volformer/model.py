@@ -263,14 +263,8 @@ class VolumeEncoder(Module):
 
     @staticmethod
     def _to_tokens(x: Tensor) -> Tensor:
-        b, c, d, h, w = x.shape
-        return T.reshape(T.transpose(x, (0, 2, 3, 4, 1)), (b, d * h * w, c))
-
-    @staticmethod
-    def _from_tokens(x: Tensor, extents: tuple[int, int, int]) -> Tensor:
-        b, n, c = x.shape
-        d, h, w = extents
-        return T.transpose(T.reshape(x, (b, d, h, w, c)), (0, 4, 1, 2, 3))
+        """A (B, C, D, H, W) stage map as (B, C, N) tokens, N = D·H·W: a view."""
+        return T.reshape(x, (*x.shape[:2], -1))
 
     def forward(self, x, training: bool, trace: dict | None = None) -> Tensor:
         x = T._as_tensor(x)
@@ -289,8 +283,7 @@ class VolumeEncoder(Module):
                 trace[f"stage{i + 1}.conv"] = h
             attn = self.attention[i]
             if attn is not None:
-                tokens = attn.forward(self._to_tokens(h))
-                h = self._from_tokens(tokens, h.shape[2:])
+                h = T.reshape(attn.forward(self._to_tokens(h)), h.shape)
             if trace is not None:
                 trace[f"stage{i + 1}"] = h
         return T.avg_pool_global(h)

@@ -19,11 +19,12 @@ keep their ``.grad``; a second sweep that reaches a consumed node is a
 ``StateError``. ``batch_norm``, ``softmax``, ``token_channel_mixing``,
 ``attention_block`` and ``bn_relu_conv3d`` are single nodes with closed-form
 backwards; their docstrings give the formulas and the multiply-adds they count.
-The two global attention blocks are one node each that keeps only its input
-and weights: ``token_channel_mixing`` (an SGA block, two residual MLPs)
-recomputes its token-mixed tokens and hidden layers, and ``attention_block``
-(a DGA block) z0 = x + pos, q, k, v, the softmax masks, the concatenated
-heads, z1 and the feed-forward's hidden layer, once per backward.
+The two global attention blocks are one node each over (B, C, N) tokens
+that keeps only its input and weights: ``token_channel_mixing`` (an SGA
+block, two residual MLPs) recomputes its token-mixed tokens and hidden
+layers, and ``attention_block`` (a DGA block) z0 = x + pos, q, k, v, the
+softmax masks, the concatenated heads, z1 and the feed-forward's hidden
+layer, once per backward.
 ``bn_relu_conv3d`` (batch norm, ReLU, then a conv) keeps its input, not the
 ReLU's output h, and recomputes h in backward with one scale, shift and max
 per element. The fused nodes compute with array-level helpers: ``_bn_*`` and
@@ -462,11 +463,12 @@ def concat(parts, axis: int = 0) -> Tensor:
         raise ShapeError("concat requires at least one tensor")
     records = tuple(p._tape for p in parts)
 
-    def backward_fn(g):
-        bounds = np.cumsum([r.shape[axis] for r in records])[:-1]
-        for record, piece in zip(records, np.split(g, bounds, axis=axis)):
+    def backward_fn(g):  # with axis None numpy joined the flattened parts
+        sizes = [math.prod(r.shape) if axis is None else r.shape[axis] for r in records]
+        pieces = np.split(g, np.cumsum(sizes)[:-1], axis=0 if axis is None else axis)
+        for record, piece in zip(records, pieces):
             if record.requires_grad:
-                record._accum(piece)
+                record._accum(piece.reshape(record.shape))
 
     return _node(np.concatenate([p.data for p in parts], axis=axis), records, backward_fn)
 
@@ -1120,25 +1122,26 @@ def token_channel_mixing(x, w_spatial_in, w_spatial_out, w_channel_in,
                          w_channel_out) -> Tensor:
     """An ``SGABlock``: token mixing, then channel mixing, both residual.
 
-    ``x`` is (B, N, C) tokens; the weights are laid out as the block holds
-    them, ``w_spatial_in`` (Hs, N), ``w_spatial_out`` (N, Hs),
-    ``w_channel_in`` (Hc, C) and ``w_channel_out`` (C, Hc). Token mixing is
-    the residual MLP of ``_mlp_forward`` over the (B, C, N) transpose of
-    ``x`` with the spatial weights transposed,
-    m = xᵀ + relu(xᵀ w_spatial_inᵀ) w_spatial_outᵀ; channel mixing is the
-    same over mᵀ with the channel weights transposed. One tape node whose
-    closure keeps ``x`` and the weights, not the token-mixed tokens m or
-    either hidden layer: backward recomputes m, once, and then takes both
-    stages' gradients with ``_mlp_grads`` for two groups, ``x`` and the four
-    weights, skipping a group whose inputs are all untracked. Output,
-    gradients and the GEMMs' multiply-adds it counts, 2·B·N·C·(Hs + Hc),
-    equal those of the transpose, matmul, relu and add chain it replaces
-    bit for bit.
+    ``x`` is (B, C, N) tokens, a stage map with its N = D·H·W voxels
+    flattened; the weights are laid out as the block holds them,
+    ``w_spatial_in`` (Hs, N), ``w_spatial_out`` (N, Hs), ``w_channel_in``
+    (Hc, C) and ``w_channel_out`` (C, Hc). Token mixing is the residual MLP
+    of ``_mlp_forward`` over the (B·C, N) rows of ``x`` with the spatial
+    weights transposed, m = x + relu(x w_spatial_inᵀ) w_spatial_outᵀ;
+    channel mixing is the same over the (B·N, C) rows of mᵀ with the channel
+    weights transposed, and the output is the (B, C, N) transpose of its
+    rows, a view. One tape node whose closure keeps ``x`` and the weights,
+    not the token-mixed tokens m or either hidden layer: backward recomputes
+    m, once, and then takes both stages' gradients with ``_mlp_grads`` for
+    two groups, ``x`` and the four weights, skipping a group whose inputs
+    are all untracked. Output, gradients and the GEMMs' multiply-adds it
+    counts, 2·B·N·C·(Hs + Hc), equal those of the transpose, matmul, relu
+    and add chain it replaces bit for bit.
     """
     tensors = [_as_tensor(t) for t in (x, w_spatial_in, w_spatial_out, w_channel_in,
                                        w_channel_out)]
     xd, si, so, ci, co = (t.data for t in tensors)
-    B, N, C = xd.shape if xd.ndim == 3 else (-1, -1, -1)
+    B, C, N = xd.shape if xd.ndim == 3 else (-1, -1, -1)
     hs = si.shape[0] if si.ndim == 2 else -1
     hc = ci.shape[0] if ci.ndim == 2 else -1
     if (C < 0 or si.shape != (hs, N) or so.shape != (N, hs) or ci.shape != (hc, C)
@@ -1146,32 +1149,33 @@ def token_channel_mixing(x, w_spatial_in, w_spatial_out, w_channel_in,
         raise ShapeError(
             f"token_channel_mixing: x {xd.shape}, w_spatial_in {si.shape}, "
             f"w_spatial_out {so.shape}, w_channel_in {ci.shape} and w_channel_out "
-            f"{co.shape} do not chain as (B, N, C), (Hs, N), (N, Hs), (Hc, C), (C, Hc)")
+            f"{co.shape} do not chain as (B, C, N), (Hs, N), (N, Hs), (Hc, C), (C, Hc)")
 
     def swapped(a, n):
         """The rows of (B, n, ·) data ``a`` with its last two axes swapped:
-        channel columns of tokens (n = N) or token rows of columns (n = C)."""
+        (B·N, C) token rows of (B, C, N) data (n = C) or (B·C, N) channel
+        rows of (B, N, C) data (n = N)."""
         return _fold(a.reshape(B, n, -1).transpose(0, 2, 1))
 
-    rows = swapped(xd, N)  # a view where x is a (B, C, N) transpose
-    mixed = _mlp_forward(rows, si.T, so.T)
+    mixed = _mlp_forward(_fold(xd), si.T, so.T)
     y = _mlp_forward(swapped(mixed, C), ci.T, co.T)
     records = rx, *rws = tuple(t._tape for t in tensors)
     on_x, on_w = rx.requires_grad, any(r.requires_grad for r in rws)
 
     def backward_fn(g):
-        rows = swapped(xd, N)
+        rows = _fold(xd)
         mixed = _mlp_forward(rows, si.T, so.T)
-        gm, gci, gco, _ = _mlp_grads(_fold(g), swapped(mixed, C), ci.T, co.T, None,
+        gm, gci, gco, _ = _mlp_grads(swapped(g, C), swapped(mixed, C), ci.T, co.T, None,
                                      True, on_w)
         del mixed
         gx, gsi, gso, _ = _mlp_grads(swapped(gm, N), rows, si.T, so.T, None, on_x, on_w)
         if on_w:
             _feed(rws, (gsi.T, gso.T, gci.T, gco.T))
         if on_x:
-            rx._accum(gx.reshape(B, C, N).transpose(0, 2, 1), fresh=True)
+            rx._accum(gx.reshape(B, C, N), fresh=True)
 
-    return _node(y.reshape(B, N, C), records, backward_fn, 2 * B * N * C * (hs + hc))
+    return _node(y.reshape(B, N, C).transpose(0, 2, 1), records, backward_fn,
+                 2 * B * N * C * (hs + hc))
 
 
 def _attend(zd: np.ndarray, wd: np.ndarray, heads: int):
@@ -1246,7 +1250,9 @@ def attention_block(x, pos, qkv, out_proj, heads: int, ff_w_in, ff_b_in, ff_w_ou
                     ff_b_out) -> Tensor:
     """A ``DGABlock``: z0 = x + pos, z1 = z0 + MSA(z0), y = z1 + FF(z1).
 
-    ``x`` is (B, N, C) tokens and ``pos`` (N, C); ``qkv`` (C, 3C),
+    ``x`` is (B, C, N) tokens, as ``token_channel_mixing`` takes them, and
+    ``pos`` (N, C); the node works on their (B, N, C) transpose, a view, and
+    returns the (B, C, N) transpose of its result. ``qkv`` (C, 3C),
     ``out_proj`` (C, C) and ``heads`` lay out self-attention as ``_attend``
     says, and FF(z1) = relu(z1 @ ff_w_in + ff_b_in) @ ff_w_out + ff_b_out,
     with ``ff_w_in`` (C, H), ``ff_b_in`` (H,), ``ff_w_out`` (H, C) and
@@ -1266,7 +1272,7 @@ def attention_block(x, pos, qkv, out_proj, heads: int, ff_w_in, ff_b_in, ff_w_ou
     tensors = [_as_tensor(t) for t in (x, pos, qkv, out_proj, ff_w_in, ff_b_in, ff_w_out,
                                        ff_b_out)]
     xd, pd, wd, od, f1, fb1, f2, fb2 = (t.data for t in tensors)
-    B, N, C = xd.shape if xd.ndim == 3 else (-1, -1, -1)
+    B, C, N = xd.shape if xd.ndim == 3 else (-1, -1, -1)
     H = f1.shape[-1] if f1.ndim == 2 else -1
     if (C < 0 or heads < 1 or C % heads or pd.shape != (N, C) or wd.shape != (C, 3 * C)
             or od.shape != (C, C) or f1.shape != (C, H) or fb1.shape != (H,)
@@ -1274,14 +1280,16 @@ def attention_block(x, pos, qkv, out_proj, heads: int, ff_w_in, ff_b_in, ff_w_ou
         raise ShapeError(
             f"attention_block: x {xd.shape}, pos {pd.shape}, qkv {wd.shape}, out_proj "
             f"{od.shape}, {heads} heads, ff_w_in {f1.shape}, ff_b_in {fb1.shape}, "
-            f"ff_w_out {f2.shape} and ff_b_out {fb2.shape} do not chain as (B, N, C), "
+            f"ff_w_out {f2.shape} and ff_b_out {fb2.shape} do not chain as (B, C, N), "
             f"(N, C), (C, 3C), (C, C), heads dividing C, (C, H), (H,), (H, C), (C,)")
+    xd = xd.transpose(0, 2, 1)  # (B, N, C) from here on, as is g in backward
     z1 = _attention_forward(xd + pd, wd, od, heads)[0]
     y = _mlp_forward(_fold(z1), f1, f2, fb1, fb2)
     records = rx, *rws = tuple(t._tape for t in tensors)
     on_x, on_w = rx.requires_grad, any(r.requires_grad for r in rws)
 
     def backward_fn(g):
+        g = g.transpose(0, 2, 1)
         g2 = _fold(g)
         z0 = xd + pd
         z1, attended = _attention_forward(z0, wd, od, heads)
@@ -1291,9 +1299,10 @@ def attention_block(x, pos, qkv, out_proj, heads: int, ff_w_in, ff_b_in, ff_w_ou
         if on_w:
             _feed(rws, (gz0.sum(axis=0), gw, gout, g1, gb1, gw2, g2.sum(axis=0)))
         if on_x:
-            rx._accum(gz0, fresh=True)
+            rx._accum(gz0.transpose(0, 2, 1), fresh=True)
 
-    return _node(y.reshape(B, N, C), records, backward_fn, 2 * B * N * C * (2 * C + N + H))
+    return _node(y.reshape(B, N, C).transpose(0, 2, 1), records, backward_fn,
+                 2 * B * N * C * (2 * C + N + H))
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:

@@ -141,13 +141,13 @@ def test_01_gradients_match_finite_differences(conv_gather):
                                      np.random.default_rng(27)), [br_x, br_g, br_b, br_k]))
 
     srng = np.random.default_rng(28)  # its own draws, as brng above
-    sx, s_si, s_so = _t64(srng, 2, 3, 4), _t64(srng, 5, 3), _t64(srng, 3, 5)
+    sx, s_si, s_so = _t64(srng, 2, 4, 3), _t64(srng, 5, 3), _t64(srng, 3, 5)
     s_ci, s_co = _t64(srng, 6, 4), _t64(srng, 4, 6)
     cases.append((lambda: _scalarize(T.token_channel_mixing(sx, s_si, s_so, s_ci, s_co),
                                      np.random.default_rng(29)), [sx, s_si, s_so, s_ci, s_co]))
     drng = np.random.default_rng(30)
     dga_in = [_t64(drng, *shape) for shape in
-              ((2, 3, 4), (3, 4), (4, 12), (4, 4), (4, 5), (5,), (5, 4), (4,))]
+              ((2, 4, 3), (3, 4), (4, 12), (4, 4), (4, 5), (5,), (5, 4), (4,))]
     cases.append((lambda: _scalarize(T.attention_block(*dga_in[:4], 2, *dga_in[4:]),
                                      np.random.default_rng(31)), dga_in))
 
@@ -257,7 +257,7 @@ def test_04_attention_masks_and_zero_init_identities():
     x = rng.normal(size=(6, 4)).astype(np.float32)
     hidden = np.maximum(sga.w_spatial_in.data @ x, 0.0)
     spatial_only = x + sga.w_spatial_out.data @ hidden
-    got = sga.forward(Tensor(x[None])).data[0]
+    got = sga.forward(Tensor(x.T[None])).data[0].T  # tokens are (B, C, N)
     assert np.array_equal(got, spatial_only), "channel stage not identity at init"
 
     _verdict(4, "attention masks and zero-init identities", True,
@@ -280,7 +280,7 @@ def test_05_cost_ordering_and_measured_scaling():
     def sga_ops(n):
         block = SGABlock(tokens=n, channels=16, spatial_hidden=32,
                          rng=np.random.default_rng(1))
-        x = Tensor(rng.normal(size=(n, 16)).astype(np.float32)[None])
+        x = Tensor(rng.normal(size=(n, 16)).astype(np.float32).T[None])
         with T.count_ops() as ops:
             block.forward(x)
         return ops.macs
@@ -288,7 +288,7 @@ def test_05_cost_ordering_and_measured_scaling():
     def dga_ops(n):
         block = DGABlock(tokens=n, channels=8, heads=2,
                          rng=np.random.default_rng(1))
-        x = Tensor(rng.normal(size=(n, 8)).astype(np.float32)[None])
+        x = Tensor(rng.normal(size=(n, 8)).astype(np.float32).T[None])
         with T.count_ops() as ops:
             block.forward(x)
         return ops.macs
@@ -397,7 +397,7 @@ def test_08_kernels_match_naive_oracles(conv_gather):
         block.w_channel_out.data = rng.normal(
             size=block.w_channel_out.shape).astype(np.float32)
         x = rng.normal(size=(n, c)).astype(np.float32)
-        got = block.forward(Tensor(x[None])).data[0]
+        got = block.forward(Tensor(x.T[None])).data[0].T  # tokens are (B, C, N)
         want = sga_loops(x, block.w_spatial_in.data, block.w_spatial_out.data,
                          block.w_channel_in.data, block.w_channel_out.data)
         worst["sga"] = max(worst["sga"], rel_error(got, want))
@@ -410,7 +410,7 @@ def test_08_kernels_match_naive_oracles(conv_gather):
                          rng=np.random.default_rng(int(rng.integers(1e6))))
         block.out_proj.data = rng.normal(size=block.out_proj.shape).astype(np.float32)
         x = rng.normal(size=(n, c)).astype(np.float32)
-        got = block.forward(Tensor(x[None])).data[0]
+        got = block.forward(Tensor(x.T[None])).data[0].T  # tokens are (B, C, N)
         want = dga_loops(x, block.pos_embed.data,
                          np.split(block.qkv.data, heads, axis=1), block.out_proj.data,
                          block.ff_w_in.data, block.ff_b_in.data,

@@ -1074,6 +1074,20 @@ def test_cost_reads_config_model_section(workdir, capsys):
     assert rows != preset_rows  # the config shrinks the geometry
 
 
+def test_cost_refuses_a_config_without_four_stages(tmp_path, capsys):
+    """A valid three-stage config trains, but the table prices the five
+    four-stage plans: ``cost`` refuses it up front, naming its stage count,
+    rather than blaming the attention plan it swapped in."""
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({"model": {
+        "scale_preset": "desk", "stage_channels": [8, 16, 32], "stage_blocks": [1, 1, 1],
+        "stage_strides": [1, 2, 2], "attention_plan": ["S", "S", "D"]}}))
+    assert main(["cost", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "four-stage" in captured.err and "3 stages" in captured.err, captured.err
+
+
 # ---------------------------------------------------------------------------
 # dispatch and environment
 

@@ -30,6 +30,12 @@ def check_grads(f, tensors, tol=1e-5, h=1e-5):
         assert err < tol, f"gradient mismatch {err:.3g} for shape {tt.data.shape}"
 
 
+def bcn(a):
+    """(B, N, C) values, as the loop oracles and reference chains lay tokens
+    out, as the contiguous (B, C, N) tokens a block takes."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
+
+
 def random_sga(tokens, channels, hidden, rng, dtype=np.float64):
     """SGA block with every weight randomized (including the zero-init one)."""
     block = L.SGABlock(tokens, channels, hidden, 2, rng, dtype)
@@ -176,7 +182,7 @@ def test_sga_matches_loop_oracle():
     rng = np.random.default_rng(27)
     block = random_sga(10, 6, 4, rng)
     x = rng.normal(size=(10, 6))
-    got = block.forward(t64(x[None], requires_grad=False)).data[0]
+    got = block.forward(t64(bcn(x[None]), requires_grad=False)).data[0].T
     want = sga_loops(x, block.w_spatial_in.data, block.w_spatial_out.data,
                      block.w_channel_in.data, block.w_channel_out.data)
     assert rel_error(got, want) < 1e-9
@@ -185,7 +191,7 @@ def test_sga_matches_loop_oracle():
 def test_sga_batched_matches_per_sample():
     rng = np.random.default_rng(28)
     block = random_sga(8, 5, 4, rng)
-    x = rng.normal(size=(3, 8, 5))
+    x = bcn(rng.normal(size=(3, 8, 5)))
     got = block.forward(t64(x, requires_grad=False)).data
     for i in range(3):
         single = block.forward(t64(x[i:i + 1], requires_grad=False)).data[0]
@@ -198,21 +204,24 @@ def test_sga_channel_stage_is_identity_at_init():
     x = Tensor(rng.normal(size=(6, 4)).astype(np.float32))
     hidden = T.relu(T.matmul(block.w_spatial_in, x))
     spatial_only = T.add(x, T.matmul(block.w_spatial_out, hidden)).data
-    out = block.forward(T.reshape(x, (1, 6, 4))).data[0]
-    assert np.array_equal(out, spatial_only)
+    out = block.forward(Tensor(bcn(x.data[None]))).data[0]
+    assert np.array_equal(out.T, spatial_only)
 
 
 def test_sga_token_count_mismatch():
+    """Seven tokens, and the six the block takes in (B, N, C) rather than
+    (B, C, N) layout, are both refused."""
     block = L.SGABlock(6, 4, 8, 2, np.random.default_rng(0))
-    with pytest.raises(ShapeError):
-        block.forward(Tensor(np.zeros((1, 7, 4), dtype=np.float32)))
+    for shape in ((1, 4, 7), (1, 6, 4)):
+        with pytest.raises(ShapeError, match=r"\(B, C, N\)"):
+            block.forward(Tensor(np.zeros(shape, dtype=np.float32)))
 
 
 def test_sga_gradient():
     rng = np.random.default_rng(30)
     block = random_sga(5, 3, 4, rng)
-    x = t64(rng.normal(size=(1, 5, 3)))
-    w = Tensor(rng.normal(size=(1, 5, 3)))
+    x = t64(bcn(rng.normal(size=(1, 5, 3))))
+    w = Tensor(bcn(rng.normal(size=(1, 5, 3))))
     tracked = [x] + [t for _, t in block.params()]
     check_grads(lambda: T.tensor_sum(T.mul(block.forward(x), w)), tracked, tol=1e-4)
 
@@ -224,7 +233,7 @@ def test_sga_forward_retains_its_output_alone():
     hidden layer or a layout copy."""
     rng = np.random.default_rng(39)
     block = L.SGABlock(216, 32, 64, 2, rng)
-    x = Tensor(rng.normal(size=(4, 216, 32)).astype(np.float32), requires_grad=True)
+    x = Tensor(bcn(rng.normal(size=(4, 216, 32)).astype(np.float32)), requires_grad=True)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -238,6 +247,13 @@ def test_sga_forward_retains_its_output_alone():
     assert all(t.grad is not None for _, t in block.params())
 
 
+def _swapped(fn, x):
+    """``fn`` over the transpose of the tokens ``x``, its output transposed
+    back: a reference chain, which takes (B, N, C), fed (B, C, N) tokens, or
+    a block, which takes (B, C, N), fed (B, N, C) ones."""
+    return T.transpose(fn(T.transpose(x, (0, 2, 1))), (0, 2, 1))
+
+
 def _tracking(mode, x, params):
     """Track ``x`` and ``params`` as a step does in training ("all"),
     ``grad_cam`` does ("input") or with ``x`` left untracked ("weights")."""
@@ -249,20 +265,20 @@ def _tracking(mode, x, params):
 
 @pytest.mark.parametrize("mode", ["all", "input", "weights"])
 def test_sga_forward_and_gradients_equal_the_chains_bit_for_bit(mode):
-    """float32, every weight random, tokens the (B, N, C) transpose of a
-    (B, C, N) array as the encoder makes them: the block's node against its
-    two residual MLP chains (``oracles.sga_chain``), output and every
+    """float32, every weight random, tokens a (B, C, N) array as the encoder
+    makes them: the block's node against its two residual MLP chains
+    (``oracles.sga_chain``) over their (B, N, C) transpose, output and every
     input and parameter gradient compared exactly, None where untracked."""
     rng = np.random.default_rng(48)
     block = random_sga(12, 8, 6, rng, dtype=np.float32)
     base = rng.normal(size=(3, 8, 12)).astype(np.float32)
-    g = Tensor(rng.normal(size=(3, 12, 8)).astype(np.float32))
+    g = Tensor(bcn(rng.normal(size=(3, 12, 8)).astype(np.float32)))
     params = [t for _, t in block.params()]
     results = []
-    for fn in (block.forward, lambda x: sga_chain(block, x)):
+    for fn in (block.forward, lambda x: _swapped(lambda t: sga_chain(block, t), x)):
         leaf = Tensor(base)
         _tracking(mode, leaf, params)
-        y = fn(T.transpose(leaf, (0, 2, 1)))
+        y = fn(leaf)
         T.backward(T.tensor_sum(T.mul(y, g)))
         results.append([y.data, leaf.grad] + [t.grad for t in params])
     for got, want in zip(*results):
@@ -278,7 +294,7 @@ def test_sga_cost_grows_linearly_with_tokens():
     counts = {}
     for n in (64, 128):
         block = L.SGABlock(n, 8, 16, 2, rng)
-        x = Tensor(np.zeros((1, n, 8), dtype=np.float32))
+        x = Tensor(np.zeros((1, 8, n), dtype=np.float32))
         with T.count_ops() as ops:
             block.forward(x)
         counts[n] = ops.macs
@@ -293,7 +309,7 @@ def test_dga_matches_loop_oracle():
     rng = np.random.default_rng(32)
     block = random_dga(7, 6, 2, rng)
     x = rng.normal(size=(7, 6))
-    got = block.forward(t64(x[None], requires_grad=False)).data[0]
+    got = block.forward(t64(bcn(x[None]), requires_grad=False)).data[0].T
     want = dga_loops(
         x, block.pos_embed.data, np.split(block.qkv.data, block.heads, axis=1),
         block.out_proj.data, block.ff_w_in.data, block.ff_b_in.data,
@@ -304,7 +320,7 @@ def test_dga_matches_loop_oracle():
 def test_dga_batched_matches_per_sample():
     rng = np.random.default_rng(33)
     block = random_dga(6, 4, 2, rng)
-    x = rng.normal(size=(3, 6, 4))
+    x = bcn(rng.normal(size=(3, 6, 4)))
     got = block.forward(t64(x, requires_grad=False)).data
     for i in range(3):
         single = block.forward(t64(x[i:i + 1], requires_grad=False)).data[0]
@@ -319,14 +335,15 @@ def test_dga_msa_is_zero_at_init_so_z1_equals_z0():
     assert np.all(msa_chain(block, z0).data == 0.0)
     z1 = T.add(z0, msa_chain(block, z0))
     assert np.array_equal(z1.data, z0.data)
-    out = block.forward(x).data
+    out = block.forward(Tensor(bcn(x.data))).data
     want = residual_mlp_chain(z0, block.ff_w_in, block.ff_w_out, block.ff_b_in,
                               block.ff_b_out).data
-    assert np.array_equal(out, want)
+    assert np.array_equal(out, bcn(want))
 
 
 def test_dga_forward_and_gradients_equal_the_chains_bit_for_bit():
-    """float32, every weight random: the block's node against
+    """float32, every weight random: the block's node, its (B, C, N) tokens
+    the transpose of contiguous (B, N, C) ones, against
     z1 = z0 + MSA(z0), z2 = z1 + FF(z1) as primitive chains, output and every
     parameter and input gradient compared exactly, with everything tracked
     (training), only the input (as ``grad_cam`` runs) or only the
@@ -338,7 +355,7 @@ def test_dga_forward_and_gradients_equal_the_chains_bit_for_bit():
     params = [t for _, t in block.params()]
     for mode in ("all", "input", "weights"):
         results = []
-        for fn in (block.forward, lambda xt: dga_chain(block, xt)):
+        for fn in (lambda xt: _swapped(block.forward, xt), lambda xt: dga_chain(block, xt)):
             xt = Tensor(x)
             _tracking(mode, xt, params)
             y = fn(xt)
@@ -359,7 +376,7 @@ def test_dga_forward_retains_its_output_alone():
     the masks or the feed-forward's hidden layer."""
     rng = np.random.default_rng(49)
     block = L.DGABlock(216, 32, 4, 4, 0.02, rng)
-    x = Tensor(rng.normal(size=(4, 216, 32)).astype(np.float32), requires_grad=True)
+    x = Tensor(bcn(rng.normal(size=(4, 216, 32)).astype(np.float32)), requires_grad=True)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -390,16 +407,19 @@ def test_dga_head_divisibility_error():
 
 
 def test_dga_token_count_mismatch():
+    """Four tokens, and the six the block takes in (B, N, C) rather than
+    (B, C, N) layout, are both refused."""
     block = L.DGABlock(6, 4, 2, rng=np.random.default_rng(0))
-    with pytest.raises(ShapeError):
-        block.forward(Tensor(np.zeros((1, 4, 4), dtype=np.float32)))
+    for shape in ((1, 4, 4), (1, 6, 4)):
+        with pytest.raises(ShapeError, match=r"\(B, C, N\)"):
+            block.forward(Tensor(np.zeros(shape, dtype=np.float32)))
 
 
 def test_dga_gradient():
     rng = np.random.default_rng(36)
     block = random_dga(4, 4, 2, rng)
-    x = t64(rng.normal(size=(1, 4, 4)))
-    w = Tensor(rng.normal(size=(1, 4, 4)))
+    x = t64(bcn(rng.normal(size=(1, 4, 4))))
+    w = Tensor(bcn(rng.normal(size=(1, 4, 4))))
     tracked = [x] + [t for _, t in block.params()]
     check_grads(lambda: T.tensor_sum(T.mul(block.forward(x), w)), tracked, tol=1e-4)
 
@@ -409,7 +429,7 @@ def test_dga_cost_superlinear_in_tokens():
     counts = {}
     for n in (512, 1024):
         block = L.DGABlock(n, 8, 2, 4, 0.02, rng)
-        x = Tensor(np.zeros((1, n, 8), dtype=np.float32))
+        x = Tensor(np.zeros((1, 8, n), dtype=np.float32))
         with T.count_ops() as ops:
             block.forward(x)
         counts[n] = ops.macs

@@ -347,15 +347,19 @@ DGA_NAMES = ("x", "pos_embed", "qkv", "out_proj", "ff_w_in", "ff_b_in", "ff_w_ou
 
 def _assert_node_matches_chain(node, chain, names, arrays, g, tracked):
     """Run ``node`` and ``chain`` on fresh float64 leaves built from
-    ``arrays`` (the first one transposed into a (B, N, C) view), each leaf
+    ``arrays``, the first one (B, C, N) tokens, which ``chain`` takes as
+    their (B, N, C) transpose and transposes its output back, each leaf
     tracked only if its name is in ``tracked``. The outputs and the tracked
     leaves' gradients agree to 1e-12, the untracked ones get none, and
     ``count_ops`` units are equal."""
+    def swapped_chain(x, w):
+        return T.transpose(chain(T.transpose(x, (0, 2, 1)), w), (0, 2, 1))
+
     results = []
-    for fn in (node, chain):
+    for fn in (node, swapped_chain):
         leaves = [t64(arrays[n], requires_grad=n in tracked) for n in names]
         with T.count_ops() as ops:
-            y = fn(T.transpose(leaves[0], (0, 2, 1)), leaves[1:])
+            y = fn(leaves[0], leaves[1:])
         if y.requires_grad:
             T.backward(T.tensor_sum(T.mul(y, Tensor(g))))
         results.append(([y.data] + [t.grad for t in leaves], ops.macs))
@@ -370,16 +374,16 @@ def _assert_node_matches_chain(node, chain, names, arrays, g, tracked):
 
 def test_token_channel_mixing_matches_the_chain():
     """The SGA block node against ``oracles.sga_chain``, two residual MLP
-    chains over transposes, over a transposed-view input: with every input
+    chains over transposes, over (B, C, N) tokens: with every input
     tracked and with x (as in an eval forward from an untracked volume),
     each weight, all weights (as in ``grad_cam``), the token stage (so the
     token-mixed tokens are untracked) or all but the last weight
     untracked."""
     rng = np.random.default_rng(42)
     B, N, C, hs, hc = 3, 4, 5, 7, 6
-    shapes = ((B, C, N), (hs, N), (N, hs), (hc, C), (C, hc))  # x is its (B, N, C) transpose
+    shapes = ((B, C, N), (hs, N), (N, hs), (hc, C), (C, hc))
     arrays = {n: rng.normal(size=s) for n, s in zip(SGA_NAMES, shapes)}
-    g = rng.normal(size=(B, N, C))
+    g = rng.normal(size=(B, C, N))
     weights = SGA_NAMES[1:]
     for untracked in ((), ("x",), *((w,) for w in weights), weights, SGA_NAMES[:3],
                       SGA_NAMES[:4]):
@@ -392,7 +396,7 @@ def test_token_channel_mixing_matches_the_chain():
 def test_attention_block_matches_the_chain():
     """The DGA block node against ``oracles.dga_chain``, z0 = x + pos, then
     z0 + ``msa_chain``(z0), then a residual MLP chain, for B = 1 and 3 over
-    a transposed-view x: with everything tracked, x alone (as ``grad_cam``
+    (B, C, N) tokens x: with everything tracked, x alone (as ``grad_cam``
     runs), the weights alone, only out_proj, only the output bias, only the
     feed-forward's input bias, or pos and qkv."""
     rng = np.random.default_rng(44)
@@ -401,7 +405,7 @@ def test_attention_block_matches_the_chain():
     for batch in (1, 3):
         shapes = ((batch, C, N), (N, C), (C, 3 * C), (C, C), (C, H), (H,), (H, C), (C,))
         arrays = {n: rng.normal(size=s) for n, s in zip(DGA_NAMES, shapes)}
-        g = rng.normal(size=(batch, N, C))
+        g = rng.normal(size=(batch, C, N))
         for tracked in (DGA_NAMES, ("x",), weights, ("out_proj",), ("ff_b_out",),
                         ("ff_b_in",), ("pos_embed", "qkv")):
             _assert_node_matches_chain(
@@ -417,7 +421,7 @@ def test_attention_block_keeps_its_input_not_q_k_v_or_masks():
     output alone (x and the weights are the caller's), not z0 or z1, q, k
     and v (0.6 MiB each), the 10 MiB of masks or the hidden layer."""
     rng = np.random.default_rng(45)
-    x = Tensor(rng.normal(size=(1, 576, 256)).astype(np.float32), requires_grad=True)
+    x = Tensor(rng.normal(size=(1, 256, 576)).astype(np.float32), requires_grad=True)
     weights = [Tensor((0.05 * rng.normal(size=s)).astype(np.float32), requires_grad=True)
                for s in ((576, 256), (256, 768), (256, 256), (256, 1024), (1024,),
                          (1024, 256), (256,))]
@@ -440,17 +444,17 @@ def test_attention_block_keeps_its_input_not_q_k_v_or_masks():
 def test_attention_block_nodes_shape_errors_name_every_shape():
     """Both block nodes refuse operands that do not chain and name each
     operand's shape."""
-    x = Tensor(np.zeros((2, 3, 4)))
+    x = Tensor(np.zeros((2, 4, 3)))
     sga = [Tensor(np.zeros(s)) for s in ((5, 3), (3, 5), (6, 4), (4, 6))]
     for i, bad in ((0, (5, 4)), (1, (3, 6)), (2, (6, 3)), (3, (6, 4))):
         args = sga[:i] + [Tensor(np.zeros(bad))] + sga[i + 1:]
-        with pytest.raises(ShapeError, match=r"x \(2, 3, 4\), w_spatial_in .*w_channel_out"):
+        with pytest.raises(ShapeError, match=r"x \(2, 4, 3\), w_spatial_in .*w_channel_out"):
             T.token_channel_mixing(x, *args)
     dga = [Tensor(np.zeros(s)) for s in ((3, 4), (4, 12), (4, 4), (4, 5), (5,), (5, 4), (4,))]
     for i, bad in ((0, (2, 4)), (1, (4, 8)), (2, (4, 5)), (3, (5, 5)), (4, (4,)),
                    (5, (4, 5)), (6, (5,))):
         args = dga[:i] + [Tensor(np.zeros(bad))] + dga[i + 1:]
-        with pytest.raises(ShapeError, match=r"x \(2, 3, 4\), pos .*ff_b_out"):
+        with pytest.raises(ShapeError, match=r"x \(2, 4, 3\), pos .*ff_b_out"):
             T.attention_block(x, *args[:3], 2, *args[3:])
     for heads in (0, 3):
         with pytest.raises(ShapeError, match=f"{heads} heads"):
@@ -463,7 +467,7 @@ def test_residual_mlp_keeps_its_input_not_its_hidden_layer():
     (x and the weights are the caller's), not either hidden layer or the
     token-mixed tokens."""
     rng = np.random.default_rng(43)
-    x = Tensor(rng.normal(size=(2, 64, 16)).astype(np.float32), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 16, 64)).astype(np.float32), requires_grad=True)
     weights = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
                for s in ((256, 64), (64, 256), (64, 16), (16, 64))]
     tracemalloc.start()
@@ -482,7 +486,7 @@ def test_residual_mlp_shape_errors_name_every_shape():
     """A residual-MLP operand that does not chain, in either block node, is
     refused with a message naming every operand's shape, the bad one
     included."""
-    x = Tensor(np.zeros((2, 3, 4)))
+    x = Tensor(np.zeros((2, 4, 3)))
     sga = [Tensor(np.zeros(s)) for s in ((5, 3), (3, 5), (6, 4), (4, 6))]
     for i, bad in ((0, (5, 2)), (1, (2, 5)), (2, (6, 5)), (3, (5, 6))):
         args = sga[:i] + [Tensor(np.zeros(bad))] + sga[i + 1:]
@@ -504,9 +508,9 @@ def test_residual_mlp_shape_errors_name_every_shape():
 def test_residual_attention_shape_errors_name_every_shape():
     """The DGA block node refuses an unbatched x and attention operands that
     do not chain, naming x, qkv, out_proj and the head count."""
-    x, pos, w, o = (Tensor(np.zeros(s)) for s in ((2, 3, 4), (3, 4), (4, 12), (4, 4)))
+    x, pos, w, o = (Tensor(np.zeros(s)) for s in ((2, 4, 3), (3, 4), (4, 12), (4, 4)))
     ff = [Tensor(np.zeros(s)) for s in ((4, 5), (5,), (5, 4), (4,))]
-    for args in ((Tensor(np.zeros((3, 4))), pos, w, o, 2), (x, pos, o, o, 2),
+    for args in ((Tensor(np.zeros((4, 3))), pos, w, o, 2), (x, pos, o, o, 2),
                  (x, pos, w, w, 2), (x, pos, w, o, 3), (x, pos, w, o, 0)):
         with pytest.raises(ShapeError, match=r"x \(.*qkv \(.*out_proj \(.*heads"):
             T.attention_block(*args, *ff)
@@ -738,7 +742,7 @@ _AXIS_OPS = {
                   st.just(()), True),
     "reshape": (T.reshape, lambda x, shape: x.reshape(shape), _axes, st.just(()), True),
     "concat": (lambda x, axis: T.concat([x, x], axis), lambda x, axis: np.concatenate([x, x], axis),
-               _axes, st.just(()), True),
+               _axes_or_none, st.just(()), True),
     "softmax": (T.softmax, _np_softmax, _axes, st.just(()), False),
     "log_softmax": (T.log_softmax, _np_log_softmax, _axes, st.just(()), False),
     "narrow": (T.narrow, _np_narrow, lambda ndim: _INT_AXIS,
@@ -1350,13 +1354,13 @@ PRIMITIVES = {
     "matmul_folded": (T.matmul, [(2, 3, 4), (4, 5)], 2 * 3 * 4 * 5),
     # two residual MLPs of two GEMMs each: 2*B*(C*N*Hs + N*C*Hc)
     "token_channel_mixing": (T.token_channel_mixing,
-                             [(2, 3, 4), (5, 3), (3, 5), (6, 4), (4, 6)],
+                             [(2, 4, 3), (5, 3), (3, 5), (6, 4), (4, 6)],
                              2 * 2 * (4 * 3 * 5 + 3 * 4 * 6)),
     # 4*B*N*C^2 (projections), 2*B*N^2*C (scores and weighted sum) and
     # 2*B*N*C*H (feed-forward)
     "attention_block": (lambda x, p, w, o, a, b, c, d: T.attention_block(x, p, w, o, 2,
                                                                          a, b, c, d),
-                        [(2, 3, 4), (3, 4), (4, 12), (4, 4), (4, 5), (5,), (5, 4), (4,)],
+                        [(2, 4, 3), (3, 4), (4, 12), (4, 4), (4, 5), (5,), (5, 4), (4,)],
                         4 * 2 * 3 * 16 + 2 * 2 * 9 * 4 + 2 * 2 * 3 * 4 * 5),
     "conv3d": (lambda x, k: T.conv3d(x, k, 1, 1), [(1, 2, 4, 4, 4), (3, 2, 3, 3, 3)],
                3 * 2 * 27 * 64),
